@@ -330,8 +330,6 @@ def array_ops(seed: int) -> Iterator:
 
 
 GENERATORS = {"cell_characterize": cell_ops, "array_scale": array_ops}
-#: Ops per measurement block: one cycle of each mix.
-BLOCK_OPS = {"cell_characterize": len(CELL_MIX), "array_scale": len(ARRAY_MIX)}
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +340,9 @@ class LoopResult:
     def __init__(self):
         #: ``(elapsed_s, cpu_s, ok)`` of every op, in order.
         self.ops: List[Tuple[float, float, bool]] = []
+        #: Host-speed references taken before the first op and right
+        #: after every op, when the loop takes them.
+        self.references: List[Tuple[float, float]] = []
         self.busy_s = 0.0
         self.attempted = 0
         self.failures: Dict[str, int] = {}
@@ -359,6 +360,7 @@ def run_loop(
     check: bool = True,
     recorder=None,
     counters: Optional[Callable[[], Dict[str, float]]] = None,
+    reference: Optional[Callable[[], Tuple[float, float]]] = None,
 ) -> LoopResult:
     """One client, closed loop: the next op starts when the last ends.
 
@@ -366,9 +368,13 @@ def run_loop(
     ops, when given).  Only ``op.run`` is timed; a failed or wrong op
     counts in ``failures`` keyed by error type, never in the latencies.
     ``recorder`` spans and the ``counters()`` delta cover ``op.run``
-    only, not the checks' own solves.
+    only, not the checks' own solves.  ``reference()`` (see
+    ``perfbench/calibrate.py``) runs before the first op and right
+    after each op, outside the op's time.
     """
     out = LoopResult()
+    if reference is not None:
+        out.references.append(reference())
     while out.busy_s < seconds if max_ops is None else out.attempted < max_ops:
         op = next(ops)
         before = counters() if counters is not None else None
@@ -384,6 +390,8 @@ def run_loop(
         cpu = time.process_time() - cpu_start
         if recorder is not None:
             recorder.active = False
+        if reference is not None:
+            out.references.append(reference())
         if before is not None:
             for key, value in counters().items():
                 out.counters[key] = out.counters.get(key, 0) + value - before.get(key, 0)

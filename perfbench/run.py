@@ -86,10 +86,6 @@ def provenance(args) -> dict:
     }
 
 
-#: Share of a run's blocks, the fastest, that the metrics are taken over.
-FAST_SHARE = 0.25
-
-
 def pooled_metrics(blocks) -> Dict[str, float]:
     """Throughput, latency percentiles and CPU per op over ``blocks``,
     each ``(seconds, cpu_s, latencies_s)``."""
@@ -106,23 +102,38 @@ def pooled_metrics(blocks) -> Dict[str, float]:
     }
 
 
-def fast_metrics(blocks) -> Dict[str, float]:
-    """The end-to-end figures over the fastest quarter of the blocks.
+def host_scaled(blocks, references):
+    """``blocks`` with their times scaled to the reference host speed.
 
-    A block is one cycle of the op mix in-process (so every block does
-    the same work) and one second for the service.  On a shared host
-    other tenants slow stretches of a run by up to 1.6x, CPU time
-    included; the fastest quarter of the blocks, ranked by time per op,
-    follows the program rather than the neighbours.  In a 25 s run a
-    quarter still pools 100 or more latencies, ten or more beyond the
-    p90.
+    Block ``i`` ran between ``references[i]`` and ``references[i + 1]``
+    (``perfbench/calibrate.py``); its wall times and latencies are
+    scaled by the wall-clock factor, its CPU time by the CPU factor.
     """
-    ranked = sorted((b for b in blocks if b[2]), key=lambda b: b[0] / len(b[2]))
-    return pooled_metrics(ranked[:max(1, round(FAST_SHARE * len(ranked)))])
+    from perfbench import calibrate
+
+    return [
+        (seconds * wall, cpu_s * cpu, [lat * wall for lat in latencies])
+        for (seconds, cpu_s, latencies), (wall, cpu) in zip(blocks, calibrate.scales(references))
+    ]
+
+
+def reference_ms(references) -> float:
+    """Median wall time of the run's host-speed references [ms]."""
+    return 1e3 * statistics.median(wall for wall, _cpu in references)
 
 
 def _median_setup(spawn) -> float:
-    return statistics.median(spawn() for _ in range(SETUP_REPEATS))
+    """Median of ``SETUP_REPEATS`` set-ups, each scaled to the reference
+    host speed by the references taken right before and after it."""
+    from perfbench import calibrate
+
+    scaled = []
+    for _ in range(SETUP_REPEATS):
+        before = calibrate.measure()
+        seconds = spawn()
+        (wall, _cpu), = calibrate.scales([before, calibrate.measure()])
+        scaled.append(seconds * wall)
+    return statistics.median(scaled)
 
 
 # ----------------------------------------------------------------------
@@ -148,26 +159,21 @@ def _direct_setup_once(args) -> float:
 
 
 def direct_untraced(args):
-    from perfbench import direct
+    from perfbench import calibrate, direct
 
     setup_s = _median_setup(lambda: _direct_setup_once(args))
-    loop = direct.run_loop(direct.GENERATORS[args.workload](args.seed), args.seconds)
-    size = direct.BLOCK_OPS[args.workload]
-    blocks = []
-    for first in range(0, len(loop.ops) - size + 1, size):
-        chunk = loop.ops[first:first + size]
-        blocks.append((
-            sum(elapsed for elapsed, _cpu, _ok in chunk),
-            sum(cpu for _elapsed, cpu, _ok in chunk),
-            [elapsed for elapsed, _cpu, ok in chunk if ok],
-        ))
-    metrics = fast_metrics(blocks)
+    loop = direct.run_loop(
+        direct.GENERATORS[args.workload](args.seed), args.seconds, reference=calibrate.measure
+    )
+    # Every op is its own block: scaled by the references either side.
+    blocks = [(elapsed, cpu, [elapsed] if ok else []) for elapsed, cpu, ok in loop.ops]
+    metrics = pooled_metrics(host_scaled(blocks, loop.references))
     metrics["setup_s"] = setup_s
     metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     details = {
-        "blocks": len(blocks),
-        "fast_samples": metrics.pop("samples"),
-        "whole_run": pooled_metrics(blocks),
+        "samples": metrics.pop("samples"),
+        "reference_ms": reference_ms(loop.references),
+        "unscaled": pooled_metrics(blocks),
         "failures": loop.failures,
     }
     return loop.attempted, loop.failures, {}, metrics, details
@@ -233,7 +239,7 @@ def _served_outcome(priming, results):
 
 
 def served_untraced(args):
-    from perfbench import served
+    from perfbench import calibrate, served
 
     workload = served.Workload(args.seed)
     workload.compute_references()
@@ -252,29 +258,32 @@ def served_untraced(args):
         setup_s = _median_setup(spawn_once)
         server = servers[0]
         priming = served.prime(server.endpoint, workload)
-        results, wall, samples = served.run_clients(
-            server.endpoint, workload, args.seconds, sample=server.cpu_s
+        results, _wall, spans = served.run_clients(
+            server.endpoint, workload, args.seconds,
+            sample=lambda: (calibrate.measure(), server.cpu_s()),
         )
         peak_rss_mb = server.peak_rss_mb()
     finally:
-        for server in servers:
-            server.stop()
+        for running in servers:
+            running.stop()
         for path in dirs:
             shutil.rmtree(path, ignore_errors=True)
     completions = [c for r in results for c in r.completions]
     blocks = [
-        (t1 - t0, cpu1 - cpu0, [lat for end, lat in completions if t0 <= end < t1])
-        for (t0, cpu0), (t1, cpu1) in zip(samples, samples[1:])
+        (t1 - t0, after[1] - before[1], [lat for end, lat in completions if t0 <= end <= t1])
+        for t0, t1, before, after in spans
     ]
-    metrics = fast_metrics(blocks)
+    references = [spans[0][2][0]] + [after[0] for _t0, _t1, _before, after in spans]
+    metrics = pooled_metrics(host_scaled(blocks, references))
     metrics["setup_s"] = setup_s
     metrics["peak_rss_mb"] = peak_rss_mb
     attempted = sum(r.attempted for r in results)
     failures, problems = _served_outcome(priming, results)
     details = {
         "blocks": len(blocks),
-        "fast_samples": metrics.pop("samples"),
-        "whole_run": pooled_metrics(blocks),
+        "samples": metrics.pop("samples"),
+        "reference_ms": reference_ms(references),
+        "unscaled": pooled_metrics(blocks),
         "per_client": {r.name: {"attempted": r.attempted, "served": r.served_ok} for r in results},
         "server_recorded": served.server_times_ms(results),
         "late_joiner_failure": priming.late_joiner,

@@ -438,33 +438,47 @@ def run_clients(
     max_ops: Optional[Dict[str, int]] = None,
     sample=None,
     block_s: float = 1.0,
-) -> Tuple[List[ClientResult], float, List[Tuple[float, float]]]:
-    """Both clients in their own threads; returns results, wall and
-    ``(perf_counter, sample())`` taken every ``block_s`` until the
-    deadline (when ``sample`` is given)."""
+) -> Tuple[List[ClientResult], float, list]:
+    """Both clients in their own threads, each a closed loop.
+
+    With ``max_ops`` the clients run until each has attempted its
+    count.  Otherwise they run for ``seconds`` in blocks of ``block_s``
+    seconds; between blocks both are idle (each finishes its op in
+    flight) while ``sample()``, when given, runs.  Returns the results,
+    the wall time and, per block, ``(start, end, sample before, sample
+    after)`` (``time.perf_counter`` clock).
+    """
     results = [ClientResult("A"), ClientResult("B")]
+    streams = [RequestStream(workload, r.name) for r in results]
+
+    def block(deadline, limits):
+        threads = [
+            threading.Thread(
+                target=client_loop,
+                args=(endpoint, stream, r, deadline, limit),
+                name=f"bench-client-{r.name}",
+            )
+            for r, stream, limit in zip(results, streams, limits)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
     start = time.perf_counter()
-    deadline = start + seconds
-    threads = [
-        threading.Thread(
-            target=client_loop,
-            args=(endpoint, RequestStream(workload, r.name), r, deadline,
-                  None if max_ops is None else max_ops[r.name]),
-            name=f"bench-client-{r.name}",
-        )
-        for r in results
-    ]
-    samples: List[Tuple[float, float]] = []
-    for thread in threads:
-        thread.start()
-    if sample is not None:
-        samples.append((time.perf_counter(), sample()))
-        for block in range(1, int(seconds / block_s) + 1):
-            time.sleep(max(0.0, start + block * block_s - time.perf_counter()))
-            samples.append((time.perf_counter(), sample()))
-    for thread in threads:
-        thread.join()
-    return results, time.perf_counter() - start, samples
+    blocks = []
+    if max_ops is not None:
+        block(None, [max_ops[r.name] for r in results])
+    else:
+        before = sample() if sample is not None else None
+        while time.perf_counter() < start + seconds:
+            begin = time.perf_counter()
+            block(begin + block_s, [None, None])
+            end = time.perf_counter()
+            after = sample() if sample is not None else None
+            blocks.append((begin, end, before, after))
+            before = after
+    return results, time.perf_counter() - start, blocks
 
 
 def server_times_ms(results: List[ClientResult]) -> Dict[str, float]:
