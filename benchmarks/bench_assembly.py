@@ -1,15 +1,11 @@
 """Micro-benchmarks: per-iteration assembly and linear-solve cost.
 
 These isolate the solver's innermost loop on the paper's bandgap cell:
-one full ``(J, F)`` assembly and one residual-only evaluation, through
-the compiled engine and through the retained element-by-element
-reference path.  The compiled/reference pairing makes the speedup of
-the cached-linear-part + COO-scatter design directly visible in the
-benchmark table, and each benchmark asserts the two paths agree so a
-fast-but-wrong assembler cannot slip through.
+one full ``(J, F)`` assembly and one residual-only evaluation through
+the compiled engine.  Its agreement with the element-by-element oracle
+is asserted by ``tests/spice/test_compiled_assembly.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.circuits.bandgap_cell import build_bandgap_cell
@@ -19,51 +15,27 @@ from repro.spice.solver import SolverOptions, solve_dc
 
 @pytest.fixture(scope="module")
 def solved():
-    """The cell, its solved operating point, and both assembler flavours."""
+    """The cell's system and its solved operating point."""
     circuit = build_bandgap_cell()
     solution = solve_dc(circuit)
-    compiled = MNASystem(circuit, compiled=True)
-    reference = MNASystem(circuit, compiled=False)
+    system = MNASystem(circuit)
     # Prime the compiled caches so the benchmark measures steady state.
-    compiled.assemble(solution.x)
-    return circuit, solution.x, compiled, reference
+    system.assemble(solution.x)
+    return system, solution.x
 
 
 def test_assemble_compiled(benchmark, solved):
-    _, x, compiled, reference = solved
-    jacobian, residual = benchmark(compiled.assemble, x)
-    jr, fr = reference.assemble(x)
-    np.testing.assert_allclose(jacobian, jr, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(residual, fr, rtol=1e-12, atol=1e-12)
-
-
-def test_assemble_reference(benchmark, solved):
-    _, x, _, reference = solved
-    benchmark(reference.assemble, x)
+    system, x = solved
+    benchmark(system.assemble, x)
 
 
 def test_residual_compiled(benchmark, solved):
-    _, x, compiled, reference = solved
-    residual = benchmark(compiled.assemble_residual, x)
-    np.testing.assert_allclose(
-        residual, reference.assemble_residual(x), rtol=1e-12, atol=1e-12
-    )
-
-
-def test_residual_reference(benchmark, solved):
-    _, x, _, reference = solved
-    benchmark(reference.assemble_residual, x)
+    system, x = solved
+    benchmark(system.assemble_residual, x)
 
 
 def test_cold_dc_solve(benchmark):
     """The full cold-start DC solve (gain-stepping ladder included)."""
-    result = benchmark(lambda: solve_dc(build_bandgap_cell()))
-    assert result.strategy == "gain-stepping"
-
-
-def test_cold_dc_solve_reference_path(benchmark, monkeypatch):
-    """The same solve forced down the reference assembler, for the A/B."""
-    monkeypatch.setenv("REPRO_COMPILED", "0")
     result = benchmark(lambda: solve_dc(build_bandgap_cell()))
     assert result.strategy == "gain-stepping"
 

@@ -24,9 +24,9 @@ Recording or gating refuses outright while a :mod:`repro.faultinject`
 plan is armed — a perturbed run must never become a baseline.
 
 The index schema (``repro-bench-index/1``) and the hard/advisory gate
-table are documented in :mod:`repro.benchreg.schema`;
-:mod:`repro.benchreg.migrate` lifts the pre-index ``BENCH_*.json``
-snapshots into entries (cited as ``source`` provenance).
+table are documented in :mod:`repro.benchreg.schema`.  The first two
+index entries were lifted from the pre-index ``BENCH_*.json`` snapshots
+in ``benchmarks/``, which they cite as ``source`` provenance.
 """
 
 from ..errors import BenchRegError

@@ -110,8 +110,7 @@ def resolve_baseline(
     if not entries:
         raise BenchRegError(
             "cannot resolve a baseline: the campaign index is empty "
-            "(record one with --bench-record, or migrate the legacy "
-            "BENCH_*.json snapshots with python -m repro.benchreg.migrate)"
+            "(record one with --bench-record)"
         )
     if ref is not None and ref != "latest":
         for entry in reversed(entries):

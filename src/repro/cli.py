@@ -414,8 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"factorizations={row['factorizations']}  "
             f"lu_reuses={row['lu_reuses']}  "
             f"residual_evals={row['residual_evaluations']}  "
-            f"assemblies={row['compiled_assemblies']}c/"
-            f"{row['reference_assemblies']}r  "
+            f"assemblies={row['compiled_assemblies']}  "
             f"sparse={row['sparse_assemblies']}a/"
             f"{row['sparse_factorizations']}f/"
             f"{row['sparse_conversions']}cv  "

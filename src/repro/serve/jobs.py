@@ -199,8 +199,13 @@ def plan_to_wire(plan: AnalysisPlan) -> dict:
     return out
 
 
-def circuit_from_wire(data):
-    """Parse the wire circuit ``{"netlist": text[, "title": t]}``."""
+def _circuit_fields(data) -> Tuple[str, str]:
+    """``(netlist, title)`` of a wire circuit, shape-checked unparsed.
+
+    The wire circuit is an object with only ``netlist`` (non-empty
+    text) and an optional ``title``; anything else raises
+    :class:`PlanError`.
+    """
     if not isinstance(data, Mapping):
         raise PlanError(f"circuit must be an object, got {type(data).__name__}")
     unknown = sorted(set(data) - {"netlist", "title"})
@@ -209,7 +214,13 @@ def circuit_from_wire(data):
     netlist = data.get("netlist")
     if not isinstance(netlist, str) or not netlist.strip():
         raise PlanError("circuit.netlist must be non-empty netlist text")
-    return parse_netlist(netlist, title=str(data.get("title", "")))
+    return netlist, str(data.get("title", ""))
+
+
+def circuit_from_wire(data):
+    """Parse the wire circuit ``{"netlist": text[, "title": t]}``."""
+    netlist, title = _circuit_fields(data)
+    return parse_netlist(netlist, title=title)
 
 
 def policy_from_wire(data) -> Optional[RunPolicy]:
@@ -400,15 +411,10 @@ class JobService:
                 raise PlanError(f"job has no field(s): {', '.join(unknown)}")
             if "circuit" not in request or "plan" not in request:
                 raise PlanError('job needs "circuit" and "plan" fields')
-            circuit_wire = request["circuit"]
-            if not isinstance(circuit_wire, Mapping):
-                raise PlanError("circuit must be an object")
+            netlist, title = _circuit_fields(request["circuit"])
             plan = plan_from_wire(request["plan"])
             policy_from_wire(request.get("policy"))  # validated here, built per run
-            netlist = circuit_wire.get("netlist")
-            if not isinstance(netlist, str) or not netlist.strip():
-                raise PlanError("circuit.netlist must be non-empty netlist text")
-            title = str(circuit_wire.get("title", ""))
+            # The pool parses the netlist once, on the first lease.
             session, lock = self.pool.lease(netlist, title)
             with lock:
                 session.validate(plan)

@@ -1,33 +1,23 @@
-"""DC analysis result containers and the legacy entry-point shims.
+"""Analysis result containers.
 
 The result classes (:class:`OperatingPoint`, :class:`SweepResult`,
 :class:`ACResult`) are the engine's shared containers — the Session API
 (:mod:`repro.spice.session`) wraps them into its uniform
-:class:`~repro.spice.session.AnalysisResult` hierarchy.
-
-The callable entry points here (:func:`operating_point`,
-:func:`dc_sweep`, :func:`temperature_sweep`, :class:`SweepChain` /
-:func:`solve_batch`) are **deprecated delegating shims**: each forwards
-to the Session planner (``Session.run`` with the matching declarative
-plan) and emits exactly one :class:`DeprecationWarning` per call,
-keeping the legacy signatures and return types intact for external
-callers.  New code should build a
-:class:`~repro.spice.session.Session` and submit
-:mod:`~repro.spice.plans` instead — that is what unlocks the
-solved-point cache (warm starts across analyses) the shims' one-shot
-sessions cannot share.
+:class:`~repro.spice.session.AnalysisResult` hierarchy.  Analyses run
+through :class:`~repro.spice.session.Session` with a plan from
+:mod:`repro.spice.plans`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import NetlistError
 from .netlist import Circuit
-from .solver import RawSolution, SolverOptions
+from .solver import RawSolution
 
 
 @dataclass
@@ -78,64 +68,6 @@ class SweepResult:
         return len(self.points)
 
 
-def operating_point(
-    circuit: Circuit,
-    temperature_k: float = 300.15,
-    options: Optional[SolverOptions] = None,
-    x0: Optional[np.ndarray] = None,
-) -> OperatingPoint:
-    """Solve and wrap a single DC operating point.
-
-    .. deprecated::
-        Delegates to ``Session(circuit).run(plans.OP(...))``; use the
-        Session API directly to share the solved-point cache across
-        analyses.
-    """
-    from .plans import OP
-    from .session import Session, _warn_legacy
-
-    _warn_legacy("operating_point", "Session.run(plans.OP(...))")
-    session = Session(circuit, options=options, temperature_k=temperature_k)
-    return session.run(OP(temperature_k=temperature_k), x0=x0).op
-
-
-def dc_sweep(
-    circuit: Circuit,
-    source_name: str,
-    values: Sequence[float],
-    temperature_k: float = 300.15,
-    options: Optional[SolverOptions] = None,
-) -> SweepResult:
-    """Sweep the DC value of a V/I source, warm-starting each point.
-
-    .. deprecated::
-        Delegates to ``Session(circuit).run(plans.DCSweep(...))``.
-
-    The source's ``dc`` attribute is restored afterwards.  One system
-    (and one Newton workspace) serves every point — the compiled caches
-    are invalidated after each value mutation, but bindings and the
-    previous point's LU factorization carry over.
-    """
-    from .plans import DCSweep
-    from .session import Session, _warn_legacy
-
-    _warn_legacy("dc_sweep", "Session.run(plans.DCSweep(...))")
-    element = circuit.element(source_name)  # raises for unknown names
-    if not hasattr(element, "dc"):
-        raise NetlistError(f"{source_name} is not an independent source")
-    if not len(values):  # legacy nicety: empty grid -> empty result
-        return SweepResult(
-            parameter=source_name, values=np.asarray([], float), points=[]
-        )
-    session = Session(circuit, options=options, temperature_k=temperature_k)
-    plan = DCSweep(
-        source=source_name,
-        values=tuple(float(v) for v in values),
-        temperature_k=temperature_k,
-    )
-    return session.run(plan).sweep
-
-
 def _wrap_point(
     circuit: Circuit, temperature_k: float, raw: RawSolution
 ) -> OperatingPoint:
@@ -147,107 +79,6 @@ def _wrap_point(
         residual=raw.residual,
         strategy=raw.strategy,
     )
-
-
-def temperature_sweep(
-    circuit: Circuit,
-    temperatures_k: Sequence[float],
-    options: Optional[SolverOptions] = None,
-) -> SweepResult:
-    """Solve the circuit across a temperature list (paper Fig. 8 style).
-
-    .. deprecated::
-        Delegates to ``Session(circuit).run(plans.TempSweep(...))`` —
-        one re-temperatured system, one workspace, warm-start chaining,
-        exactly as before, plus the session's solved-point cache.
-    """
-    from .plans import TempSweep
-    from .session import Session, _warn_legacy
-
-    _warn_legacy("temperature_sweep", "Session.run(plans.TempSweep(...))")
-    if not len(temperatures_k):  # legacy nicety: empty grid -> empty result
-        return SweepResult(
-            parameter="temperature", values=np.asarray([], float), points=[]
-        )
-    session = Session(
-        circuit, options=options, temperature_k=float(temperatures_k[0])
-    )
-    plan = TempSweep(temperatures_k=tuple(float(t) for t in temperatures_k))
-    return session.run(plan).sweep
-
-
-@dataclass(frozen=True)
-class SweepChain:
-    """One warm-start chain of DC solves, as a picklable recipe.
-
-    .. deprecated::
-        The Session API replaces chains with
-        ``(SessionRecipe, plans.TempSweep)`` pairs submitted to
-        :func:`repro.spice.session.run_plans`.
-
-    ``builder(*args, **kwargs)`` must return the :class:`Circuit` to
-    solve — a *recipe* rather than a circuit instance, because circuits
-    routinely hold closures (temperature-law sources, trim offset laws)
-    that cannot cross a process boundary, while a module-level builder
-    plus plain-data arguments can.  The chain is solved in temperature
-    order with warm-start chaining, exactly like
-    :func:`temperature_sweep`.
-    """
-
-    builder: Callable[..., Circuit]
-    temperatures_k: Tuple[float, ...]
-    args: Tuple = ()
-    kwargs: Mapping = field(default_factory=dict)
-    label: str = "temperature"
-    options: Optional[SolverOptions] = None
-
-    def __post_init__(self):
-        from .session import _warn_legacy
-
-        _warn_legacy("SweepChain", "(SessionRecipe, plans.TempSweep) pairs")
-
-    def build(self) -> Circuit:
-        return self.builder(*self.args, **dict(self.kwargs))
-
-
-def solve_batch(
-    chains: Sequence[SweepChain],
-    max_workers: Optional[int] = None,
-) -> List[SweepResult]:
-    """Solve many warm-start chains, fanning out across processes.
-
-    .. deprecated::
-        Delegates to :func:`repro.spice.session.run_plans` (one fresh
-        session per chain, preserving the legacy no-sharing semantics
-        so results stay identical to per-chain ``temperature_sweep``
-        runs regardless of worker count).
-    """
-    from .plans import TempSweep
-    from .session import SessionRecipe, _warn_legacy, run_plans
-
-    _warn_legacy("solve_batch", "session.run_plans(...)")
-    chains = list(chains)
-    pairs = [
-        (
-            SessionRecipe(
-                builder=chain.builder,
-                args=tuple(chain.args),
-                kwargs=tuple(sorted(dict(chain.kwargs).items())),
-                options=chain.options,
-            ),
-            TempSweep(temperatures_k=tuple(chain.temperatures_k)),
-        )
-        for chain in chains
-    ]
-    results = run_plans(pairs, workers=max_workers, share_sessions=False)
-    return [
-        SweepResult(
-            parameter=chain.label,
-            values=np.asarray(chain.temperatures_k, float),
-            points=result.points,
-        )
-        for chain, result in zip(chains, results)
-    ]
 
 
 # ----------------------------------------------------------------------

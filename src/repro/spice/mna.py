@@ -5,23 +5,21 @@ branch currents]``.  Every element contributes directly to the residual
 and Jacobian at the current iterate — identical maths for linear and
 nonlinear elements.
 
-Two assembly paths produce bit-compatible ``(J, F)``:
+Assembly is **compiled**: the elements are partitioned once at build
+time.  Elements whose stamp is affine in ``x`` (``Element.is_linear``)
+are pre-stamped *once per configuration* into a cached constant matrix
+``G_lin`` and offset ``b_lin``; a Newton iteration then assembles
+``F = G_lin @ x + b_lin + F_nl(x)`` with a vectorized COO scatter
+(``np.add.at`` over preallocated slot arrays) for only the nonlinear
+group.  This removes the per-float Python dispatch of the linear
+elements — resistors, sources, controlled sources, capacitor
+companions — from the hot loop, which profiles show dominates every
+sweep and transient in the repo.  The test suite keeps an
+element-by-element oracle (``tests/spice/reference_assembly.py``) that
+this path must match to 1e-12.
 
-* the **reference path** (:meth:`MNASystem.assemble_reference`) walks
-  every element and stamps one float at a time — simple, obviously
-  correct, and the yardstick the equivalence tests measure against;
-* the **compiled path** (the default) partitions the elements once at
-  build time.  Elements whose stamp is affine in ``x``
-  (``Element.is_linear``) are pre-stamped *once per configuration* into
-  a cached constant matrix ``G_lin`` and offset ``b_lin``; a Newton
-  iteration then assembles ``F = G_lin @ x + b_lin + F_nl(x)`` with a
-  vectorized COO scatter (``np.add.at`` over preallocated slot arrays)
-  for only the nonlinear group.  This removes the per-float Python
-  dispatch of the linear elements — resistors, sources, controlled
-  sources, capacitor companions — from the hot loop, which profiles
-  show dominates every sweep and transient in the repo.
-
-Two further layers ride on the compiled path:
+Two further layers ride on the compiled path, and this module alone
+picks them, from the circuit's size and device count:
 
 * **vectorized device groups** (:mod:`repro.spice.groups`, the default;
   ``REPRO_VECTORIZED=0`` disables): homogeneous nonlinear devices (all
@@ -48,8 +46,8 @@ the model parameters of a *grouped* nonlinear device) or
 ``temperature_override`` on a live system is not tracked — call
 :meth:`MNASystem.invalidate` after doing so (it rebuilds the linear
 caches and re-packs the device groups), or build a fresh system
-(``solve_dc`` already builds one per call, which is why
-``dc_sweep``-style value mutation is safe).
+(``solve_dc`` already builds one per call, which is why mutating values
+between ``solve_dc`` calls is safe).
 
 A ``gmin`` conductance from every node to ground is always present (it
 bounds the matrix condition number and is the knob the solver's gmin
@@ -81,12 +79,6 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 
     def _issparse(matrix) -> bool:
         return False
-
-
-def _compiled_default() -> bool:
-    """Compiled assembly is the default; REPRO_COMPILED=0 disables it
-    process-wide (the A/B knob the benchmarks use)."""
-    return os.environ.get("REPRO_COMPILED", "1") not in ("0", "false", "no")
 
 
 def _vectorized_default() -> bool:
@@ -504,16 +496,15 @@ class MNASystem:
         self,
         circuit: Circuit,
         temperature_k: float = 300.15,
-        compiled: Optional[bool] = None,
         vectorized: Optional[bool] = None,
         sparse: Optional[bool] = None,
     ):
         """Build the system and bind every element's global indices.
 
-        ``compiled``/``vectorized``/``sparse`` override the process-wide
-        defaults (``REPRO_COMPILED``, ``REPRO_VECTORIZED``, the
-        ``REPRO_SPARSE_THRESHOLD`` size switch) for this system — the
-        hooks the equivalence tests use to pin one path per instance.
+        ``vectorized``/``sparse`` override the process-wide defaults
+        (``REPRO_VECTORIZED``, the ``REPRO_SPARSE_THRESHOLD`` size
+        switch) for this system — the hooks the equivalence tests and
+        the device benchmarks use to pin one path per instance.
         """
         circuit.validate()
         self.circuit = circuit
@@ -527,28 +518,17 @@ class MNASystem:
         self.size = offset
         if self.size == 0:
             raise NetlistError("circuit has no unknowns")
-        if compiled is None:
-            compiled = _compiled_default()
-        self._assembler = (
-            CompiledAssembler(self, vectorized=vectorized, sparse=sparse)
-            if compiled
-            else None
-        )
-
-    @property
-    def compiled(self) -> bool:
-        """True when the compiled fast path is active."""
-        return self._assembler is not None
+        self._assembler = CompiledAssembler(self, vectorized=vectorized, sparse=sparse)
 
     @property
     def vectorized(self) -> bool:
         """True when at least one vectorized device group is active."""
-        return self._assembler is not None and bool(self._assembler.groups)
+        return bool(self._assembler.groups)
 
     @property
     def sparse_assembly(self) -> bool:
         """True when :meth:`assemble` returns ``scipy.sparse`` Jacobians."""
-        return self._assembler is not None and self._assembler.sparse
+        return self._assembler.sparse
 
     def set_temperature(self, temperature_k: float) -> None:
         """Re-temperature the system in place, keeping the topology.
@@ -577,8 +557,7 @@ class MNASystem:
         rebuilds both.  Ungrouped nonlinear elements are re-stamped
         every assembly regardless.
         """
-        if self._assembler is not None:
-            self._assembler.invalidate()
+        self._assembler.invalidate()
 
     def assemble(
         self,
@@ -598,65 +577,14 @@ class MNASystem:
         ``scipy.sparse`` matrix; every consumer in the repo (the Newton
         workspace, the AC subsystem) handles either kind.
         """
+        STATS.compiled_assemblies += 1
         trc = _tele.ACTIVE
         if trc is None or not trc.detailed:
-            if self._assembler is not None:
-                STATS.compiled_assemblies += 1
-                return self._assembler.assemble(x, gmin, source_scale, time, transient)
-            return self.assemble_reference(
-                x, gmin=gmin, source_scale=source_scale, time=time, transient=transient
-            )
+            return self._assembler.assemble(x, gmin, source_scale, time, transient)
         t0 = trc.clock()
-        if self._assembler is not None:
-            STATS.compiled_assemblies += 1
-            out = self._assembler.assemble(x, gmin, source_scale, time, transient)
-            trc.leaf("assembly", t0, path="compiled")
-        else:
-            out = self.assemble_reference(
-                x, gmin=gmin, source_scale=source_scale, time=time, transient=transient
-            )
-            trc.leaf("assembly", t0, path="reference")
+        out = self._assembler.assemble(x, gmin, source_scale, time, transient)
+        trc.leaf("assembly", t0)
         return out
-
-    def assemble_reference(
-        self,
-        x: np.ndarray,
-        gmin: float = 1e-12,
-        source_scale: float = 1.0,
-        time: Optional[float] = None,
-        transient: Optional[TransientContext] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Element-by-element ``(J, F)`` — the equivalence yardstick."""
-        STATS.reference_assemblies += 1
-        jacobian = np.zeros((self.size, self.size))
-        residual = np.zeros(self.size)
-        stamp = Stamp(
-            x=x,
-            jacobian=jacobian,
-            residual=residual,
-            temperature_k=self.temperature_k,
-            gmin=gmin,
-            source_scale=source_scale,
-            time=time,
-            transient=transient,
-        )
-        self._stamp_all(stamp)
-        return jacobian, residual
-
-    def _stamp_all(self, stamp: Stamp) -> None:
-        """The one reference assembly body: gmin-to-ground plus elements.
-
-        The gmin conductance from every node to ground keeps nodes with
-        only junction connections (or floating capacitor nodes)
-        well-conditioned.  Shared by the full and residual-only paths so
-        the line-search residual can never drift from Newton's.
-        """
-        gmin = stamp.gmin
-        for node_index in range(self.n_nodes):
-            stamp.add_residual(node_index, gmin * stamp.v(node_index))
-            stamp.add_jacobian(node_index, node_index, gmin)
-        for element in self.circuit.elements:
-            element.stamp(stamp)
 
     def assemble_residual(
         self,
@@ -675,36 +603,7 @@ class MNASystem:
         linear group to one cached matrix-vector product.
         """
         STATS.residual_evaluations += 1
-        if self._assembler is not None:
-            return self._assembler.assemble_residual(
-                x, gmin, source_scale, time, transient
-            )
-        return self.assemble_residual_reference(
-            x, gmin=gmin, source_scale=source_scale, time=time, transient=transient
-        )
-
-    def assemble_residual_reference(
-        self,
-        x: np.ndarray,
-        gmin: float = 1e-12,
-        source_scale: float = 1.0,
-        time: Optional[float] = None,
-        transient: Optional[TransientContext] = None,
-    ) -> np.ndarray:
-        """Element-by-element ``F(x)`` (reference path)."""
-        residual = np.zeros(self.size)
-        stamp = _ResidualOnlyStamp(
-            x=x,
-            jacobian=None,
-            residual=residual,
-            temperature_k=self.temperature_k,
-            gmin=gmin,
-            source_scale=source_scale,
-            time=time,
-            transient=transient,
-        )
-        self._stamp_all(stamp)
-        return residual
+        return self._assembler.assemble_residual(x, gmin, source_scale, time, transient)
 
     def kcl_residual(self, x: np.ndarray, gmin: float = 1e-12) -> float:
         """Infinity norm of the node-current residuals at ``x`` [A]."""

@@ -1,13 +1,9 @@
 """The unified Session analysis API: one engine lifecycle per topology.
 
-Four PRs grew five parallel front doors into the engine —
-``operating_point``/``dc_sweep``/``temperature_sweep``, the
-``SweepChain``/``solve_batch`` pair, ``ACSweepChain``,
-``transient_analysis`` and per-experiment ad-hoc wiring — each with its
-own system-construction and reuse conventions.  A :class:`Session`
-replaces all of them: it owns ONE :class:`~repro.spice.mna.MNASystem`
-per topology (``set_temperature``/``invalidate`` handled internally),
-one shared :class:`~repro.spice.solver.NewtonWorkspace`, and a
+A :class:`Session` is the engine's one front door for every analysis.
+It owns ONE :class:`~repro.spice.mna.MNASystem` per topology
+(``set_temperature``/``invalidate`` handled internally), one shared
+:class:`~repro.spice.solver.NewtonWorkspace`, and a
 **solved-point cache** that warm-starts Newton from the nearest
 previously solved point — which is what finally amortises the cold-start
 gain-stepping ladder (~60 % of a 16-point Fig. 8 sweep) across
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,17 +81,6 @@ from .plans import (
 from .solver import NewtonWorkspace, RawSolution, SolverOptions, solve_dc_system
 from .stats import STATS, SolverStats
 from .transient import TransientOptions, TransientResult, run_transient_system
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """One DeprecationWarning per legacy entry-point call (shared by all
-    the shims so the message shape — and the filters tests key on — stay
-    uniform)."""
-    warnings.warn(
-        f"{name} is deprecated since the Session API: use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _fingerprint(circuit: Circuit) -> str:
@@ -596,11 +580,11 @@ class Session:
 
     ``circuit`` is either a live :class:`Circuit` instance or a
     *builder* — a picklable module-level callable returning the circuit
-    (the recipe convention of the old chain layer, required for process
-    fan-out because circuits routinely hold closures).  The session
-    builds the circuit once, binds one :class:`MNASystem` to it, keeps
-    one Newton workspace, and feeds every solved DC point into the
-    solved-point cache described in the module docstring.
+    (required for process fan-out, because circuits routinely hold
+    closures).  The session builds the circuit once, binds one
+    :class:`MNASystem` to it, keeps one Newton workspace, and feeds
+    every solved DC point into the solved-point cache described in the
+    module docstring.
     """
 
     def __init__(
@@ -611,9 +595,6 @@ class Session:
         *,
         options: Optional[SolverOptions] = None,
         temperature_k: float = 300.15,
-        compiled: Optional[bool] = None,
-        vectorized: Optional[bool] = None,
-        sparse: Optional[bool] = None,
         cache_points: int = 512,
         store=None,
     ):
@@ -638,14 +619,7 @@ class Session:
             self._kwargs = {}
             self.circuit = circuit
         self.options = options or SolverOptions()
-        self._mna_flags = (compiled, vectorized, sparse)
-        self.system = MNASystem(
-            self.circuit,
-            temperature_k=temperature_k,
-            compiled=compiled,
-            vectorized=vectorized,
-            sparse=sparse,
-        )
+        self.system = MNASystem(self.circuit, temperature_k=temperature_k)
         self.workspace = NewtonWorkspace()
         self.fingerprint = _fingerprint(self.circuit)
         self.cache = SolvedPointCache(cache_points)
@@ -665,7 +639,10 @@ class Session:
         #: (:class:`repro.serve.cachestore.CacheStore`, or a path to
         #: one).  Loaded into the cache on open; :meth:`flush_store` /
         #: :meth:`close` write solved points back, so warm starts
-        #: survive process death.  Loaded points pass through the same
+        #: survive process death.  Only points of this topology (same
+        #: fingerprint) are loaded: a store shared by several circuits
+        #: keeps the others on disk, since their unknown vectors mean
+        #: nothing here.  Loaded points pass through the same
         #: ``SolvedPointCache`` gates as in-process ones — the value
         #: band, temperature band and pinned-time key still screen
         #: every warm-start candidate.
@@ -676,7 +653,11 @@ class Session:
 
                 store = CacheStore(store)
             self.store = store
-            self.cache.merge(self.store.load())
+            self.cache.merge(
+                (key, value)
+                for key, value in store.load()
+                if key[0] == self.fingerprint
+            )
 
     # -- persistent store ----------------------------------------------
     def flush_store(self) -> int:
@@ -726,7 +707,6 @@ class Session:
             args=self._args,
             kwargs=tuple(sorted(self._kwargs.items())),
             options=None if self.options == SolverOptions() else self.options,
-            mna_flags=self._mna_flags,
         )
 
     # -- the engine-level solved-point entry ---------------------------
@@ -1148,18 +1128,10 @@ class SessionRecipe:
     args: Tuple = ()
     kwargs: Tuple[Tuple[str, object], ...] = ()
     options: Optional[SolverOptions] = None
-    mna_flags: Tuple = (None, None, None)
 
     def build(self) -> Session:
-        compiled, vectorized, sparse = self.mna_flags
         return Session(
-            self.builder,
-            self.args,
-            dict(self.kwargs),
-            options=self.options,
-            compiled=compiled,
-            vectorized=vectorized,
-            sparse=sparse,
+            self.builder, self.args, dict(self.kwargs), options=self.options
         )
 
 
@@ -1209,7 +1181,6 @@ def _pair_outcome(group_outcome: Outcome, pair_index: int, value=None) -> Outcom
 def run_plans(
     pairs: Sequence[Tuple[SessionRecipe, AnalysisPlan]],
     workers: Optional[int] = None,
-    share_sessions: bool = True,
     policy: Optional[RunPolicy] = None,
 ) -> List[AnalysisResult]:
     """Run ``(recipe, plan)`` pairs, batching compatible plans.
@@ -1221,31 +1192,24 @@ def run_plans(
     resolve like everywhere else: argument, else ``REPRO_WORKERS``,
     else serial).  Results are identical between the serial and fanned
     paths because grouping is deterministic and each group runs
-    sequentially inside one process either way.
-
-    ``share_sessions=False`` pins one fresh session per pair — the
-    legacy chain-layer semantics the deprecation shims preserve, where
-    identical chains never see each other's warm starts.
+    sequentially inside one process either way.  Pairs that must not
+    share warm starts need recipes that compare unequal.
 
     With a :class:`~repro.resilience.RunPolicy` the batch runs
     supervised and returns one :class:`~repro.resilience.Outcome` per
     pair.  The supervision unit is the session *group* (the atom of
-    both execution paths), indexed by group ordinal — with
-    ``share_sessions=False`` that is simply the pair index.  A failed
-    group yields one failure record per member pair; retries re-run the
-    whole group.  The same policy supervises the serial and fanned
+    both execution paths), indexed by group ordinal — with one recipe
+    per pair that is simply the pair index.  A failed group yields one
+    failure record per member pair; retries re-run the whole group.  The same policy supervises the serial and fanned
     paths, so outcomes, attempt counts and resilience counters match.
     """
     pairs = list(pairs)
     groups: List[Tuple[SessionRecipe, List[int]]] = []
     for index, (recipe, _plan) in enumerate(pairs):
-        if share_sessions:
-            for grouped_recipe, indices in groups:
-                if grouped_recipe == recipe:
-                    indices.append(index)
-                    break
-            else:
-                groups.append((recipe, [index]))
+        for grouped_recipe, indices in groups:
+            if grouped_recipe == recipe:
+                indices.append(index)
+                break
         else:
             groups.append((recipe, [index]))
     # Parent-side sessions: validation before any solve, and the

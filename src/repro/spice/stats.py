@@ -31,10 +31,8 @@ class SolverStats:
     lu_reuses: int = 0
     #: Residual-only assemblies (line-search probes, reuse probes).
     residual_evaluations: int = 0
-    #: Full (J, F) assemblies through the compiled fast path.
+    #: Full (J, F) assemblies.
     compiled_assemblies: int = 0
-    #: Full (J, F) assemblies through the reference element-by-element path.
-    reference_assemblies: int = 0
     #: Factorizations routed to scipy.sparse ``splu`` (above the size
     #: threshold) rather than dense LAPACK LU.
     sparse_factorizations: int = 0

@@ -72,7 +72,7 @@ Attributes by span:
     solver's count, which includes the final convergence check) is one
     more than ``len(iterations)``.
 ``assembly``
-    ``path`` (``"compiled"`` | ``"reference"``).
+    none.
 ``factorization``
     ``sparse`` (bool).
 ``ac_sweep``

@@ -32,8 +32,7 @@ _METRIC_HELP = {
     "factorizations": "Fresh LU/splu factorizations.",
     "lu_reuses": "Iterations advanced on a stale (reused) factorization.",
     "residual_evaluations": "Residual-only assemblies (line-search and reuse probes).",
-    "compiled_assemblies": "Full (J, F) assemblies through the compiled fast path.",
-    "reference_assemblies": "Full (J, F) assemblies through the reference path.",
+    "compiled_assemblies": "Full (J, F) assemblies.",
     "sparse_factorizations": "Factorizations routed to scipy.sparse splu.",
     "group_evals": "Vectorized device-group evaluation passes.",
     "grouped_device_evals": "Devices evaluated through the grouped path.",

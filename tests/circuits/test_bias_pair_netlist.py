@@ -4,13 +4,7 @@ import pytest
 
 from repro.bjt import BJTParameters, MatchedPair, SubstratePNP
 from repro.circuits.bias_pair import BiasedPair, BiasPairConfig, build_bias_pair_circuit
-from repro.spice import operating_point
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
+from repro.spice import OP, Session
 
 
 def make_biased(with_leakage=False, ratio=1.0):
@@ -32,7 +26,7 @@ class TestNetlistAgreement:
     def test_clean_pair_matches_closed_form(self, t):
         biased = make_biased()
         circuit = build_bias_pair_circuit(biased, temperature_k=t)
-        op = operating_point(circuit, t)
+        op = Session(circuit).run(OP(temperature_k=t)).op
         dvbe_netlist = op.voltage("pa") - op.voltage("pb")
         # Terminal voltages include the asymmetric series-RE drops; the
         # closed-form path is junction-level, so allow that margin.
@@ -42,7 +36,7 @@ class TestNetlistAgreement:
         t = 400.0
         biased = make_biased(with_leakage=True)
         circuit = build_bias_pair_circuit(biased, temperature_k=t)
-        op = operating_point(circuit, t)
+        op = Session(circuit).run(OP(temperature_k=t)).op
         dvbe_netlist = op.voltage("pa") - op.voltage("pb")
         assert dvbe_netlist == pytest.approx(biased.true_delta_vbe(t), abs=4e-4)
 
@@ -62,8 +56,8 @@ class TestNetlistAgreement:
         t = 300.15
         balanced = make_biased(ratio=1.0)
         skewed = make_biased(ratio=1.1)
-        op_b = operating_point(build_bias_pair_circuit(balanced, t), t)
-        op_s = operating_point(build_bias_pair_circuit(skewed, t), t)
+        op_b = Session(build_bias_pair_circuit(balanced, t)).run(OP(temperature_k=t)).op
+        op_s = Session(build_bias_pair_circuit(skewed, t)).run(OP(temperature_k=t)).op
         dvbe_b = op_b.voltage("pa") - op_b.voltage("pb")
         dvbe_s = op_s.voltage("pa") - op_s.voltage("pb")
         # More current in QB lowers dVBE by ~VT ln(1.1) ~ 2.5 mV.

@@ -5,14 +5,8 @@ import pytest
 
 from repro.circuits import BandgapCellConfig, BehaviouralBandgap, build_bandgap_cell
 from repro.circuits.bandgap_cell import measure_vref
-from repro.spice import temperature_sweep
+from repro.spice import Session, TempSweep
 from repro.units import celsius_to_kelvin
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 TEMPS = [celsius_to_kelvin(t) for t in (-80, -55, -30, -5, 20, 45, 70, 95, 120, 145)]
 
@@ -32,7 +26,7 @@ class TestAgreementWithNetlist:
         # The behavioural path must reproduce the netlist path's VREF(T)
         # to < 5 mV (residual: finite op-amp gain ~1.5 mV, base-current
         # routing ~0.5 mV).
-        sweep = temperature_sweep(build_bandgap_cell(config), TEMPS)
+        sweep = Session(build_bandgap_cell(config)).run(TempSweep(temperatures_k=TEMPS))
         behavioural = BehaviouralBandgap(config)
         for point, temp in zip(sweep.points, TEMPS):
             assert behavioural.vref(temp) == pytest.approx(
@@ -43,7 +37,8 @@ class TestAgreementWithNetlist:
         # Beyond absolute agreement, the temperature *shape* (the thing
         # the paper cares about) must match: compare detrended curves.
         config = BandgapCellConfig()
-        sweep = temperature_sweep(build_bandgap_cell(config), TEMPS).voltage("vref")
+        plan = TempSweep(temperatures_k=TEMPS)
+        sweep = Session(build_bandgap_cell(config)).run(plan).voltage("vref")
         behavioural = np.array([BehaviouralBandgap(config).vref(t) for t in TEMPS])
         shape_netlist = sweep - sweep.mean()
         shape_behaviour = behavioural - behavioural.mean()

@@ -13,7 +13,8 @@ Four contracts:
 * **warm-start gates** — store-loaded points pass through the same
   ``SolvedPointCache`` screens as in-process ones: the pinned-time key
   and the value band still refuse a dead-supply seed for a powered
-  solve after a restart-like reload.
+  solve after a restart-like reload, and a session loads only its own
+  topology's points from a store shared by several circuits.
 """
 
 import json
@@ -22,7 +23,17 @@ import numpy as np
 import pytest
 
 from repro.serve.cachestore import CacheStore, OPCACHE_SCHEMA
-from repro.spice import Circuit, Diode, OP, Resistor, Session, VoltageSource
+from repro.spice import (
+    Circuit,
+    Diode,
+    OP,
+    Resistor,
+    Session,
+    VoltageSource,
+    bandgap_array,
+    parse_netlist,
+    resistor_ladder,
+)
 from repro.spice.stats import STATS
 
 
@@ -249,3 +260,24 @@ class TestWarmStartGatesSurviveReload:
         other = Session(other_circuit(), store=CacheStore(path))
         other.run(OP())
         assert STATS.op_cache_hits == 0  # fingerprint differs
+
+    def test_other_topology_with_other_size_solves_cold(self, tmp_path):
+        """A store shared by circuits of different unknown counts: the
+        second circuit loads only its own points, so a foreign vector
+        never seeds its solve, and the first circuit's points stay on
+        disk."""
+        path = tmp_path / "op.jsonl"
+        ladder = Session(parse_netlist(resistor_ladder(sections=2)), store=path)
+        with ladder:
+            ladder.run(OP())
+
+        STATS.reset()
+        array = Session(parse_netlist(bandgap_array(cells=3)), store=path)
+        with array:
+            op = array.run(OP())
+        assert len(op.op.x) != len(ladder.cache.export()[0][1][4])
+        assert STATS.op_cache_misses == 1
+        assert STATS.op_cache_warm_starts == STATS.op_cache_hits == 0
+        assert {key[0] for key, _value in array.cache.export()} == {array.fingerprint}
+        stored = {key[0] for key, _value in CacheStore(path).load()}
+        assert stored == {ladder.fingerprint, array.fingerprint}

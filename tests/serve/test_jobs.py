@@ -28,6 +28,7 @@ from repro.serve.cachestore import CacheStore
 from repro.serve.jobs import (
     JobService,
     SessionPool,
+    circuit_from_wire,
     plan_from_wire,
     plan_to_wire,
     policy_from_wire,
@@ -268,6 +269,25 @@ class TestJobService:
                 service.submit({**self._request(), "plans": []})
             with pytest.raises(PlanError, match="netlist"):
                 service.submit({"circuit": {"netlist": ""}, "plan": {"analysis": "OP"}})
+        finally:
+            service.stop()
+
+    def test_unknown_circuit_field_rejected_like_circuit_from_wire(self):
+        # submit and circuit_from_wire share one shape check: a typo'd
+        # circuit field is refused at the boundary, before any solve.
+        request = {
+            "circuit": {"netlist": NETLIST, "titel": "x"},
+            "plan": {"analysis": "OP"},
+        }
+        with pytest.raises(PlanError, match="titel"):
+            circuit_from_wire(request["circuit"])
+        service = self._service()
+        try:
+            with pytest.raises(PlanError, match="titel"):
+                service.submit(request)
+            assert STATS.serve_jobs_rejected == 1
+            assert STATS.newton_solves == 0
+            assert service.jobs() == []
         finally:
             service.stop()
 

@@ -5,23 +5,17 @@ import pytest
 
 from repro.errors import ConvergenceError, NetlistError
 from repro.spice import (
+    OP,
     Circuit,
     CurrentSource,
+    DCSweep,
     Diode,
     Resistor,
+    Session,
+    TempSweep,
     VoltageSource,
-    dc_sweep,
-    operating_point,
     solve_with_self_heating,
-    temperature_sweep,
 )
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
-
 
 
 def diode_circuit():
@@ -34,34 +28,38 @@ def diode_circuit():
 
 class TestDcSweep:
     def test_sweep_shape(self):
-        result = dc_sweep(diode_circuit(), "V1", [1.0, 2.0, 3.0])
+        result = Session(diode_circuit()).run(DCSweep(source="V1", values=(1.0, 2.0, 3.0)))
         assert len(result) == 3
-        assert result.parameter == "V1"
+        assert result.sweep.parameter == "V1"
 
     def test_monotone_diode_drive(self):
-        result = dc_sweep(diode_circuit(), "V1", np.linspace(0.5, 5.0, 10))
+        result = Session(diode_circuit()).run(
+            DCSweep(source="V1", values=np.linspace(0.5, 5.0, 10))
+        )
         vd = result.voltage("d")
         assert np.all(np.diff(vd) > 0.0)
 
     def test_source_value_restored(self):
         c = diode_circuit()
-        dc_sweep(c, "V1", [1.0, 2.0])
+        Session(c).run(DCSweep(source="V1", values=(1.0, 2.0)))
         assert c.element("V1").dc == 5.0
 
     def test_rejects_non_source(self):
         with pytest.raises(NetlistError):
-            dc_sweep(diode_circuit(), "R1", [1.0])
+            Session(diode_circuit()).run(DCSweep(source="R1", values=(1.0,)))
 
 
 class TestTemperatureSweep:
     def test_diode_drop_ctat(self):
-        result = temperature_sweep(diode_circuit(), [250.0, 300.0, 350.0])
+        result = Session(diode_circuit()).run(
+            TempSweep(temperatures_k=(250.0, 300.0, 350.0))
+        )
         vd = result.voltage("d")
         assert np.all(np.diff(vd) < 0.0)
 
     def test_values_recorded(self):
         temps = [260.0, 300.0, 340.0]
-        result = temperature_sweep(diode_circuit(), temps)
+        result = Session(diode_circuit()).run(TempSweep(temperatures_k=temps))
         np.testing.assert_allclose(result.values, temps)
         assert [p.temperature_k for p in result.points] == temps
 
@@ -117,9 +115,9 @@ class TestSweepSystemReuse:
 
     def test_sweep_matches_per_point_solves(self):
         temps = [250.0, 280.0, 310.0, 340.0]
-        swept = temperature_sweep(self.bandgap_like(), temps)
+        swept = Session(self.bandgap_like()).run(TempSweep(temperatures_k=temps))
         for temperature, point in zip(temps, swept.points):
-            fresh = operating_point(self.bandgap_like(), temperature_k=temperature)
+            fresh = Session(self.bandgap_like()).run(OP(temperature_k=temperature)).op
             np.testing.assert_allclose(point.x, fresh.x, rtol=1e-9, atol=1e-12)
 
     def test_set_temperature_invalidates_linear_caches(self):
@@ -131,7 +129,7 @@ class TestSweepSystemReuse:
         first = solve_dc_system(system)
         system.set_temperature(350.0)
         warm = solve_dc_system(system, x0=first.x)
-        fresh = operating_point(self.bandgap_like(), temperature_k=350.0)
+        fresh = Session(self.bandgap_like()).run(OP(temperature_k=350.0)).op
         np.testing.assert_allclose(warm.x, fresh.x, rtol=1e-9, atol=1e-12)
         # The resistor tempco must actually have moved the solution.
         assert abs(warm.x[circuit.node_index("d")] - first.x[circuit.node_index("d")]) > 1e-3
@@ -141,12 +139,12 @@ class TestSweepSystemReuse:
 
         temps = list(np.linspace(250.0, 350.0, 11))
         STATS.reset()
-        temperature_sweep(self.bandgap_like(), temps)
+        Session(self.bandgap_like()).run(TempSweep(temperatures_k=temps))
         swept_factorizations = STATS.factorizations
         swept_reuses = STATS.lu_reuses
         STATS.reset()
         for temperature in temps:
-            operating_point(self.bandgap_like(), temperature_k=temperature)
+            Session(self.bandgap_like()).run(OP(temperature_k=temperature))
         per_point_factorizations = STATS.factorizations
         # The shared workspace lets warm-started neighbouring points ride
         # the previous point's LU; per-point solves cannot.
@@ -157,9 +155,9 @@ class TestSweepSystemReuse:
         # Same values as fresh solves: the invalidate() after each dc
         # mutation keeps the cached b_lin honest.
         values = [1.0, 2.0, 4.0]
-        swept = dc_sweep(diode_circuit(), "V1", values)
+        swept = Session(diode_circuit()).run(DCSweep(source="V1", values=values))
         for value, point in zip(values, swept.points):
             c = diode_circuit()
             c.element("V1").dc = value
-            fresh = operating_point(c)
+            fresh = Session(c).run(OP()).op
             np.testing.assert_allclose(point.x, fresh.x, rtol=1e-9, atol=1e-12)

@@ -1,8 +1,8 @@
 """Equivalence contract of the compiled assembly engine.
 
 The compiled path (cached linear stamps + COO scatter for the nonlinear
-group) must produce the same ``(J, F)`` as the retained reference
-element-by-element assembler — on every registered circuit, at
+group) must produce the same ``(J, F)`` as the element-by-element
+oracle (:mod:`reference_assembly`) — on every registered circuit, at
 arbitrary iterates, under every configuration knob the solver turns
 (gmin, source_scale, time) and for a mid-transient companion-model
 step with non-trivial integrator state.
@@ -14,9 +14,10 @@ import pytest
 from repro.spice import Circuit, Resistor, VoltageSource
 from repro.spice.elements.base import DynamicState, TransientContext
 from repro.spice.mna import MNASystem
-from repro.spice.solver import solve_dc
+from repro.spice.solver import solve_dc, solve_dc_system
 
 from families import CIRCUITS
+from reference_assembly import ReferenceSystem
 
 #: Both device-evaluator paths (the conftest fixture flips
 #: REPRO_VECTORIZED): the compiled-vs-reference contract must hold
@@ -59,9 +60,8 @@ def _transient_context(circuit, x):
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_dc_assembly_matches_reference(name):
     circuit = CIRCUITS[name]()
-    compiled = MNASystem(circuit, compiled=True)
-    reference = MNASystem(circuit, compiled=False)
-    assert compiled.compiled and not reference.compiled
+    compiled = MNASystem(circuit)
+    reference = ReferenceSystem(circuit)
     for x in _iterates(compiled.size):
         for gmin, scale in CONDITIONS:
             jc, fc = compiled.assemble(x, gmin=gmin, source_scale=scale)
@@ -79,8 +79,8 @@ def test_dc_assembly_matches_reference(name):
 )
 def test_transient_step_assembly_matches_reference(name):
     circuit = CIRCUITS[name]()
-    compiled = MNASystem(circuit, compiled=True)
-    reference = MNASystem(circuit, compiled=False)
+    compiled = MNASystem(circuit)
+    reference = ReferenceSystem(circuit)
     for x in _iterates(compiled.size):
         ctx = _transient_context(circuit, x)
         jc, fc = compiled.assemble(x, time=3e-6, transient=ctx)
@@ -94,8 +94,8 @@ def test_transient_step_assembly_matches_reference(name):
 def test_fresh_context_refreshes_companion_history():
     """Advancing the integrator state must invalidate the cached b_lin."""
     circuit = CIRCUITS["rc_ladder"]()
-    compiled = MNASystem(circuit, compiled=True)
-    reference = MNASystem(circuit, compiled=False)
+    compiled = MNASystem(circuit)
+    reference = ReferenceSystem(circuit)
     x = np.full(compiled.size, 0.5)
     dynamic = [el for el in circuit.elements if el.is_dynamic]
     states = {el.name: DynamicState() for el in dynamic}
@@ -120,28 +120,22 @@ def test_invalidate_tracks_linear_value_mutation():
     resistor = Resistor("R1", "in", "out", 1e3)
     circuit.add(resistor)
     circuit.add(Resistor("R2", "out", "0", 1e3))
-    system = MNASystem(circuit, compiled=True)
+    system = MNASystem(circuit)
     x = np.zeros(system.size)
     system.assemble(x)
     resistor.resistance = 2e3
     system.invalidate()
     jc, fc = system.assemble(x)
-    jr, fr = MNASystem(circuit, compiled=False).assemble(x)
+    jr, fr = ReferenceSystem(circuit).assemble(x)
     np.testing.assert_allclose(jc, jr, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(fc, fr, rtol=RTOL, atol=ATOL)
 
 
 @pytest.mark.parametrize("name", ["diode_chain", "bandgap_cell", "sub1v_cell"])
 def test_compiled_and_reference_solve_to_same_point(name):
-    """End to end: both assembly paths land on the same operating point."""
+    """End to end: compiled and oracle assembly land on the same point."""
     compiled = solve_dc(CIRCUITS[name]())
-    import os
-
-    os.environ["REPRO_COMPILED"] = "0"
-    try:
-        reference = solve_dc(CIRCUITS[name]())
-    finally:
-        del os.environ["REPRO_COMPILED"]
+    reference = solve_dc_system(ReferenceSystem(CIRCUITS[name]()))
     assert compiled.x == pytest.approx(reference.x, abs=1e-9)
 
 

@@ -10,22 +10,17 @@ from repro.bjt import BJTParameters, GummelPoonModel
 from repro.constants import thermal_voltage
 from repro.errors import ConvergenceError
 from repro.spice import (
+    OP,
     Circuit,
     CurrentSource,
     Diode,
     OpAmp,
     Resistor,
+    Session,
     VoltageSource,
-    operating_point,
 )
 from repro.spice.elements.base import limited_exp
 from repro.spice.elements.bjt import SpiceBJT, add_bjt
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 
 class TestLimitedExp:
@@ -64,7 +59,7 @@ class TestDiodeCircuits:
         c.add(Resistor("R1", "in", "d", 1e3))
         diode = Diode("D1", "d", "0")
         c.add(diode)
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         vd = op.voltage("d")
         i_r = (5.0 - vd) / 1e3
         i_d, _ = diode.current_and_conductance(vd, 300.15)
@@ -75,7 +70,7 @@ class TestDiodeCircuits:
         c.add(VoltageSource("V1", "in", "0", -5.0))
         c.add(Resistor("R1", "in", "d", 1e3))
         c.add(Diode("D1", "d", "0"))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         # All of the supply appears across the diode.
         assert op.voltage("d") == pytest.approx(-5.0, abs=1e-3)
 
@@ -84,7 +79,7 @@ class TestDiodeCircuits:
             c = Circuit()
             c.add(CurrentSource("I1", "0", "d", 1e-4))
             c.add(Diode("D1", "d", "0"))
-            return operating_point(c, t).voltage("d")
+            return Session(c).run(OP(temperature_k=t)).voltage("d")
 
         # ~ -2 mV/K CTAT slope.
         slope = (forward_drop(310.0) - forward_drop(290.0)) / 20.0
@@ -98,7 +93,7 @@ class TestDiodeCircuits:
         c.add(CurrentSource("I1", "0", "d", i))
         diode = Diode("D1", "d", "0")
         c.add(diode)
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         expected = thermal_voltage(300.15) * math.log(i / diode.is_at(300.15) + 1.0)
         assert op.voltage("d") == pytest.approx(expected, rel=1e-6)
 
@@ -111,7 +106,7 @@ class TestBJTCircuits:
         c = Circuit()
         c.add(CurrentSource("I1", "0", "e", 1e-5))
         c.add(SpiceBJT("Q1", "0", "0", "e", params))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         # The forced current splits into collector and base current.
         model = GummelPoonModel(params)
         vbe = op.voltage("e")
@@ -125,7 +120,7 @@ class TestBJTCircuits:
         c.add(VoltageSource("V1", "vdd", "0", 3.0))
         c.add(Resistor("R1", "vdd", "d", 100e3))
         c.add(SpiceBJT("Q1", "d", "d", "0", params))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert 0.4 < op.voltage("d") < 0.8
 
     def test_series_resistance_expansion(self):
@@ -136,7 +131,7 @@ class TestBJTCircuits:
         assert c.has_element("Q1.rb")
         assert c.has_element("Q1.re")
         assert c.has_element("Q1.rc")
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         # Emitter terminal voltage = junction + series drops > junction-only.
         junction = op.voltage("Q1#e")
         terminal = op.voltage("e")
@@ -151,7 +146,7 @@ class TestBJTCircuits:
         c.add(Resistor("RB1", "vdd", "b", 2e6))
         c.add(Resistor("RC", "vdd", "cc", 10e3))
         c.add(SpiceBJT("Q1", "cc", "b", "0", params))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         # Collector sits between the rails (device in forward active).
         assert 1.0 < op.voltage("cc") < 4.5
 
@@ -164,7 +159,7 @@ class TestBJTCircuits:
         c.add(CurrentSource("IB", "0", "eb", 1e-5))
         c.add(SpiceBJT("QA", "0", "0", "ea", params))
         c.add(SpiceBJT("QB", "0", "0", "eb", params.scaled(8.0, name="QB")))
-        op = operating_point(c, 297.0)
+        op = Session(c).run(OP(temperature_k=297.0)).op
         dvbe = op.voltage("ea") - op.voltage("eb")
         ideal = thermal_voltage(297.0) * math.log(8.0)
         assert dvbe == pytest.approx(ideal, abs=5e-4)
@@ -175,7 +170,7 @@ class TestOpAmpCircuits:
         c = Circuit()
         c.add(VoltageSource("V1", "ref", "0", 1.234))
         c.add(OpAmp("A1", "ref", "out", "out", gain=1e5))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(1.234, abs=1e-4)
 
     def test_noninverting_amplifier(self):
@@ -184,14 +179,14 @@ class TestOpAmpCircuits:
         c.add(OpAmp("A1", "ref", "fb", "out", gain=1e5))
         c.add(Resistor("R2", "out", "fb", 3e3))
         c.add(Resistor("R1", "fb", "0", 1e3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(2.0, abs=2e-4)
 
     def test_offset_voltage(self):
         c = Circuit()
         c.add(VoltageSource("V1", "ref", "0", 1.0))
         c.add(OpAmp("A1", "ref", "out", "out", gain=1e5, vos=5e-3))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(1.005, abs=1e-4)
 
     def test_output_clamped_to_rails(self):
@@ -199,15 +194,16 @@ class TestOpAmpCircuits:
         c.add(VoltageSource("V1", "inp", "0", 1.0))
         c.add(OpAmp("A1", "inp", "0", "out", gain=1e5, rail_high=3.0))
         c.add(Resistor("RL", "out", "0", 1e4))
-        op = operating_point(c)
+        op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(3.0, abs=1e-3)
 
     def test_callable_offset(self):
         c = Circuit()
         c.add(VoltageSource("V1", "ref", "0", 1.0))
         c.add(OpAmp("A1", "ref", "out", "out", gain=1e5, vos=lambda t: 1e-5 * t))
-        assert operating_point(c, 300.0).voltage("out") == pytest.approx(1.003, abs=1e-4)
-        assert operating_point(c, 400.0).voltage("out") == pytest.approx(1.004, abs=1e-4)
+        session = Session(c)
+        assert session.run(OP(temperature_k=300.0)).voltage("out") == pytest.approx(1.003, abs=1e-4)
+        assert session.run(OP(temperature_k=400.0)).voltage("out") == pytest.approx(1.004, abs=1e-4)
 
 
 class TestConvergenceFailure:
@@ -217,4 +213,4 @@ class TestConvergenceFailure:
         c.add(VoltageSource("V1", "a", "0", 1.0))
         c.add(VoltageSource("V2", "a", "0", 2.0))
         with pytest.raises(ConvergenceError):
-            operating_point(c)
+            Session(c).run(OP())

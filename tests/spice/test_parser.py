@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.spice import operating_point, parse_netlist
+from repro.spice import OP, Session, Transient, parse_netlist
 from repro.spice.elements import Capacitor, OpAmp, Resistor, VCCS, VCVS
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 
 class TestBasicParsing:
@@ -23,7 +17,7 @@ class TestBasicParsing:
             R2 out 0 1k
             """
         )
-        assert operating_point(circuit).voltage("out") == pytest.approx(5.0, rel=1e-9)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(5.0, rel=1e-9)
 
     def test_title_directive(self):
         circuit = parse_netlist(".title my circuit\nR1 a 0 1k")
@@ -50,7 +44,7 @@ class TestBasicParsing:
 
     def test_dc_keyword_skipped(self):
         circuit = parse_netlist("V1 a 0 dc 3\nR1 a 0 1k")
-        assert operating_point(circuit).voltage("a") == pytest.approx(3.0, rel=1e-9)
+        assert Session(circuit).run(OP()).voltage("a") == pytest.approx(3.0, rel=1e-9)
 
     def test_end_directive_stops_parsing(self):
         circuit = parse_netlist("R1 a 0 1k\n.end\nR2 b 0 1k")
@@ -66,7 +60,7 @@ class TestModels:
             Q1 0 0 e QM
             """
         )
-        vbe = operating_point(circuit).voltage("e")
+        vbe = Session(circuit).run(OP()).voltage("e")
         assert 0.6 < vbe < 0.8
 
     def test_model_defined_after_device(self):
@@ -77,7 +71,7 @@ class TestModels:
             .model QM PNP (IS=1e-17 RB=0 RE=0 RC=0)
             """
         )
-        assert 0.5 < operating_point(circuit).voltage("e") < 0.8
+        assert 0.5 < Session(circuit).run(OP()).voltage("e") < 0.8
 
     def test_diode_model(self):
         circuit = parse_netlist(
@@ -88,7 +82,7 @@ class TestModels:
             D1 d 0 DM
             """
         )
-        assert 0.6 < operating_point(circuit).voltage("d") < 0.9
+        assert 0.6 < Session(circuit).run(OP()).voltage("d") < 0.9
 
     def test_unknown_model_parameter_rejected(self):
         with pytest.raises(NetlistError):
@@ -106,11 +100,11 @@ class TestModels:
 class TestControlledAndOpamp:
     def test_vcvs(self):
         circuit = parse_netlist("V1 in 0 1\nE1 out 0 in 0 5\nRL out 0 1k")
-        assert operating_point(circuit).voltage("out") == pytest.approx(5.0, rel=1e-6)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(5.0, rel=1e-6)
 
     def test_vccs(self):
         circuit = parse_netlist("V1 in 0 1\nG1 0 out in 0 2m\nRL out 0 1k")
-        assert operating_point(circuit).voltage("out") == pytest.approx(2.0, rel=1e-6)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(2.0, rel=1e-6)
 
     def test_cccs(self):
         # V1 delivers 1 mA (branch current -1 mA); F1 gain -1 pushes
@@ -118,13 +112,13 @@ class TestControlledAndOpamp:
         circuit = parse_netlist(
             "V1 in 0 1\nR1 in 0 1k\nF1 0 out V1 -1\nRL out 0 1k"
         )
-        assert operating_point(circuit).voltage("out") == pytest.approx(1.0, rel=1e-6)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(1.0, rel=1e-6)
 
     def test_ccvs(self):
         circuit = parse_netlist(
             "V1 in 0 1\nR1 in 0 1k\nH1 out 0 V1 500\nRL out 0 1k"
         )
-        assert operating_point(circuit).voltage("out") == pytest.approx(-0.5, rel=1e-6)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(-0.5, rel=1e-6)
 
     def test_sense_element_must_precede(self):
         with pytest.raises(NetlistError):
@@ -140,7 +134,7 @@ class TestControlledAndOpamp:
         )
         amp = circuit.element("A1")
         assert isinstance(amp, OpAmp)
-        assert operating_point(circuit).voltage("out") == pytest.approx(1.201, abs=1e-4)
+        assert Session(circuit).run(OP()).voltage("out") == pytest.approx(1.201, abs=1e-4)
 
 
 class TestErrors:
@@ -211,8 +205,6 @@ class TestWaveformSources:
         assert wave.value(1.5e-6) == pytest.approx(0.75)
 
     def test_waveform_source_transient_end_to_end(self):
-        from repro.spice import transient_analysis
-
         circuit = parse_netlist(
             """
             .title parsed rc
@@ -221,7 +213,7 @@ class TestWaveformSources:
             C1 out 0 1n
             """
         )
-        result = transient_analysis(circuit, 10e-6)
+        result = Session(circuit).run(Transient(t_stop=10e-6)).result
         assert result.voltage("out")[-1] == pytest.approx(1.0, abs=1e-3)
 
     def test_plain_dc_value_still_parses(self):

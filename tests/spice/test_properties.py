@@ -14,21 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bjt.parameters import BJTParameters
 from repro.spice import (
+    OP,
     Circuit,
     CurrentSource,
     Diode,
     Resistor,
+    Session,
     VoltageSource,
-    operating_point,
 )
 from repro.spice.elements.bjt import SpiceBJT
 from repro.spice.mna import MNASystem
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 resistances = st.floats(min_value=10.0, max_value=1e6)
 sources = st.floats(min_value=-50.0, max_value=50.0)
@@ -49,7 +44,7 @@ class TestKirchhoffInvariants:
     @given(values=st.lists(resistances, min_size=1, max_size=6), v=sources)
     def test_ladder_kcl(self, values, v):
         circuit = ladder(values, v)
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         system = MNASystem(circuit)
         assert system.kcl_residual(op.x) < 1e-9
 
@@ -59,7 +54,7 @@ class TestKirchhoffInvariants:
         # Voltages along a single current path decay monotonically in
         # magnitude from the source to ground.
         circuit = ladder(values, v)
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         nodes = [f"n{i}" for i in range(len(values) + 1)]
         magnitudes = [abs(op.voltage(node)) for node in nodes]
         assert all(a >= b - 1e-9 for a, b in zip(magnitudes, magnitudes[1:]))
@@ -78,7 +73,7 @@ class TestKirchhoffInvariants:
             circuit.add(VoltageSource("V1", "a", "0", value))
             circuit.add(Resistor("R1", "a", "b", r))
             circuit.add(Resistor("R2", "b", "0", 2.0 * r))
-            return operating_point(circuit).voltage("b")
+            return Session(circuit).run(OP()).voltage("b")
 
         assert solve(v1) + solve(v2) == pytest.approx(
             solve(v1 + v2), rel=1e-7, abs=1e-9
@@ -94,7 +89,7 @@ class TestKirchhoffInvariants:
             circuit = Circuit()
             circuit.add(CurrentSource("I1", "0", "out", value))
             circuit.add(Resistor("R1", "out", "0", 3.3e3))
-            return operating_point(circuit).voltage("out")
+            return Session(circuit).run(OP()).voltage("out")
 
         assert solve(i1 * scale) == pytest.approx(solve(i1) * scale, rel=1e-7)
 
@@ -110,7 +105,7 @@ class TestNonlinearInvariants:
         circuit.add(VoltageSource("V1", "in", "0", v))
         circuit.add(Resistor("R1", "in", "d", r))
         circuit.add(Diode("D1", "d", "0"))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         # The diode conducts: its voltage is positive and below the rail.
         assert 0.0 < op.voltage("d") < v
 
@@ -127,7 +122,7 @@ class TestNonlinearInvariants:
         circuit.add(Resistor("R1", "in", "d0", 1e4))
         for i in range(n_diodes):
             circuit.add(Diode(f"D{i}", f"d{i}", f"d{i + 1}" if i + 1 < n_diodes else "0"))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         drops = []
         for i in range(n_diodes):
             top = op.voltage(f"d{i}")
@@ -142,7 +137,7 @@ class TestNonlinearInvariants:
             circuit = Circuit()
             circuit.add(CurrentSource("I1", "0", "d", 1e-5))
             circuit.add(Diode("D1", "d", "0"))
-            return operating_point(circuit, temperature).voltage("d")
+            return Session(circuit).run(OP(temperature_k=temperature)).voltage("d")
 
         assert drop(t + 10.0) < drop(t)
 

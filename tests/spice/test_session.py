@@ -1,6 +1,6 @@
 """Tests for the unified Session analysis API.
 
-Four contracts:
+Three contracts:
 
 * **plan validation** — malformed plans raise a typed PlanError before
   any solve runs (empty grids, unknown nodes/elements, conflicting
@@ -10,10 +10,7 @@ Four contracts:
   mutation can never return a stale point;
 * **Session-vs-engine equality** — a fresh session reproduces the
   engine-level solves across the whole circuit-family registry, on
-  both device-evaluator paths, to 1e-12 of the solution scale;
-* **deprecation shims** — every legacy entry point still works, emits
-  exactly one DeprecationWarning per call, and returns values equal to
-  the Session path.
+  both device-evaluator paths, to 1e-12 of the solution scale.
 """
 
 import json
@@ -44,10 +41,6 @@ from repro.spice.solver import NewtonWorkspace, solve_dc_system
 from repro.spice.stats import STATS
 
 from families import CIRCUITS, assert_stamps_close
-
-LEGACY_OK = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 
 def diode_circuit():
@@ -424,123 +417,6 @@ class TestSessionMatchesEngine:
         )
         np.testing.assert_array_equal(result.times, expected.times)
         assert_stamps_close(result.result.states, expected.states)
-
-
-class TestDeprecationShims:
-    """Each legacy entry point: exactly one warning, equal values."""
-
-    def _one_deprecation(self, record):
-        warned = [w for w in record if w.category is DeprecationWarning]
-        assert len(warned) == 1, [str(w.message) for w in warned]
-        assert "Session API" in str(warned[0].message)
-
-    def test_operating_point(self):
-        from repro.spice import operating_point
-
-        with pytest.warns(DeprecationWarning) as record:
-            op = operating_point(diode_circuit())
-        self._one_deprecation(record)
-        fresh = Session(diode_circuit).run(OP())
-        assert_stamps_close(op.x, fresh.op.x)
-
-    def test_dc_sweep(self):
-        from repro.spice import dc_sweep
-
-        with pytest.warns(DeprecationWarning) as record:
-            sweep = dc_sweep(diode_circuit(), "V1", [1.0, 2.0])
-        self._one_deprecation(record)
-        assert sweep.parameter == "V1"
-        fresh = Session(diode_circuit).run(DCSweep(source="V1", values=(1.0, 2.0)))
-        for point, expected in zip(sweep.points, fresh.points):
-            assert_stamps_close(point.x, expected.x)
-
-    def test_temperature_sweep(self):
-        from repro.spice import temperature_sweep
-
-        with pytest.warns(DeprecationWarning) as record:
-            sweep = temperature_sweep(diode_circuit(), [280.0, 320.0])
-        self._one_deprecation(record)
-        assert sweep.parameter == "temperature"
-        fresh = Session(diode_circuit).run(
-            TempSweep(temperatures_k=(280.0, 320.0))
-        )
-        for point, expected in zip(sweep.points, fresh.points):
-            assert_stamps_close(point.x, expected.x)
-
-    @LEGACY_OK
-    def test_temperature_sweep_empty_grid_legacy_nicety(self):
-        from repro.spice import temperature_sweep
-
-        sweep = temperature_sweep(diode_circuit(), [])
-        assert len(sweep) == 0
-
-    @LEGACY_OK
-    def test_dc_sweep_empty_grid_still_validates_the_source(self):
-        from repro.spice import dc_sweep
-
-        # Legacy behaviour: an empty grid returns an empty result, but
-        # a typo'd or non-source element still raises first.
-        sweep = dc_sweep(diode_circuit(), "V1", [])
-        assert len(sweep) == 0
-        with pytest.raises(NetlistError):
-            dc_sweep(diode_circuit(), "NO_SUCH", [])
-        with pytest.raises(NetlistError, match="independent source"):
-            dc_sweep(diode_circuit(), "R1", [])
-
-    def test_ac_analysis(self):
-        from repro.spice import ac_analysis
-
-        with pytest.warns(DeprecationWarning) as record:
-            result = ac_analysis(rc_circuit(), [1e3, 1e6])
-        self._one_deprecation(record)
-        fresh = Session(rc_circuit).run(ACSweep(frequencies_hz=(1e3, 1e6)))
-        assert_stamps_close(result.x.real, fresh.ac_results[0].x.real)
-
-    def test_transient_analysis(self):
-        from repro.spice import TransientOptions, transient_analysis
-
-        options = TransientOptions(dt_init=1e-7, adaptive=False)
-        with pytest.warns(DeprecationWarning) as record:
-            result = transient_analysis(rc_circuit(), 1e-6, options=options)
-        self._one_deprecation(record)
-        fresh = Session(rc_circuit).run(Transient(t_stop=1e-6, options=options))
-        np.testing.assert_array_equal(result.times, fresh.times)
-        assert_stamps_close(result.states, fresh.result.states)
-
-    def test_sweep_chain_warns_on_construction(self):
-        from repro.spice.analysis import SweepChain
-
-        with pytest.warns(DeprecationWarning) as record:
-            SweepChain(builder=diode_circuit, temperatures_k=(300.0,))
-        self._one_deprecation(record)
-
-    def test_ac_sweep_chain_warns_on_construction(self):
-        from repro.spice import ACSweepChain
-
-        with pytest.warns(DeprecationWarning) as record:
-            ACSweepChain(builder=rc_circuit, frequencies_hz=(1e3,))
-        self._one_deprecation(record)
-
-    @LEGACY_OK
-    def test_solve_batch_matches_sessions(self):
-        from repro.spice.analysis import SweepChain, solve_batch
-
-        chains = [
-            SweepChain(builder=diode_circuit, temperatures_k=(280.0, 320.0)),
-            SweepChain(
-                builder=diode_circuit, temperatures_k=(320.0, 280.0), label="rev"
-            ),
-        ]
-        batch = solve_batch(chains, max_workers=1)
-        assert [result.parameter for result in batch] == ["temperature", "rev"]
-        # Legacy no-sharing semantics: each chain equals its own fresh
-        # session run, even though both chains share a recipe.
-        for chain, result in zip(chains, batch):
-            fresh = Session(diode_circuit).run(
-                TempSweep(temperatures_k=chain.temperatures_k)
-            )
-            for point, expected in zip(result.points, fresh.points):
-                assert_stamps_close(point.x, expected.x)
 
 
 class TestRunManyAndRunPlans:

@@ -1,23 +1,17 @@
-"""The batch sweep layer and the process fan-out helper.
+"""Cross-topology batches and the process fan-out helper.
 
-``solve_batch`` must return exactly what per-chain ``temperature_sweep``
-calls return, independent of worker count, and ``parallel_map`` must
-preserve item order and fall back to serial execution gracefully.
+``run_plans`` over distinct recipes must return exactly what one fresh
+``Session`` per recipe returns, independent of worker count, and
+``parallel_map`` must preserve item order and fall back to serial
+execution gracefully.
 """
 
 import numpy as np
-import pytest
 
-from repro.circuits.bandgap_cell import build_bandgap_cell
+from repro.circuits.bandgap_cell import BandgapCellConfig, build_bandgap_cell
 from repro.parallel import parallel_map, resolve_workers
-from repro.spice.analysis import SweepChain, solve_batch, temperature_sweep
+from repro.spice import SessionRecipe, TempSweep, run_plans
 from repro.units import celsius_to_kelvin
-
-# This module exercises the deprecated legacy entry points on purpose
-# (they are the shim-path coverage); the Session-API warning is expected.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 
 TEMPS = tuple(celsius_to_kelvin(t) for t in (-20.0, 25.0, 85.0))
 
@@ -54,20 +48,28 @@ class TestParallelMap:
         assert resolve_workers(None) == 1
 
 
-class TestSolveBatch:
-    def _chains(self):
+class TestRunPlansBatch:
+    def _pairs(self):
         # build_bandgap_cell is module-level and takes plain-data
-        # arguments, so the chains survive a process boundary even
-        # though the built circuit holds closures.
+        # arguments, so the recipes survive a process boundary even
+        # though the built circuit holds closures.  Two distinct
+        # configurations make two session groups, so neither sweep
+        # warm-starts off the other.
         return [
-            SweepChain(builder=build_bandgap_cell, temperatures_k=TEMPS),
-            SweepChain(builder=build_bandgap_cell, temperatures_k=TEMPS[::-1]),
+            (
+                SessionRecipe(builder=build_bandgap_cell, args=(config,)),
+                TempSweep(temperatures_k=temps),
+            )
+            for config, temps in (
+                (BandgapCellConfig(), TEMPS),
+                (BandgapCellConfig(radja=2.7e3), TEMPS[::-1]),
+            )
         ]
 
-    def test_matches_sequential_temperature_sweep(self):
-        batch = solve_batch(self._chains(), max_workers=1)
-        for chain, result in zip(self._chains(), batch):
-            sequential = temperature_sweep(chain.build(), chain.temperatures_k)
+    def test_matches_one_session_per_recipe(self):
+        batch = run_plans(self._pairs(), workers=1)
+        for (recipe, plan), result in zip(self._pairs(), batch):
+            sequential = recipe.build().run(plan)
             np.testing.assert_allclose(
                 result.voltage("vref"), sequential.voltage("vref"), atol=1e-9
             )
@@ -76,20 +78,12 @@ class TestSolveBatch:
             ]
 
     def test_worker_count_does_not_change_results(self):
-        serial = solve_batch(self._chains(), max_workers=1)
-        fanned = solve_batch(self._chains(), max_workers=2)
+        serial = run_plans(self._pairs(), workers=1)
+        fanned = run_plans(self._pairs(), workers=2)
         for a, b in zip(serial, fanned):
             np.testing.assert_allclose(
                 a.voltage("vref"), b.voltage("vref"), atol=0.0
             )
-
-    def test_rehydrated_points_expose_named_accessors(self):
-        result = solve_batch(self._chains()[:1], max_workers=1)[0]
-        assert len(result) == len(TEMPS)
-        point = result.points[1]
-        assert point.temperature_k == TEMPS[1]
-        assert 1.1 < point.voltage("vref") < 1.3
-        assert point.iterations > 0
 
 
 class TestMonteCarloFanOut:

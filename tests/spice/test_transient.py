@@ -7,17 +7,11 @@ import pytest
 
 #: Integration accuracy and step control must be identical on both
 #: device-evaluator paths (the conftest fixture flips REPRO_VECTORIZED).
-pytestmark = [
-    pytest.mark.usefixtures("device_eval_path"),
-    # Deliberate legacy-entry-point coverage: the Session-API
-    # deprecation warning is expected here.
-    pytest.mark.filterwarnings(
-        "ignore:.*deprecated since the Session API:DeprecationWarning"
-    ),
-]
+pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.errors import NetlistError
 from repro.spice import (
+    OP,
     Capacitor,
     Circuit,
     CurrentSource,
@@ -25,13 +19,13 @@ from repro.spice import (
     PWL,
     Pulse,
     Resistor,
+    Session,
     Sin,
     SolverOptions,
+    Transient,
     TransientOptions,
     VoltageSource,
-    operating_point,
     solve_dc,
-    transient_analysis,
 )
 
 
@@ -131,7 +125,7 @@ class TestCapacitorDC:
         circuit.add(Resistor("R2", "mid", "0", 1e3))
         # A capacitor shunting R2 must not change the DC division.
         circuit.add(Capacitor("C1", "mid", "0", 1e-6))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         assert op.voltage("mid") == pytest.approx(1.0, abs=1e-9)
 
     def test_floating_capacitor_node_stays_solvable(self):
@@ -141,7 +135,7 @@ class TestCapacitorDC:
         # "float" connects to nothing but the capacitor: only the
         # solver's gmin-to-ground keeps the matrix non-singular.
         circuit.add(Capacitor("C1", "in", "float", 1e-9))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         assert math.isfinite(op.voltage("float"))
         assert op.iterations >= 1
 
@@ -150,7 +144,7 @@ class TestCapacitorDC:
         circuit.add(VoltageSource("V1", "in", "0", 1.0))
         circuit.add(Capacitor("C1", "in", "mid", 1e-9))
         circuit.add(Resistor("R1", "mid", "0", 1e3))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         # No DC path: mid sits at ground via R1, no current anywhere.
         assert op.voltage("mid") == pytest.approx(0.0, abs=1e-6)
 
@@ -158,7 +152,7 @@ class TestCapacitorDC:
 class TestRCAccuracy:
     def test_trapezoidal_matches_analytic(self):
         circuit = rc_circuit()
-        result = transient_analysis(circuit, 10e-6)
+        result = Session(circuit).run(Transient(t_stop=10e-6)).result
         # After the 0.1us ramp (midpoint 1.05us) the response is the
         # textbook exponential with tau = 1us.
         for probe in (2e-6, 4e-6, 8e-6):
@@ -169,9 +163,9 @@ class TestRCAccuracy:
 
     def test_backward_euler_matches_analytic_coarsely(self):
         circuit = rc_circuit()
-        result = transient_analysis(
-            circuit, 10e-6, options=TransientOptions(method="be")
-        )
+        result = Session(circuit).run(
+            Transient(t_stop=10e-6, options=TransientOptions(method="be"))
+        ).result
         analytic = 1.0 - math.exp(-(5e-6 - 1.05e-6) / 1e-6)
         assert result.voltage_at("out", 5e-6) == pytest.approx(analytic, abs=2e-2)
 
@@ -182,17 +176,23 @@ class TestRCAccuracy:
         analytic = 1.0 - math.exp(-(probe - 1.05e-6) / 1e-6)
         err = {}
         for method in ("trap", "be"):
-            res = transient_analysis(
-                circuit, 10e-6, options=TransientOptions(method=method, **fixed)
-            )
+            res = Session(circuit).run(
+                Transient(
+                    t_stop=10e-6,
+                    options=TransientOptions(method=method, **fixed),
+                )
+            ).result
             err[method] = abs(res.voltage_at("out", probe) - analytic)
         assert err["trap"] < err["be"] / 5.0
 
     def test_fixed_step_count(self):
         circuit = rc_circuit()
-        result = transient_analysis(
-            circuit, 10e-6, options=TransientOptions(adaptive=False, dt_init=1e-7)
-        )
+        result = Session(circuit).run(
+            Transient(
+                t_stop=10e-6,
+                options=TransientOptions(adaptive=False, dt_init=1e-7),
+            )
+        ).result
         assert result.accepted_steps == 100
         assert result.rejected_lte == 0
 
@@ -202,9 +202,12 @@ class TestRCAccuracy:
         # step instead of inheriting the clamped size (and the final
         # float-sliver must be absorbed, not integrated with dt ~ 1e-21).
         circuit = rc_circuit(delay=1.05e-6)
-        result = transient_analysis(
-            circuit, 10e-6, options=TransientOptions(adaptive=False, dt_init=1e-7)
-        )
+        result = Session(circuit).run(
+            Transient(
+                t_stop=10e-6,
+                options=TransientOptions(adaptive=False, dt_init=1e-7),
+            )
+        ).result
         assert result.times[-1] == pytest.approx(10e-6)
         # ~100 grid steps plus a couple of breakpoint landings.
         assert result.accepted_steps <= 105
@@ -234,7 +237,7 @@ class TestRCAccuracy:
         )
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
-        result = transient_analysis(circuit, 1e-3)
+        result = Session(circuit).run(Transient(t_stop=1e-3)).result
         assert result.times[-1] == pytest.approx(1e-3)
         assert result.voltage("out")[-1] == pytest.approx(1.0, abs=1e-3)
 
@@ -254,11 +257,12 @@ class TestRCAccuracy:
         )
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
-        result = transient_analysis(
-            circuit,
-            1.0,
-            options=TransientOptions(adaptive=False, dt_init=0.1, dt_min=dt_min),
-        )
+        result = Session(circuit).run(
+            Transient(
+                t_stop=1.0,
+                options=TransientOptions(adaptive=False, dt_init=0.1, dt_min=dt_min),
+            )
+        ).result
         assert float(np.diff(result.times).min()) >= dt_min
 
     def test_no_livelock_when_window_tail_is_near_dt_min(self):
@@ -271,37 +275,37 @@ class TestRCAccuracy:
         circuit.add(VoltageSource("V1", "in", "0", Sin(0.0, 1.0, frequency=2e5)))
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
-        result = transient_analysis(
-            circuit,
-            10e-6,
-            options=TransientOptions(
-                dt_init=1.0e-6, dt_min=0.9e-6, dt_max=2e-6, lte_reltol=1e-7
-            ),
+        options = TransientOptions(
+            dt_init=1.0e-6, dt_min=0.9e-6, dt_max=2e-6, lte_reltol=1e-7
         )
+        result = Session(circuit).run(Transient(t_stop=10e-6, options=options)).result
         assert result.times[-1] == pytest.approx(10e-6)
 
     def test_dt_init_alone_may_exceed_derived_dt_max(self):
         # Only dt_init given: the span/50 default ceiling must yield to
         # it rather than reject bounds the user never set.
         circuit = rc_circuit()
-        result = transient_analysis(
-            circuit, 3e-6, options=TransientOptions(adaptive=False, dt_init=1e-7)
-        )
+        result = Session(circuit).run(
+            Transient(
+                t_stop=3e-6,
+                options=TransientOptions(adaptive=False, dt_init=1e-7),
+            )
+        ).result
         assert result.accepted_steps == 30
 
     def test_explicit_bound_alone_bends_derived_dt_init(self):
         # Only dt_max (or only dt_min) given: the derived dt_init must
         # clamp into the explicit bound instead of raising.
         circuit = rc_circuit()
-        low = transient_analysis(
-            circuit, 1e-3, options=TransientOptions(dt_max=5e-7)
-        )
+        low = Session(circuit).run(
+            Transient(t_stop=1e-3, options=TransientOptions(dt_max=5e-7))
+        ).result
         assert low.times[-1] == pytest.approx(1e-3)
         # dt_min above the span/50 default ceiling: the derived dt_max
         # must lift to honour it.
-        high = transient_analysis(
-            circuit, 1e-3, options=TransientOptions(dt_min=5e-5)
-        )
+        high = Session(circuit).run(
+            Transient(t_stop=1e-3, options=TransientOptions(dt_min=5e-5))
+        ).result
         assert high.times[-1] == pytest.approx(1e-3)
 
     def test_current_source_charging_ramp(self):
@@ -313,7 +317,7 @@ class TestRCAccuracy:
         circuit.add(CurrentSource("I1", "0", "top", Pulse(0.0, 1e-6, rise=1e-9)))
         circuit.add(Capacitor("C1", "top", "0", 1e-9))
         circuit.add(Resistor("Rleak", "top", "0", 1e9))
-        result = transient_analysis(circuit, 1e-3)
+        result = Session(circuit).run(Transient(t_stop=1e-3)).result
         assert result.voltage("top")[0] == pytest.approx(0.0, abs=1e-9)
         assert result.voltage_at("top", 5e-4) == pytest.approx(0.5, rel=1e-2)
         assert result.voltage("top")[-1] == pytest.approx(1.0, rel=1e-2)
@@ -322,7 +326,7 @@ class TestRCAccuracy:
 class TestStepControl:
     def test_adaptive_takes_fewer_steps_than_fixed_equivalent(self):
         circuit = rc_circuit()
-        adaptive = transient_analysis(circuit, 50e-6)
+        adaptive = Session(circuit).run(Transient(t_stop=50e-6)).result
         assert adaptive.accepted_steps < 1000
         # Flat tail: the controller must have grown dt well beyond init.
         dts = np.diff(adaptive.times)
@@ -330,7 +334,7 @@ class TestStepControl:
 
     def test_initial_point_is_dc_solution(self):
         circuit = rc_circuit(delay=1e-6)
-        result = transient_analysis(circuit, 5e-6)
+        result = Session(circuit).run(Transient(t_stop=5e-6)).result
         # Source is 0 until 1us, so the t=0 point is the dead circuit.
         assert result.voltage("out")[0] == pytest.approx(0.0, abs=1e-9)
         assert result.times[0] == 0.0
@@ -338,12 +342,12 @@ class TestStepControl:
     def test_warm_start_x0_is_accepted(self):
         circuit = rc_circuit()
         raw = solve_dc(circuit, time=0.0)
-        result = transient_analysis(circuit, 2e-6, x0=raw.x)
+        result = Session(circuit).run(Transient(t_stop=2e-6), x0=raw.x).result
         assert result.accepted_steps > 0
 
     def test_rejects_bad_time_window(self):
         with pytest.raises(NetlistError):
-            transient_analysis(rc_circuit(), t_stop=0.0)
+            Session(rc_circuit()).run(Transient(t_stop=0.0))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(NetlistError):
@@ -368,7 +372,7 @@ class TestStepControl:
         )
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", "0", 1e-9))
-        result = transient_analysis(circuit, 1e-3)
+        result = Session(circuit).run(Transient(t_stop=1e-3)).result
         # Analytic peak: 5 * (1 - exp(-10n/1u)) ~ 49.8 mV; anything in
         # that ballpark proves the pulse was integrated, not skipped.
         assert 0.03 < result.voltage("out").max() < 0.08
@@ -380,25 +384,22 @@ class TestStepControl:
         circuit.add(VoltageSource("V1", "in", "0", Sin(0.0, 1.0, frequency=1e6)))
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Resistor("R2", "out", "0", 1e3))
-        result = transient_analysis(circuit, 5e-6)  # five cycles
+        result = Session(circuit).run(Transient(t_stop=5e-6)).result  # five cycles
         assert result.accepted_steps >= 75  # >= 15 points per cycle
         assert result.voltage("out").max() == pytest.approx(0.5, abs=0.02)
 
     def test_step_budget_enforced(self):
         from repro.errors import ConvergenceError
 
+        options = TransientOptions(adaptive=False, dt_init=1e-9, max_steps=10)
         with pytest.raises(ConvergenceError):
-            transient_analysis(
-                rc_circuit(),
-                10e-6,
-                options=TransientOptions(adaptive=False, dt_init=1e-9, max_steps=10),
-            )
+            Session(rc_circuit()).run(Transient(t_stop=10e-6, options=options))
 
 
 class TestTransientResult:
     def test_accessors(self):
         circuit = rc_circuit()
-        result = transient_analysis(circuit, 20e-6)
+        result = Session(circuit).run(Transient(t_stop=20e-6)).result
         assert len(result) == result.accepted_steps + 1
         assert result.voltage("0").max() == 0.0
         current = result.branch_current("V1")
@@ -410,14 +411,14 @@ class TestTransientResult:
 
     def test_final_op_matches_dc_at_end(self):
         circuit = rc_circuit()
-        result = transient_analysis(circuit, 20e-6)
+        result = Session(circuit).run(Transient(t_stop=20e-6)).result
         op = result.final_op()
         assert op.strategy == "transient-trap"
         assert op.voltage("out") == pytest.approx(1.0, abs=1e-4)
 
     def test_settling_time_and_overshoot(self):
         circuit = rc_circuit()
-        result = transient_analysis(circuit, 20e-6)
+        result = Session(circuit).run(Transient(t_stop=20e-6)).result
         settle = result.settling_time("out", 0.01)
         # 1% band of the RC response: ~ 1.05us + tau*ln(100) = 5.65us.
         assert 4e-6 < settle < 8e-6
@@ -427,7 +428,7 @@ class TestTransientResult:
 
     def test_settling_time_never_inside_band_is_inf(self):
         circuit = rc_circuit()
-        result = transient_analysis(circuit, 2e-6)
+        result = Session(circuit).run(Transient(t_stop=2e-6)).result
         assert result.settling_time("out", 1e-3, final_value=10.0) == float("inf")
 
 
@@ -443,7 +444,7 @@ class TestSupplySensingOpAmp:
 
     def test_output_clamped_by_ramping_supply(self):
         circuit = self.build()
-        result = transient_analysis(circuit, 2e-5)
+        result = Session(circuit).run(Transient(t_stop=2e-5)).result
         # While vdd < 1.5 V the follower saturates at the (moving) rail;
         # afterwards it regulates at 1.5 V.
         early = result.voltage_at("out", 2e-6)
@@ -456,7 +457,7 @@ class TestSupplySensingOpAmp:
         circuit.add(VoltageSource("VIN", "in", "0", 1.0))
         circuit.add(OpAmp("A1", "in", "0", "out", gain=1e4, supply="vdd"))
         circuit.add(Resistor("RL", "out", "0", 1e5))
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         assert 0.0 <= op.voltage("out") < 2e-3
 
 
@@ -470,7 +471,7 @@ class TestStartupExperimentCircuits:
         ramp = StartupRampConfig(delay=2e-6, ramp=20e-6)
         circuit = build_startup_bandgap_cell(ramp)
         t_end = ramp.t_on + 80e-6
-        result = transient_analysis(circuit, t_end)
+        result = Session(circuit).run(Transient(t_stop=t_end)).result
         dc = solve_dc(circuit, time=t_end)
         vref_dc = float(dc.x[circuit.node_index("vref")])
         assert abs(result.voltage("vref")[-1] - vref_dc) < 1e-3
@@ -487,7 +488,7 @@ class TestStartupExperimentCircuits:
         ramp = Sub1VStartupConfig(delay=2e-6, ramp=20e-6)
         circuit = build_startup_sub1v_cell(ramp)
         t_end = ramp.t_on + 80e-6
-        result = transient_analysis(circuit, t_end)
+        result = Session(circuit).run(Transient(t_stop=t_end)).result
         dc = solve_dc(circuit, time=t_end)
         vref_dc = float(dc.x[circuit.node_index("vref")])
         assert abs(result.voltage("vref")[-1] - vref_dc) < 1e-3
@@ -498,7 +499,7 @@ class TestStartupExperimentCircuits:
 
         config = Sub1VConfig()
         circuit = build_sub1v_cell(config)
-        op = operating_point(circuit)
+        op = Session(circuit).run(OP()).op
         closed_form = Sub1VBandgap(config).vref(300.15)
         assert op.voltage("vref") == pytest.approx(closed_form, abs=2e-3)
 

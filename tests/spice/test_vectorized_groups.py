@@ -25,6 +25,7 @@ from repro.spice.solver import SolverOptions, solve_dc_system
 from repro.spice.stats import STATS
 
 from families import CIRCUITS, assert_stamps_close
+from reference_assembly import ReferenceSystem
 
 ATOL = 1e-12
 RTOL = 1e-12
@@ -165,7 +166,7 @@ def test_sparse_assembly_matches_dense_reference():
     circuit = _bjt_bank(150, sections=60)  # ~212 unknowns, over the 200 switch
     system = MNASystem(circuit, vectorized=True)
     assert system.sparse_assembly
-    reference = MNASystem(circuit, compiled=False)
+    reference = ReferenceSystem(circuit)
     x = np.random.default_rng(11).normal(0.4, 0.6, system.size)
     js, fs = system.assemble(x)
     jr, fr = reference.assemble(x)
@@ -276,16 +277,13 @@ def test_solve_lands_on_same_point_both_paths():
     assert vec.x == pytest.approx(sca.x, abs=1e-9)
 
 
-@pytest.mark.filterwarnings(
-    "ignore:.*deprecated since the Session API:DeprecationWarning"
-)
 def test_sparse_mode_transient_and_ac_end_to_end():
     """Transient and AC must run end to end through the sparse assembly
     mode (sparse G_lin + capacitance pattern, splu factorizations) and
     agree with the dense path."""
     pytest.importorskip("scipy.sparse")
-    from repro.spice import Capacitor
-    from repro.spice.transient import TransientOptions, transient_analysis
+    from repro.spice import Capacitor, Session, Transient
+    from repro.spice.transient import TransientOptions
 
     def build():
         circuit = _bjt_bank(150, sections=60)
@@ -293,10 +291,10 @@ def test_sparse_mode_transient_and_ac_end_to_end():
         return circuit
 
     options = TransientOptions(dt_init=2e-7, adaptive=False)
-    # transient_analysis builds a default system: at this size that is
+    # The session builds a default system: at this size that is
     # the sparse assembly mode, so the whole stepping loop (companion
     # stamps, splu factorizations, LU reuse) runs on sparse Jacobians.
-    transient = transient_analysis(build(), t_stop=2e-6, options=options)
+    transient = Session(build()).run(Transient(t_stop=2e-6, options=options)).result
     circuit = build()
     system = MNASystem(circuit, vectorized=True)
     assert system.sparse_assembly
