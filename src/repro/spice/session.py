@@ -1200,8 +1200,9 @@ def run_plans(
     pair.  The supervision unit is the session *group* (the atom of
     both execution paths), indexed by group ordinal — with one recipe
     per pair that is simply the pair index.  A failed group yields one
-    failure record per member pair; retries re-run the whole group.  The same policy supervises the serial and fanned
-    paths, so outcomes, attempt counts and resilience counters match.
+    failure record per member pair; retries re-run the whole group.
+    The same policy supervises the serial and fanned paths, so
+    outcomes, attempt counts and resilience counters match.
     """
     pairs = list(pairs)
     groups: List[Tuple[SessionRecipe, List[int]]] = []

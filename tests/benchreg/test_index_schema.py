@@ -1,7 +1,9 @@
-"""Schema round-trip, validation, and metric-flattening tests."""
+"""Schema round-trip, validation, and metric-flattening tests, plus the
+provenance of the committed ``benchmarks/index.json``."""
 
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.benchreg.record import make_entry, record_campaign
 from repro.errors import BenchRegError
 
 CLOCK = datetime(2026, 7, 28, tzinfo=timezone.utc).timestamp()
+
+BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def fake_host(tag="A"):
@@ -198,3 +202,50 @@ class TestDefaultRows:
                            host=fake_host(), sha="abc")
         assert schema.default_row(entry, "demo") is not None
         assert schema.default_row(entry, "other") is None
+
+
+class TestCommittedIndex:
+    """``benchmarks/index.json`` as committed.
+
+    Its first two entries were lifted from the hand-written
+    ``BENCH_*.json`` snapshots, which stay in the tree as the cited
+    ``source``; every later campaign was recorded natively.
+    """
+
+    @pytest.fixture
+    def index(self):
+        return schema.load_index(BENCHMARKS_DIR / "index.json")
+
+    @staticmethod
+    def _legacy(index):
+        return [entry for entry in index["entries"] if entry["source"]]
+
+    def test_both_snapshots_cited_in_trajectory_order(self, index):
+        legacy = self._legacy(index)
+        assert [e["id"] for e in legacy] == ["c0001", "c0002"]
+        assert [e["pr"] for e in legacy] == [4, 5]
+        assert [e["source"] for e in legacy] == [
+            "BENCH_2026-07-27.json",
+            "BENCH_2026-07-27_session.json",
+        ]
+
+    def test_rows_survive_verbatim(self, index):
+        for entry in self._legacy(index):
+            snapshot = json.loads((BENCHMARKS_DIR / entry["source"]).read_text())
+            assert entry["rows"] == snapshot["entries"]
+            assert entry["date"] == snapshot["date"]
+            assert entry["pr"] == snapshot["pr"]
+
+    def test_legacy_host_never_matches_a_live_fingerprint(self, index):
+        live = schema.host_fingerprint()["fingerprint"]
+        for entry in self._legacy(index):
+            assert entry["host"]["fingerprint"].startswith("legacy:")
+            assert entry["host"]["fingerprint"] != live
+
+    def test_native_entries_follow_the_legacy_ones(self, index):
+        entries = index["entries"]
+        legacy = self._legacy(index)
+        assert entries[: len(legacy)] == legacy
+        native = entries[len(legacy):]
+        assert native, "expected a recorded campaign after the legacy ones"
+        assert all(entry["source"] is None for entry in native)

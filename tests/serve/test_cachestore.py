@@ -281,3 +281,37 @@ class TestWarmStartGatesSurviveReload:
         assert {key[0] for key, _value in array.cache.export()} == {array.fingerprint}
         stored = {key[0] for key, _value in CacheStore(path).load()}
         assert stored == {ladder.fingerprint, array.fingerprint}
+
+    def test_shared_store_still_serves_each_topology_its_own_points(
+        self, tmp_path
+    ):
+        """The fingerprint filter drops only foreign points: reopening
+        the first circuit over the shared store is an exact hit."""
+        path = tmp_path / "op.jsonl"
+        with Session(parse_netlist(resistor_ladder(sections=2)), store=path) as s:
+            ladder_op = s.run(OP())
+        with Session(parse_netlist(bandgap_array(cells=3)), store=path) as s:
+            s.run(OP())
+
+        STATS.reset()
+        reopened = Session(parse_netlist(resistor_ladder(sections=2)), store=path)
+        assert len(reopened.cache) == 1
+        replay = reopened.run(OP())
+        assert STATS.op_cache_hits == 1
+        assert STATS.newton_solves == 0
+        np.testing.assert_array_equal(replay.op.x, ladder_op.op.x)
+
+    def test_compaction_keeps_the_other_topology_on_disk(self, tmp_path):
+        """Compaction works from the file, not from one session's
+        cache, so a store shared by two circuits keeps both."""
+        path = tmp_path / "op.jsonl"
+        ladder = Session(parse_netlist(resistor_ladder(sections=2)), store=path)
+        with ladder:
+            ladder.run(OP())
+        array = Session(parse_netlist(bandgap_array(cells=3)), store=path)
+        with array:
+            array.run(OP())
+            assert array.flush_store() == 1
+            assert array.store.compact() == 2
+        stored = {key[0] for key, _value in CacheStore(path).load()}
+        assert stored == {ladder.fingerprint, array.fingerprint}

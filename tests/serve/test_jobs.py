@@ -291,6 +291,36 @@ class TestJobService:
         finally:
             service.stop()
 
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            [NETLIST],
+            NETLIST,
+            {"title": "no netlist"},
+            {"netlist": ""},
+            {"netlist": "  \n"},
+            {"netlist": 5},
+        ],
+        ids=["list", "bare-text", "missing", "empty", "blank", "not-text"],
+    )
+    def test_malformed_circuit_refused_with_circuit_from_wire_message(
+        self, circuit
+    ):
+        # One shape check serves both entry points, so submit reports
+        # exactly what circuit_from_wire reports, before any solve.
+        with pytest.raises(PlanError) as from_wire:
+            circuit_from_wire(circuit)
+        service = self._service()
+        try:
+            with pytest.raises(PlanError) as submitted:
+                service.submit({"circuit": circuit, "plan": {"analysis": "OP"}})
+            assert str(submitted.value) == str(from_wire.value)
+            assert STATS.serve_jobs_rejected == 1
+            assert STATS.newton_solves == 0
+            assert service.jobs() == []
+        finally:
+            service.stop()
+
     def test_failed_job_carries_outcome_attribution(self, monkeypatch):
         service = self._service()
         try:

@@ -131,12 +131,14 @@ def test_invalidate_tracks_linear_value_mutation():
     np.testing.assert_allclose(fc, fr, rtol=RTOL, atol=ATOL)
 
 
-@pytest.mark.parametrize("name", ["diode_chain", "bandgap_cell", "sub1v_cell"])
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_compiled_and_reference_solve_to_same_point(name):
-    """End to end: compiled and oracle assembly land on the same point."""
+    """End to end: compiled and oracle assembly land on the same point,
+    by the same strategy, for every registered circuit family."""
     compiled = solve_dc(CIRCUITS[name]())
     reference = solve_dc_system(ReferenceSystem(CIRCUITS[name]()))
     assert compiled.x == pytest.approx(reference.x, abs=1e-9)
+    assert compiled.strategy == reference.strategy
 
 
 def test_total_source_power_matches_elementwise_sum():

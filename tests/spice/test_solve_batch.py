@@ -85,6 +85,16 @@ class TestRunPlansBatch:
                 a.voltage("vref"), b.voltage("vref"), atol=0.0
             )
 
+    def test_rehydrated_points_expose_named_accessors(self):
+        # Fanned results cross the process boundary as payloads and are
+        # rebuilt against the parent-side sessions.
+        for result in run_plans(self._pairs(), workers=2):
+            assert len(result) == len(TEMPS)
+            point = result.points[1]
+            assert point.temperature_k == TEMPS[1]
+            assert 1.1 < point.voltage("vref") < 1.3
+            assert point.iterations > 0
+
 
 class TestMonteCarloFanOut:
     def test_worker_count_does_not_change_summary(self):
