@@ -6,12 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError, ReproError
-from ..parallel import (
-    absorb_worker_telemetry,
-    parallel_map,
-    supervised_map,
-    worker_telemetry,
-)
+from ..parallel import absorb_worker_telemetry, supervised_map, worker_telemetry
 from ..resilience import RunPolicy
 from ..telemetry import tracer as _tele
 
@@ -126,21 +121,16 @@ def run_experiments(
             run_experiment(name)  # raises with the known-experiment list
     detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
     tasks = [(name, detail) for name in names]
-    if policy is None:
-        payloads = parallel_map(_run_attributed_task, tasks, max_workers=max_workers)
-        results = []
-        for result, box in payloads:
-            absorb_worker_telemetry(box)
-            results.append(result)
-        return dict(zip(names, results))
     outcomes = supervised_map(
         _run_attributed_task, tasks, policy=policy, max_workers=max_workers
     )
     for outcome in outcomes:
-        if outcome is not None and outcome.ok:
+        if outcome.ok:
             result, box = outcome.value
             absorb_worker_telemetry(box)
             outcome.value = result
+    if policy is None:
+        return {name: outcome.value for name, outcome in zip(names, outcomes)}
     return dict(zip(names, outcomes))
 
 

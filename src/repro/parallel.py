@@ -1,20 +1,23 @@
 """Process fan-out for independent work items, with supervised execution.
 
 Every sweep/Monte-Carlo layer in the repo funnels its independent work
-through this module.  Two entry points share one engine:
+through this module:
 
-* :func:`parallel_map` — the drop-in map: results in item order, first
-  work-function exception re-raised unchanged.  Pool *infrastructure*
-  failures (un-picklable payloads, an unspawnable pool, a worker death)
-  degrade gracefully without re-running completed work; a genuine
-  exception raised by ``func`` propagates — it is never masked by a
-  silent serial re-run.
-* :func:`supervised_map` — the resilient map: returns one
+* :func:`supervised_map` — the fan-out engine: one
   :class:`~repro.resilience.Outcome` per item (ok / failed / timed-out,
-  with the captured exception, attempt count and worker pid) instead of
-  dying on the first failure, governed by a
-  :class:`~repro.resilience.RunPolicy` (retries with exponential
-  backoff, per-item deadlines, on-failure action).
+  with the captured exception, attempt count and worker pid), governed
+  by a :class:`~repro.resilience.RunPolicy` (retries with exponential
+  backoff, per-item deadlines, on-failure action).  With
+  ``policy=None`` it has :func:`parallel_map` semantics, so the Session
+  fan-out (:meth:`~repro.spice.session.Session.run_many`,
+  :func:`~repro.spice.session.run_plans`) and the experiment registry
+  make one call either way and only unwrap the outcomes differently.
+* :func:`parallel_map` — the plain map over that engine: results in item
+  order, first work-function exception re-raised unchanged.  Pool
+  *infrastructure* failures (un-picklable payloads, an unspawnable
+  pool, a worker death) degrade gracefully without re-running completed
+  work; a genuine exception raised by ``func`` propagates — it is never
+  masked by a silent serial re-run.
 
 Failure taxonomy (the fix for the old over-broad fallback): a pool
 worker runs each attempt through an *envelope* that returns the work
@@ -36,8 +39,7 @@ startup cost; batch jobs opt in with ``REPRO_WORKERS=0`` (or a count).
 Deterministic fault injection (:mod:`repro.faultinject`) is consulted
 only when a caller passes an explicit policy to :func:`supervised_map`
 (or uses :func:`~repro.resilience.supervised_call` directly), so a
-standing ``REPRO_FAULTS`` plan can never perturb plain
-:func:`parallel_map` traffic.
+standing ``REPRO_FAULTS`` plan can never perturb policy-free traffic.
 """
 
 from __future__ import annotations
@@ -425,9 +427,9 @@ def parallel_map(
 def worker_telemetry(trace_detail: Optional[str] = None):
     """Capture a work item's telemetry into a picklable box.
 
-    Wrap the body of a :func:`parallel_map` work function with this and
-    ship the yielded ``box`` home in the payload; the submitting side
-    hands it to :func:`absorb_worker_telemetry`.  The box records the
+    Wrap the body of a fan-out work function with this and ship the
+    yielded ``box`` home in the payload; the submitting side hands it
+    to :func:`absorb_worker_telemetry`.  The box records the
     worker ``pid``, the :data:`repro.spice.stats.STATS` counter movement
     of the block (``stats``), and — when ``trace_detail`` is given
     (pass the parent tracer's ``detail`` at submission time) — the

@@ -19,11 +19,12 @@ Three pieces, all transport-agnostic (the HTTP front end in
   warm-start off each other *and* off previous server processes.
 * **JobService** — the async queue: ``submit`` validates and enqueues,
   worker threads execute each job under ``supervised_call`` with the
-  job's :class:`RunPolicy` (retries / per-job timeout), and the
-  :class:`JobRecord` carries ``Outcome``-style failure attribution
-  (error type, message, attempts, wall time).  Completed jobs flush
-  the owning session to the store immediately (write-through), so a
-  server kill after job completion never loses solved points.
+  job's :class:`RunPolicy` (retries with backoff; no deadline over the
+  wire, see ``_POLICY_WIRE_KEYS``), and the :class:`JobRecord` carries
+  ``Outcome``-style failure attribution (error type, message, attempts,
+  wall time).  Completed jobs flush the owning session to the store
+  immediately (write-through), so a server kill after job completion
+  never loses solved points.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ PLAN_TYPES = {
 
 #: RunPolicy knobs a job may set over the wire (`retryable`, `sleep`
 #: and `on_failure` stay server-side: the executor always records).
-_POLICY_WIRE_KEYS = ("max_retries", "backoff_s", "backoff_factor", "timeout_s")
+#: `timeout_s` is not one of them: the deadline watchdog abandons the
+#: solve rather than stopping it, so a timed-out job would keep
+#: mutating its pooled Session after the lock is released.
+_POLICY_WIRE_KEYS = ("max_retries", "backoff_s", "backoff_factor")
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY: a response goes out as two sends (headers, body), and
+    # under Nagle the body would wait for a keep-alive client's delayed
+    # ACK — tens of milliseconds per response.
+    disable_nagle_algorithm = True
 
     # Quiet by default: the BaseHTTPRequestHandler per-request stderr
     # log is noise under pytest and CI.

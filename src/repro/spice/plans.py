@@ -339,8 +339,8 @@ class MonteCarlo(AnalysisPlan):
 
     def trial_plan(self, trial: Overrides) -> AnalysisPlan:
         """The inner plan of one trial, with the trial's (and this
-        plan's own) overrides merged in — the executable unit both the
-        serial executor and the fanned-payload rehydration run."""
+        plan's own) overrides merged in — the executable unit a trial
+        runs."""
         from dataclasses import replace
 
         merged = tuple(self.inner.overrides) + tuple(self.overrides) + tuple(trial)

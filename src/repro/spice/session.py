@@ -40,12 +40,28 @@ Mutating circuit element values *outside* the plan-override mechanism is
 not tracked — call :meth:`Session.invalidate` afterwards (it clears the
 cache and the system's compiled caches), exactly like the underlying
 :meth:`MNASystem.invalidate` contract.
+
+Process fan-out
+---------------
+
+:meth:`Session.run_many` and :func:`run_plans` share one fan-out path
+over ``(session, plans)`` groups.  Serially the live sessions run their
+plans in order.  Fanned, :func:`repro.parallel.supervised_map` runs each
+group on a worker session rebuilt from its :class:`SessionRecipe`.  The
+worker pickles its results with the session circuit (which routinely
+holds closures) replaced by a persistent-id token, and the parent loads
+them against its own session's circuit — so every field of every result
+kind crosses the pool with no per-kind code.  That blob only travels
+between a parent and its own pool workers; ``to_dict`` stays the JSON
+view the solved-point store and the HTTP service use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,12 +72,12 @@ import numpy as np
 from ..errors import NetlistError, PlanError
 from ..parallel import (
     absorb_worker_telemetry,
-    parallel_map,
     resolve_workers,
     supervised_map,
     worker_telemetry,
 )
 from ..resilience import Outcome, RunPolicy
+from ..resilience.outcome import OK
 from ..resilience.supervisor import supervised_call
 from ..telemetry import tracer as _tele
 from .ac import ACSystem
@@ -877,8 +893,12 @@ class Session:
         Every plan is validated before the first solve.  Serial by
         default (sharing this session's cache, so later plans warm-start
         off earlier ones); with ``workers`` > 1 — or ``REPRO_WORKERS``
-        set — builder-backed sessions fan plans out across processes and
-        merge the workers' solved points back into this cache.
+        set — builder-backed sessions fan plans out across processes
+        (see the module docstring) and merge the workers' solved points
+        back into this cache.  Each worker session is seeded with this
+        session's cache snapshot, so fanned plans still warm-start off
+        everything solved before the call, though not off each other.
+        Either way every converged point is equal to solver tolerance.
 
         With a :class:`~repro.resilience.RunPolicy` the batch runs
         supervised and returns one :class:`~repro.resilience.Outcome`
@@ -892,63 +912,30 @@ class Session:
         plans = list(plans)
         for plan in plans:
             self.validate(plan)
-        effective = min(resolve_workers(workers), len(plans))
-        if effective <= 1 or len(plans) <= 1 or self._builder is None:
-            if policy is None:
-                return [self.run(plan) for plan in plans]
-            return [
-                supervised_call(
-                    lambda plan=plan: self.run(plan),
-                    index=index,
-                    policy=policy,
-                )
-                for index, plan in enumerate(plans)
-            ]
-        # Each worker session is seeded with THIS session's cache
-        # snapshot, so fanned plans still warm-start off everything the
-        # session solved before the call.  What fan-out cannot give is
-        # plans warm-starting off *each other* within one run_many —
-        # they run concurrently; serial execution (workers=1) keeps
-        # that extra sharing.  Either way every converged point is
-        # equal to solver tolerance.
-        recipe = self.recipe()
-        seed = self.cache.export()
-        detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
-        tasks = [(recipe, (plan,), seed, detail) for plan in plans]
-        if policy is None:
-            payloads = parallel_map(_run_plans_task, tasks, max_workers=workers)
-            results = []
-            for plan, payload in zip(plans, payloads):
-                self._absorb_payload(payload)
-                results.append(_result_from_payload(self, plan, payload["results"][0]))
-            return results
-        outcomes = supervised_map(
-            _run_plans_task, tasks, policy=policy, max_workers=workers
+        return _run_groups(
+            [(self, [(index, plan)]) for index, plan in enumerate(plans)],
+            workers,
+            policy,
         )
-        for plan, outcome in zip(plans, outcomes):
-            if outcome is not None and outcome.ok:
-                payload = outcome.value
-                self._absorb_payload(payload)
-                outcome.value = _result_from_payload(
-                    self, plan, payload["results"][0]
-                )
-        return outcomes
 
-    def _absorb_payload(self, payload: dict) -> None:
-        """Fold a worker session's state into this one: solved points,
-        cache-counter mirrors, and the telemetry box (whose STATS delta
-        is pid-guarded — a worker process has its own STATS singleton
-        whose movement would otherwise be lost, while the serial
-        fallback already incremented ours directly)."""
+    def _absorb(self, payload: dict) -> List[AnalysisResult]:
+        """Fold a worker session's state into this one and return its
+        results, loaded against this session's circuit.
+
+        The state is the solved points, the cache-counter mirrors, and
+        the telemetry box (whose STATS delta is pid-guarded — a worker
+        process has its own STATS singleton whose movement would
+        otherwise be lost, while the serial fallback already
+        incremented ours directly)."""
         self.cache.merge(payload["cache"])
         hits, warm_starts, misses = payload["counters"]
         self.cache_hits += hits
         self.cache_warm_starts += warm_starts
         self.cache_misses += misses
-        box = payload.get("telemetry")
+        box = payload["telemetry"]
         absorb_worker_telemetry(box)
-        if box:
-            self.stats.merge(box.get("stats", {}))
+        self.stats.merge(box["stats"])
+        return _ResultUnpickler(io.BytesIO(payload["results"]), self.circuit).load()
 
     # -- per-plan bodies -----------------------------------------------
     def _run_op(self, plan: OP, x0) -> OPResult:
@@ -1117,7 +1104,7 @@ class Session:
 
 
 # ----------------------------------------------------------------------
-# Cross-topology batching
+# Cross-topology batching and process fan-out
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -1135,25 +1122,49 @@ class SessionRecipe:
         )
 
 
+class _ResultPickler(pickle.Pickler):
+    """Pickles worker results, leaving the session circuit as a token."""
+
+    def __init__(self, file, circuit: Circuit):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.circuit = circuit
+
+    def persistent_id(self, obj):
+        return "circuit" if obj is self.circuit else None
+
+
+class _ResultUnpickler(pickle.Unpickler):
+    """Loads worker results, binding the token to the parent's circuit.
+
+    Only blobs written by this parent's own pool workers are loaded."""
+
+    def __init__(self, file, circuit: Circuit):
+        super().__init__(file)
+        self.circuit = circuit
+
+    def persistent_load(self, pid):
+        return self.circuit
+
+
 def _run_plans_task(task) -> dict:
     """Worker: build a session from its recipe, seed its cache from the
-    optional parent snapshot, run its plans serially (sharing the cache
-    within the group), and return picklable payloads plus the solved
-    points and telemetry for the parent to merge back.
+    parent snapshot, run its plans serially (sharing the cache within
+    the group), and return the pickled results plus the solved points
+    and telemetry for the parent to merge back.
 
-    ``task`` is ``(recipe, plans[, cache_seed[, trace_detail]])`` —
+    ``task`` is ``(recipe, plans, cache_seed, trace_detail)`` —
     ``trace_detail`` is the parent tracer's detail level (or None), so
     a traced fanned run captures the same span tree a serial run would.
     """
-    recipe, plans = task[0], task[1]
+    recipe, plans, seed, detail = task
     session = recipe.build()
-    if len(task) > 2 and task[2]:
-        session.cache.merge(task[2])
-    detail = task[3] if len(task) > 3 else None
+    session.cache.merge(seed)
     with worker_telemetry(detail) as box:
-        payloads = [_payload_from_result(session.run(plan)) for plan in plans]
+        results = [session.run(plan) for plan in plans]
+    blob = io.BytesIO()
+    _ResultPickler(blob, session.circuit).dump(results)
     return {
-        "results": payloads,
+        "results": blob.getvalue(),
         "cache": session.cache.export(),
         "counters": (
             session.cache_hits,
@@ -1178,6 +1189,62 @@ def _pair_outcome(group_outcome: Outcome, pair_index: int, value=None) -> Outcom
     )
 
 
+def _run_groups(
+    groups: Sequence[Tuple[Session, Sequence[Tuple[int, AnalysisPlan]]]],
+    workers: Optional[int],
+    policy: Optional[RunPolicy],
+) -> list:
+    """The one execution path of :meth:`Session.run_many` and
+    :func:`run_plans`.
+
+    Each group is a session and its ``(index, plan)`` members, which
+    run in order on that session; the group is the supervision unit,
+    indexed by its ordinal.  Serially the live sessions run their plans
+    (under :func:`supervised_call` when a policy is given); fanned, one
+    :func:`supervised_map` call runs every group in a worker and the
+    parent absorbs each ok outcome.  Returns one entry per member, at
+    its index: the result, or with a policy its :class:`Outcome`.
+    """
+    if min(resolve_workers(workers), len(groups)) > 1 and all(
+        session._builder is not None for session, _members in groups
+    ):
+        detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
+        tasks = [
+            (
+                session.recipe(),
+                tuple(plan for _index, plan in members),
+                session.cache.export(),
+                detail,
+            )
+            for session, members in groups
+        ]
+        outcomes = supervised_map(
+            _run_plans_task, tasks, policy=policy, max_workers=workers
+        )
+        for (session, _members), outcome in zip(groups, outcomes):
+            if outcome.ok:
+                outcome.value = session._absorb(outcome.value)
+    else:
+        outcomes = []
+        for number, (session, members) in enumerate(groups):
+            def run(session=session, members=members):
+                return [session.run(plan) for _index, plan in members]
+
+            outcomes.append(
+                Outcome(index=number, status=OK, value=run())
+                if policy is None
+                else supervised_call(run, index=number, policy=policy)
+            )
+    results: list = [None] * sum(len(members) for _session, members in groups)
+    for (_session, members), outcome in zip(groups, outcomes):
+        for position, (index, _plan) in enumerate(members):
+            value = outcome.value[position] if outcome.ok else None
+            results[index] = (
+                value if policy is None else _pair_outcome(outcome, index, value)
+            )
+    return results
+
+
 def run_plans(
     pairs: Sequence[Tuple[SessionRecipe, AnalysisPlan]],
     workers: Optional[int] = None,
@@ -1188,12 +1255,12 @@ def run_plans(
     Plans whose recipes compare equal are grouped onto ONE session (in
     submission order), so they share its solved-point cache — that is
     the cross-analysis amortisation; groups are independent and fan out
-    across processes via :func:`repro.parallel.parallel_map` (workers
-    resolve like everywhere else: argument, else ``REPRO_WORKERS``,
-    else serial).  Results are identical between the serial and fanned
-    paths because grouping is deterministic and each group runs
-    sequentially inside one process either way.  Pairs that must not
-    share warm starts need recipes that compare unequal.
+    across processes through the same path as :meth:`Session.run_many`
+    (workers resolve like everywhere else: argument, else
+    ``REPRO_WORKERS``, else serial).  Results are identical between the
+    serial and fanned paths because grouping is deterministic and each
+    group runs sequentially inside one process either way.  Pairs that
+    must not share warm starts need recipes that compare unequal.
 
     With a :class:`~repro.resilience.RunPolicy` the batch runs
     supervised and returns one :class:`~repro.resilience.Outcome` per
@@ -1214,223 +1281,19 @@ def run_plans(
         else:
             groups.append((recipe, [index]))
     # Parent-side sessions: validation before any solve, and the
-    # rehydration context for fanned results.
+    # circuits fanned results are loaded against.
     sessions = [recipe.build() for recipe, _indices in groups]
     for session, (_recipe, indices) in zip(sessions, groups):
         for index in indices:
             session.validate(pairs[index][1])
-
-    results: List[Optional[AnalysisResult]] = [None] * len(pairs)
-    effective = min(resolve_workers(workers), len(groups))
-    if effective <= 1 or len(groups) <= 1:
-        if policy is None:
-            for session, (_recipe, indices) in zip(sessions, groups):
-                for index in indices:
-                    results[index] = session.run(pairs[index][1])
-            return results
-        for group_index, (session, (_recipe, indices)) in enumerate(
-            zip(sessions, groups)
-        ):
-            outcome = supervised_call(
-                lambda session=session, indices=indices: [
-                    session.run(pairs[index][1]) for index in indices
-                ],
-                index=group_index,
-                policy=policy,
-            )
-            for position, index in enumerate(indices):
-                results[index] = _pair_outcome(
-                    outcome,
-                    index,
-                    outcome.value[position] if outcome.ok else None,
-                )
-        return results
-    detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
-    tasks = [
-        (recipe, tuple(pairs[index][1] for index in indices), None, detail)
-        for recipe, indices in groups
-    ]
-    if policy is None:
-        payloads = parallel_map(_run_plans_task, tasks, max_workers=workers)
-        for session, (_recipe, indices), payload in zip(sessions, groups, payloads):
-            session._absorb_payload(payload)
-            for index, result_payload in zip(indices, payload["results"]):
-                results[index] = _result_from_payload(
-                    session, pairs[index][1], result_payload
-                )
-        return results
-    outcomes = supervised_map(
-        _run_plans_task, tasks, policy=policy, max_workers=workers
+    return _run_groups(
+        [
+            (session, [(index, pairs[index][1]) for index in indices])
+            for session, (_recipe, indices) in zip(sessions, groups)
+        ],
+        workers,
+        policy,
     )
-    for session, (_recipe, indices), outcome in zip(sessions, groups, outcomes):
-        if outcome is not None and outcome.ok:
-            payload = outcome.value
-            session._absorb_payload(payload)
-            for index, result_payload in zip(indices, payload["results"]):
-                results[index] = _pair_outcome(
-                    outcome,
-                    index,
-                    _result_from_payload(session, pairs[index][1], result_payload),
-                )
-        elif outcome is not None:
-            for index in indices:
-                results[index] = _pair_outcome(outcome, index)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Picklable payload round trip (process fan-out)
-# ----------------------------------------------------------------------
-
-def _payload_from_result(result: AnalysisResult) -> dict:
-    if isinstance(result, OPResult):
-        op = result.op
-        return {
-            "kind": "op",
-            "x": op.x,
-            "temperature_k": op.temperature_k,
-            "iterations": op.iterations,
-            "residual": op.residual,
-            "strategy": op.strategy,
-        }
-    if isinstance(result, _SweepResultBase):
-        points = result.points
-        return {
-            "kind": "sweep",
-            "parameter": result.sweep.parameter,
-            "values": result.sweep.values,
-            "x": np.stack([p.x for p in points]),
-            "temperatures_k": [p.temperature_k for p in points],
-            "iterations": [p.iterations for p in points],
-            "residuals": [p.residual for p in points],
-            "strategies": [p.strategy for p in points],
-        }
-    if isinstance(result, ACSweepResult):
-        return {
-            "kind": "ac",
-            "frequencies_hz": result.frequencies_hz,
-            "ac_x": np.stack([r.x for r in result.ac_results]),
-            "op_x": np.stack([r.op.x for r in result.ac_results]),
-            "temperatures_k": [r.temperature_k for r in result.ac_results],
-            "iterations": [r.op.iterations for r in result.ac_results],
-            "residuals": [r.op.residual for r in result.ac_results],
-            "strategies": [r.op.strategy for r in result.ac_results],
-        }
-    if isinstance(result, TransientRunResult):
-        res = result.result
-        return {
-            "kind": "transient",
-            "times": res.times,
-            "states": res.states,
-            "temperature_k": res.temperature_k,
-            "method": res.method,
-            "step_iterations": res.step_iterations,
-            "step_residuals": res.step_residuals,
-            "initial_strategy": res.initial_strategy,
-            "rejected_lte": res.rejected_lte,
-            "newton_retries": res.newton_retries,
-            "factorizations": res.factorizations,
-            "lu_reuses": res.lu_reuses,
-        }
-    if isinstance(result, MonteCarloResult):
-        # Outcomes are picklable by construction (worker exceptions are
-        # capture_error'd), so failure attribution survives the trip.
-        return {
-            "kind": "mc",
-            "inner": [_payload_from_result(r) for r in result.results],
-            "trial_indices": result.trial_indices,
-            "failed": result.failed_trials,
-        }
-    raise NetlistError(f"cannot serialise result kind {type(result).__name__}")
-
-
-def _result_from_payload(session: Session, plan: AnalysisPlan, payload: dict):
-    """Rehydrate a worker payload against a parent-side session."""
-    circuit = session.circuit
-    kind = payload["kind"]
-    if kind == "op":
-        op = OperatingPoint(
-            circuit=circuit,
-            temperature_k=payload["temperature_k"],
-            x=payload["x"],
-            iterations=payload["iterations"],
-            residual=payload["residual"],
-            strategy=payload["strategy"],
-        )
-        return OPResult(session, plan, op)
-    if kind == "sweep":
-        points = [
-            OperatingPoint(
-                circuit=circuit,
-                temperature_k=payload["temperatures_k"][i],
-                x=payload["x"][i],
-                iterations=payload["iterations"][i],
-                residual=payload["residuals"][i],
-                strategy=payload["strategies"][i],
-            )
-            for i in range(len(payload["temperatures_k"]))
-        ]
-        sweep = SweepResult(
-            parameter=payload["parameter"],
-            values=np.asarray(payload["values"], float),
-            points=points,
-        )
-        cls = DCSweepResult if isinstance(plan, DCSweep) else TempSweepResult
-        return cls(session, plan, sweep)
-    if kind == "ac":
-        freqs = np.asarray(payload["frequencies_hz"], float)
-        ac_results = [
-            ACResult(
-                circuit=circuit,
-                temperature_k=payload["temperatures_k"][i],
-                frequencies_hz=freqs,
-                x=payload["ac_x"][i],
-                op=OperatingPoint(
-                    circuit=circuit,
-                    temperature_k=payload["temperatures_k"][i],
-                    x=payload["op_x"][i],
-                    iterations=payload["iterations"][i],
-                    residual=payload["residuals"][i],
-                    strategy=payload["strategies"][i],
-                ),
-            )
-            for i in range(len(payload["temperatures_k"]))
-        ]
-        return ACSweepResult(session, plan, ac_results)
-    if kind == "transient":
-        result = TransientResult(
-            circuit=circuit,
-            temperature_k=payload["temperature_k"],
-            method=payload["method"],
-            times=payload["times"],
-            states=payload["states"],
-            step_iterations=payload["step_iterations"],
-            step_residuals=payload["step_residuals"],
-            initial_strategy=payload["initial_strategy"],
-            rejected_lte=payload["rejected_lte"],
-            newton_retries=payload["newton_retries"],
-            factorizations=payload["factorizations"],
-            lu_reuses=payload["lu_reuses"],
-        )
-        return TransientRunResult(session, plan, result)
-    if kind == "mc":
-        trial_indices = payload.get("trial_indices")
-        if trial_indices is None:
-            trial_indices = tuple(range(len(payload["inner"])))
-        inner_results = [
-            _result_from_payload(
-                session, plan.trial_plan(plan.trials[trial_index]), inner
-            )
-            for trial_index, inner in zip(trial_indices, payload["inner"])
-        ]
-        return MonteCarloResult(
-            session,
-            plan,
-            inner_results,
-            trial_indices=trial_indices,
-            failed_trials=payload.get("failed", ()),
-        )
-    raise NetlistError(f"cannot rehydrate result kind {kind!r}")
 
 
 __all__ = [

@@ -95,7 +95,7 @@ Attributes by span:
     precedes), ``backoff_s``, ``reason`` (failed attempt's exception
     type name, e.g. ``"ConvergenceError"``).
 ``worker_pid``
-    set on spans grafted from a ``parallel_map`` worker.
+    set on spans grafted from a fan-out worker.
 
 Counter deltas: every non-leaf span snapshots the process
 ``repro.spice.stats.STATS`` on entry and stores the non-zero difference

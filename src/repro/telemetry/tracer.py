@@ -274,7 +274,7 @@ def current_tracer() -> Optional[Tracer]:
 def tracing(detail: str = "full", clock: Optional[Callable[[], float]] = None):
     """Install a fresh tracer for the block, restoring the previous one
     on exit (the worker-capture primitive — nesting is what lets a
-    serial ``parallel_map`` fallback capture spans exactly like a real
+    serial fan-out fallback capture spans exactly like a real
     worker process would)."""
     global ACTIVE
     previous = ACTIVE

@@ -19,6 +19,7 @@
 """
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.serve.jobs import (
     plan_to_wire,
     policy_from_wire,
 )
+from repro.spice.hierarchy import bandgap_array
 from repro.spice.plans import (
     ACSweep,
     DCSweep,
@@ -109,13 +111,16 @@ class TestWireCodec:
             plan_from_wire({"analysis": "OP", "overrides": [["R1", 1e3]]})
 
     def test_policy_codec(self):
-        policy = policy_from_wire({"max_retries": 2, "timeout_s": 5.0})
+        policy = policy_from_wire({"max_retries": 2, "backoff_s": 0.5})
         assert policy.max_retries == 2
-        assert policy.timeout_s == 5.0
+        assert policy.backoff_s == 0.5
+        assert policy.timeout_s is None
         assert policy.on_failure == "record"
         assert policy_from_wire(None) is None
         with pytest.raises(PlanError, match="no field"):
             policy_from_wire({"on_failure": "raise"})
+        with pytest.raises(PlanError, match="no field.*timeout_s"):
+            policy_from_wire({"max_retries": 2, "timeout_s": 5.0})
 
 
 class TestOptionsCacheKeyRegression:
@@ -257,6 +262,37 @@ class TestJobService:
             assert STATS.newton_solves == 0
             assert STATS.serve_jobs_rejected == 1
             assert service.jobs() == []
+        finally:
+            service.stop()
+
+    def test_wire_timeout_rejected_before_any_solve(self):
+        # The deadline watchdog abandons a timed-out solve instead of
+        # stopping it: a wire deadline on this sweep would leave three
+        # attempts still solving on the pooled session after its lock is
+        # released.  The request is refused at submit instead.
+        def deadline_threads():
+            return {t for t in threading.enumerate() if t.name == "repro-deadline"}
+
+        before = deadline_threads()
+        service = self._service()
+        try:
+            with pytest.raises(PlanError, match="timeout_s"):
+                service.submit(
+                    {
+                        "circuit": {"netlist": bandgap_array(cells=60)},
+                        "plan": {
+                            "analysis": "TempSweep",
+                            "temperatures_k": [233.15 + 10.0 * i for i in range(16)],
+                        },
+                        "policy": {"timeout_s": 0.05, "max_retries": 2},
+                    }
+                )
+            assert STATS.serve_jobs_rejected == 1
+            assert STATS.serve_jobs_submitted == 0
+            assert service.jobs() == []
+            assert service._queue.empty()
+            assert STATS.newton_solves == 0
+            assert deadline_threads() <= before
         finally:
             service.stop()
 

@@ -6,7 +6,9 @@ down in fixtures, so the suite leaks no sockets (the repo-wide
 ResourceWarning into a failure).
 """
 
+import http.client
 import json
+import time
 import urllib.request
 
 import pytest
@@ -128,6 +130,27 @@ class TestEndpoints:
         server.wait()
         # Drained before stopping: the job finished and flushed.
         assert server.service.job(job_id).state == "done"
+
+
+class TestKeepAlive:
+    def test_keep_alive_responses_are_not_held_back(self, server):
+        # Each response goes out as two sends (headers, body).  With
+        # Nagle's algorithm on, the body of every response after the
+        # first waits for the client's delayed ACK (~40 ms), so ten
+        # requests on one connection would take 0.4 s or more.
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2
 
 
 class TestRestartWarmStart:

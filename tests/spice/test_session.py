@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NetlistError, PlanError
+from repro.resilience import RunPolicy
 from repro.spice import (
     ACSweep,
     Capacitor,
@@ -28,6 +29,7 @@ from repro.spice import (
     Diode,
     MonteCarlo,
     OP,
+    Pulse,
     Resistor,
     Session,
     SessionRecipe,
@@ -515,6 +517,122 @@ class TestRunManyAndRunPlans:
         assert serial.to_dict() == fanned.to_dict()
         exported = fanned.to_dict()["trials"][0]["plan"]["overrides"]
         assert exported == [["R1", "resistance", 500.0]]
+
+
+def diode_rc_circuit(title="diode rc"):
+    """Nonlinear, reactive and driven: every analysis kind has work."""
+    c = Circuit(title)
+    c.add(VoltageSource("V1", "in", "0", 2.0, ac_mag=1.0))
+    c.add(VoltageSource("V2", "drv", "0", Pulse(0.0, 1.0, delay=1e-7, rise=1e-7)))
+    c.add(Resistor("R1", "in", "d", 1e3))
+    c.add(Resistor("R2", "drv", "d", 2e3))
+    c.add(Diode("D1", "d", "0"))
+    c.add(Capacitor("C1", "d", "0", 1e-9))
+    return c
+
+
+def _raw_arrays(result):
+    """Every solution array a result holds, nested trials included."""
+    if hasattr(result, "op"):
+        return [result.op.x]
+    if hasattr(result, "sweep"):
+        return [point.x for point in result.points]
+    if hasattr(result, "ac_results"):
+        return [a for r in result.ac_results for a in (r.x, r.op.x)]
+    if hasattr(result, "result"):
+        return [result.result.times, result.result.states]
+    return [a for trial in result.results for a in _raw_arrays(trial)]
+
+
+def _circuits(result):
+    """Every circuit reference a result holds, nested trials included."""
+    refs = [result.circuit]
+    if hasattr(result, "op"):
+        refs.append(result.op.circuit)
+    elif hasattr(result, "sweep"):
+        refs += [point.circuit for point in result.points]
+    elif hasattr(result, "ac_results"):
+        refs += [c for r in result.ac_results for c in (r.circuit, r.op.circuit)]
+    elif hasattr(result, "result"):
+        refs.append(result.result.circuit)
+    else:
+        refs += [c for trial in result.results for c in _circuits(trial)]
+    return refs
+
+
+def _comparable(result):
+    """``to_dict`` minus the process and clock a failed trial ran on."""
+    snapshot = result.to_dict()
+    for failure in snapshot.get("failed_trials", ()):
+        del failure["worker_pid"], failure["wall_s"]
+    return snapshot
+
+
+class TestFannedEqualsSerialEveryKind:
+    """Worker results cross the pool by pickle with the circuit left
+    behind as a token; every result kind must come back as the serial
+    run would have produced it, bound to the parent's circuit."""
+
+    TRIALS = tuple((("R1", "resistance", r),) for r in (500.0, 1e3, 2e3))
+
+    @pytest.mark.parametrize(
+        "plan, faults",
+        [
+            pytest.param(OP(temperature_k=310.0), None, id="op"),
+            pytest.param(
+                DCSweep(source="V1", values=(0.5, 1.0, 2.0)), None, id="dc_sweep"
+            ),
+            pytest.param(
+                TempSweep(temperatures_k=(260.0, 300.0, 340.0)), None, id="temp_sweep"
+            ),
+            pytest.param(
+                ACSweep(frequencies_hz=(1e3, 1e5, 1e7), temperatures_k=(280.0, 320.0)),
+                None,
+                id="ac_sweep",
+            ),
+            pytest.param(Transient(t_stop=1e-6), None, id="transient"),
+            pytest.param(
+                MonteCarlo(
+                    inner=OP(), trials=TRIALS, policy=RunPolicy(on_failure="record")
+                ),
+                "error@1",
+                id="montecarlo",
+            ),
+        ],
+    )
+    def test_round_trip(self, plan, faults, monkeypatch):
+        if faults is None:
+            monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FAULTS", faults)
+        pairs = [
+            (SessionRecipe(builder=diode_rc_circuit, args=(title,)), plan)
+            for title in ("diode rc a", "diode rc b")
+        ]
+        serial = run_plans(pairs, workers=1)
+        # run_plans builds one parent session per group, in order, before
+        # any fan-out; recording builds in this process captures them.
+        built = []
+        real_build = SessionRecipe.build
+
+        def recording_build(recipe):
+            built.append(real_build(recipe))
+            return built[-1]
+
+        monkeypatch.setattr(SessionRecipe, "build", recording_build)
+        fanned = run_plans(pairs, workers=2)
+        for ours, theirs, parent in zip(fanned, serial, built[:2]):
+            assert type(ours) is type(theirs)
+            assert _comparable(ours) == _comparable(theirs)
+            ours_raw, theirs_raw = _raw_arrays(ours), _raw_arrays(theirs)
+            assert len(ours_raw) == len(theirs_raw) > 0
+            for a, b in zip(ours_raw, theirs_raw):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            assert all(circuit is parent.circuit for circuit in _circuits(ours))
+        if faults is not None:
+            assert [r.failed_indices() for r in fanned] == [(1,), (1,)]
+            assert [r.trial_indices for r in fanned] == [(0, 2), (0, 2)]
 
 
 class TestResults:
