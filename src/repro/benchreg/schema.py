@@ -75,6 +75,10 @@ HARD_GATES: Dict[str, str] = {
     # pipeline keeps this at zero, so ANY increment is a regression
     # (someone re-densified or re-formatted a matrix per iteration).
     "sparse_conversions": "lower",
+    # Static linear elements stamped through their own ``stamp``: a
+    # temperature or gmin change re-values the recorded layout, so an
+    # increment means a sweep went back to re-stamping every element.
+    "linear_stamps": "lower",
     "ac_factorizations": "lower",
     "op_cache_hits": "higher",
     "op_cache_warm_starts": "higher",

@@ -10,6 +10,11 @@ table in the package docstring.  Error contract:
 * Unknown job id => **404**; result of a pending job => **409**; result
   of a failed job => **500** carrying the job's failure record.
 * Malformed JSON or a non-JSON body => **400** (``type: "ValueError"``).
+* A body whose framing cannot be trusted is refused before it is read,
+  and the connection is closed: a missing, non-integer or negative
+  ``Content-Length``, or fewer body bytes than it declared => **400**;
+  a ``Content-Length`` above :data:`MAX_BODY_BYTES` => **413**.  No job
+  is queued in any of these cases.
 
 The server binds ``127.0.0.1`` by default and has no authentication —
 it is a local simulation daemon, not a network deployment (see the
@@ -37,6 +42,17 @@ from .jobs import DONE, FAILED, QUEUED, RUNNING, JobService
 #: Default bind address: loopback only (no authentication by design).
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8347
+#: Largest request body the server reads (8 MiB); a longer declared
+#: ``Content-Length`` is answered 413 before a byte of it is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _BodyError(ValueError):
+    """A request body refused before (or while) reading it."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -57,7 +73,8 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- plumbing ------------------------------------------------------
-    def _send(self, status: int, payload, content_type="application/json") -> None:
+    def _send(self, status: int, payload, content_type="application/json",
+              close: bool = False) -> None:
         body = (
             payload.encode()
             if isinstance(payload, str)
@@ -66,15 +83,42 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also ends this handler's keep-alive loop.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, exc_type: str, message: str) -> None:
-        self._send(status, {"error": {"type": exc_type, "message": message}})
+    def _error(self, status: int, exc_type: str, message: str,
+               close: bool = False) -> None:
+        self._send(
+            status, {"error": {"type": exc_type, "message": message}}, close=close
+        )
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
+        """The request body as JSON, its ``Content-Length`` checked
+        before anything is read (:class:`_BodyError` otherwise)."""
+        text = self.headers.get("Content-Length")
+        if text is None:
+            raise _BodyError(400, "missing Content-Length; expected a JSON body")
+        text = text.strip()
+        if not (text.isascii() and text.isdigit()):
+            raise _BodyError(
+                400,
+                f"invalid Content-Length {text!r}: expected a non-negative integer",
+            )
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(
+                413,
+                f"request body of {length} bytes exceeds the limit of "
+                f"{MAX_BODY_BYTES} bytes",
+            )
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise _BodyError(
+                400, f"short request body: {len(raw)} of {length} bytes"
+            )
         if not raw:
             raise ValueError("empty request body; expected JSON")
         return json.loads(raw)
@@ -151,6 +195,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/jobs":
             try:
                 request = self._read_json()
+            except _BodyError as exc:
+                # Unread body bytes would be parsed as the next request.
+                self._error(exc.status, "ValueError", str(exc), close=True)
+                return
             except (ValueError, json.JSONDecodeError) as exc:
                 self._error(400, "ValueError", str(exc))
                 return

@@ -14,6 +14,17 @@ from ...errors import NetlistError
 from .base import Element, Stamp
 
 
+def resistance_law(resistance, tc1, tc2, tnom, temperature_k):
+    """SPICE polynomial resistance ``R0 * (1 + tc1*dT + tc2*dT**2)`` [ohm].
+
+    Works on floats and on NumPy arrays alike: :meth:`Resistor.resistance_at`
+    and the compiled assembler's vectorized re-value of every resistor
+    share this one expression, so both round identically.
+    """
+    dt = temperature_k - tnom
+    return resistance * (1.0 + tc1 * dt + tc2 * dt * dt)
+
+
 class Resistor(Element):
     """Linear resistor between ``a`` and ``b``.
 
@@ -45,8 +56,9 @@ class Resistor(Element):
 
     def resistance_at(self, temperature_k: float) -> float:
         """Temperature-adjusted resistance [ohm]."""
-        dt = temperature_k - self.tnom
-        value = self.resistance * (1.0 + self.tc1 * dt + self.tc2 * dt * dt)
+        value = resistance_law(
+            self.resistance, self.tc1, self.tc2, self.tnom, temperature_k
+        )
         if value <= 0.0:
             raise NetlistError(
                 f"resistor {self.name}: temperature coefficients drive the "

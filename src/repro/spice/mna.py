@@ -38,16 +38,27 @@ picks them, from the circuit's size and device count:
   (linear part plus the nonlinear COO scatter), so large netlists never
   materialise a dense ``N x N`` matrix anywhere in the solve.
 
-Cache correctness: the linear part depends only on (temperature — fixed
-per system, ``gmin``, ``source_scale``, ``time``, and the integration
-context's alpha/state), all of which key the cache.  Mutating element
+Cache correctness: the linear part depends only on (temperature,
+``gmin``, ``source_scale``, ``time``, and the integration context's
+alpha/state), all of which key the cache.  The static group's first
+pass of a topology stamps every element through its own ``stamp`` and
+*records* where each Jacobian triplet goes.  A new temperature
+(:meth:`MNASystem.set_temperature`) or gmin then *re-values* that
+layout: every plain resistor's conductance comes from one NumPy
+expression over its packed values, and only the other static elements
+(sources, controlled sources, ``Resistor`` subclasses) re-stamp into
+their recorded slots; a source-scale or time change re-stamps only
+those others into ``b_lin`` (a resistor adds exactly zero at
+``x = 0``).  The layout is recorded again when an element emits a
+different number of triplets than recorded, or a resistor law turns
+non-positive (so the error is the scalar stamp's).  Mutating element
 *values* (resistance, source dc, gains of linear controlled sources,
 the model parameters of a *grouped* nonlinear device) or
 ``temperature_override`` on a live system is not tracked — call
-:meth:`MNASystem.invalidate` after doing so (it rebuilds the linear
-caches and re-packs the device groups), or build a fresh system
-(``solve_dc`` already builds one per call, which is why mutating values
-between ``solve_dc`` calls is safe).
+:meth:`MNASystem.invalidate` after doing so (it drops the linear caches
+and the recorded layout and re-packs the device groups), or build a
+fresh system (``solve_dc`` already builds one per call, which is why
+mutating values between ``solve_dc`` calls is safe).
 
 A ``gmin`` conductance from every node to ground is always present (it
 bounds the matrix condition number and is the knob the solver's gmin
@@ -65,6 +76,7 @@ import numpy as np
 from ..errors import NetlistError
 from ..telemetry import tracer as _tele
 from .elements.base import DynamicState, Stamp, TransientContext
+from .elements.passives import Resistor, resistance_law
 from .groups import build_groups
 from .netlist import Circuit
 from .stats import STATS
@@ -139,9 +151,10 @@ class _COOStamp(Stamp):
 class _TripletStamp(Stamp):
     """Stamp collecting Jacobian entries as plain-list COO triplets.
 
-    Used by the sparse assembly mode's *configuration-time* passes over
-    the linear groups (run once per cached configuration, so list
-    appends are fine); the triplets become a ``scipy.sparse`` matrix.
+    Used by the *configuration-time* passes over the linear groups (run
+    once per cached configuration, so list appends are fine); the
+    assembler sums the triplets, in stamping order, into a dense or CSC
+    matrix.
     """
 
     __slots__ = ("trip_rows", "trip_cols", "trip_vals")
@@ -158,28 +171,116 @@ class _TripletStamp(Stamp):
             self.trip_cols.append(col)
             self.trip_vals.append(value)
 
-    def matrix(self, size: int):
-        """The collected triplets as CSC (duplicates summed).
+    def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The collected ``(rows, cols, vals)`` as arrays."""
+        return (
+            np.array(self.trip_rows, dtype=np.intp),
+            np.array(self.trip_cols, dtype=np.intp),
+            np.array(self.trip_vals, dtype=float),
+        )
 
-        CSC is ``splu``'s native format: emitting it here keeps the
-        whole sparse pipeline — cached linear parts, per-iteration
-        deltas, factorization — in one format, so the solver never pays
-        a per-factorization conversion (``STATS.sparse_conversions``).
+
+class _StaticLayout:
+    """The static linear group's Jacobian triplets, recorded once.
+
+    Built from a recording pass that stamped every element through its
+    own ``stamp``: ``rows``/``cols``/``vals`` hold the triplets in
+    stamping order (the gmin diagonal first, then each element's
+    entries, ``bounds`` delimiting them), so a matrix summed from them
+    adds every entry in the same order as the scalar pass did.
+    :meth:`revalue` refills the same triplets at new conditions: plain
+    resistors from their packed values in one NumPy expression, every
+    other element by re-stamping into its recorded slots.  The first
+    re-value packs the resistors, so a layout that is never re-valued (a
+    DC sweep invalidates every point) costs only the recording.  The
+    packed values are snapshots: mutating them needs
+    :meth:`MNASystem.invalidate`, which drops the layout.
+    """
+
+    __slots__ = (
+        "rows", "cols", "vals", "bounds", "elements", "res_slots",
+        "res_owner", "res_sign", "r0", "tc1", "tc2", "tnom",
+        "override_idx", "override_t", "other_slots", "other_ends",
+    )
+
+    def __init__(self, stamp: _TripletStamp, bounds, elements):
+        self.rows, self.cols, self.vals = stamp.triplets()
+        self.bounds = bounds
+        self.elements = elements
+        self.res_slots = None
+
+    def _pack(self) -> None:
+        """Locate every triplet's slot and pack the resistors' values."""
+        is_res = np.array([type(el) is Resistor for el in self.elements], dtype=bool)
+        counts = np.diff(np.asarray(self.bounds, dtype=np.intp))
+        owner = np.repeat(np.arange(is_res.size), counts)
+        res_slot = is_res[owner]
+        n_gmin = self.bounds[0]
+        self.res_slots = n_gmin + np.flatnonzero(res_slot)
+        self.res_owner = (np.cumsum(is_res) - 1)[owner[res_slot]]
+        # stamp_conductance emits +g/-g; copysign keeps the sign of a
+        # zero conductance too.
+        self.res_sign = np.copysign(1.0, self.vals[self.res_slots])
+        self.other_slots = n_gmin + np.flatnonzero(~res_slot)
+        self.other_ends = np.cumsum(counts[~is_res]).tolist()
+        resistors = [el for el in self.elements if type(el) is Resistor]
+        self.r0 = np.array([el.resistance for el in resistors], dtype=float)
+        self.tc1 = np.array([el.tc1 for el in resistors], dtype=float)
+        self.tc2 = np.array([el.tc2 for el in resistors], dtype=float)
+        self.tnom = np.array([el.tnom for el in resistors], dtype=float)
+        overridden = [
+            (index, el.temperature_override)
+            for index, el in enumerate(resistors)
+            if el.temperature_override is not None
+        ]
+        self.override_idx = [index for index, _ in overridden]
+        self.override_t = [t for _, t in overridden]
+
+    def revalue(self, stamp: _TripletStamp, others) -> bool:
+        """Refill the triplet values at ``stamp``'s conditions.
+
+        ``others`` (the group's elements that are not plain resistors,
+        in order) stamp into ``stamp``, residual included.  Returns
+        False when the layout no longer fits: a resistor law is
+        non-positive (a recording pass then raises
+        :meth:`Resistor.resistance_at`'s error) or an element emitted a
+        different number of triplets than recorded.
         """
-        return _coo_matrix(
-            (self.trip_vals, (self.trip_rows, self.trip_cols)),
-            shape=(size, size),
-        ).tocsc()
+        if self.res_slots is None:
+            self._pack()
+        temperature = stamp.temperature_k
+        if self.override_idx:
+            temperature = np.full(self.r0.size, temperature, dtype=float)
+            temperature[self.override_idx] = self.override_t
+        resistance = resistance_law(
+            self.r0, self.tc1, self.tc2, self.tnom, temperature
+        )
+        if np.any(resistance <= 0.0):
+            return False
+        ends = []
+        for el in others:
+            el.stamp(stamp)
+            ends.append(len(stamp.trip_rows))
+        STATS.linear_stamps += len(others)
+        if ends != self.other_ends:
+            return False
+        self.vals[: self.bounds[0]] = stamp.gmin
+        self.vals[self.res_slots] = self.res_sign * (1.0 / resistance)[self.res_owner]
+        self.rows[self.other_slots] = stamp.trip_rows
+        self.cols[self.other_slots] = stamp.trip_cols
+        self.vals[self.other_slots] = stamp.trip_vals
+        return True
 
 
 class CompiledAssembler:
     """Partitioned fast assembly for one :class:`MNASystem`.
 
-    Cached pieces (all per-system, so per-temperature):
+    Cached pieces (all per-system and dropped on a temperature change):
 
     ``G_static``
         Jacobian of the non-dynamic linear elements plus the gmin
-        diagonal; keyed by ``gmin``.
+        diagonal; keyed by ``gmin``.  Summed from the recorded
+        :class:`_StaticLayout`, which outlives a temperature change.
     ``b_static``
         Residual of the same group at ``x = 0`` (source injections,
         branch-equation targets); keyed by ``(source_scale, time)``.
@@ -211,6 +312,12 @@ class CompiledAssembler:
         self.linear_static = [
             el for el in elements if el.is_linear and not el.is_dynamic
         ]
+        #: Static elements that keep their scalar stamp on a re-value:
+        #: everything but plain resistors (sources, controlled sources,
+        #: Resistor subclasses).
+        self.static_scalar = [
+            el for el in self.linear_static if type(el) is not Resistor
+        ]
         self.linear_dynamic = [el for el in elements if el.is_linear and el.is_dynamic]
         self.nonlinear = [el for el in elements if not el.is_linear]
         # vectorized: None = env default with the adaptive size
@@ -234,6 +341,7 @@ class CompiledAssembler:
         #: Extended-iterate buffer [x, 0.0] the groups gather from (the
         #: trailing zero is the ground slot).
         self._x_ext = np.zeros(system.size + 1)
+        self._layout: Optional[_StaticLayout] = None
         self._g_static: Optional[np.ndarray] = None
         self._g_static_key: Optional[float] = None
         self._b_static: Optional[np.ndarray] = None
@@ -276,32 +384,44 @@ class CompiledAssembler:
             transient=transient,
         )
 
+    def _matrix(self, rows, cols, vals):
+        """Sum COO triplets, in order, into a CSC (sparse mode) or dense
+        matrix.
+
+        CSC is ``splu``'s native format: emitting it here keeps the
+        whole sparse pipeline — cached linear parts, per-iteration
+        deltas, factorization — in one format, so the solver never pays
+        a per-factorization conversion (``STATS.sparse_conversions``).
+        The dense sum (``np.add.at``) accumulates in triplet order, as
+        stamping element by element into the matrix would.
+        """
+        size = self.system.size
+        if self.sparse:
+            return _coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
+        matrix = np.zeros((size, size))
+        np.add.at(matrix, (rows, cols), vals)
+        return matrix
+
     def _static_pass(self, gmin: float, source_scale: float,
                      time: Optional[float]) -> None:
-        """Full (J, F) stamp of the static linear group at ``x = 0``."""
+        """Full (J, F) stamp of the static linear group at ``x = 0``.
+
+        Re-values the recorded layout when there is one; the first pass
+        of a topology (and any pass the layout no longer fits) stamps
+        every element and records it.
+        """
         size = self.system.size
         residual = np.zeros(size)
-        if self.sparse:
-            stamp = self._base_stamp(
-                _TripletStamp, np.zeros(size), None, residual, gmin,
-                source_scale, time, None,
+        layout = self._layout
+        if layout is None or not layout.revalue(
+            self._static_stamp(residual, gmin, source_scale, time),
+            self.static_scalar,
+        ):
+            residual = np.zeros(size)
+            layout = self._record(
+                self._static_stamp(residual, gmin, source_scale, time)
             )
-            for node in range(self.system.n_nodes):
-                stamp.add_jacobian(node, node, gmin)
-            for el in self.linear_static:
-                el.stamp(stamp)
-            self._g_static = stamp.matrix(size)
-        else:
-            jacobian = np.zeros((size, size))
-            stamp = self._base_stamp(
-                Stamp, np.zeros(size), jacobian, residual, gmin,
-                source_scale, time, None,
-            )
-            for node in range(self.system.n_nodes):
-                jacobian[node, node] += gmin
-            for el in self.linear_static:
-                el.stamp(stamp)
-            self._g_static = jacobian
+        self._g_static = self._matrix(layout.rows, layout.cols, layout.vals)
         self._g_static_key = gmin
         self._b_static = residual
         self._b_static_key = (source_scale, time)
@@ -309,17 +429,44 @@ class CompiledAssembler:
         self._g_lin_key = None
         self._b_comb_key = None
 
+    def _static_stamp(self, residual, gmin: float, source_scale: float,
+                      time: Optional[float]) -> _TripletStamp:
+        """A triplet stamp for one static pass at ``x = 0``."""
+        return self._base_stamp(
+            _TripletStamp, np.zeros(self.system.size), None, residual, gmin,
+            source_scale, time, None,
+        )
+
+    def _record(self, stamp: _TripletStamp) -> _StaticLayout:
+        """Stamp every static element through its own ``stamp`` and
+        record the triplet layout."""
+        n_nodes = self.system.n_nodes
+        for node in range(n_nodes):
+            stamp.add_jacobian(node, node, stamp.gmin)
+        bounds = [n_nodes]
+        for el in self.linear_static:
+            el.stamp(stamp)
+            bounds.append(len(stamp.trip_rows))
+        STATS.linear_stamps += len(self.linear_static)
+        self._layout = _StaticLayout(stamp, bounds, self.linear_static)
+        return self._layout
+
     def _static_residual_pass(self, gmin: float, source_scale: float,
                               time: Optional[float]) -> None:
-        """Refresh only ``b_static`` (source values moved, J unchanged)."""
+        """Refresh only ``b_static`` (source values moved, J unchanged).
+
+        A plain resistor adds exactly zero at ``x = 0``, so only the
+        scalar-stamped elements stamp.
+        """
         size = self.system.size
         residual = np.zeros(size)
         stamp = self._base_stamp(
             _ResidualOnlyStamp, np.zeros(size), None, residual, gmin,
             source_scale, time, None,
         )
-        for el in self.linear_static:
+        for el in self.static_scalar:
             el.stamp(stamp)
+        STATS.linear_stamps += len(self.static_scalar)
         self._b_static = residual
         self._b_static_key = (source_scale, time)
         self._b_comb_key = None
@@ -330,23 +477,13 @@ class CompiledAssembler:
             size = self.system.size
             states = {el.name: DynamicState() for el in self.linear_dynamic}
             unit_ctx = TransientContext(dt=1.0, method="be", states=states)
-            if self.sparse:
-                stamp = self._base_stamp(
-                    _TripletStamp, np.zeros(size), None, np.zeros(size), 0.0,
-                    1.0, None, unit_ctx,
-                )
-                for el in self.linear_dynamic:
-                    el.stamp(stamp)
-                self._c_pattern = stamp.matrix(size)
-            else:
-                jacobian = np.zeros((size, size))
-                stamp = self._base_stamp(
-                    Stamp, np.zeros(size), jacobian, np.zeros(size), 0.0, 1.0,
-                    None, unit_ctx,
-                )
-                for el in self.linear_dynamic:
-                    el.stamp(stamp)
-                self._c_pattern = jacobian
+            stamp = self._base_stamp(
+                _TripletStamp, np.zeros(size), None, np.zeros(size), 0.0,
+                1.0, None, unit_ctx,
+            )
+            for el in self.linear_dynamic:
+                el.stamp(stamp)
+            self._c_pattern = self._matrix(*stamp.triplets())
         return self._c_pattern
 
     def _dynamic_residual(self, gmin: float, source_scale: float,
@@ -476,16 +613,23 @@ class CompiledAssembler:
                 el.stamp(stamp)
         return residual
 
-    def invalidate(self) -> None:
-        """Drop every cached linear part (element values were mutated)
-        and re-pack the device groups (their parameter arrays and
-        temperature-override snapshots are build-time copies)."""
+    def drop_linear_caches(self) -> None:
+        """Drop every cached linear part, keeping the recorded static
+        layout and the packed device groups (the temperature moved)."""
         self._g_static_key = None
         self._b_static_key = None
         self._c_pattern = None
         self._g_lin_key = None
         self._b_dyn_key = None
         self._b_comb_key = None
+
+    def invalidate(self) -> None:
+        """Drop every cached linear part and the recorded static layout
+        (element values were mutated) and re-pack the device groups
+        (their parameter arrays and temperature-override snapshots are
+        build-time copies)."""
+        self.drop_linear_caches()
+        self._layout = None
         self._build_groups()
 
 
@@ -536,15 +680,17 @@ class MNASystem:
         Sweeps call this instead of rebuilding an :class:`MNASystem` per
         point: bindings, slot reservations and the Newton workspace all
         survive, so LU reuse and the compiled caches span sweep points.
-        The linear caches are dropped (resistor tempcos and
+        Only the linear caches are dropped (resistor tempcos and
         temperature-law sources make ``G_lin``/``b_lin``
-        temperature-dependent); element-level memos key on temperature
-        themselves and need no help.
+        temperature-dependent): the next assembly re-values the recorded
+        static layout instead of re-stamping every element.  The packed
+        device groups are kept — their laws key on the ambient
+        temperature themselves, as do the element-level memos.
         """
         if temperature_k == self.temperature_k:
             return
         self.temperature_k = temperature_k
-        self.invalidate()
+        self._assembler.drop_linear_caches()
 
     def invalidate(self) -> None:
         """Invalidate cached state after mutating element values.
@@ -552,10 +698,12 @@ class MNASystem:
         Needed when a *linear* element's value (resistance, source dc,
         controlled-source gain), a *grouped* nonlinear device's model
         values, or any element's ``temperature_override`` is changed on
-        a live system: the linear caches and the groups' packed
-        parameter arrays are all build-time snapshots, and this call
-        rebuilds both.  Ungrouped nonlinear elements are re-stamped
-        every assembly regardless.
+        a live system: the linear caches, the recorded static layout
+        (with its packed resistor values) and the groups' packed
+        parameter arrays are all snapshots, and this call drops all
+        three — the next assembly records the layout again and the
+        groups are re-packed now.  Ungrouped nonlinear elements are
+        re-stamped every assembly regardless.
         """
         self._assembler.invalidate()
 

@@ -51,6 +51,11 @@ class SolverStats:
     #: systems; any increment means a matrix was built in the wrong
     #: format and re-walked per factorization.
     sparse_conversions: int = 0
+    #: Static linear elements stamped through their own ``stamp`` while
+    #: the linear caches are built: every element of the recording pass,
+    #: then only the elements that are not plain resistors on a re-value
+    #: (new temperature or gmin) or a ``b_static`` refresh.
+    linear_stamps: int = 0
     #: Complex linear solves of the AC subsystem (one per frequency).
     ac_solves: int = 0
     #: Complex ``G + jwC`` factorizations taken by the AC subsystem.

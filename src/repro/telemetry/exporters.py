@@ -37,6 +37,7 @@ _METRIC_HELP = {
     "group_evals": "Vectorized device-group evaluation passes.",
     "grouped_device_evals": "Devices evaluated through the grouped path.",
     "sparse_assemblies": "Assemblies that returned a scipy.sparse Jacobian.",
+    "linear_stamps": "Static linear elements stamped through their own stamp while the linear caches are built.",
     "ac_solves": "Complex linear solves of the AC subsystem (one per frequency).",
     "ac_factorizations": "Complex G + jwC factorizations.",
     "ac_factor_reuses": "AC solves served by a reused factorization.",

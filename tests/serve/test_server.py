@@ -8,6 +8,7 @@ ResourceWarning into a failure).
 
 import http.client
 import json
+import socket
 import time
 import urllib.request
 
@@ -151,6 +152,73 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert elapsed < 0.2
+
+
+class TestRequestBodyLimits:
+    """``POST /jobs`` refuses a body whose framing it cannot trust before
+    reading it: answered at once, the connection closed, no job queued."""
+
+    BODY = json.dumps(REQUEST).encode()
+
+    def _post_raw(self, server, content_length, body, half_close=False):
+        """Send one ``POST /jobs`` over a raw socket; the answer must
+        arrive within 0.5 s.  Returns ``(status, error_type)``."""
+        host, port = server.address
+        head = "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        if content_length is not None:
+            head += f"Content-Length: {content_length}\r\n"
+        start = time.perf_counter()
+        with socket.create_connection((host, port), timeout=0.5) as sock:
+            sock.sendall(head.encode() + b"\r\n" + body)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = sock.recv(65536)
+                assert chunk, f"connection closed without a response: {data!r}"
+                data += chunk
+            headers, _, rest = data.partition(b"\r\n\r\n")
+            lines = headers.decode().split("\r\n")
+            fields = dict(line.split(": ", 1) for line in lines[1:])
+            while len(rest) < int(fields["Content-Length"]):
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed mid-body"
+                rest += chunk
+        assert time.perf_counter() - start < 0.5
+        assert fields.get("Connection") == "close"
+        payload = json.loads(rest[: int(fields["Content-Length"])])
+        return int(lines[0].split()[1]), payload["error"]["type"]
+
+    @pytest.mark.parametrize(
+        "content_length",
+        [None, "-1", "abc", "12x", "1e3"],
+        ids=["missing", "negative", "word", "suffix", "float"],
+    )
+    def test_untrusted_length_is_400(self, server, content_length):
+        before = server.service.counts()
+        status, error_type = self._post_raw(server, content_length, self.BODY)
+        assert (status, error_type) == (400, "ValueError")
+        assert server.service.counts() == before
+
+    @pytest.mark.parametrize("content_length", ["2147483648", str(8 * 2**20 + 1)])
+    def test_oversized_length_is_413(self, server, content_length):
+        before = server.service.counts()
+        status, error_type = self._post_raw(server, content_length, self.BODY)
+        assert (status, error_type) == (413, "ValueError")
+        assert server.service.counts() == before
+
+    def test_short_body_is_400(self, server):
+        before = server.service.counts()
+        status, error_type = self._post_raw(
+            server, len(self.BODY) + 20, self.BODY, half_close=True
+        )
+        assert (status, error_type) == (400, "ValueError")
+        assert server.service.counts() == before
+
+    def test_server_keeps_serving_after_refusals(self, server, client):
+        self._post_raw(server, "-1", self.BODY)
+        self._post_raw(server, "2147483648", self.BODY)
+        assert client.wait(client.submit(REQUEST))["state"] == "done"
 
 
 class TestRestartWarmStart:
