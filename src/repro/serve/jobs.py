@@ -8,8 +8,9 @@ Three pieces, all transport-agnostic (the HTTP front end in
   JSON dicts (``{"analysis": "TempSweep", "temperatures_k": [...]}``),
   :func:`circuit_from_wire` parses the submitted netlist text, and
   :func:`policy_from_wire` builds the per-job
-  :class:`~repro.resilience.RunPolicy`.  Every malformed request raises
-  a typed :class:`~repro.errors.PlanError` (or another
+  :class:`~repro.resilience.RunPolicy`.  Every malformed request, a
+  field of the wrong JSON type included, raises a typed
+  :class:`~repro.errors.PlanError` (or another
   ``NetlistError``) *before any solve* — the same validation boundary
   the Session planner enforces, which the server maps to HTTP 400.
 * **SessionPool** — one :class:`~repro.spice.session.Session` per
@@ -24,12 +25,14 @@ Three pieces, all transport-agnostic (the HTTP front end in
   ``Outcome``-style failure attribution (error type, message, attempts,
   wall time).  Completed jobs flush the owning session to the store
   immediately (write-through), so a server kill after job completion
-  never loses solved points.
+  never loses solved points; a job whose flush fails is reported
+  ``failed``, and the worker goes on to the next job.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import queue
 import threading
 import time
@@ -38,8 +41,8 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import NetlistError, PlanError
-from ..resilience import RunPolicy
-from ..resilience.supervisor import supervised_call
+from ..resilience import Outcome, RunPolicy
+from ..resilience.supervisor import failure_status, supervised_call
 from ..spice.parser import parse_netlist
 from ..spice.plans import (
     ACSweep,
@@ -83,13 +86,50 @@ def _triples(name: str, value) -> Tuple[Tuple[str, str, float], ...]:
         ) from None
 
 
-def _solver_options_from_wire(value) -> SolverOptions:
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_option_fields(kind: str, cls, value) -> None:
+    """Shape-check a wire options object against the dataclass ``cls``.
+
+    Every key must name a field, and every value must have the type of
+    that field's default: a bool; an int that is not a bool; any real
+    number; a string; a list of real numbers for sequence fields; and
+    ``null`` only where the default is ``None`` (those fields take a
+    number otherwise).  A nested options object (a field without a plain
+    default) is left to its own codec.
+    """
     if not isinstance(value, Mapping):
         raise PlanError(f"options must be an object, got {type(value).__name__}")
-    allowed = {spec.name for spec in fields(SolverOptions)}
-    unknown = sorted(set(value) - allowed)
+    specs = {spec.name: spec for spec in fields(cls)}
+    unknown = sorted(set(value) - set(specs))
     if unknown:
-        raise PlanError(f"unknown solver option(s): {', '.join(unknown)}")
+        raise PlanError(f"unknown {kind} option(s): {', '.join(unknown)}")
+    for name, got in value.items():
+        default = specs[name].default
+        if default is None:
+            ok, expected = got is None or _is_real(got), "a number or null"
+        elif isinstance(default, bool):
+            ok, expected = isinstance(got, bool), "a boolean"
+        elif isinstance(default, int):
+            ok = isinstance(got, int) and not isinstance(got, bool)
+            expected = "an integer"
+        elif isinstance(default, float):
+            ok, expected = _is_real(got), "a number"
+        elif isinstance(default, str):
+            ok, expected = isinstance(got, str), "a string"
+        elif isinstance(default, tuple):
+            ok = isinstance(got, (list, tuple)) and all(map(_is_real, got))
+            expected = "a list of numbers"
+        else:
+            continue
+        if not ok:
+            raise PlanError(f"{kind} option {name} must be {expected}, got {got!r}")
+
+
+def _solver_options_from_wire(value) -> SolverOptions:
+    _check_option_fields("solver", SolverOptions, value)
     kwargs = {
         # JSON arrays arrive as lists; SolverOptions equality (and the
         # session cache key, which is its repr) expects tuples.
@@ -103,14 +143,9 @@ def _solver_options_from_wire(value) -> SolverOptions:
 
 
 def _transient_options_from_wire(value) -> TransientOptions:
-    if not isinstance(value, Mapping):
-        raise PlanError(f"options must be an object, got {type(value).__name__}")
-    allowed = {spec.name for spec in fields(TransientOptions)}
-    unknown = sorted(set(value) - allowed)
-    if unknown:
-        raise PlanError(f"unknown transient option(s): {', '.join(unknown)}")
+    _check_option_fields("transient", TransientOptions, value)
     kwargs = dict(value)
-    if "newton" in kwargs and kwargs["newton"] is not None:
+    if "newton" in kwargs:
         kwargs["newton"] = _solver_options_from_wire(kwargs["newton"])
     try:
         return TransientOptions(**kwargs)
@@ -169,7 +204,10 @@ def plan_from_wire(data) -> AnalysisPlan:
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise PlanError(f"invalid {name} plan: {exc}") from None
 
 
 def plan_to_wire(plan: AnalysisPlan) -> dict:
@@ -470,16 +508,31 @@ class JobService:
     def _execute(self, job: JobRecord) -> None:
         job.state = RUNNING
         job.started_at = time.time()
-        circuit_wire = job.request["circuit"]
-        session, lock = self.pool.lease(
-            circuit_wire["netlist"], str(circuit_wire.get("title", ""))
-        )
-        policy = policy_from_wire(job.request.get("policy")) or self.default_policy
-        with lock:
-            outcome = supervised_call(
-                lambda: session.run(job.plan).to_dict(), index=0, policy=policy
+        outcome = None
+        try:
+            circuit_wire = job.request["circuit"]
+            session, lock = self.pool.lease(
+                circuit_wire["netlist"], str(circuit_wire.get("title", ""))
             )
-            flushed = session.flush_store()
+            policy = policy_from_wire(job.request.get("policy")) or self.default_policy
+            with lock:
+                outcome = supervised_call(
+                    lambda: session.run(job.plan).to_dict(), index=0, policy=policy
+                )
+                # Write-through: points persisted before the state flip.
+                session.flush_store()
+        except Exception as exc:
+            # Outside the supervised solve (the lease, the store flush):
+            # the job fails, even after a good solve, because its points
+            # were not persisted; the worker goes on to the next job.
+            outcome = Outcome(
+                index=0,
+                status=failure_status(exc),
+                error=exc,
+                attempts=0 if outcome is None else outcome.attempts,
+                worker_pid=os.getpid(),
+                wall_s=time.time() - job.started_at,
+            )
         job.attempts = outcome.attempts
         job.finished_at = time.time()
         if outcome.ok:
@@ -492,7 +545,6 @@ class JobService:
             job.error = failure
             job.state = FAILED
             STATS.serve_jobs_failed += 1
-        del flushed  # write-through: points persisted before the state flip
 
     # -- lifecycle -----------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> bool:

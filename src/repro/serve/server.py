@@ -7,7 +7,8 @@ table in the package docstring.  Error contract:
 * Submission failures caught by the :class:`~repro.errors.PlanError`
   validation boundary (or any other typed ``NetlistError``) => **400**
   with ``{"error": {"type": ..., "message": ...}}`` — before any solve.
-* Unknown job id => **404**; result of a pending job => **409**; result
+* Unknown job id, or any path under ``/jobs/<id>`` other than
+  ``/result`` => **404**; result of a pending job => **409**; result
   of a failed job => **500** carrying the job's failure record.
 * Malformed JSON or a non-JSON body => **400** (``type: "ValueError"``).
 * A body whose framing cannot be trusted is refused before it is read,
@@ -175,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, "NotFound", f"no such job {parts[0]!r}")
             elif len(parts) == 1:
                 self._send(200, job.to_dict())
-            elif parts[1] == "result":
+            elif parts[1:] == ["result"]:
                 if job.state in (QUEUED, RUNNING):
                     self._error(
                         409, "Pending", f"job {job.id} is {job.state}; poll "

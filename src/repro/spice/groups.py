@@ -536,11 +536,11 @@ class DiodeGroup(DeviceGroup):
 #: costs ~0.4-0.8 us of dispatch regardless of array length on the CI
 #: host, and one junction evaluation is ~26 such calls, so a group pass
 #: has a flat ~30 us floor; the scalar per-element stamp costs ~5 us per
-#: device.  Measured break-even on the CI host is ~13 devices (see
-#: ``benchmarks/bench_device_eval.py`` for the sweep); below the
-#: threshold the scalar path is simply faster and the group is not
-#: built.  ``REPRO_GROUP_MIN`` overrides (the test fixtures pin it to 1
-#: so every circuit family exercises the vectorized math).
+#: device.  The break-even, measured on the CI host when grouping was
+#: introduced, was ~13 devices; below the threshold the scalar path is
+#: simply faster and the group is not built.  ``REPRO_GROUP_MIN``
+#: overrides (the test fixtures pin it to 1 so every circuit family
+#: exercises the vectorized math).
 _DEFAULT_GROUP_MIN = 12
 
 

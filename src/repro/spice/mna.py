@@ -322,7 +322,7 @@ class CompiledAssembler:
         self.nonlinear = [el for el in elements if not el.is_linear]
         # vectorized: None = env default with the adaptive size
         # threshold; True = force grouping regardless of size (the
-        # equivalence tests and device benchmarks); False = scalar only.
+        # equivalence tests pin one path this way); False = scalar only.
         min_size = None
         if vectorized is None:
             vectorized = _vectorized_default()
@@ -647,8 +647,8 @@ class MNASystem:
 
         ``vectorized``/``sparse`` override the process-wide defaults
         (``REPRO_VECTORIZED``, the ``REPRO_SPARSE_THRESHOLD`` size
-        switch) for this system — the hooks the equivalence tests and
-        the device benchmarks use to pin one path per instance.
+        switch) for this system — hooks that serve the tests, which
+        pin one path per instance.
         """
         circuit.validate()
         self.circuit = circuit

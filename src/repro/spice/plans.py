@@ -11,9 +11,10 @@ fan-out.
 Validation happens in two stages:
 
 * **construction time** (``__post_init__``): everything checkable
-  without a circuit — empty grids, non-finite values, inconsistent
-  windows, conflicting parameter overrides — raises a typed
-  :class:`~repro.errors.PlanError` immediately;
+  without a circuit — a value that is not a number (a bool, a bare
+  string where a grid belongs), empty grids, non-finite values,
+  inconsistent windows, conflicting parameter overrides — raises a
+  typed :class:`~repro.errors.PlanError` immediately;
 * **submission time** (``plan.validate(circuit)``, called by the
   session before solving): circuit-dependent checks — unknown elements
   in overrides, unknown recorded nodes, a ``DCSweep`` source that is
@@ -41,13 +42,22 @@ from .transient import TransientOptions
 Overrides = Tuple[Tuple[str, str, float], ...]
 
 
+def _real(name: str, value) -> float:
+    """One number as a float; anything else (a bool too) is a PlanError."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise PlanError(f"{name} must be a number, got {value!r}")
+
+
 def _float_tuple(name: str, values, minimum: Optional[float] = None,
                  allow_empty: bool = False) -> Tuple[float, ...]:
     """Normalise a value grid to a tuple of finite floats."""
-    try:
-        grid = tuple(float(value) for value in values)
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"{name} must be a sequence of numbers: {exc}") from None
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise PlanError(f"{name} must be a sequence of numbers, got {values!r}")
+    grid = tuple(_real(f"{name} entry", value) for value in values)
     if not grid and not allow_empty:
         raise PlanError(f"{name} grid is empty")
     for value in grid:
@@ -90,7 +100,7 @@ def _normalise_overrides(overrides) -> Overrides:
 
 
 def _check_temperature(temperature_k: float) -> float:
-    temperature_k = float(temperature_k)
+    temperature_k = _real("temperature", temperature_k)
     if not math.isfinite(temperature_k) or temperature_k <= 0.0:
         raise PlanError(f"temperature must be positive and finite, got {temperature_k}")
     return temperature_k
@@ -110,6 +120,10 @@ class AnalysisPlan:
 
     # -- shared normalisation helpers ----------------------------------
     def _normalise_common(self) -> None:
+        if isinstance(self.record, str):
+            raise PlanError(
+                f"record must be a sequence of node names, got {self.record!r}"
+            )
         object.__setattr__(self, "overrides", _normalise_overrides(self.overrides))
         object.__setattr__(
             self, "record", tuple(str(node) for node in self.record)
@@ -175,7 +189,7 @@ class OP(AnalysisPlan):
     def __post_init__(self):
         object.__setattr__(self, "temperature_k", _check_temperature(self.temperature_k))
         if self.time is not None:
-            time = float(self.time)
+            time = _real("OP time", self.time)
             if not math.isfinite(time):
                 raise PlanError(f"OP time must be finite, got {time}")
             object.__setattr__(self, "time", time)
@@ -270,7 +284,8 @@ class Transient(AnalysisPlan):
     options: Optional[TransientOptions] = None
 
     def __post_init__(self):
-        t_stop, t_start = float(self.t_stop), float(self.t_start)
+        t_stop = _real("Transient t_stop", self.t_stop)
+        t_start = _real("Transient t_start", self.t_start)
         if not (math.isfinite(t_start) and math.isfinite(t_stop)):
             raise PlanError("Transient window must be finite")
         if t_stop <= t_start:

@@ -16,7 +16,8 @@ from repro.circuits.bandgap_cell import (
 )
 from repro.constants import thermal_voltage
 from repro.errors import NetlistError
-from repro.spice import OP, Session, TempSweep
+from repro.experiments.fig8_vref_curves import FIG8_TEMPS_C
+from repro.spice import OP, Session, SessionRecipe, TempSweep, run_plans
 from repro.units import celsius_to_kelvin
 
 IDEAL = BandgapCellConfig(substrate_unit=None)
@@ -111,15 +112,32 @@ class TestNonIdealities:
         assert leaky[2] - clean[2] > 10e-3
 
     def test_radja_flattens_hot_end(self):
-        t_hot = celsius_to_kelvin(145.0)
-        vref = {}
-        for radja in (0.0, 1.8e3, 2.5e3, 2.7e3):
-            op = Session(build_bandgap_cell(BandgapCellConfig(radja=radja))).run(
-                OP(temperature_k=t_hot)
-            ).op
-            vref[radja] = measure_vref(op)
+        # The four Fig. 8 configurations swept over its grid (which ends
+        # at 145 C), one session each through the batch layer.
+        plan = TempSweep(
+            temperatures_k=tuple(celsius_to_kelvin(t) for t in FIG8_TEMPS_C)
+        )
+        curves = [
+            result.voltage("vref")
+            for result in run_plans(
+                [
+                    (
+                        SessionRecipe(
+                            builder=build_bandgap_cell,
+                            args=(BandgapCellConfig(radja=radja),),
+                        ),
+                        plan,
+                    )
+                    for radja in (0.0, 1.8e3, 2.5e3, 2.7e3)
+                ]
+            )
+        ]
+        for vref in curves:
+            assert np.all((1.15 < vref) & (vref < 1.30)), vref
         # Monotone flattening with RadjA, exactly Fig. 8's S1..S4 ordering.
-        assert vref[0.0] > vref[1.8e3] > vref[2.5e3] > vref[2.7e3]
+        hot = [vref[-1] for vref in curves]
+        assert hot[0] > hot[1] > hot[2] > hot[3]
+        assert np.ptp(curves[0]) > np.ptp(curves[-1])
 
     def test_radja_no_effect_at_room_temperature(self):
         t = celsius_to_kelvin(25.0)

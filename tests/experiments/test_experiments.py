@@ -45,25 +45,7 @@ class TestRegistry:
 
 
 class TestShapeChecks:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "fig1",
-            "fig2",
-            "fig5",
-            "fig6",
-            "fig8",
-            "table1",
-            "ablation_sensitivity",
-            "ablation_current_ratio",
-            "ablation_solver",
-            "sub1v_extension",
-            "startup_transient",
-            "psrr_vref",
-            "loop_gain",
-            "zout_vref",
-        ],
-    )
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_experiment_passes(self, all_results, name):
         result = all_results[name]
         assert result.passed, f"{name} failing: {result.failing_checks()}"

@@ -51,6 +51,25 @@ from repro.spice.transient import TransientOptions
 NETLIST = ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 5\nR1 in d 1k\nD1 d 0 DM\n"
 
 
+#: Plans whose fields have the wrong JSON type, by case name.  Each must
+#: be refused as a PlanError at submit, before any solve.
+WRONG_TYPED_PLANS = {
+    "temperature-text": {"analysis": "OP", "temperature_k": "hot"},
+    "temperature-null": {"analysis": "OP", "temperature_k": None},
+    "temperature-bool": {"analysis": "OP", "temperature_k": True},
+    "op-time-text": {"analysis": "OP", "time": "x"},
+    "t-stop-null": {"analysis": "Transient", "t_stop": None},
+    "temperature-grid-text": {"analysis": "TempSweep", "temperatures_k": "399"},
+    "dc-values-text": {"analysis": "DCSweep", "source": "V1", "values": "123"},
+    "record-text": {"analysis": "OP", "record": "d"},
+    "solver-int-text": {"analysis": "OP", "options": {"max_iterations": "many"}},
+    "solver-bool-text": {"analysis": "OP", "options": {"reuse_lu": "no"}},
+    "transient-bool-text": {
+        "analysis": "Transient", "t_stop": 1e-6, "options": {"adaptive": "no"}
+    },
+}
+
+
 @pytest.fixture(autouse=True)
 def _reset_stats():
     STATS.reset()
@@ -68,9 +87,17 @@ class TestWireCodec:
             TempSweep(temperatures_k=(280.15, 300.15)),
             ACSweep(frequencies_hz=(10.0, 100.0), temperatures_k=(300.15,)),
             Transient(t_stop=1e-6, record=("d",)),
-            Transient(t_stop=1e-6, options=TransientOptions(dt_init=1e-9)),
+            Transient(
+                t_stop=1e-6,
+                options=TransientOptions(
+                    dt_init=1e-9,
+                    adaptive=False,
+                    newton=SolverOptions(gmin_ladder=(1e-3, 1e-6)),
+                ),
+            ),
             MonteCarlo(inner=OP(), trials=((("R1", "resistance", 1.1e3),),)),
-            OP(options=SolverOptions(max_iterations=99)),
+            # An integer is a real number: max_step_v takes 1.
+            OP(options=SolverOptions(max_iterations=99, max_step_v=1)),
         ],
         ids=lambda plan: type(plan).__name__,
     )
@@ -109,6 +136,43 @@ class TestWireCodec:
     def test_bad_override_shape(self):
         with pytest.raises(PlanError, match="triples"):
             plan_from_wire({"analysis": "OP", "overrides": [["R1", 1e3]]})
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"max_iterations": True}, "max_iterations must be an integer"),
+            ({"max_iterations": 150.0}, "max_iterations must be an integer"),
+            ({"abstol": True}, "abstol must be a number"),
+            ({"abstol": None}, "abstol must be a number"),
+            ({"sparse_permc": 5}, "sparse_permc must be a string"),
+            ({"gmin_ladder": 1e-3}, "gmin_ladder must be a list of numbers"),
+            ({"gmin_ladder": [1e-3, "1e-5"]}, "gmin_ladder must be a list of numbers"),
+        ],
+        ids=["int-bool", "int-float", "real-bool", "real-null", "text-number",
+             "list-number", "list-text-item"],
+    )
+    def test_solver_option_types(self, options, message):
+        with pytest.raises(PlanError, match=message):
+            plan_from_wire({"analysis": "OP", "options": options})
+        with pytest.raises(PlanError, match=message):
+            plan_from_wire(
+                {"analysis": "Transient", "t_stop": 1e-6, "options": {"newton": options}}
+            )
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"dt_init": "1n"}, "dt_init must be a number or null"),
+            ({"adaptive": 1}, "adaptive must be a boolean"),
+            ({"max_steps": 1e5}, "max_steps must be an integer"),
+            ({"method": None}, "method must be a string"),
+            ({"newton": None}, "options must be an object"),
+        ],
+        ids=["optional-text", "bool-int", "int-float", "text-null", "newton-null"],
+    )
+    def test_transient_option_types(self, options, message):
+        with pytest.raises(PlanError, match=message):
+            plan_from_wire({"analysis": "Transient", "t_stop": 1e-6, "options": options})
 
     def test_policy_codec(self):
         policy = policy_from_wire({"max_retries": 2, "backoff_s": 0.5})
@@ -265,6 +329,22 @@ class TestJobService:
         finally:
             service.stop()
 
+    @pytest.mark.parametrize(
+        "plan", list(WRONG_TYPED_PLANS.values()), ids=list(WRONG_TYPED_PLANS)
+    )
+    def test_wrong_typed_fields_rejected_before_any_solve(self, plan):
+        service = self._service()
+        try:
+            with pytest.raises(PlanError):
+                service.submit(self._request(plan))
+            assert STATS.serve_jobs_rejected == 1
+            assert STATS.serve_jobs_submitted == 0
+            assert service.jobs() == []
+            assert service._queue.empty()
+            assert STATS.newton_solves == 0
+        finally:
+            service.stop()
+
     def test_wire_timeout_rejected_before_any_solve(self):
         # The deadline watchdog abandons a timed-out solve instead of
         # stopping it: a wire deadline on this sweep would leave three
@@ -412,6 +492,41 @@ class TestJobService:
             assert service.drain(10.0)
             # Flushed on job completion, not only on shutdown.
             assert len(CacheStore(tmp_path / "opcache.jsonl")) == 1
+        finally:
+            service.stop()
+
+    def test_failed_store_flush_fails_the_job_and_the_worker_keeps_going(
+        self, tmp_path
+    ):
+        service = self._service(tmp_path, workers=1)
+        try:
+            def disk_full(exported):
+                raise OSError(28, "No space left on device")
+
+            service.store.absorb = disk_full
+            jobs = [
+                service.submit(self._request()),
+                service.submit(
+                    self._request({"analysis": "OP", "temperature_k": 310.15})
+                ),
+            ]
+            assert service.drain(10.0)
+            for job in jobs:
+                # Solved, but the write-through promise was not kept.
+                record = service.job(job.id)
+                assert record.state == "failed"
+                assert record.result is None
+                assert record.error["error_type"] == "OSError"
+                assert "No space left on device" in record.error["error"]
+                assert record.attempts == 1
+            assert STATS.serve_jobs_failed == 2
+            assert STATS.serve_jobs_completed == 0
+
+            del service.store.absorb  # the disk has room again
+            job = service.submit(self._request())
+            assert service.drain(10.0)
+            assert service.job(job.id).state == "done"
+            assert len(CacheStore(tmp_path / "opcache.jsonl")) == 2
         finally:
             service.stop()
 

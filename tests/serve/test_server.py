@@ -18,6 +18,8 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ReproServer
 from repro.spice.stats import STATS
 
+from test_jobs import WRONG_TYPED_PLANS
+
 NETLIST = ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 5\nR1 in d 1k\nD1 d 0 DM\n"
 REQUEST = {
     "circuit": {"netlist": NETLIST, "title": "http"},
@@ -59,7 +61,7 @@ class TestEndpoints:
         assert 0.6 < payload["voltages"]["d"] < 0.9
         assert [job["id"] for job in client.jobs()] == [job_id]
 
-    def test_plan_error_maps_to_400(self, client):
+    def test_plan_error_maps_to_400(self, server, client):
         with pytest.raises(ServeError) as err:
             client.submit(
                 {"circuit": {"netlist": NETLIST},
@@ -68,6 +70,16 @@ class TestEndpoints:
         assert err.value.status == 400
         assert err.value.error_type == "PlanError"
         assert "unknown node" in err.value.message
+        # A field of the wrong JSON type is the same typed 400: each
+        # moves the rejection counter by one and queues nothing.
+        for case, plan in WRONG_TYPED_PLANS.items():
+            rejected = STATS.serve_jobs_rejected
+            with pytest.raises(ServeError) as err:
+                client.submit({"circuit": {"netlist": NETLIST}, "plan": plan})
+            assert (err.value.status, err.value.error_type) == (400, "PlanError"), case
+            assert STATS.serve_jobs_rejected == rejected + 1, case
+            assert client.jobs() == [], case
+        assert server.service._queue.empty()
         assert STATS.newton_solves == 0
 
     def test_netlist_error_maps_to_400(self, client):
@@ -95,9 +107,13 @@ class TestEndpoints:
         assert err.value.status == 404
 
     def test_unknown_route_is_404(self, client):
-        with pytest.raises(ServeError) as err:
-            client._request("GET", "/nope")
-        assert err.value.status == 404
+        job_id = client.submit(REQUEST)
+        assert client.wait(job_id)["state"] == "done"
+        for path in ("/nope", f"/jobs/{job_id}/status",
+                     f"/jobs/{job_id}/result/x", f"/jobs/{job_id}/result/x/y"):
+            with pytest.raises(ServeError) as err:
+                client._request("GET", path)
+            assert (err.value.status, err.value.error_type) == (404, "NotFound"), path
 
     def test_failed_job_result_is_500_with_attribution(self, client, monkeypatch):
         from repro.spice.session import Session

@@ -389,6 +389,26 @@ class TestACBatch:
                 np.testing.assert_allclose(got.x, want.x, rtol=1e-12)
                 assert got.op.strategy == want.op.strategy
 
+    def test_psrr_family_through_run_plans(self):
+        # The bandgap cell's supply rejection at Table 1's chamber
+        # temperatures and the default 300.15 K, one plan per
+        # temperature on one recipe: above 40 dB across the whole
+        # 10 Hz - 10 MHz band.
+        from repro.experiments.ac_common import build_psrr_cell
+
+        freqs = tuple(log_frequencies(10.0, 1e7, points_per_decade=4))
+        recipe = SessionRecipe(builder=build_psrr_cell)
+        batches = run_plans(
+            [
+                (recipe, ACSweep(frequencies_hz=freqs, temperatures_k=(t,)))
+                for t in (247.0, 297.0, 300.15, 348.0)
+            ]
+        )
+        for batch in batches:
+            [result] = batch.ac_results
+            psrr_db = -result.magnitude_db("vref")
+            assert np.all(psrr_db > 40.0), psrr_db
+
     def test_batch_rehydrates_named_accessors(self):
         # Two distinct recipes fan out to two worker processes, so each
         # result comes back as a payload rehydrated against the parent's

@@ -114,23 +114,33 @@ class TestSparseSwitch:
         assert STATS.sparse_factorizations > 0
         assert STATS.sparse_conversions == 0
 
-    def test_dense_jacobian_over_threshold_counts_conversions(self):
-        # A *dense* ndarray forced over the sparse threshold must still
-        # factor (through splu) but pays a counted dense->CSC scan per
-        # factorization — the situation the counter exists to expose.
+    @pytest.mark.parametrize(
+        "layout, conversions",
+        [("dense", 2), ("csr", 2), ("csc", 0)],
+    )
+    def test_splu_input_conversions_are_counted(self, layout, conversions):
+        # A dense ndarray forced over the sparse threshold, or a sparse
+        # matrix in another format, still factors (through splu) but
+        # pays a counted scan into CSC per factorization — the situation
+        # the counter exists to expose.  CSC, splu's native format,
+        # passes through unconverted.
+        import scipy.sparse
+
         from repro.spice.stats import STATS
 
         circuit = _diode_ladder(10)  # ~20 unknowns, assembles dense
         system = MNASystem(circuit)
         jacobian, _ = system.assemble(np.zeros(system.size))
         assert not hasattr(jacobian, "format")  # really dense
+        if layout != "dense":
+            jacobian = scipy.sparse.csr_matrix(jacobian).asformat(layout)
         workspace = NewtonWorkspace()
         options = SolverOptions(sparse_threshold=1)
         STATS.reset()
         assert workspace.factor(jacobian, options)
         assert workspace.factor(jacobian, options)
         assert STATS.sparse_factorizations == 2
-        assert STATS.sparse_conversions == 2
+        assert STATS.sparse_conversions == conversions
 
     def test_sparse_reuse_policy_only_applies_to_sparse_factors(self):
         # Dense systems must keep the strict policy bit-for-bit: the

@@ -38,7 +38,9 @@ from repro.spice import (
     VoltageSource,
     run_plans,
 )
+from repro.spice.hierarchy import bandgap_array
 from repro.spice.mna import MNASystem
+from repro.spice.parser import parse_netlist
 from repro.spice.solver import NewtonWorkspace, solve_dc_system
 from repro.spice.stats import STATS
 
@@ -51,6 +53,11 @@ def diode_circuit():
     c.add(Resistor("R1", "in", "d", 1e3))
     c.add(Diode("D1", "d", "0"))
     return c
+
+
+def bandgap_array_24():
+    """A 24-cell generated array (~220 unknowns, sparse)."""
+    return parse_netlist(bandgap_array(cells=24))
 
 
 def rc_circuit():
@@ -336,6 +343,27 @@ class TestSolvedPointCache:
             atol=1e-7,
         )
 
+    def test_seeded_fig8_sweep_takes_one_warm_start(self):
+        # The netlist Fig. 8 sweep, cold and then in a session holding
+        # one 300.15 K point: off the 25 C grid point, so the anchored
+        # traversal starts with a warm start, not an exact hit.
+        from repro.circuits.bandgap_cell import build_bandgap_cell
+        from repro.experiments.fig8_vref_curves import FIG8_TEMPS_C
+        from repro.units import celsius_to_kelvin
+
+        plan = TempSweep(
+            temperatures_k=tuple(celsius_to_kelvin(t) for t in FIG8_TEMPS_C)
+        )
+        cold = Session(build_bandgap_cell).run(plan)
+        seeded = Session(build_bandgap_cell)
+        seeded.run(OP(temperature_k=300.15))
+        STATS.reset()
+        warm = seeded.run(plan)
+        assert STATS.op_cache_warm_starts == 1
+        for result in (cold, warm):
+            vref = result.voltage("vref")
+            assert np.all((1.15 < vref) & (vref < 1.30)), vref
+
 
 @pytest.mark.usefixtures("device_eval_path")
 class TestSessionMatchesEngine:
@@ -435,6 +463,25 @@ class TestRunManyAndRunPlans:
         assert session.cache_misses == 1  # only the first was cold
         assert session.cache_warm_starts == 1
         assert len(results) == 2
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_run_many_fanned_matches_serial_on_an_array(self, workers):
+        # Serial plans warm-start off each other in one cache; fanned
+        # plans solve cold in their workers.  Both converge to the same
+        # points within the Newton tolerances.
+        plans = [
+            OP(temperature_k=t, record=("o0",))
+            for t in np.linspace(260.15, 340.15, 8)
+        ]
+        serial = Session(bandgap_array_24).run_many(plans, workers=1)
+        fanned = Session(bandgap_array_24).run_many(plans, workers=workers)
+        assert len(fanned) == len(plans)
+        np.testing.assert_allclose(
+            [result.voltage("o0") for result in fanned],
+            [result.voltage("o0") for result in serial],
+            rtol=0.0,
+            atol=1e-7,
+        )
 
     def test_run_plans_serial_vs_fanned_identical(self):
         pairs = [

@@ -12,7 +12,8 @@ Four concern groups:
   recursion, malformed blocks) raise their specific classes.
 * **Sparse-path witness** — a generated >=200-unknown netlist must
   actually route through sparse assembly + splu with zero format
-  conversions (the counter witness the suite never had before PR 9).
+  conversions, and the sparse stale-LU policy must beat the dense one
+  on a warm-started resweep of the 120-cell array.
 """
 
 import numpy as np
@@ -26,9 +27,11 @@ from repro.errors import (
     UnknownSubcktError,
 )
 from repro.spice.hierarchy import bandgap_array, resistor_ladder
+from repro.spice.mna import MNASystem
 from repro.spice.parser import parse_netlist
 from repro.spice.plans import OP
 from repro.spice.session import Session
+from repro.spice.solver import NewtonWorkspace, SolverOptions, solve_dc_system
 from repro.spice.stats import STATS
 
 
@@ -342,8 +345,9 @@ class TestSparseRouting:
     """The >=200-unknown witness: generated hierarchy actually routes
     through sparse assembly and splu, conversion-free."""
 
-    def test_generated_array_routes_sparse(self):
-        circuit = parse_netlist(bandgap_array(cells=30))
+    @pytest.mark.parametrize("cells", [30, 120])
+    def test_generated_array_routes_sparse(self, cells):
+        circuit = parse_netlist(bandgap_array(cells=cells))
         session = Session(circuit)
         assert session.system.size >= 200
         before = STATS.snapshot()
@@ -352,8 +356,40 @@ class TestSparseRouting:
         assert delta["sparse_assemblies"] > 0
         assert delta["sparse_factorizations"] > 0
         assert delta["sparse_conversions"] == 0
-        outputs = [result.voltage(f"o{i}") for i in range(30)]
+        assert result.op.residual < 1e-9
+        outputs = [result.voltage(f"o{i}") for i in range(cells)]
         assert max(outputs) - min(outputs) < 1e-9
+
+    def test_sparse_reuse_policy_beats_the_dense_policy(self):
+        # The same warm-started 9-point resweep of the 120-cell array,
+        # once under the sparse stale-LU policy (limit 16, contraction
+        # 0.4) and once under the dense limits (4 / 0.1) applied to the
+        # sparse factors: the sparse policy must spend no more
+        # factorizations, reuse at least as often, and win on one.
+        def warm_resweep(options):
+            system = MNASystem(parse_netlist(bandgap_array(cells=120)))
+            workspace = NewtonWorkspace()
+            before = STATS.snapshot()
+            x = None
+            for temperature in np.linspace(280.15, 320.15, 9):
+                system.set_temperature(temperature)
+                x = solve_dc_system(
+                    system, options=options, x0=x, workspace=workspace
+                ).x
+            delta = STATS.delta_since(before)
+            assert delta["sparse_conversions"] == 0
+            return delta["factorizations"], delta["lu_reuses"]
+
+        strict_factorizations, strict_reuses = warm_resweep(
+            SolverOptions(sparse_reuse_limit=4, sparse_reuse_contraction=0.1)
+        )
+        tuned_factorizations, tuned_reuses = warm_resweep(SolverOptions())
+        assert tuned_factorizations <= strict_factorizations
+        assert tuned_reuses >= strict_reuses
+        assert (
+            tuned_factorizations < strict_factorizations
+            or tuned_reuses > strict_reuses
+        )
 
     def test_generated_ladder_factors_once(self):
         circuit = parse_netlist(resistor_ladder(sections=120))

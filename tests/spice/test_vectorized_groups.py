@@ -32,6 +32,10 @@ RTOL = 1e-12
 
 CONDITIONS = [(1e-12, 1.0), (1e-3, 1.0), (1e-12, 0.3)]
 
+#: The circuit families plus the device bank the group engine was built
+#: for: 64 BJTs and 32 diodes, far past the grouping crossover.
+BUILDERS = {**CIRCUITS, "bjt_bank_64_32": lambda: _bjt_bank(64, sections=32)}
+
 
 def _iterates(size: int):
     rng = np.random.default_rng(97)
@@ -44,7 +48,7 @@ def _iterates(size: int):
 
 
 def _pair(name):
-    circuit = CIRCUITS[name]()
+    circuit = BUILDERS[name]()
     return (
         circuit,
         MNASystem(circuit, vectorized=True),
@@ -65,7 +69,7 @@ def _transient_context(circuit, x):
     return TransientContext(dt=1.5e-7, method="trap", states=states)
 
 
-@pytest.mark.parametrize("name", sorted(CIRCUITS))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_dc_assembly_vectorized_matches_scalar(name):
     circuit, vectorized, scalar = _pair(name)
     for x in _iterates(vectorized.size):
@@ -171,6 +175,7 @@ def test_sparse_assembly_matches_dense_reference():
     js, fs = system.assemble(x)
     jr, fr = reference.assemble(x)
     assert scipy_sparse.issparse(js)
+    assert js.format == "csc"  # splu's native format: no conversion
     assert_stamps_close(js.toarray(), jr)
     assert_stamps_close(fs, fr)
 
@@ -268,13 +273,20 @@ def test_set_temperature_retemperatures_groups():
         assert_stamps_close(fv, fs)
 
 
-def test_solve_lands_on_same_point_both_paths():
-    """End to end on a groupable netlist: same operating point."""
-    circuit_a = _bjt_bank(6, sections=3)
-    circuit_b = _bjt_bank(6, sections=3)
+@pytest.mark.parametrize("count, sections", [(6, 3), (64, 32)])
+def test_solve_lands_on_same_point_both_paths(count, sections):
+    """End to end on a groupable netlist: same operating point, and each
+    solve really ran on the path it was pinned to."""
+    circuit_a = _bjt_bank(count, sections=sections)
+    circuit_b = _bjt_bank(count, sections=sections)
+    STATS.reset()
     vec = solve_dc_system(MNASystem(circuit_a, vectorized=True))
+    assert STATS.group_evals > 0
+    STATS.reset()
     sca = solve_dc_system(MNASystem(circuit_b, vectorized=False))
+    assert STATS.group_evals == 0
     assert vec.x == pytest.approx(sca.x, abs=1e-9)
+    assert 0.3 < float(vec.x[circuit_a.node_index("e0")]) < 1.0
 
 
 def test_sparse_mode_transient_and_ac_end_to_end():
