@@ -69,6 +69,9 @@ DEFAULT_INDEX_PATH = Path("benchmarks") / "index.json"
 #: plain Newton is a real robustness regression, not noise.
 HARD_GATES: Dict[str, str] = {
     "newton_solves": "lower",
+    # Newton runs that returned no solution: a stall window that pushes
+    # a convergent run onto the ladder fails here by name.
+    "newton_failures": "lower",
     "factorizations": "lower",
     "sparse_factorizations": "lower",
     # Jacobian format conversions into splu: the CSC end-to-end

@@ -2,7 +2,10 @@
 
 Strategy (mirrors what production SPICE engines do, scaled down):
 
-1. plain damped Newton from the supplied initial point (zeros if none);
+1. plain damped Newton from the supplied initial point (zeros if none).
+   A *cold* run — no caller seed and no cached warm start — is only a
+   cheap probe: it gets a fifth of ``stall_window`` before the ladder
+   takes over, while a seeded run keeps the full window;
 2. on failure, **gain stepping**: ramp every op-amp's open-loop gain
    from ~unity to its final value (a low-gain loop is barely nonlinear;
    the solution trajectory in gain is smooth), warm-starting each stage
@@ -102,6 +105,7 @@ class SolverOptions:
     #: equilibrium tanh argument is gain-independent, so a warm start at
     #: the next stage sits at ``ratio * arg*``; ratios beyond ~e saturate
     #: the tanh and strand Newton, hence the gentle default.
+    #: Must exceed 1, or the ramp would never reach the final gain.
     gain_ramp_ratio: float = 2.0
     #: Keep a stale LU across iterations/timesteps while it still works
     #: (modified Newton).  Convergence criteria are unchanged — only the
@@ -147,10 +151,23 @@ class SolverOptions:
     #: this; the rule exists for the hopeless cold starts (the bandgap
     #: cell without gain stepping) that previously burned the entire
     #: budget — hundreds of assemblies — before the fallback ladder got
-    #: its turn.  Zero disables the bail-out.
+    #: its turn.  This full window applies to seeded and cache-warm
+    #: plain runs, every ladder stage and every transient step.  A
+    #: *cold* plain run (no ``x0``, no cache candidate) is only a probe
+    #: ahead of the ladder and runs under ``stall_window // 5`` (8 at
+    #: the default, never below 1): a cold start of a stiff op-amp loop
+    #: that has not halved its residual in 8 iterations hands over to
+    #: gain stepping instead of grinding out two full windows.  Zero
+    #: disables the bail-out for every run.
     stall_window: int = 40
     #: The improvement factor the stall window must achieve.
     stall_improvement: float = 0.5
+
+    def __post_init__(self):
+        if not self.gain_ramp_ratio > 1.0:
+            raise ValueError(
+                f"gain_ramp_ratio must be greater than 1, got {self.gain_ramp_ratio!r}"
+            )
 
 
 @dataclass
@@ -296,6 +313,7 @@ def _newton(
     transient: Optional[TransientContext] = None,
     workspace: Optional[NewtonWorkspace] = None,
     phase: str = "plain",
+    stall_window: Optional[int] = None,
 ) -> Optional[RawSolution]:
     """One damped Newton run; None if it does not converge.
 
@@ -305,23 +323,33 @@ def _newton(
     the LU factorization (and its reuse policy) across calls.
     ``phase`` labels the run's ``newton_solve`` span when a detailed
     tracer is installed (which strategy-ladder rung asked for it).
+    ``stall_window`` overrides ``options.stall_window`` for this run;
+    an explicit window is recorded on the span.
     """
+    window = options.stall_window if stall_window is None else stall_window
     trc = _tele.ACTIVE
     if trc is None or not trc.detailed:
-        return _newton_run(
-            system, x0, options, gmin, source_scale, time, transient,
-            workspace, None,
-        )
-    with trc.span("newton_solve", phase=phase) as span:
         solution = _newton_run(
             system, x0, options, gmin, source_scale, time, transient,
-            workspace, trc,
+            workspace, window, None,
+        )
+        if solution is None:
+            STATS.newton_failures += 1
+        return solution
+    attrs = {"phase": phase}
+    if stall_window is not None:
+        attrs["stall_window"] = stall_window
+    with trc.span("newton_solve", **attrs) as span:
+        solution = _newton_run(
+            system, x0, options, gmin, source_scale, time, transient,
+            workspace, window, trc,
         )
         span.attrs["converged"] = solution is not None
         if solution is not None:
             span.attrs["iterations"] = solution.iterations
-        elif "reason" not in span.attrs:
-            span.attrs["reason"] = "max_iterations"
+        else:
+            STATS.newton_failures += 1
+            span.attrs.setdefault("reason", "max_iterations")
         return solution
 
 
@@ -334,6 +362,7 @@ def _newton_run(
     time: Optional[float],
     transient: Optional[TransientContext],
     workspace: Optional[NewtonWorkspace],
+    stall_window: int,
     trc: Optional["_tele.Tracer"],
 ) -> Optional[RawSolution]:
     ws = workspace if workspace is not None else NewtonWorkspace()
@@ -372,7 +401,7 @@ def _newton_run(
     residual, abs_residual, norm = evaluate(x)
     best_norm = norm
     stall_best = norm
-    stall_deadline = options.stall_window
+    stall_deadline = stall_window
     for iteration in range(1, options.max_iterations + 1):
         STATS.iterations += 1
         if converged(abs_residual):
@@ -384,7 +413,7 @@ def _newton_run(
                 factorizations=ws.factorizations - factorizations_before,
                 lu_reuses=ws.reuses - reuses_before,
             )
-        if options.stall_window and iteration > stall_deadline:
+        if stall_window and iteration > stall_deadline:
             if best_norm > options.stall_improvement * stall_best:
                 # No meaningful progress in a whole window: this run is
                 # not going to make it — hand over to the fallback
@@ -393,7 +422,7 @@ def _newton_run(
                     trc.annotate(reason="stagnation")
                 return None
             stall_best = best_norm
-            stall_deadline = iteration + options.stall_window
+            stall_deadline = iteration + stall_window
 
         # -- modified-Newton fast path: try the stale factorization.
         # Only the undamped step is probed, and only while it stays
@@ -518,7 +547,11 @@ def _gain_stepping(
     time: Optional[float] = None,
     workspace: Optional[NewtonWorkspace] = None,
 ) -> Optional[RawSolution]:
-    """Ramp op-amp open-loop gains from ~1 to final, warm-starting."""
+    """Ramp op-amp open-loop gains from ~1 to final, warm-starting.
+
+    Gives up after ``options.max_iterations`` rungs, so even a ratio
+    barely above 1 cannot hold the solver indefinitely.
+    """
     from .elements.opamp import OpAmp
 
     amps = [el for el in circuit.elements if isinstance(el, OpAmp)]
@@ -532,6 +565,8 @@ def _gain_stepping(
     try:
         gain = 1.0
         while gain < max_gain:
+            if rungs == options.max_iterations:
+                return None
             for amp, final in zip(amps, final_gains):
                 amp.gain = min(final, gain)
             rungs += 1
@@ -637,9 +672,15 @@ def _solve_dc_system_impl(
             f"initial point has {start.shape} unknowns, circuit needs {system.size}"
         )
 
+    # A cold start (no seed, no cached warm start) that is not halving
+    # its residual is almost always a stiff loop plain Newton cannot
+    # converge, so it gets the short window and hands over early.
+    window = options.stall_window
+    if x0 is None and window:
+        window = max(1, window // 5)
     solution = _newton(
         system, start, options, gmin=options.gmin, source_scale=1.0, time=time,
-        workspace=workspace, phase="plain",
+        workspace=workspace, phase="plain", stall_window=window,
     )
     if solution is not None:
         STATS.record_strategy(solution.strategy)
@@ -679,10 +720,13 @@ def _solve_dc_system_impl(
             STATS.record_strategy(final.strategy)
             return final
 
-    # Source stepping.
+    # Source stepping, always finishing at full source.
+    ramp = tuple(options.source_ramp)
+    if not ramp or ramp[-1] != 1.0:
+        ramp += (1.0,)
     x = np.zeros(system.size)
     steps = 0
-    for scale in options.source_ramp:
+    for scale in ramp:
         steps += 1
         stage = _newton(
             system, x, options, gmin=options.gmin, source_scale=scale, time=time,

@@ -23,6 +23,10 @@ class SolverStats:
 
     #: Completed Newton runs (one per DC solve attempt / transient step).
     newton_solves: int = 0
+    #: Newton runs that returned no solution (stagnation, singular
+    #: Jacobian or an exhausted budget), each of which hands over to the
+    #: next ladder stage or a smaller transient step.
+    newton_failures: int = 0
     #: Newton iterations (full Jacobian assembly + linear solve each).
     iterations: int = 0
     #: Fresh LU/splu factorizations.

@@ -28,6 +28,7 @@ METRIC_PREFIX = "repro"
 #: here — the same no-silent-drift rule as ``SolverStats`` itself).
 _METRIC_HELP = {
     "newton_solves": "Completed Newton runs (one per DC solve attempt / transient step).",
+    "newton_failures": "Newton runs that returned no solution.",
     "iterations": "Newton iterations (full Jacobian assembly + linear solve each).",
     "factorizations": "Fresh LU/splu factorizations.",
     "lu_reuses": "Iterations advanced on a stale (reused) factorization.",
@@ -37,6 +38,7 @@ _METRIC_HELP = {
     "group_evals": "Vectorized device-group evaluation passes.",
     "grouped_device_evals": "Devices evaluated through the grouped path.",
     "sparse_assemblies": "Assemblies that returned a scipy.sparse Jacobian.",
+    "sparse_conversions": "Jacobian format conversions paid on the way into splu.",
     "linear_stamps": "Static linear elements stamped through their own stamp while the linear caches are built.",
     "ac_solves": "Complex linear solves of the AC subsystem (one per frequency).",
     "ac_factorizations": "Complex G + jwC factorizations.",
@@ -45,6 +47,10 @@ _METRIC_HELP = {
     "op_cache_warm_starts": "Session solved-point cache: warm-started solves.",
     "op_cache_misses": "Session solved-point cache: cold solves.",
     "session_plans": "Analysis plans executed through Session.run.",
+    "retries": "Supervised work items re-attempted after a retryable failure.",
+    "timeouts": "Supervised work items that exceeded their deadline.",
+    "worker_failures": "Worker-process deaths observed by the supervised layer.",
+    "serial_fallbacks": "Fan-outs that fell back to in-process serial execution.",
     "op_store_loads": "Persistent store: files loaded into a session cache.",
     "op_store_points_loaded": "Persistent store: solved points loaded.",
     "op_store_flushes": "Persistent store: flushes that wrote new points.",

@@ -329,13 +329,10 @@ class TestJobService:
         finally:
             service.stop()
 
-    @pytest.mark.parametrize(
-        "plan", list(WRONG_TYPED_PLANS.values()), ids=list(WRONG_TYPED_PLANS)
-    )
-    def test_wrong_typed_fields_rejected_before_any_solve(self, plan):
+    def _assert_rejected_at_submit(self, plan, match=None):
         service = self._service()
         try:
-            with pytest.raises(PlanError):
+            with pytest.raises(PlanError, match=match):
                 service.submit(self._request(plan))
             assert STATS.serve_jobs_rejected == 1
             assert STATS.serve_jobs_submitted == 0
@@ -344,6 +341,21 @@ class TestJobService:
             assert STATS.newton_solves == 0
         finally:
             service.stop()
+
+    @pytest.mark.parametrize(
+        "plan", list(WRONG_TYPED_PLANS.values()), ids=list(WRONG_TYPED_PLANS)
+    )
+    def test_wrong_typed_fields_rejected_before_any_solve(self, plan):
+        self._assert_rejected_at_submit(plan)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_non_growing_gain_ramp_rejected_before_any_solve(self, ratio):
+        # A ratio <= 1 never reaches the final gain: accepted, the job
+        # would hold its worker forever.
+        self._assert_rejected_at_submit(
+            {"analysis": "OP", "options": {"gain_ramp_ratio": ratio}},
+            match="gain_ramp_ratio",
+        )
 
     def test_wire_timeout_rejected_before_any_solve(self):
         # The deadline watchdog abandons a timed-out solve instead of

@@ -322,19 +322,29 @@ class TestSolvedPointCache:
         from repro.circuits.bandgap_cell import build_bandgap_cell
 
         temps = tuple(np.linspace(253.15, 373.15, 9))
+        plan = TempSweep(temperatures_k=temps)
         cold = Session(build_bandgap_cell)
         STATS.reset()
-        cold_result = cold.run(TempSweep(temperatures_k=temps))
+        cold_result = cold.run(plan)
         cold_factorizations = STATS.factorizations
         warm = Session(build_bandgap_cell)
-        warm.run(OP(temperature_k=300.15))  # seed: one solved point
+        seed = warm.run(OP(temperature_k=300.15))  # seed: one solved point
+        # The chain the anchor exists to beat: the same sweep handed the
+        # seed point as x0, which bypasses anchoring.  It starts 47 K
+        # away from the seed and falls back onto the gain-stepping
+        # ladder there.
         STATS.reset()
-        warm_result = warm.run(TempSweep(temperatures_k=temps))
+        Session(build_bandgap_cell).run(plan, x0=seed.op.x)
+        assert STATS.strategies.get("gain-stepping", 0) >= 1
+        naive_factorizations = STATS.factorizations
+        STATS.reset()
+        warm_result = warm.run(plan)
         # The anchored traversal warm-started off the seed: no
         # gain-stepping ladder, far fewer factorizations...
         assert STATS.op_cache_warm_starts == 1
         assert "gain-stepping" not in STATS.strategies
-        assert STATS.factorizations < 0.5 * cold_factorizations
+        assert STATS.factorizations < 0.5 * naive_factorizations
+        assert STATS.factorizations < cold_factorizations
         # ...and the same answer to solver tolerance.
         np.testing.assert_allclose(
             warm_result.voltage("vref"),

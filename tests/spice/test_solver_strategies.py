@@ -8,11 +8,15 @@ budgets) that deterministically exercise each rung, so a refactor that
 silently reorders or breaks a rung fails loudly.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
 from repro.spice import Circuit, Resistor, SolverOptions, VoltageSource, solve_dc
 from repro.spice.elements.diode import Diode
+from repro.spice.mna import MNASystem
+from repro.spice.stats import STATS
+from repro.telemetry.tracer import tracing
 
 
 def diode_chain(n_diodes: int, load_ohm: float = 1e3, supply_v: float = 2.5) -> Circuit:
@@ -40,12 +44,101 @@ class TestPlainNewton:
         assert solution.strategy == "newton"
 
 
+def _plain_span(tracer):
+    """The one plain-phase ``newton_solve`` span of a traced DC solve."""
+
+    def walk(span):
+        yield span
+        for child in span.children:
+            yield from walk(child)
+
+    (plain,) = [
+        span
+        for root in tracer.roots
+        for span in walk(root)
+        if span.name == "newton_solve" and span.attrs["phase"] == "plain"
+    ]
+    return plain
+
+
+#: The full stall window, and the fifth of it a cold plain run gets.
+WINDOW = SolverOptions().stall_window
+COLD_WINDOW = WINDOW // 5
+
+
 class TestGainStepping:
-    def test_bandgap_cell_cold_start_uses_gain_stepping(self):
+    @pytest.mark.parametrize(
+        "seeded, window, max_factorizations",
+        [(False, COLD_WINDOW, 64), (True, WINDOW, 128)],
+        ids=["cold", "seeded-at-zero"],
+    )
+    def test_bandgap_cell_cold_start_uses_gain_stepping(
+        self, seeded, window, max_factorizations
+    ):
+        # The plain run's residual goes flat at ~4.7e-2 by its fifth
+        # iteration, so it halves within the first window and then
+        # never again: it bails out when the second window closes.  A
+        # cold run gets a fifth of stall_window; a caller seed, even the
+        # cold start's own zero vector, keeps the full window.
         from repro.circuits.bandgap_cell import build_bandgap_cell
 
-        solution = solve_dc(build_bandgap_cell())
+        circuit = build_bandgap_cell()
+        x0 = np.zeros(MNASystem(circuit).size) if seeded else None
+        STATS.reset()
+        with tracing(detail="full") as tracer:
+            solution = solve_dc(circuit, x0=x0)
         assert solution.strategy == "gain-stepping"
+        plain = _plain_span(tracer)
+        assert plain.attrs["stall_window"] == window
+        assert plain.attrs["reason"] == "stagnation"
+        assert plain.iterations[-1]["i"] == 2 * window + 1
+        assert STATS.factorizations <= max_factorizations
+
+    def test_cold_hand_over_lands_on_the_patient_plain_answer(self):
+        # The rule's measured trade-off: before its 48 us ramp (VDD = 0)
+        # at 327 K, the startup cell's plain run converges only under a
+        # window of at least 25 iterations; it halves its residual too
+        # slowly for the cold window of 8.  Gain stepping takes over and
+        # must land on the dead state an unbounded plain run reaches.
+        from repro.circuits.startup import (
+            StartupRampConfig,
+            build_startup_bandgap_cell,
+        )
+
+        ramp = StartupRampConfig(ramp=48e-6)
+        circuit = build_startup_bandgap_cell(ramp)
+        fast = solve_dc(circuit, temperature_k=327.0, time=0.0)
+        patient = solve_dc(
+            circuit,
+            temperature_k=327.0,
+            time=0.0,
+            options=SolverOptions(stall_window=0),
+        )
+        assert fast.strategy == "gain-stepping"
+        assert patient.strategy == "newton"
+        np.testing.assert_allclose(fast.x, patient.x, rtol=0.0, atol=1e-8)
+        # perfbench's dead-state bound on VREF before the ramp.
+        assert abs(fast.x[circuit.node_index("vref")]) < 5e-3
+
+    def test_slow_gain_ramp_gives_up_within_the_iteration_budget(self):
+        # A ratio of 1.001 needs ~11.5k rungs to reach a gain of 1e5; the
+        # ladder gives up after max_iterations of them and the gmin
+        # ladder solves the log amplifier instead.
+        from repro.spice.parser import parse_netlist
+
+        log_amp = (
+            ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 1\nR1 in n 1k\n"
+            "A1 0 n out gain=1e5\nD1 n out DM\n"
+        )
+        options = SolverOptions(gain_ramp_ratio=1.001)
+        with tracing(detail="plans") as tracer:
+            slow = solve_dc(parse_netlist(log_amp), options=options)
+        (solve,) = tracer.roots
+        assert solve.attrs["gain_rungs"] == options.max_iterations
+        assert slow.strategy == "gmin-stepping"
+        reference = solve_dc(parse_netlist(log_amp))
+        assert reference.strategy == "gain-stepping"
+        assert slow.x == pytest.approx(reference.x, abs=1e-9)
 
     def test_gain_stepping_restores_final_gains(self):
         from repro.circuits.bandgap_cell import build_bandgap_cell
@@ -95,6 +188,24 @@ class TestSourceStepping:
         stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
         reference = solve_dc(diode_chain(4, load_ohm=10.0))
         assert stepped.x == pytest.approx(reference.x, abs=1e-6)
+
+    def test_truncated_ramp_still_ends_at_full_source(self):
+        # A ramp that stops at 50 % must not return the half-source
+        # point as the answer: the ladder always finishes at full source.
+        options = SolverOptions(
+            max_iterations=8, gmin_ladder=(), source_ramp=(0.1, 0.3, 0.5)
+        )
+        stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
+        reference = solve_dc(diode_chain(4, load_ohm=10.0))
+        assert stepped.strategy == "source-stepping"
+        assert stepped.x == pytest.approx(reference.x, abs=1e-6)
+
+    def test_empty_ramp_is_a_single_full_source_stage(self):
+        # With no ramp the only source stage is a cold full-source run,
+        # which the starved budget cannot converge: a typed failure.
+        options = SolverOptions(max_iterations=8, gmin_ladder=(), source_ramp=())
+        with pytest.raises(ConvergenceError, match="100%"):
+            solve_dc(diode_chain(4, load_ohm=10.0), options=options)
 
     def test_exhausted_ladder_raises_convergence_error(self):
         # 2 iterations are not enough for any rung of the ladder.

@@ -133,6 +133,14 @@ class TestPrometheusGolden:
             assert lines[index - 2].startswith(f"# HELP {metric} ")
             assert lines[index - 1] == f"# TYPE {metric} counter"
 
+    def test_every_scalar_field_has_its_own_help_text(self):
+        # The exporter falls back to a generic "Solver counter <name>."
+        # line; every counter should say what it counts instead.
+        from repro.telemetry.exporters import _METRIC_HELP
+
+        scalar = {spec.name for spec in fields(SolverStats)} - {"strategies"}
+        assert sorted(scalar - set(_METRIC_HELP)) == []
+
     def test_strategies_export_as_a_sorted_labelled_family(self):
         stats = SolverStats()
         stats.strategies = {"newton": 41, "gain-stepping": 2}
