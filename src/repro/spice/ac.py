@@ -20,18 +20,18 @@ exists:
   :meth:`charge_at` for dynamic elements that declare no analytic
   stamp.  Entries are collected as COO triplets (preallocated from
   ``capacitance_slots``, mirroring the compiled assembler) and
-  scattered dense below the solver's sparse threshold or built as a
-  ``scipy.sparse`` matrix above it;
+  scattered dense or built as a ``scipy.sparse`` matrix, matching
+  whichever ``G`` the system assembled;
 * ``b`` is the independent sources' AC excitation
   (``ac_mag``/``ac_phase_deg``), the SPICE ``AC mag phase`` convention.
 
 Factorization policy mirrors the DC workspace: one complex LU per
 frequency point when ``C`` is non-zero, ONE factorization for the whole
 sweep when the circuit is purely resistive (the matrix is then
-frequency-independent), sparse ``splu`` above the size threshold, and a
-``numpy.linalg.solve`` fallback without scipy.  Counters land in
-:data:`repro.spice.stats.STATS` (``ac_solves`` / ``ac_factorizations``
-/ ``ac_factor_reuses``) so ``--bench`` reports the reuse rate.
+frequency-independent), sparse ``splu`` when ``G`` is sparse and dense
+LAPACK LU otherwise.  Counters land in :data:`repro.spice.stats.STATS`
+(``ac_solves`` / ``ac_factorizations`` / ``ac_factor_reuses``) so
+``--bench`` reports the reuse rate.
 
 Sweeps run through the Session API: ``Session.run(plans.ACSweep(...))``
 solves one warm-chained operating point per temperature and builds one
@@ -43,6 +43,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse import coo_matrix as _coo_matrix
+from scipy.sparse import issparse as _issparse
+from scipy.sparse.linalg import splu as _splu
 
 from ..errors import NetlistError
 from ..telemetry import tracer as _tele
@@ -53,22 +57,7 @@ from .netlist import Circuit
 from .solver import SolverOptions, solve_dc_system
 from .stats import STATS
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    from scipy.linalg import get_lapack_funcs
-    from scipy.sparse import coo_matrix as _coo_matrix
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse import issparse as _sp_issparse
-    from scipy.sparse.linalg import splu as _splu
-
-    _zgetrf, _zgetrs = get_lapack_funcs(
-        ("getrf", "getrs"), dtype=np.complex128
-    )
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
-
-    def _sp_issparse(matrix) -> bool:
-        return False
+_zgetrf, _zgetrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def log_frequencies(
@@ -134,8 +123,8 @@ class _COOACStamp(ACStamp):
 
 
 class _ACFactorization:
-    """One complex factorization of ``G + j w C`` (dense, sparse, or the
-    scipy-free fallback), with the frequency key it was taken at."""
+    """One complex factorization of ``G + j w C`` (dense or sparse),
+    with the frequency key it was taken at."""
 
     __slots__ = ("kind", "data", "omega_key")
 
@@ -147,13 +136,11 @@ class _ACFactorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.kind == "sparse":
             return self.data.solve(rhs)
-        if self.kind == "dense":
-            lu, piv = self.data
-            solution, info = _zgetrs(lu, piv, rhs)
-            if info != 0:
-                raise NetlistError("AC back-substitution failed")
-            return solution
-        return np.linalg.solve(self.data, rhs)  # pragma: no cover - no scipy
+        lu, piv = self.data
+        solution, info = _zgetrs(lu, piv, rhs)
+        if info != 0:
+            raise NetlistError("AC back-substitution failed")
+        return solution
 
 
 class ACSystem:
@@ -166,8 +153,8 @@ class ACSystem:
 
     Attributes of interest to tests and diagnostics: ``G`` (real DC
     Jacobian at the operating point), ``C`` (real capacitance matrix,
-    dense ndarray below the sparse threshold, ``scipy.sparse.csc`` above
-    it), ``b`` (complex excitation vector), ``x_op`` (the operating
+    a dense ndarray or, when ``G`` is sparse, ``scipy.sparse.csc``),
+    ``b`` (complex excitation vector), ``x_op`` (the operating
     point) and ``frequency_flat`` (True when ``C`` has no entries, i.e.
     one factorization serves every frequency).
     """
@@ -193,9 +180,7 @@ class ACSystem:
         self.op = op
         size = system.size
         self.G, _ = system.assemble(self.x_op, gmin=options.gmin)
-        self._sparse = _HAVE_SCIPY and (
-            size >= options.sparse_threshold or _sp_issparse(self.G)
-        )
+        self._sparse = _issparse(self.G)
 
         elements = self.circuit.elements
         capacity = sum(el.capacitance_slots() for el in elements)
@@ -203,7 +188,7 @@ class ACSystem:
         stamp = _COOACStamp(self.x_op, self.temperature_k, rhs, capacity)
         # Grouped fast path: vectorized devices assemble their junction
         # dQ/dV in one pass per group; everything else (and every
-        # element when REPRO_VECTORIZED=0) stamps scalar, so the two
+        # element of a system without groups) stamps scalar, so the two
         # paths stay comparable term for term.
         grouped_ids = set()
         groups = system._assembler.groups
@@ -228,12 +213,6 @@ class ACSystem:
                 (stamp.vals[:n], (stamp.rows[:n], stamp.cols[:n])),
                 shape=(size, size),
             ).tocsc()
-            # Pass an already-CSC G straight through (the sparse
-            # assembly mode emits CSC natively).
-            if _sp_issparse(self.G) and self.G.format == "csc":
-                self._g_sparse = self.G
-            else:
-                self._g_sparse = _csc_matrix(self.G)
             self.frequency_flat = self.C.nnz == 0
         else:
             self.C = np.zeros((size, size))
@@ -277,11 +256,11 @@ class ACSystem:
             return held
         STATS.ac_factorizations += 1
         if self._sparse:
-            matrix = (self._g_sparse + 1j * omega_key * self.C).astype(
-                np.complex128
-            )
+            # The sparse assembly mode emits CSC, so the sum is CSC too;
+            # anything else pays a counted conversion.
+            matrix = (self.G + 1j * omega_key * self.C).astype(np.complex128)
             if matrix.format != "csc":
-                matrix = _csc_matrix(matrix)
+                matrix = matrix.tocsc()
                 STATS.sparse_conversions += 1
             factorization = _ACFactorization(
                 "sparse",
@@ -290,17 +269,14 @@ class ACSystem:
             )
         else:
             matrix = self.G + 1j * omega_key * self.C
-            if _HAVE_SCIPY:
-                lu, piv, info = _zgetrf(matrix, overwrite_a=True)
-                if info != 0:
-                    raise NetlistError(
-                        f"AC matrix is singular at "
-                        f"{omega / (2.0 * np.pi):.4g} Hz "
-                        f"for circuit {self.circuit.title!r}"
-                    )
-                factorization = _ACFactorization("dense", (lu, piv), omega_key)
-            else:  # pragma: no cover - exercised only without scipy
-                factorization = _ACFactorization("numpy", matrix, omega_key)
+            lu, piv, info = _zgetrf(matrix, overwrite_a=True)
+            if info != 0:
+                raise NetlistError(
+                    f"AC matrix is singular at "
+                    f"{omega / (2.0 * np.pi):.4g} Hz "
+                    f"for circuit {self.circuit.title!r}"
+                )
+            factorization = _ACFactorization("dense", (lu, piv), omega_key)
         self._factorization = factorization
         return factorization
 

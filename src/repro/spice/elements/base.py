@@ -340,10 +340,10 @@ class Element:
         """Upper bound on C-matrix entries :meth:`ac_stamp` emits.
 
         Mirrors :meth:`jacobian_slots` for the AC assembler: the sum
-        over elements sizes the COO buffers of the sparse C build above
-        the solver's sparse threshold.  The default covers the
-        two-terminal fallback below; classes with richer capacitance
-        footprints (BJT junctions) or none at all override it.
+        over elements sizes the COO buffers the capacitance matrix is
+        built from.  The default covers the two-terminal fallback below;
+        classes with richer capacitance footprints (BJT junctions) or
+        none at all override it.
         """
         return 4 if self.is_dynamic else 0
 

@@ -25,8 +25,8 @@ vectorized NumPy pass:
 Equivalence contract: a group stamps the *same mathematical expressions*
 as the scalar ``Element.stamp`` it replaces, term for term, so the two
 paths agree to float64 rounding (the test suite pins ``<= 1e-12``
-relative).  The scalar path stays the always-available reference —
-``REPRO_VECTORIZED=0`` routes every element back through it.
+relative).  The scalar path stays the reference —
+``MNASystem(vectorized=False)`` routes every element back through it.
 
 Ground handling: node index ``-1`` (ground) maps to a trailing zero slot
 of an extended iterate ``x_ext = [x, 0.0]`` for gathers, and scatter
@@ -532,27 +532,16 @@ class DiodeGroup(DeviceGroup):
         return empty, empty, np.empty(0)
 
 
-#: Default smallest group size worth vectorizing.  A NumPy ufunc call
-#: costs ~0.4-0.8 us of dispatch regardless of array length on the CI
-#: host, and one junction evaluation is ~26 such calls, so a group pass
-#: has a flat ~30 us floor; the scalar per-element stamp costs ~5 us per
+#: Smallest device class worth vectorizing.  A NumPy ufunc call costs
+#: ~0.4-0.8 us of dispatch regardless of array length on the CI host,
+#: and one junction evaluation is ~26 such calls, so a group pass has a
+#: flat ~30 us floor; the scalar per-element stamp costs ~5 us per
 #: device.  The break-even, measured on the CI host when grouping was
 #: introduced, was ~13 devices; below the threshold the scalar path is
-#: simply faster and the group is not built.  ``REPRO_GROUP_MIN``
-#: overrides (the test fixtures pin it to 1 so every circuit family
-#: exercises the vectorized math).
-_DEFAULT_GROUP_MIN = 12
-
-
-def group_min_size() -> int:
-    """The active vectorization threshold (``REPRO_GROUP_MIN``)."""
-    import os
-
-    try:
-        return max(1, int(os.environ.get("REPRO_GROUP_MIN",
-                                         str(_DEFAULT_GROUP_MIN))))
-    except ValueError:
-        return _DEFAULT_GROUP_MIN
+#: simply faster and the group is not built.  :func:`build_groups` reads
+#: it at call time, so the test fixtures can patch it (1 groups every
+#: class, a huge value none).
+GROUP_MIN = 12
 
 
 def build_groups(
@@ -565,16 +554,16 @@ def build_groups(
     with an attached substrate transistor keep their scalar stamp (the
     substrate leakage's saturation-drive law is iterate-dependent in a
     way the packed arrays do not model).  Classes with fewer than
-    ``min_size`` instances (default: :func:`group_min_size`) stay
-    scalar — below the dispatch-overhead crossover a group pass would be
-    slower than the loop it replaces.  Returns ``(groups, leftover)``
-    with ``leftover`` preserving circuit order.
+    ``min_size`` instances (default: :data:`GROUP_MIN`) stay scalar —
+    below the dispatch-overhead crossover a group pass would be slower
+    than the loop it replaces.  Returns ``(groups, leftover)`` with
+    ``leftover`` preserving circuit order.
     """
     from .elements.bjt import SpiceBJT
     from .elements.diode import Diode
 
     if min_size is None:
-        min_size = group_min_size()
+        min_size = GROUP_MIN
     bjts = [
         el for el in nonlinear
         if type(el) is SpiceBJT and el.groupable

@@ -1,10 +1,11 @@
 """Hierarchical benchmark-netlist generators.
 
 The paper's own cells are 2-3 BJTs, far below the sparse switch at
-``REPRO_SPARSE_THRESHOLD`` = 200 unknowns — so until this module, the
-sparse assembly/factorization path had never been exercised by a
-realistic workload.  These generators produce parameterized
-``.SUBCKT``-based decks from a few hundred to 10k+ unknowns:
+:data:`~repro.spice.mna.SPARSE_MIN_UNKNOWNS` = 200 unknowns — so until
+this module, the sparse assembly/factorization path had never been
+exercised by a realistic workload.  These generators produce
+parameterized ``.SUBCKT``-based decks from a few hundred to 10k+
+unknowns:
 
 :func:`bandgap_array`
     ``cells`` copies of a nonlinear bandgap-flavoured cell (two

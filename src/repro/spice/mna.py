@@ -21,22 +21,27 @@ this path must match to 1e-12.
 Two further layers ride on the compiled path, and this module alone
 picks them, from the circuit's size and device count:
 
-* **vectorized device groups** (:mod:`repro.spice.groups`, the default;
-  ``REPRO_VECTORIZED=0`` disables): homogeneous nonlinear devices (all
-  plain BJTs, all diodes) are packed into contiguous parameter/index
-  arrays at build time and each Newton evaluation computes a whole
-  group's currents and conductances in one NumPy pass, removing the
-  remaining per-element Python dispatch from the hot loop.  Grouping is
-  *size-adaptive*: below ``REPRO_GROUP_MIN`` devices of a class (default
-  12, the measured NumPy-dispatch crossover) the scalar loop is faster
-  and is kept.  Elements that do not group (op-amp macros,
-  substrate-attached BJTs, custom classes) keep their scalar stamp, and
-  the scalar path is always available as the equivalence reference;
-* a **sparse assembly mode**: at or above the solver's splu threshold
-  (``REPRO_SPARSE_THRESHOLD``, default 200 unknowns) ``G_lin`` is built
-  as ``scipy.sparse`` and each assembly returns a sparse Jacobian
-  (linear part plus the nonlinear COO scatter), so large netlists never
-  materialise a dense ``N x N`` matrix anywhere in the solve.
+* **vectorized device groups** (:mod:`repro.spice.groups`):
+  homogeneous nonlinear devices (all plain BJTs, all diodes) are packed
+  into contiguous parameter/index arrays at build time and each Newton
+  evaluation computes a whole group's currents and conductances in one
+  NumPy pass, removing the remaining per-element Python dispatch from
+  the hot loop.  Grouping is *size-adaptive*: a class groups at
+  :data:`~repro.spice.groups.GROUP_MIN` (12, the measured
+  NumPy-dispatch crossover) or more instances; below that the scalar
+  loop is faster and is kept.  Elements that do not group (op-amp
+  macros, substrate-attached BJTs, custom classes) keep their scalar
+  stamp;
+* a **sparse assembly mode**: at :data:`SPARSE_MIN_UNKNOWNS` (200) or
+  more unknowns ``G_lin`` is built as ``scipy.sparse`` and each
+  assembly returns a CSC Jacobian (linear part plus the nonlinear COO
+  scatter), so large netlists never materialise a dense ``N x N``
+  matrix anywhere in the solve.  The solver and the AC analysis factor
+  whatever matrix they are handed: ``splu`` for sparse, LAPACK for
+  dense.
+
+``MNASystem(vectorized=, sparse=)`` pins either choice for one system;
+the equivalence tests use it to compare the paths.
 
 Cache correctness: the linear part depends only on (temperature,
 ``gmin``, ``source_scale``, ``time``, and the integration context's
@@ -68,10 +73,10 @@ sources for source stepping.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix as _coo_matrix
 
 from ..errors import NetlistError
 from ..telemetry import tracer as _tele
@@ -81,33 +86,10 @@ from .groups import build_groups
 from .netlist import Circuit
 from .stats import STATS
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    from scipy.sparse import coo_matrix as _coo_matrix
-    from scipy.sparse import issparse as _issparse
-
-    _HAVE_SPARSE = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SPARSE = False
-
-    def _issparse(matrix) -> bool:
-        return False
-
-
-def _vectorized_default() -> bool:
-    """Vectorized device groups are the default; REPRO_VECTORIZED=0
-    routes every nonlinear element through its scalar stamp (the
-    reference evaluator the equivalence harness measures against)."""
-    return os.environ.get("REPRO_VECTORIZED", "1") not in ("0", "false", "no")
-
-
-def _sparse_threshold() -> int:
-    """Unknown count at which assembly goes ``scipy.sparse`` (matching
-    the solver's default splu switch; REPRO_SPARSE_THRESHOLD tunes both
-    sides of the hand-off for experiments)."""
-    try:
-        return int(os.environ.get("REPRO_SPARSE_THRESHOLD", "200"))
-    except ValueError:
-        return 200
+#: Unknown count at which assembly goes ``scipy.sparse``.  MNA matrices
+#: of netlist-level circuits hold a handful of entries per row, so past a
+#: few hundred unknowns ``splu`` beats dense LAPACK LU.
+SPARSE_MIN_UNKNOWNS = 200
 
 
 class _ResidualOnlyStamp(Stamp):
@@ -294,11 +276,10 @@ class CompiledAssembler:
     Nonlinear elements split again: homogeneous devices go through the
     vectorized groups of :mod:`repro.spice.groups` (one NumPy pass per
     group per iteration), the rest stay on their scalar ``stamp``.  In
-    sparse mode (``size >= REPRO_SPARSE_THRESHOLD`` with scipy present)
-    every linear cache is a ``scipy.sparse`` CSC matrix and
-    :meth:`assemble` returns a CSC Jacobian — splu's native format — so
-    nothing ever densifies and nothing is format-converted per
-    iteration.
+    sparse mode (``size >= SPARSE_MIN_UNKNOWNS``) every linear cache is
+    a ``scipy.sparse`` CSC matrix and :meth:`assemble` returns a CSC
+    Jacobian — splu's native format — so nothing ever densifies and
+    nothing is format-converted per iteration.
     """
 
     def __init__(
@@ -320,20 +301,15 @@ class CompiledAssembler:
         ]
         self.linear_dynamic = [el for el in elements if el.is_linear and el.is_dynamic]
         self.nonlinear = [el for el in elements if not el.is_linear]
-        # vectorized: None = env default with the adaptive size
-        # threshold; True = force grouping regardless of size (the
-        # equivalence tests pin one path this way); False = scalar only.
-        min_size = None
-        if vectorized is None:
-            vectorized = _vectorized_default()
-        elif vectorized:
-            min_size = 1
-        self.vectorized = bool(vectorized)
-        self._group_min = min_size
+        # vectorized: None groups a class at GROUP_MIN or more
+        # instances; True groups every class regardless of size, False
+        # none (the equivalence tests pin one path this way).
+        self.vectorized = vectorized is None or bool(vectorized)
+        self._group_min = 1 if vectorized else None
         self._build_groups()
         if sparse is None:
-            sparse = _HAVE_SPARSE and system.size >= _sparse_threshold()
-        self.sparse = bool(sparse) and _HAVE_SPARSE
+            sparse = system.size >= SPARSE_MIN_UNKNOWNS
+        self.sparse = bool(sparse)
         capacity = max(sum(el.jacobian_slots() for el in self.scalar_nonlinear), 1)
         self._rows = np.zeros(capacity, dtype=np.intp)
         self._cols = np.zeros(capacity, dtype=np.intp)
@@ -645,10 +621,10 @@ class MNASystem:
     ):
         """Build the system and bind every element's global indices.
 
-        ``vectorized``/``sparse`` override the process-wide defaults
-        (``REPRO_VECTORIZED``, the ``REPRO_SPARSE_THRESHOLD`` size
-        switch) for this system — hooks that serve the tests, which
-        pin one path per instance.
+        ``vectorized``/``sparse`` override the size rules
+        (:data:`~repro.spice.groups.GROUP_MIN` devices per group,
+        :data:`SPARSE_MIN_UNKNOWNS` unknowns) for this system — hooks
+        that serve the tests, which pin one path per instance.
         """
         circuit.validate()
         self.circuit = circuit

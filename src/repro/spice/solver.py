@@ -33,9 +33,11 @@ production-SPICE factorization policy:
   the solution the Jacobian changes every iteration and reuse buys
   nothing, but in the convergence tail — and across the small timesteps
   of a transient — most factorizations are redundant.
-* **dense → sparse switch**: systems at or above ``sparse_threshold``
-  unknowns factor through ``scipy.sparse.linalg.splu`` instead of dense
-  LAPACK LU, so netlist-level circuits scale past the dense O(N^3) wall.
+* **dense or sparse, as assembled**: the workspace factors whatever
+  Jacobian the system hands it — ``scipy.sparse.linalg.splu`` for a
+  sparse matrix, dense LAPACK LU for an ndarray — so the size rule
+  lives in one place, :class:`~repro.spice.mna.MNASystem`, which
+  assembles sparse at ``SPARSE_MIN_UNKNOWNS`` (200) or more unknowns.
   The sparse assembly mode hands ``splu`` its native CSC format directly
   (conversions are counted in ``STATS.sparse_conversions`` and stay at
   zero end-to-end), the fill-reducing ordering is an explicit option
@@ -44,9 +46,6 @@ production-SPICE factorization policy:
   contraction demand (``sparse_reuse_limit`` /
   ``sparse_reuse_contraction``) because each skipped factorization is
   worth milliseconds there, not microseconds.
-
-Both behaviours degrade gracefully: without scipy the workspace falls
-back to ``np.linalg.solve`` (correct, no reuse benefit).
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse import issparse as _issparse
+from scipy.sparse.linalg import splu as _splu
 
 from ..errors import ConvergenceError
 from ..telemetry import tracer as _tele
@@ -63,19 +65,10 @@ from .mna import MNASystem
 from .netlist import Circuit
 from .stats import STATS
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    from scipy.linalg import get_lapack_funcs
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse import issparse as _issparse
-    from scipy.sparse.linalg import splu as _splu
-
-    # Raw LAPACK getrf/getrs: scipy's lu_factor/lu_solve wrappers spend
-    # more time in Python-level validation than LAPACK spends factoring
-    # the ~20-unknown matrices this repo's circuits produce.
-    _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
+# Raw LAPACK getrf/getrs: scipy's lu_factor/lu_solve wrappers spend
+# more time in Python-level validation than LAPACK spends factoring the
+# ~20-unknown matrices this repo's circuits produce.
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,6 @@ class SolverOptions:
     #: a row the Jacobian is refactored regardless, bounding the extra
     #: iterations modified Newton can spend versus the fresh path.
     reuse_limit: int = 4
-    #: Unknown count at which factorization switches from dense LAPACK
-    #: LU to scipy.sparse splu.  MNA matrices of netlist-level circuits
-    #: are extremely sparse (a handful of entries per row), so past a
-    #: few hundred unknowns the sparse path wins despite the conversion.
-    sparse_threshold: int = 200
     #: Fill-reducing column ordering passed to ``splu`` (``COLAMD``,
     #: ``MMD_AT_PLUS_A``, ``MMD_ATA`` or ``NATURAL``).  COLAMD is
     #: scipy's own default, restated here so the choice is explicit,
@@ -187,11 +175,10 @@ class RawSolution:
 class NewtonWorkspace:
     """Reusable linear-solve state shared across Newton runs.
 
-    Owns the current factorization (dense LU, sparse splu, or a plain
-    matrix copy without scipy) plus its staleness flag and counters.
-    One workspace follows a system through all stepping strategies of a
-    DC solve, and through every timestep of a transient — which is what
-    makes cross-timestep LU reuse possible.
+    Owns the current factorization (dense LU or sparse splu) plus its
+    staleness flag and counters.  One workspace follows a system through
+    all stepping strategies of a DC solve, and through every timestep of
+    a transient — which is what makes cross-timestep LU reuse possible.
     """
 
     def __init__(self):
@@ -230,9 +217,8 @@ class NewtonWorkspace:
     def factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
         """Factor the Jacobian; False if it is singular/non-finite.
 
-        Accepts a dense ndarray or (from the sparse assembly mode) a
-        ``scipy.sparse`` matrix — a sparse input always factors through
-        ``splu`` regardless of the size threshold.
+        A ``scipy.sparse`` matrix (the sparse assembly mode) factors
+        through ``splu``, a dense ndarray through LAPACK.
         """
         trc = _tele.ACTIVE
         if trc is None or not trc.detailed:
@@ -244,24 +230,19 @@ class NewtonWorkspace:
 
     def _factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
         try:
-            if _HAVE_SCIPY and (
-                _issparse(jacobian)
-                or jacobian.shape[0] >= options.sparse_threshold
-            ):
-                # Format-aware hand-off to splu: the sparse assembly
-                # path already produces CSC, so the common case is a
-                # zero-copy pass-through.  Anything else (a dense
-                # ndarray whose size crossed the threshold, or a sparse
-                # matrix built in another format) pays a conversion —
-                # counted, so benchmarks can assert the end-to-end
-                # pipeline never re-walks a matrix per factorization.
-                if not _issparse(jacobian) or jacobian.format != "csc":
-                    jacobian = _csc_matrix(jacobian)
+            if _issparse(jacobian):
+                # The sparse assembly path already produces CSC, so the
+                # common case is a zero-copy pass-through.  A sparse
+                # matrix in another format pays a conversion — counted,
+                # so benchmarks can assert the end-to-end pipeline never
+                # re-walks a matrix per factorization.
+                if jacobian.format != "csc":
+                    jacobian = jacobian.tocsc()
                     STATS.sparse_conversions += 1
                 self._kind = "sparse"
                 self._data = _splu(jacobian, permc_spec=options.sparse_permc)
                 STATS.sparse_factorizations += 1
-            elif _HAVE_SCIPY:
+            else:
                 lu, piv, info = _getrf(jacobian, overwrite_a=False)
                 if info != 0:
                     # info > 0: exactly singular (routine during the
@@ -271,9 +252,6 @@ class NewtonWorkspace:
                     return False
                 self._kind = "dense"
                 self._data = (lu, piv)
-            else:  # pragma: no cover - exercised only without scipy
-                self._kind = "numpy"
-                self._data = jacobian.copy()
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             self.invalidate()
             return False
@@ -289,13 +267,11 @@ class NewtonWorkspace:
         try:
             if self._kind == "sparse":
                 step = self._data.solve(rhs)
-            elif self._kind == "dense":
+            else:
                 lu, piv = self._data
                 step, info = _getrs(lu, piv, rhs)
                 if info != 0:
                     return None
-            else:  # pragma: no cover - exercised only without scipy
-                step = np.linalg.solve(self._data, rhs)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return None
         if not np.all(np.isfinite(step)):

@@ -37,8 +37,8 @@ class SolverStats:
     residual_evaluations: int = 0
     #: Full (J, F) assemblies.
     compiled_assemblies: int = 0
-    #: Factorizations routed to scipy.sparse ``splu`` (above the size
-    #: threshold) rather than dense LAPACK LU.
+    #: Factorizations routed to scipy.sparse ``splu`` (a sparse-assembled
+    #: Jacobian) rather than dense LAPACK LU.
     sparse_factorizations: int = 0
     #: Vectorized device-group evaluation passes (one per group per
     #: residual/Jacobian assembly through the grouped fast path).
@@ -47,10 +47,10 @@ class SolverStats:
     #: per-element scalar dispatch these passes replaced).
     grouped_device_evals: int = 0
     #: Assemblies that returned a ``scipy.sparse`` Jacobian (the
-    #: never-densify mode above the sparse threshold).
+    #: never-densify mode at ``SPARSE_MIN_UNKNOWNS`` or more unknowns).
     sparse_assemblies: int = 0
     #: Jacobian format conversions paid on the way into ``splu`` (a
-    #: dense scan into CSC, or a CSR->CSC reconversion).  The CSC
+    #: sparse matrix in a format other than CSC, e.g. CSR).  The CSC
     #: end-to-end pipeline keeps this at zero for sparse-assembled
     #: systems; any increment means a matrix was built in the wrong
     #: format and re-walked per factorization.

@@ -70,6 +70,15 @@ WRONG_TYPED_PLANS = {
 }
 
 
+#: Solver options the wire must refuse by name, by case name: a typo,
+#: and the removed ``sparse_threshold`` (the system's size picks dense
+#: or sparse).
+UNKNOWN_SOLVER_OPTIONS = {
+    "abstol2": {"abstol2": 1e-9},
+    "sparse_threshold": {"sparse_threshold": 500},
+}
+
+
 @pytest.fixture(autouse=True)
 def _reset_stats():
     STATS.reset()
@@ -118,9 +127,14 @@ class TestWireCodec:
         with pytest.raises(PlanError, match="no field"):
             plan_from_wire({"analysis": "OP", "temperture_k": 300.0})
 
-    def test_unknown_solver_option(self):
+    @pytest.mark.parametrize(
+        "options",
+        list(UNKNOWN_SOLVER_OPTIONS.values()),
+        ids=list(UNKNOWN_SOLVER_OPTIONS),
+    )
+    def test_unknown_solver_option(self, options):
         with pytest.raises(PlanError, match="unknown solver option"):
-            plan_from_wire({"analysis": "OP", "options": {"abstol2": 1e-9}})
+            plan_from_wire({"analysis": "OP", "options": options})
 
     def test_plan_construction_errors_are_typed(self):
         with pytest.raises(PlanError):
@@ -347,6 +361,16 @@ class TestJobService:
     )
     def test_wrong_typed_fields_rejected_before_any_solve(self, plan):
         self._assert_rejected_at_submit(plan)
+
+    @pytest.mark.parametrize(
+        "options",
+        list(UNKNOWN_SOLVER_OPTIONS.values()),
+        ids=list(UNKNOWN_SOLVER_OPTIONS),
+    )
+    def test_unknown_solver_option_rejected_before_any_solve(self, options):
+        self._assert_rejected_at_submit(
+            {"analysis": "OP", "options": options}, match="unknown solver option"
+        )
 
     @pytest.mark.parametrize("ratio", [1.0, 0.5])
     def test_non_growing_gain_ramp_rejected_before_any_solve(self, ratio):

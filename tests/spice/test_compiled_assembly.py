@@ -19,8 +19,8 @@ from repro.spice.solver import solve_dc, solve_dc_system
 from families import CIRCUITS
 from reference_assembly import ReferenceSystem
 
-#: Both device-evaluator paths (the conftest fixture flips
-#: REPRO_VECTORIZED): the compiled-vs-reference contract must hold
+#: Both device-evaluator paths (the conftest fixture patches the
+#: group-size rule): the compiled-vs-reference contract must hold
 #: whether the nonlinear devices evaluate grouped or scalar.
 pytestmark = pytest.mark.usefixtures("device_eval_path")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 #: Run the whole reuse/sparse contract on both device-evaluator paths
-#: (the conftest fixture flips REPRO_VECTORIZED).
+#: (the conftest fixture patches the group-size rule).
 pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.circuits.bandgap_cell import build_bandgap_cell
@@ -26,7 +26,7 @@ from repro.spice import (
 )
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
-from repro.spice.solver import NewtonWorkspace, _newton
+from repro.spice.solver import NewtonWorkspace, _newton, solve_dc_system
 from repro.spice.transient import TransientOptions
 
 
@@ -97,9 +97,18 @@ class TestSparseSwitch:
         assert solution.residual < 1e-6
 
     def test_sparse_and_dense_agree(self):
+        # The same ~240-unknown ladder assembled sparse and dense: each
+        # leg factors what it assembled (splu or LAPACK, no conversion
+        # either way) and both land on the same point.
+        from repro.spice.stats import STATS
+
         circuit = _diode_ladder(120)
-        sparse = solve_dc(circuit, options=SolverOptions(sparse_threshold=10))
-        dense = solve_dc(circuit, options=SolverOptions(sparse_threshold=10**9))
+        sparse = solve_dc_system(MNASystem(circuit, sparse=True))
+        STATS.reset()
+        dense = solve_dc_system(MNASystem(circuit, sparse=False))
+        assert STATS.factorizations > 0
+        assert STATS.sparse_factorizations == 0
+        assert STATS.sparse_conversions == 0
         assert sparse.x == pytest.approx(dense.x, abs=1e-8)
 
     def test_sparse_assembly_factors_conversion_free(self):
@@ -115,15 +124,17 @@ class TestSparseSwitch:
         assert STATS.sparse_conversions == 0
 
     @pytest.mark.parametrize(
-        "layout, conversions",
-        [("dense", 2), ("csr", 2), ("csc", 0)],
+        "layout, sparse_factorizations, conversions",
+        [("dense", 0, 0), ("csr", 2, 2), ("csc", 2, 0)],
     )
-    def test_splu_input_conversions_are_counted(self, layout, conversions):
-        # A dense ndarray forced over the sparse threshold, or a sparse
-        # matrix in another format, still factors (through splu) but
-        # pays a counted scan into CSC per factorization — the situation
-        # the counter exists to expose.  CSC, splu's native format,
-        # passes through unconverted.
+    def test_splu_input_conversions_are_counted(
+        self, layout, sparse_factorizations, conversions
+    ):
+        # The workspace factors what it is handed: a dense ndarray
+        # through LAPACK, a sparse matrix through splu.  A sparse matrix
+        # in another format pays a counted scan into CSC per
+        # factorization — the situation the counter exists to expose.
+        # CSC, splu's native format, passes through unconverted.
         import scipy.sparse
 
         from repro.spice.stats import STATS
@@ -135,11 +146,13 @@ class TestSparseSwitch:
         if layout != "dense":
             jacobian = scipy.sparse.csr_matrix(jacobian).asformat(layout)
         workspace = NewtonWorkspace()
-        options = SolverOptions(sparse_threshold=1)
+        options = SolverOptions()
         STATS.reset()
         assert workspace.factor(jacobian, options)
         assert workspace.factor(jacobian, options)
-        assert STATS.sparse_factorizations == 2
+        assert workspace.is_sparse == (layout != "dense")
+        assert STATS.factorizations == 2
+        assert STATS.sparse_factorizations == sparse_factorizations
         assert STATS.sparse_conversions == conversions
 
     def test_sparse_reuse_policy_only_applies_to_sparse_factors(self):

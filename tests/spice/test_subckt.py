@@ -13,7 +13,8 @@ Four concern groups:
 * **Sparse-path witness** — a generated >=200-unknown netlist must
   actually route through sparse assembly + splu with zero format
   conversions, and the sparse stale-LU policy must beat the dense one
-  on a warm-started resweep of the 120-cell array.
+  on a warm-started resweep of the 120-cell array, on both
+  device-evaluator paths.
 """
 
 import numpy as np
@@ -341,9 +342,11 @@ class TestModelCaseInsensitivity:
             parse_netlist(deck)
 
 
+@pytest.mark.usefixtures("device_eval_path")
 class TestSparseRouting:
     """The >=200-unknown witness: generated hierarchy actually routes
-    through sparse assembly and splu, conversion-free."""
+    through sparse assembly and splu, conversion-free, on both
+    device-evaluator paths."""
 
     @pytest.mark.parametrize("cells", [30, 120])
     def test_generated_array_routes_sparse(self, cells):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 #: Integration accuracy and step control must be identical on both
-#: device-evaluator paths (the conftest fixture flips REPRO_VECTORIZED).
+#: device-evaluator paths (the conftest fixture patches the group-size
+#: rule).
 pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.errors import NetlistError

@@ -12,6 +12,7 @@ threshold, so even two-device families exercise the vectorized math).
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.bjt.parameters import PAPER_PNP_SMALL
 from repro.spice import Circuit, Resistor, VoltageSource
@@ -166,7 +167,6 @@ def test_sparse_assembly_matches_dense_reference():
     """Above the threshold the sparse-mode Jacobian (scipy.sparse) must
     equal the dense reference entry for entry, and the solver must land
     on the same operating point through pure-sparse factorizations."""
-    scipy_sparse = pytest.importorskip("scipy.sparse")
     circuit = _bjt_bank(150, sections=60)  # ~212 unknowns, over the 200 switch
     system = MNASystem(circuit, vectorized=True)
     assert system.sparse_assembly
@@ -174,7 +174,7 @@ def test_sparse_assembly_matches_dense_reference():
     x = np.random.default_rng(11).normal(0.4, 0.6, system.size)
     js, fs = system.assemble(x)
     jr, fr = reference.assemble(x)
-    assert scipy_sparse.issparse(js)
+    assert scipy.sparse.issparse(js)
     assert js.format == "csc"  # splu's native format: no conversion
     assert_stamps_close(js.toarray(), jr)
     assert_stamps_close(fs, fr)
@@ -191,7 +191,6 @@ def test_sparse_assembly_matches_dense_reference():
 
 def test_sparse_mode_forced_on_small_system_matches():
     """The sparse mode is size-gated but must stay correct at any size."""
-    pytest.importorskip("scipy.sparse")
     circuit = CIRCUITS["bandgap_cell"]()
     sparse_sys = MNASystem(circuit, vectorized=True, sparse=True)
     dense_sys = MNASystem(circuit, vectorized=True, sparse=False)
@@ -225,6 +224,43 @@ def test_group_partition_policy():
     nonlinear = [el for el in circuit.elements if not el.is_linear]
     groups, leftover = build_groups(nonlinear, system.size, min_size=4)
     assert groups == [] and len(leftover) == len(nonlinear)
+
+
+@pytest.fixture
+def retired_selectors(monkeypatch):
+    """Set the environment variables that once overrode the size rules;
+    a default-built system must ignore them."""
+    monkeypatch.setenv("REPRO_VECTORIZED", "0")
+    monkeypatch.setenv("REPRO_GROUP_MIN", "1")
+    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "10")
+
+
+@pytest.mark.usefixtures("retired_selectors")
+@pytest.mark.parametrize("diodes, grouped", [(11, False), (12, True)])
+def test_group_size_rule_is_the_module_constant(diodes, grouped):
+    """A device class groups at GROUP_MIN = 12 instances or more."""
+    system = MNASystem(_bjt_bank(0, sections=diodes))
+    assert [group.kind for group in system._assembler.groups] == (
+        ["diode"] if grouped else []
+    )
+    assert len(system._assembler.scalar_nonlinear) == (0 if grouped else diodes)
+
+
+@pytest.mark.usefixtures("retired_selectors")
+@pytest.mark.parametrize("unknowns, sparse", [(199, False), (200, True)])
+def test_sparse_size_rule_is_the_module_constant(unknowns, sparse):
+    """A system assembles sparse at SPARSE_MIN_UNKNOWNS = 200 unknowns
+    or more (one source branch plus a resistor chain's nodes)."""
+    circuit = Circuit(f"chain-{unknowns}")
+    circuit.add(VoltageSource("V1", "n0", "0", 1.0))
+    for index in range(1, unknowns - 1):
+        circuit.add(Resistor(f"R{index}", f"n{index - 1}", f"n{index}", 1e3))
+    circuit.add(Resistor("RL", f"n{unknowns - 2}", "0", 1e3))
+    system = MNASystem(circuit)
+    assert system.size == unknowns
+    assert system.sparse_assembly == sparse
+    jacobian, _ = system.assemble(np.zeros(system.size))
+    assert scipy.sparse.issparse(jacobian) == sparse
 
 
 def test_group_counters_accumulate():
@@ -293,7 +329,6 @@ def test_sparse_mode_transient_and_ac_end_to_end():
     """Transient and AC must run end to end through the sparse assembly
     mode (sparse G_lin + capacitance pattern, splu factorizations) and
     agree with the dense path."""
-    pytest.importorskip("scipy.sparse")
     from repro.spice import Capacitor, Session, Transient
     from repro.spice.transient import TransientOptions
 
