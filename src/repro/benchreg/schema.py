@@ -82,6 +82,11 @@ HARD_GATES: Dict[str, str] = {
     # temperature or gmin change re-values the recorded layout, so an
     # increment means a sweep went back to re-stamping every element.
     "linear_stamps": "lower",
+    # .SUBCKT text work at parse time: one compile per definition and
+    # model scope, plus one per body line an instance parses as text.
+    # Falling back to per-instance expansion multiplies it by the
+    # instance count (large_n: 2 -> ~620).
+    "subckt_compiles": "lower",
     "ac_factorizations": "lower",
     "op_cache_hits": "higher",
     "op_cache_warm_starts": "higher",

@@ -9,9 +9,11 @@ stale-LU policy both show up in the counters.
 Three workloads, each with its own counter delta:
 
 * ``bandgap_array`` — 120 nonlinear cells (~1082 unknowns), cold OP.
-  Gates: sparse assemblies/factorizations > 0, **zero** sparse format
-  conversions (the CSC end-to-end claim), and all identical cells solve
-  to the same output voltage (flattening correctness at scale).
+  Gates: the parse compiles the ``BGCELL`` body exactly once (not once
+  per instance), sparse assemblies/factorizations > 0, **zero** sparse
+  format conversions (the CSC end-to-end claim), and all identical
+  cells solve to the same output voltage (flattening correctness at
+  scale).
 * ``temp_resweep`` — the same session swept over 3 temperatures; the
   cache must warm-start the neighbouring points.
 * ``resistor_ladder`` — ~1k-unknown linear chain; exactly one
@@ -59,7 +61,9 @@ def run() -> ExperimentResult:
         return delta
 
     # -- nonlinear array, cold ------------------------------------------
+    compiles = STATS.subckt_compiles
     circuit = parse_netlist(bandgap_array(cells=ARRAY_CELLS))
+    checks["compiles_bgcell_once"] = STATS.subckt_compiles - compiles == 1
     session = Session(circuit)
     size = session.system.size
     before = STATS.snapshot()

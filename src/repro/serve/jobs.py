@@ -320,14 +320,8 @@ class SessionPool:
         with self._lock:
             entry = self._sessions.pop(key, None)
             if entry is None:
-                try:
-                    circuit = parse_netlist(netlist, title=title)
-                except NetlistError:
-                    raise
-                except (TypeError, ValueError) as exc:
-                    # Parser leaves over malformed numerics; keep the
-                    # submit contract: every bad netlist is typed.
-                    raise NetlistError(f"netlist parse failed: {exc}") from None
+                # The parser raises NetlistError for every bad card.
+                circuit = parse_netlist(netlist, title=title)
                 entry = (
                     Session(circuit, store=self.store),
                     threading.Lock(),

@@ -60,6 +60,10 @@ class SolverStats:
     #: then only the elements that are not plain resistors on a re-value
     #: (new temperature or gmin) or a ``b_static`` refresh.
     linear_stamps: int = 0
+    #: ``.SUBCKT`` text work at parse time: one per body compiled into
+    #: templates (once per definition and model scope), plus one per
+    #: body line an instance still substitutes and parses as text.
+    subckt_compiles: int = 0
     #: Complex linear solves of the AC subsystem (one per frequency).
     ac_solves: int = 0
     #: Complex ``G + jwC`` factorizations taken by the AC subsystem.

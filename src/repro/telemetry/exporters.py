@@ -40,6 +40,7 @@ _METRIC_HELP = {
     "sparse_assemblies": "Assemblies that returned a scipy.sparse Jacobian.",
     "sparse_conversions": "Jacobian format conversions paid on the way into splu.",
     "linear_stamps": "Static linear elements stamped through their own stamp while the linear caches are built.",
+    "subckt_compiles": ".SUBCKT bodies compiled into templates, plus body lines an instance parsed as text.",
     "ac_solves": "Complex linear solves of the AC subsystem (one per frequency).",
     "ac_factorizations": "Complex G + jwC factorizations.",
     "ac_factor_reuses": "AC solves served by a reused factorization.",

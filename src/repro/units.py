@@ -77,11 +77,19 @@ def parse_si(text: str) -> float:
 
     Recognises the SPICE suffixes ``t g meg k m u n p f`` (case
     insensitive); ``meg`` must be checked before ``m``.  A bare float is
-    returned unchanged.  Raises ``ValueError`` for unparseable text.
+    returned unchanged, and is tried first: no text ``float()`` accepts
+    ends in a suffix with a numeric stem (``inf`` and ``nan`` end in
+    ``f``/``n`` but their stems are not numbers), so the shortcut gives
+    the suffix loop's results and errors.  Raises ``ValueError`` for
+    unparseable text.
     """
     raw = text.strip().lower()
     if not raw:
         raise ValueError("empty numeric literal")
+    try:
+        return float(raw)
+    except ValueError:
+        pass
     suffixes = (
         ("meg", 1e6),
         ("t", 1e12),

@@ -91,6 +91,19 @@ class TestEndpoints:
         assert err.value.status == 400
         assert err.value.error_type == "NetlistError"
 
+    def test_unphysical_model_maps_to_400(self, server, client):
+        # A .model card the BJT model rejects (BF=-1) is a bad netlist:
+        # a typed 400 before any solve, not a dropped connection.
+        netlist = ".model Q NPN (BF=-1)\nV1 c 0 1\nQ1 c c 0 Q\n"
+        rejected = STATS.serve_jobs_rejected
+        with pytest.raises(ServeError) as err:
+            client.submit({"circuit": {"netlist": netlist}, "plan": {"analysis": "OP"}})
+        assert (err.value.status, err.value.error_type) == (400, "NetlistError")
+        assert "BF" in err.value.message
+        assert STATS.serve_jobs_rejected == rejected + 1
+        assert client.jobs() == []
+        assert server.service._queue.empty()
+
     def test_malformed_json_maps_to_400(self, server):
         req = urllib.request.Request(
             server.url + "/jobs", data=b"{not json", method="POST",

@@ -250,3 +250,18 @@ class TestWaveformSources:
             parse_netlist("V1 a 0 foo\nR1 a 0 1k")
         with pytest.raises(NetlistError):
             parse_netlist("V1 a 0 PULSE(0 abc)\nR1 a 0 1k")
+        # Nor a ModelError: an unphysical .model value is a bad card too.
+        # Each message names the card it rejects.
+        cards = {
+            "R1 a 0 xyz": "R1",
+            "C1 a 0 1q": "C1",
+            "G1 b 0 a 0 1x": "G1",
+            "V1 a 0 1\nH1 b 0 V1 zz": "H1",
+            ".model Q NPN (IS=abc)": "Q",
+            ".model Q NPN (BF=-1)": "Q",
+            ".model Q NPN (VAF=-5)": "Q",
+        }
+        for deck, card in cards.items():
+            with pytest.raises(NetlistError, match=card) as err:
+                parse_netlist(deck)
+            assert type(err.value) is NetlistError, deck

@@ -285,6 +285,12 @@ class TestErrorTaxonomy:
         with pytest.raises(SubcktError, match="nested"):
             parse_netlist(deck)
 
+    def test_repeated_port_name(self):
+        # Two ports of one name: one connection could never be reached.
+        deck = ".SUBCKT BAD p p\nR1 p 0 1k\n.ENDS\nX1 a b BAD"
+        with pytest.raises(SubcktError, match="port 'p' more than once"):
+            parse_netlist(deck)
+
     def test_duplicate_definition(self):
         deck = ".SUBCKT S a\nR1 a 0 1\n.ENDS\n.SUBCKT s a\nR1 a 0 1\n.ENDS\n"
         with pytest.raises(SubcktError, match="duplicate"):
