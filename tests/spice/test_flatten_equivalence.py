@@ -206,6 +206,23 @@ HAND_DECKS = {
         X1 in o1 vcc AMP
         X2 in o2 vcc AMP g=2e4 r=2k
     """,
+    # MID's parametrized .model makes its scope per instance, so LEAF
+    # compiles once per MID instance and D1 sees that instance's DL.
+    "nested-under-parametrized-model": """
+        .SUBCKT LEAF a b r=1k
+        R1 a b {r}
+        D1 b 0 DL
+        .ENDS
+        .SUBCKT MID p q is=1e-15 r=2k
+        .model DL D (IS={is})
+        X1 p m LEAF r={r}
+        X2 m q LEAF
+        .ENDS
+        .model DL D (IS=1e-14)
+        V1 t 0 1
+        X9 t o MID is=1e-13
+        X8 o 0 MID
+    """,
     # A port spelled like a ground alias stays ground inside the body.
     "ground-named-port": """
         .SUBCKT S a gnd
@@ -323,6 +340,8 @@ class TestCompileCounter:
     def test_parametrized_model_keeps_its_scope_per_instance(self):
         # The .model card and the D line that resolves against it.
         assert self._compiles(HAND_DECKS["param-in-body-model"]) == 1 + 2
+        # MID once, LEAF once in each of MID's two instance scopes.
+        assert self._compiles(HAND_DECKS["nested-under-parametrized-model"]) == 1 + 2
 
 
 # -- hypothesis family -----------------------------------------------------
