@@ -63,9 +63,9 @@ into internal nodes via :func:`repro.spice.elements.bjt.add_bjt`, exactly
 like the programmatic API.
 
 Every malformed card raises :class:`~repro.errors.NetlistError` (or a
-subclass) naming the card: a bad number in an element or ``.model``
-card and an unphysical model value included, never a raw
-``ValueError`` or ``ModelError``.
+subclass), never a raw ``ValueError`` or ``ModelError``; a bad number
+in an element or ``.model`` card and an unphysical model value name the
+card they come from.
 """
 
 from __future__ import annotations
