@@ -83,12 +83,12 @@ class TransientContext:
     is accepted, so stamping is free of side effects and Newton may
     re-evaluate at will.
 
-    ``serial`` is a process-unique id of this context instance.  The
-    compiled assembler keys its cached linear residual on it: a new
-    context means a new timestep (possibly with advanced integrator
-    state), while re-stamps under the *same* context — Newton iterations
-    and line-search probes of one step — may reuse the cache.  Object
-    identity (``id``) cannot serve here because ids are recycled.
+    ``serial`` is a process-unique id of this context instance.
+    :class:`~repro.spice.mna.MNASystem` keys its cached linear residual
+    on it: a new context means a new timestep (possibly with advanced
+    integrator state), while re-stamps under the *same* context — Newton
+    iterations and line-search probes of one step — may reuse the cache.
+    Object identity (``id``) cannot serve here because ids are recycled.
     """
 
     __slots__ = ("dt", "method", "alpha", "beta", "states", "serial")
@@ -276,7 +276,7 @@ class Element:
     #: True for charge-storage elements that participate in transient
     #: integration (they must implement :meth:`charge_at`).
     is_dynamic: bool = False
-    #: Contract for the compiled assembler: a linear element's stamp is
+    #: Contract for compiled assembly: a linear element's stamp is
     #: *affine in the unknown vector* for fixed ambient conditions
     #: (temperature, gmin, source_scale, time, integration context) — its
     #: Jacobian contribution is constant and its residual is
@@ -327,21 +327,23 @@ class Element:
     def jacobian_slots(self) -> int:
         """Upper bound on Jacobian entries one :meth:`stamp` call emits.
 
-        The compiled assembler reserves this many COO slots per
-        nonlinear element up front so the per-iteration scatter never
-        reallocates.  The default bound — every unknown the element can
-        touch (terminals, branch rows, plus one gmin-style helper)
-        squared — is safe for any stamp built from the element's own
-        indices; classes with exactly known footprints override it.
+        :class:`~repro.spice.mna.MNASystem` reserves this many COO
+        slots per nonlinear element up front so the per-iteration
+        scatter never reallocates.  The default bound — every unknown
+        the element can touch (terminals, branch rows, plus one
+        gmin-style helper) squared — is safe for any stamp built from
+        the element's own indices; classes with exactly known
+        footprints override it.
         """
         return (len(self.nodes) + self.branch_count + 1) ** 2
 
     def capacitance_slots(self) -> int:
         """Upper bound on C-matrix entries :meth:`ac_stamp` emits.
 
-        Mirrors :meth:`jacobian_slots` for the AC assembler: the sum
-        over elements sizes the COO buffers the capacitance matrix is
-        built from.  The default covers the two-terminal fallback below;
+        Mirrors :meth:`jacobian_slots` for
+        :meth:`~repro.spice.mna.MNASystem.linearise`: the sum over
+        elements sizes the COO buffers the capacitance matrix is built
+        from.  The default covers the two-terminal fallback below;
         classes with richer capacitance footprints (BJT junctions) or
         none at all override it.
         """

@@ -1,15 +1,15 @@
 """Vectorized device-group evaluation.
 
-The compiled assembler (:mod:`repro.spice.mna`) removed the linear
-elements from the per-iteration Python loop; what remained — and what
-profiles showed dominating every sweep — is the per-element dispatch
-into the nonlinear junction math (BJTs ~60 % of a netlist sweep).  This
-module removes that too: at :class:`~repro.spice.mna.MNASystem` build
-time the nonlinear elements are partitioned into *homogeneous groups*
-(all plain Gummel-Poon BJTs, all junction diodes), their model
-parameters and global node indices packed into contiguous arrays, and
-each Newton evaluation computes every device of a group in one
-vectorized NumPy pass:
+Compiled assembly (:class:`~repro.spice.mna.MNASystem`) removed the
+linear elements from the per-iteration Python loop; what remained — and
+what profiles showed dominating every sweep — is the per-element
+dispatch into the nonlinear junction math (BJTs ~60 % of a netlist
+sweep).  This module removes that too: at system build time (and on
+:meth:`MNASystem.invalidate`) the nonlinear elements are partitioned
+into *homogeneous groups* (all plain Gummel-Poon BJTs, all junction
+diodes), their model parameters and global node indices packed into
+contiguous arrays, and each Newton evaluation computes every device of
+a group in one vectorized NumPy pass:
 
 * the residual-only path (line-search probes — the hottest loop in the
   solver) evaluates just the terminal *currents*;
@@ -20,7 +20,10 @@ vectorized NumPy pass:
   the full pass reuse the residual pass's junction math at the same
   iterate — the group-level mirror of the scalar ``SpiceBJT._op_cache``
   (the solver probes a candidate's residual and then assembles the
-  Jacobian at that same accepted point, back to back).
+  Jacobian at that same accepted point, back to back);
+* the small-signal path returns the junction ``dQ/dV`` as COO triplets
+  (``ac_capacitance``), which :meth:`MNASystem.linearise` places ahead
+  of every ungrouped element's ``ac_stamp`` in ``C``.
 
 Equivalence contract: a group stamps the *same mathematical expressions*
 as the scalar ``Element.stamp`` it replaces, term for term, so the two

@@ -1,9 +1,13 @@
-"""Modified nodal analysis: residual/Jacobian assembly.
+"""Modified nodal analysis: every matrix the engine factors.
 
 The system solves ``F(x) = 0`` with unknowns ``x = [node voltages,
 branch currents]``.  Every element contributes directly to the residual
 and Jacobian at the current iterate — identical maths for linear and
-nonlinear elements.
+nonlinear elements.  :class:`MNASystem` builds the Jacobian the DC and
+transient Newton loops factor (:meth:`MNASystem.assemble`) and the
+small-signal ``(G, C, b)`` the AC analysis factors
+(:meth:`MNASystem.linearise`); both kinds go through one LU routine,
+:func:`repro.spice.solver.lu`.
 
 Assembly is **compiled**: the elements are partitioned once at build
 time.  Elements whose stamp is affine in ``x`` (``Element.is_linear``)
@@ -31,14 +35,13 @@ picks them, from the circuit's size and device count:
   NumPy-dispatch crossover) or more instances; below that the scalar
   loop is faster and is kept.  Elements that do not group (op-amp
   macros, substrate-attached BJTs, custom classes) keep their scalar
-  stamp;
+  stamp.  The groups also supply their junction ``dQ/dV`` to ``C``;
 * a **sparse assembly mode**: at :data:`SPARSE_MIN_UNKNOWNS` (200) or
-  more unknowns ``G_lin`` is built as ``scipy.sparse`` and each
-  assembly returns a CSC Jacobian (linear part plus the nonlinear COO
-  scatter), so large netlists never materialise a dense ``N x N``
-  matrix anywhere in the solve.  The solver and the AC analysis factor
-  whatever matrix they are handed: ``splu`` for sparse, LAPACK for
-  dense.
+  more unknowns every matrix — ``G_lin``, each Jacobian (linear part
+  plus the nonlinear COO scatter) and ``C`` — is built as a
+  ``scipy.sparse`` CSC matrix, so large netlists never materialise a
+  dense ``N x N`` matrix anywhere in the solve.  The one ``_matrix``
+  helper sums every triplet list, so ``C`` is CSC exactly when ``G`` is.
 
 ``MNASystem(vectorized=, sparse=)`` pins either choice for one system;
 the equivalence tests use it to compare the paths.
@@ -73,14 +76,15 @@ sources for source stepping.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import sys
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix as _coo_matrix
 
 from ..errors import NetlistError
 from ..telemetry import tracer as _tele
-from .elements.base import DynamicState, Stamp, TransientContext
+from .elements.base import ACStamp, DynamicState, Stamp, TransientContext
 from .elements.passives import Resistor, resistance_law
 from .groups import build_groups
 from .netlist import Circuit
@@ -105,14 +109,22 @@ class _ResidualOnlyStamp(Stamp):
         return None
 
 
+def _grow(stamp, needed: int) -> None:
+    """Double a COO stamp's slot arrays until ``needed`` entries fit."""
+    while needed > len(stamp.rows):
+        stamp.rows = np.concatenate([stamp.rows, np.zeros_like(stamp.rows)])
+        stamp.cols = np.concatenate([stamp.cols, np.zeros_like(stamp.cols)])
+        stamp.vals = np.concatenate([stamp.vals, np.zeros_like(stamp.vals)])
+
+
 class _COOStamp(Stamp):
     """Stamp collecting Jacobian entries as COO triplets.
 
     The compiled path hands this to the nonlinear elements only; the
     collected ``(row, col, value)`` triplets are scattered into the
-    dense Jacobian in one vectorized ``np.add.at`` call.  Slot arrays
-    are preallocated from the elements' ``jacobian_slots`` reservations
-    and grown (rarely) if an element under-declared.
+    Jacobian in one vectorized call.  Slot arrays are preallocated from
+    the elements' ``jacobian_slots`` reservations and grown (rarely) if
+    an element under-declared.
     """
 
     __slots__ = ("rows", "cols", "vals", "n_entries")
@@ -121,13 +133,52 @@ class _COOStamp(Stamp):
         if row >= 0 and col >= 0:
             n = self.n_entries
             if n == len(self.rows):
-                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-                self.cols = np.concatenate([self.cols, np.zeros_like(self.cols)])
-                self.vals = np.concatenate([self.vals, np.zeros_like(self.vals)])
+                _grow(self, n + 1)
             self.rows[n] = row
             self.cols[n] = col
             self.vals[n] = value
             self.n_entries = n + 1
+
+
+class _COOACStamp(ACStamp):
+    """AC stamp collecting C entries as COO triplets.
+
+    Preallocated from the elements' ``capacitance_slots`` reservations
+    and grown (rarely) if an element under-declared, like
+    :class:`_COOStamp`.
+    """
+
+    __slots__ = ("rows", "cols", "vals", "n_entries")
+
+    def __init__(self, x: np.ndarray, temperature_k: float,
+                 rhs: np.ndarray, capacity: int):
+        super().__init__(x, temperature_k, None, rhs)
+        self.rows = np.zeros(max(capacity, 1), dtype=np.intp)
+        self.cols = np.zeros(max(capacity, 1), dtype=np.intp)
+        self.vals = np.zeros(max(capacity, 1), dtype=float)
+        self.n_entries = 0
+
+    def add_capacitance(self, row: int, col: int, value: float) -> None:
+        if row >= 0 and col >= 0:
+            n = self.n_entries
+            if n == len(self.rows):
+                _grow(self, n + 1)
+            self.rows[n] = row
+            self.cols[n] = col
+            self.vals[n] = value
+            self.n_entries = n + 1
+
+    def add_capacitance_block(self, rows, cols, vals) -> None:
+        """Bulk append of pre-masked COO triplets (the grouped path)."""
+        count = len(vals)
+        if count == 0:
+            return
+        n = self.n_entries
+        _grow(self, n + count)
+        self.rows[n : n + count] = rows
+        self.cols[n : n + count] = cols
+        self.vals[n : n + count] = vals
+        self.n_entries = n + count
 
 
 class _TripletStamp(Stamp):
@@ -135,7 +186,7 @@ class _TripletStamp(Stamp):
 
     Used by the *configuration-time* passes over the linear groups (run
     once per cached configuration, so list appends are fine); the
-    assembler sums the triplets, in stamping order, into a dense or CSC
+    system sums the triplets, in stamping order, into a dense or CSC
     matrix.
     """
 
@@ -254,10 +305,10 @@ class _StaticLayout:
         return True
 
 
-class CompiledAssembler:
-    """Partitioned fast assembly for one :class:`MNASystem`.
+class MNASystem:
+    """Assembles F(x), J(x) and the small-signal (G, C, b) of a circuit.
 
-    Cached pieces (all per-system and dropped on a temperature change):
+    Cached pieces (all dropped on a temperature change):
 
     ``G_static``
         Jacobian of the non-dynamic linear elements plus the gmin
@@ -276,20 +327,39 @@ class CompiledAssembler:
     Nonlinear elements split again: homogeneous devices go through the
     vectorized groups of :mod:`repro.spice.groups` (one NumPy pass per
     group per iteration), the rest stay on their scalar ``stamp``.  In
-    sparse mode (``size >= SPARSE_MIN_UNKNOWNS``) every linear cache is
-    a ``scipy.sparse`` CSC matrix and :meth:`assemble` returns a CSC
+    sparse mode (:attr:`sparse_assembly`) every linear cache is a
+    ``scipy.sparse`` CSC matrix and :meth:`assemble` returns a CSC
     Jacobian — splu's native format — so nothing ever densifies and
     nothing is format-converted per iteration.
     """
 
     def __init__(
         self,
-        system: "MNASystem",
+        circuit: Circuit,
+        temperature_k: float = 300.15,
         vectorized: Optional[bool] = None,
         sparse: Optional[bool] = None,
     ):
-        self.system = system
-        elements = system.circuit.elements
+        """Build the system and bind every element's global indices.
+
+        ``vectorized``/``sparse`` override the size rules
+        (:data:`~repro.spice.groups.GROUP_MIN` devices per group,
+        :data:`SPARSE_MIN_UNKNOWNS` unknowns) for this system — hooks
+        that serve the tests, which pin one path per instance.
+        """
+        circuit.validate()
+        self.circuit = circuit
+        self.temperature_k = temperature_k
+        self.n_nodes = len(circuit.nodes)
+        offset = self.n_nodes
+        elements = circuit.elements
+        for element in elements:
+            indices = [circuit.node_index(node) for node in element.nodes]
+            element.bind(indices, offset)
+            offset += element.branch_count
+        self.size = offset
+        if self.size == 0:
+            raise NetlistError("circuit has no unknowns")
         self.linear_static = [
             el for el in elements if el.is_linear and not el.is_dynamic
         ]
@@ -301,22 +371,24 @@ class CompiledAssembler:
         ]
         self.linear_dynamic = [el for el in elements if el.is_linear and el.is_dynamic]
         self.nonlinear = [el for el in elements if not el.is_linear]
-        # vectorized: None groups a class at GROUP_MIN or more
-        # instances; True groups every class regardless of size, False
+        # Smallest class that groups: None reads GROUP_MIN at every
+        # (re)pack; True groups every class regardless of size, False
         # none (the equivalence tests pin one path this way).
-        self.vectorized = vectorized is None or bool(vectorized)
-        self._group_min = 1 if vectorized else None
+        self._group_min = (
+            None if vectorized is None else 1 if vectorized else sys.maxsize
+        )
         self._build_groups()
-        if sparse is None:
-            sparse = system.size >= SPARSE_MIN_UNKNOWNS
-        self.sparse = bool(sparse)
+        #: True when every matrix is built ``scipy.sparse`` (CSC).
+        self.sparse_assembly = (
+            self.size >= SPARSE_MIN_UNKNOWNS if sparse is None else bool(sparse)
+        )
         capacity = max(sum(el.jacobian_slots() for el in self.scalar_nonlinear), 1)
         self._rows = np.zeros(capacity, dtype=np.intp)
         self._cols = np.zeros(capacity, dtype=np.intp)
         self._vals = np.zeros(capacity, dtype=float)
         #: Extended-iterate buffer [x, 0.0] the groups gather from (the
         #: trailing zero is the ground slot).
-        self._x_ext = np.zeros(system.size + 1)
+        self._x_ext = np.zeros(self.size + 1)
         self._layout: Optional[_StaticLayout] = None
         self._g_static: Optional[np.ndarray] = None
         self._g_static_key: Optional[float] = None
@@ -330,6 +402,11 @@ class CompiledAssembler:
         self._b_comb: Optional[np.ndarray] = None
         self._b_comb_key: Optional[Tuple] = None
 
+    @property
+    def vectorized(self) -> bool:
+        """True when at least one vectorized device group is active."""
+        return bool(self.groups)
+
     def _build_groups(self) -> None:
         """(Re)pack the vectorized device groups from the live elements.
 
@@ -339,21 +416,62 @@ class CompiledAssembler:
         system follows the same invalidate contract as mutating a
         linear element's value.
         """
-        if self.vectorized:
-            self.groups, self.scalar_nonlinear = build_groups(
-                self.nonlinear, self.system.size, min_size=self._group_min
-            )
-        else:
-            self.groups, self.scalar_nonlinear = [], list(self.nonlinear)
+        self.groups, self.scalar_nonlinear = build_groups(
+            self.nonlinear, self.size, min_size=self._group_min
+        )
+
+    def set_temperature(self, temperature_k: float) -> None:
+        """Re-temperature the system in place, keeping the topology.
+
+        Sweeps call this instead of rebuilding an :class:`MNASystem` per
+        point: bindings, slot reservations and the Newton workspace all
+        survive, so LU reuse and the compiled caches span sweep points.
+        Only the linear caches are dropped (resistor tempcos and
+        temperature-law sources make ``G_lin``/``b_lin``
+        temperature-dependent): the next assembly re-values the recorded
+        static layout instead of re-stamping every element.  The packed
+        device groups are kept — their laws key on the ambient
+        temperature themselves, as do the element-level memos.
+        """
+        if temperature_k == self.temperature_k:
+            return
+        self.temperature_k = temperature_k
+        self._drop_linear_caches()
+
+    def _drop_linear_caches(self) -> None:
+        """Drop every cached linear part, keeping the recorded static
+        layout and the packed device groups."""
+        self._g_static_key = None
+        self._b_static_key = None
+        self._c_pattern = None
+        self._g_lin_key = None
+        self._b_dyn_key = None
+        self._b_comb_key = None
+
+    def invalidate(self) -> None:
+        """Invalidate cached state after mutating element values.
+
+        Needed when a *linear* element's value (resistance, source dc,
+        controlled-source gain), a *grouped* nonlinear device's model
+        values, or any element's ``temperature_override`` is changed on
+        a live system: the linear caches, the recorded static layout
+        (with its packed resistor values) and the groups' packed
+        parameter arrays are all snapshots, and this call drops all
+        three — the next assembly records the layout again and the
+        groups are re-packed now.  Ungrouped nonlinear elements are
+        re-stamped every assembly regardless.
+        """
+        self._drop_linear_caches()
+        self._layout = None
+        self._build_groups()
 
     # -- linear-group passes -------------------------------------------
-    def _base_stamp(self, cls, x, jacobian, residual, gmin, source_scale,
-                    time, transient):
+    def _stamp(self, cls, x, residual, gmin, source_scale, time, transient):
         return cls(
             x=x,
-            jacobian=jacobian,
+            jacobian=None,
             residual=residual,
-            temperature_k=self.system.temperature_k,
+            temperature_k=self.temperature_k,
             gmin=gmin,
             source_scale=source_scale,
             time=time,
@@ -366,17 +484,22 @@ class CompiledAssembler:
 
         CSC is ``splu``'s native format: emitting it here keeps the
         whole sparse pipeline — cached linear parts, per-iteration
-        deltas, factorization — in one format, so the solver never pays
-        a per-factorization conversion (``STATS.sparse_conversions``).
+        deltas, ``C``, factorization — in one format, so the solver never
+        pays a per-factorization conversion (``STATS.sparse_conversions``).
         The dense sum (``np.add.at``) accumulates in triplet order, as
         stamping element by element into the matrix would.
         """
-        size = self.system.size
-        if self.sparse:
+        size = self.size
+        if self.sparse_assembly:
             return _coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
         matrix = np.zeros((size, size))
         np.add.at(matrix, (rows, cols), vals)
         return matrix
+
+    def _extended(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the groups' gather buffer ``[x, 0.0]``."""
+        self._x_ext[:-1] = x
+        return self._x_ext
 
     def _static_pass(self, gmin: float, source_scale: float,
                      time: Optional[float]) -> None:
@@ -386,14 +509,13 @@ class CompiledAssembler:
         of a topology (and any pass the layout no longer fits) stamps
         every element and records it.
         """
-        size = self.system.size
-        residual = np.zeros(size)
+        residual = np.zeros(self.size)
         layout = self._layout
         if layout is None or not layout.revalue(
             self._static_stamp(residual, gmin, source_scale, time),
             self.static_scalar,
         ):
-            residual = np.zeros(size)
+            residual = np.zeros(self.size)
             layout = self._record(
                 self._static_stamp(residual, gmin, source_scale, time)
             )
@@ -408,18 +530,17 @@ class CompiledAssembler:
     def _static_stamp(self, residual, gmin: float, source_scale: float,
                       time: Optional[float]) -> _TripletStamp:
         """A triplet stamp for one static pass at ``x = 0``."""
-        return self._base_stamp(
-            _TripletStamp, np.zeros(self.system.size), None, residual, gmin,
+        return self._stamp(
+            _TripletStamp, np.zeros(self.size), residual, gmin,
             source_scale, time, None,
         )
 
     def _record(self, stamp: _TripletStamp) -> _StaticLayout:
         """Stamp every static element through its own ``stamp`` and
         record the triplet layout."""
-        n_nodes = self.system.n_nodes
-        for node in range(n_nodes):
+        for node in range(self.n_nodes):
             stamp.add_jacobian(node, node, stamp.gmin)
-        bounds = [n_nodes]
+        bounds = [self.n_nodes]
         for el in self.linear_static:
             el.stamp(stamp)
             bounds.append(len(stamp.trip_rows))
@@ -434,10 +555,9 @@ class CompiledAssembler:
         A plain resistor adds exactly zero at ``x = 0``, so only the
         scalar-stamped elements stamp.
         """
-        size = self.system.size
-        residual = np.zeros(size)
-        stamp = self._base_stamp(
-            _ResidualOnlyStamp, np.zeros(size), None, residual, gmin,
+        residual = np.zeros(self.size)
+        stamp = self._stamp(
+            _ResidualOnlyStamp, np.zeros(self.size), residual, gmin,
             source_scale, time, None,
         )
         for el in self.static_scalar:
@@ -450,11 +570,10 @@ class CompiledAssembler:
     def _capacitance_pattern(self) -> np.ndarray:
         """Jacobian of the dynamic linear group at alpha=1 (computed once)."""
         if self._c_pattern is None:
-            size = self.system.size
             states = {el.name: DynamicState() for el in self.linear_dynamic}
             unit_ctx = TransientContext(dt=1.0, method="be", states=states)
-            stamp = self._base_stamp(
-                _TripletStamp, np.zeros(size), None, np.zeros(size), 0.0,
+            stamp = self._stamp(
+                _TripletStamp, np.zeros(self.size), np.zeros(self.size), 0.0,
                 1.0, None, unit_ctx,
             )
             for el in self.linear_dynamic:
@@ -466,9 +585,9 @@ class CompiledAssembler:
                           time: Optional[float],
                           transient: TransientContext) -> np.ndarray:
         """Companion residual of the dynamic group at ``x = 0``."""
-        residual = np.zeros(self.system.size)
-        stamp = self._base_stamp(
-            _ResidualOnlyStamp, np.zeros(self.system.size), None, residual,
+        residual = np.zeros(self.size)
+        stamp = self._stamp(
+            _ResidualOnlyStamp, np.zeros(self.size), residual,
             gmin, source_scale, time, transient,
         )
         for el in self.linear_dynamic:
@@ -507,8 +626,8 @@ class CompiledAssembler:
     def _scalar_nonlinear_coo(self, x, residual, gmin, source_scale, time,
                               transient) -> int:
         """Stamp the ungrouped nonlinear elements into the COO slots."""
-        stamp = self._base_stamp(
-            _COOStamp, x, None, residual, gmin, source_scale, time, transient
+        stamp = self._stamp(
+            _COOStamp, x, residual, gmin, source_scale, time, transient
         )
         stamp.rows, stamp.cols, stamp.vals = self._rows, self._cols, self._vals
         stamp.n_entries = 0
@@ -517,171 +636,6 @@ class CompiledAssembler:
         # Keep (possibly grown) slot arrays for the next iteration.
         self._rows, self._cols, self._vals = stamp.rows, stamp.cols, stamp.vals
         return stamp.n_entries
-
-    def assemble(self, x, gmin, source_scale, time, transient):
-        g_lin, b_lin = self._linear_parts(gmin, source_scale, time, transient)
-        residual = g_lin @ x + b_lin
-        groups = self.groups
-        ambient = self.system.temperature_k
-        if self.sparse:
-            triplets = []
-            if groups:
-                x_ext = self._x_ext
-                x_ext[:-1] = x
-                for group in groups:
-                    STATS.group_evals += 1
-                    STATS.grouped_device_evals += group.n
-                    triplets.append(
-                        group.stamp_full(x_ext, residual, gmin, ambient)
-                    )
-            n = self._scalar_nonlinear_coo(
-                x, residual, gmin, source_scale, time, transient
-            )
-            if n:
-                triplets.append(
-                    (self._rows[:n], self._cols[:n], self._vals[:n])
-                )
-            STATS.sparse_assemblies += 1
-            if not triplets:
-                return g_lin.copy(), residual
-            rows = np.concatenate([t[0] for t in triplets])
-            cols = np.concatenate([t[1] for t in triplets])
-            vals = np.concatenate([t[2] for t in triplets])
-            size = self.system.size
-            delta = _coo_matrix((vals, (rows, cols)), shape=(size, size))
-            # CSC + CSC stays CSC all the way into splu.
-            return (g_lin + delta.tocsc()), residual
-        jacobian = g_lin.copy()
-        if groups:
-            x_ext = self._x_ext
-            x_ext[:-1] = x
-            for group in groups:
-                STATS.group_evals += 1
-                STATS.grouped_device_evals += group.n
-                rows, cols, vals = group.stamp_full(x_ext, residual, gmin, ambient)
-                if rows.size:
-                    np.add.at(jacobian, (rows, cols), vals)
-        n = self._scalar_nonlinear_coo(
-            x, residual, gmin, source_scale, time, transient
-        )
-        if n:
-            np.add.at(jacobian, (self._rows[:n], self._cols[:n]), self._vals[:n])
-        return jacobian, residual
-
-    def assemble_residual(self, x, gmin, source_scale, time, transient):
-        g_lin, b_lin = self._linear_parts(gmin, source_scale, time, transient)
-        residual = g_lin @ x + b_lin
-        groups = self.groups
-        if groups:
-            x_ext = self._x_ext
-            x_ext[:-1] = x
-            ambient = self.system.temperature_k
-            for group in groups:
-                STATS.group_evals += 1
-                STATS.grouped_device_evals += group.n
-                group.stamp_residual(x_ext, residual, gmin, ambient)
-        if self.scalar_nonlinear:
-            stamp = self._base_stamp(
-                _ResidualOnlyStamp, x, None, residual, gmin, source_scale,
-                time, transient,
-            )
-            for el in self.scalar_nonlinear:
-                el.stamp(stamp)
-        return residual
-
-    def drop_linear_caches(self) -> None:
-        """Drop every cached linear part, keeping the recorded static
-        layout and the packed device groups (the temperature moved)."""
-        self._g_static_key = None
-        self._b_static_key = None
-        self._c_pattern = None
-        self._g_lin_key = None
-        self._b_dyn_key = None
-        self._b_comb_key = None
-
-    def invalidate(self) -> None:
-        """Drop every cached linear part and the recorded static layout
-        (element values were mutated) and re-pack the device groups
-        (their parameter arrays and temperature-override snapshots are
-        build-time copies)."""
-        self.drop_linear_caches()
-        self._layout = None
-        self._build_groups()
-
-
-class MNASystem:
-    """Assembles F(x) and J(x) for a circuit at given conditions."""
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        temperature_k: float = 300.15,
-        vectorized: Optional[bool] = None,
-        sparse: Optional[bool] = None,
-    ):
-        """Build the system and bind every element's global indices.
-
-        ``vectorized``/``sparse`` override the size rules
-        (:data:`~repro.spice.groups.GROUP_MIN` devices per group,
-        :data:`SPARSE_MIN_UNKNOWNS` unknowns) for this system — hooks
-        that serve the tests, which pin one path per instance.
-        """
-        circuit.validate()
-        self.circuit = circuit
-        self.temperature_k = temperature_k
-        self.n_nodes = len(circuit.nodes)
-        offset = self.n_nodes
-        for element in circuit.elements:
-            indices = [circuit.node_index(node) for node in element.nodes]
-            element.bind(indices, offset)
-            offset += element.branch_count
-        self.size = offset
-        if self.size == 0:
-            raise NetlistError("circuit has no unknowns")
-        self._assembler = CompiledAssembler(self, vectorized=vectorized, sparse=sparse)
-
-    @property
-    def vectorized(self) -> bool:
-        """True when at least one vectorized device group is active."""
-        return bool(self._assembler.groups)
-
-    @property
-    def sparse_assembly(self) -> bool:
-        """True when :meth:`assemble` returns ``scipy.sparse`` Jacobians."""
-        return self._assembler.sparse
-
-    def set_temperature(self, temperature_k: float) -> None:
-        """Re-temperature the system in place, keeping the topology.
-
-        Sweeps call this instead of rebuilding an :class:`MNASystem` per
-        point: bindings, slot reservations and the Newton workspace all
-        survive, so LU reuse and the compiled caches span sweep points.
-        Only the linear caches are dropped (resistor tempcos and
-        temperature-law sources make ``G_lin``/``b_lin``
-        temperature-dependent): the next assembly re-values the recorded
-        static layout instead of re-stamping every element.  The packed
-        device groups are kept — their laws key on the ambient
-        temperature themselves, as do the element-level memos.
-        """
-        if temperature_k == self.temperature_k:
-            return
-        self.temperature_k = temperature_k
-        self._assembler.drop_linear_caches()
-
-    def invalidate(self) -> None:
-        """Invalidate cached state after mutating element values.
-
-        Needed when a *linear* element's value (resistance, source dc,
-        controlled-source gain), a *grouped* nonlinear device's model
-        values, or any element's ``temperature_override`` is changed on
-        a live system: the linear caches, the recorded static layout
-        (with its packed resistor values) and the groups' packed
-        parameter arrays are all snapshots, and this call drops all
-        three — the next assembly records the layout again and the
-        groups are re-packed now.  Ungrouped nonlinear elements are
-        re-stamped every assembly regardless.
-        """
-        self._assembler.invalidate()
 
     def assemble(
         self,
@@ -698,17 +652,47 @@ class MNASystem:
         the integration context of the timestep being solved (``None``
         = DC, i.e. charge-storage elements stamp nothing).  In sparse
         assembly mode (:attr:`sparse_assembly`) ``J`` is a
-        ``scipy.sparse`` matrix; every consumer in the repo (the Newton
-        workspace, the AC subsystem) handles either kind.
+        ``scipy.sparse`` CSC matrix; :func:`repro.spice.solver.lu`
+        factors either kind.
         """
         STATS.compiled_assemblies += 1
         trc = _tele.ACTIVE
         if trc is None or not trc.detailed:
-            return self._assembler.assemble(x, gmin, source_scale, time, transient)
+            return self._assemble(x, gmin, source_scale, time, transient)
         t0 = trc.clock()
-        out = self._assembler.assemble(x, gmin, source_scale, time, transient)
+        out = self._assemble(x, gmin, source_scale, time, transient)
         trc.leaf("assembly", t0)
         return out
+
+    def _assemble(self, x, gmin, source_scale, time, transient):
+        g_lin, b_lin = self._linear_parts(gmin, source_scale, time, transient)
+        residual = g_lin @ x + b_lin
+        triplets = []
+        if self.groups:
+            x_ext = self._extended(x)
+            for group in self.groups:
+                STATS.group_evals += 1
+                STATS.grouped_device_evals += group.n
+                triplets.append(
+                    group.stamp_full(x_ext, residual, gmin, self.temperature_k)
+                )
+        n = self._scalar_nonlinear_coo(
+            x, residual, gmin, source_scale, time, transient
+        )
+        if n:
+            triplets.append((self._rows[:n], self._cols[:n], self._vals[:n]))
+        if self.sparse_assembly:
+            STATS.sparse_assemblies += 1
+            if not triplets:
+                return g_lin.copy(), residual
+            rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+            delta = _coo_matrix((vals, (rows, cols)), shape=(self.size, self.size))
+            # CSC + CSC stays CSC all the way into splu.
+            return (g_lin + delta.tocsc()), residual
+        jacobian = g_lin.copy()
+        for rows, cols, vals in triplets:
+            np.add.at(jacobian, (rows, cols), vals)
+        return jacobian, residual
 
     def assemble_residual(
         self,
@@ -727,7 +711,57 @@ class MNASystem:
         linear group to one cached matrix-vector product.
         """
         STATS.residual_evaluations += 1
-        return self._assembler.assemble_residual(x, gmin, source_scale, time, transient)
+        g_lin, b_lin = self._linear_parts(gmin, source_scale, time, transient)
+        residual = g_lin @ x + b_lin
+        if self.groups:
+            x_ext = self._extended(x)
+            for group in self.groups:
+                STATS.group_evals += 1
+                STATS.grouped_device_evals += group.n
+                group.stamp_residual(x_ext, residual, gmin, self.temperature_k)
+        if self.scalar_nonlinear:
+            stamp = self._stamp(
+                _ResidualOnlyStamp, x, residual, gmin, source_scale, time,
+                transient,
+            )
+            for el in self.scalar_nonlinear:
+                el.stamp(stamp)
+        return residual
+
+    def linearise(
+        self, x: np.ndarray, gmin: float = 1e-12
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return the small-signal ``(G, C, b)`` at the operating point ``x``.
+
+        ``G`` is :meth:`assemble`'s DC Jacobian there (gmin included, so
+        the AC system is singular precisely when the DC one is).  ``C``
+        sums every element's ``dQ/dV``: each device group's
+        ``ac_capacitance`` first, then every other element's
+        ``ac_stamp`` in circuit order; it is built in ``G``'s format.
+        ``b`` is the independent sources' complex AC excitation.
+        """
+        G, _ = self.assemble(x, gmin=gmin)
+        elements = self.circuit.elements
+        b = np.zeros(self.size, dtype=complex)
+        stamp = _COOACStamp(
+            x, self.temperature_k, b,
+            sum(el.capacitance_slots() for el in elements),
+        )
+        grouped = set()
+        if self.groups:
+            x_ext = self._extended(x)
+            for group in self.groups:
+                stamp.add_capacitance_block(
+                    *group.ac_capacitance(x_ext, self.temperature_k)
+                )
+                grouped.update(id(el) for el in group.devices)
+                STATS.group_evals += 1
+                STATS.grouped_device_evals += group.n
+        for element in elements:
+            if id(element) not in grouped:
+                element.ac_stamp(stamp)
+        n = stamp.n_entries
+        return G, self._matrix(stamp.rows[:n], stamp.cols[:n], stamp.vals[:n]), b
 
     def kcl_residual(self, x: np.ndarray, gmin: float = 1e-12) -> float:
         """Infinity norm of the node-current residuals at ``x`` [A]."""
@@ -757,4 +791,3 @@ class MNASystem:
             if isinstance(element, (VoltageSource, CurrentSource)):
                 total += element.power(stamp)
         return total
-

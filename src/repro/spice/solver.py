@@ -24,7 +24,8 @@ halves the step until the residual norm actually decreases (the guard
 against rail-to-rail oscillation in stiff op-amp loops).
 
 Linear algebra goes through a :class:`NewtonWorkspace` implementing the
-production-SPICE factorization policy:
+production-SPICE factorization policy on top of :func:`lu`, the one LU
+routine the DC, transient and AC analyses share:
 
 * **LU reuse (modified Newton)**: the factorization from an earlier
   iterate (or earlier transient timestep) is kept while it still
@@ -33,15 +34,16 @@ production-SPICE factorization policy:
   the solution the Jacobian changes every iteration and reuse buys
   nothing, but in the convergence tail — and across the small timesteps
   of a transient — most factorizations are redundant.
-* **dense or sparse, as assembled**: the workspace factors whatever
-  Jacobian the system hands it — ``scipy.sparse.linalg.splu`` for a
-  sparse matrix, dense LAPACK LU for an ndarray — so the size rule
-  lives in one place, :class:`~repro.spice.mna.MNASystem`, which
-  assembles sparse at ``SPARSE_MIN_UNKNOWNS`` (200) or more unknowns.
-  The sparse assembly mode hands ``splu`` its native CSC format directly
-  (conversions are counted in ``STATS.sparse_conversions`` and stay at
-  zero end-to-end), the fill-reducing ordering is an explicit option
-  (``sparse_permc``), and stale-LU reuse runs a cost-aware policy:
+* **dense or sparse, as assembled**: :func:`lu` factors whatever
+  matrix the system hands it — ``scipy.sparse.linalg.splu`` for a
+  sparse matrix, raw LAPACK ``getrf`` for a real or complex ndarray —
+  so the size rule lives in one place,
+  :class:`~repro.spice.mna.MNASystem`, which assembles sparse at
+  ``SPARSE_MIN_UNKNOWNS`` (200) or more unknowns.  The sparse assembly
+  mode hands ``splu`` its native CSC format directly (conversions are
+  counted in ``STATS.sparse_conversions`` and stay at zero end-to-end),
+  the fill-reducing ordering is an explicit option (``sparse_permc``),
+  and stale-LU reuse runs a cost-aware policy:
   sparse factors get a higher consecutive-reuse cap and a relaxed
   contraction demand (``sparse_reuse_limit`` /
   ``sparse_reuse_contraction``) because each skipped factorization is
@@ -51,11 +53,11 @@ production-SPICE factorization policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import issparse as _issparse
+from scipy.sparse.linalg import SuperLU
 from scipy.sparse.linalg import splu as _splu
 
 from ..errors import ConvergenceError
@@ -68,7 +70,62 @@ from .stats import STATS
 # Raw LAPACK getrf/getrs: scipy's lu_factor/lu_solve wrappers spend
 # more time in Python-level validation than LAPACK spends factoring the
 # ~20-unknown matrices this repo's circuits produce.
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_REAL_LAPACK = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_COMPLEX_LAPACK = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+#: What a failed factorization or back-substitution raises
+#: (``np.linalg.LinAlgError`` is a ``ValueError``).
+_LU_ERRORS = (ValueError, RuntimeError)
+
+
+class _DenseLU:
+    """Dense LAPACK LU factors behind ``splu``'s ``solve`` interface."""
+
+    __slots__ = ("_lu", "_piv", "_getrs")
+
+    def __init__(self, lu_factors: np.ndarray, piv: np.ndarray, getrs):
+        self._lu = lu_factors
+        self._piv = piv
+        self._getrs = getrs
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        solution, info = self._getrs(self._lu, self._piv, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError("LU back-substitution failed")
+        return solution
+
+
+#: A factorization :func:`lu` returns; both kinds ``solve(rhs)``.
+LU = Union[_DenseLU, SuperLU]
+
+
+def lu(matrix, permc_spec: str) -> Optional[LU]:
+    """Factor ``matrix``; None when it is singular.
+
+    A real or complex ndarray factors through LAPACK ``getrf``;
+    ``info > 0`` (exactly singular, routine during the stepping
+    ladders) and ``info < 0`` (bad input) both return None.  Anything
+    else is a ``scipy.sparse`` matrix and factors through ``splu`` with
+    the ``permc_spec`` column ordering.  The sparse assembly mode
+    already produces CSC, so the common case is a zero-copy
+    pass-through; a sparse matrix in another format pays a conversion,
+    counted in ``STATS.sparse_conversions`` so benchmarks can assert the
+    pipeline never re-walks a matrix per factorization.
+    """
+    try:
+        if isinstance(matrix, np.ndarray):
+            getrf, getrs = _COMPLEX_LAPACK if matrix.dtype.kind == "c" else _REAL_LAPACK
+            lu_factors, piv, info = getrf(matrix, overwrite_a=False)
+        else:
+            if matrix.format != "csc":
+                matrix = matrix.tocsc()
+                STATS.sparse_conversions += 1
+            return _splu(matrix, permc_spec=permc_spec)
+    except _LU_ERRORS:
+        return None
+    if info != 0:
+        return None
+    return _DenseLU(lu_factors, piv, getrs)
 
 
 @dataclass(frozen=True)
@@ -83,8 +140,6 @@ class SolverOptions:
     #: subtraction noise amplified by the open-loop gain — float64 cannot
     #: push them below ~gain * 1e-16 V, hence the looser tolerance.
     vtol: float = 1e-8
-    #: Step-size tolerance [V / A].
-    xtol: float = 1e-10
     #: Final gmin from every node to ground [S].
     gmin: float = 1e-12
     #: Per-iteration cap on the largest unknown update [V].
@@ -175,15 +230,14 @@ class RawSolution:
 class NewtonWorkspace:
     """Reusable linear-solve state shared across Newton runs.
 
-    Owns the current factorization (dense LU or sparse splu) plus its
-    staleness flag and counters.  One workspace follows a system through
-    all stepping strategies of a DC solve, and through every timestep of
-    a transient — which is what makes cross-timestep LU reuse possible.
+    Owns the current factorization (from :func:`lu`) plus its staleness
+    flag and counters.  One workspace follows a system through all
+    stepping strategies of a DC solve, and through every timestep of a
+    transient — which is what makes cross-timestep LU reuse possible.
     """
 
     def __init__(self):
-        self._kind: Optional[str] = None
-        self._data = None
+        self._lu: Optional[LU] = None
         self._size: int = -1
         #: True once the owning iterate has moved on (the factorization
         #: no longer matches the Jacobian at the current x).
@@ -195,17 +249,16 @@ class NewtonWorkspace:
 
     @property
     def has_factorization(self) -> bool:
-        return self._kind is not None
+        return self._lu is not None
 
     @property
     def is_sparse(self) -> bool:
         """True while the held factorization is a sparse ``splu``
         (selects the sparse-tuned stale-LU reuse policy)."""
-        return self._kind == "sparse"
+        return isinstance(self._lu, SuperLU)
 
     def invalidate(self) -> None:
-        self._kind = None
-        self._data = None
+        self._lu = None
         self._size = -1
 
     def match_size(self, size: int) -> None:
@@ -215,46 +268,24 @@ class NewtonWorkspace:
             self._size = size
 
     def factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
-        """Factor the Jacobian; False if it is singular/non-finite.
-
-        A ``scipy.sparse`` matrix (the sparse assembly mode) factors
-        through ``splu``, a dense ndarray through LAPACK.
-        """
+        """Factor the Jacobian through :func:`lu`; False if it is
+        singular."""
         trc = _tele.ACTIVE
         if trc is None or not trc.detailed:
             return self._factor(jacobian, options)
         t0 = trc.clock()
         ok = self._factor(jacobian, options)
-        trc.leaf("factorization", t0, sparse=self._kind == "sparse", ok=ok)
+        trc.leaf("factorization", t0, sparse=self.is_sparse, ok=ok)
         return ok
 
     def _factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
-        try:
-            if _issparse(jacobian):
-                # The sparse assembly path already produces CSC, so the
-                # common case is a zero-copy pass-through.  A sparse
-                # matrix in another format pays a conversion — counted,
-                # so benchmarks can assert the end-to-end pipeline never
-                # re-walks a matrix per factorization.
-                if jacobian.format != "csc":
-                    jacobian = jacobian.tocsc()
-                    STATS.sparse_conversions += 1
-                self._kind = "sparse"
-                self._data = _splu(jacobian, permc_spec=options.sparse_permc)
-                STATS.sparse_factorizations += 1
-            else:
-                lu, piv, info = _getrf(jacobian, overwrite_a=False)
-                if info != 0:
-                    # info > 0: exactly singular (routine during the
-                    # stepping ladders); info < 0: bad input.  Either
-                    # way this factorization is unusable.
-                    self.invalidate()
-                    return False
-                self._kind = "dense"
-                self._data = (lu, piv)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+        factors = lu(jacobian, options.sparse_permc)
+        if factors is None:
             self.invalidate()
             return False
+        self._lu = factors
+        if self.is_sparse:
+            STATS.sparse_factorizations += 1
         self._size = jacobian.shape[0]
         self.stale = False
         self.consecutive_reuses = 0
@@ -265,14 +296,8 @@ class NewtonWorkspace:
     def solve(self, rhs: np.ndarray) -> Optional[np.ndarray]:
         """Solve against the held factorization; None on blow-up."""
         try:
-            if self._kind == "sparse":
-                step = self._data.solve(rhs)
-            else:
-                lu, piv = self._data
-                step, info = _getrs(lu, piv, rhs)
-                if info != 0:
-                    return None
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            step = self._lu.solve(rhs)
+        except _LU_ERRORS:
             return None
         if not np.all(np.isfinite(step)):
             return None

@@ -71,11 +71,12 @@ WRONG_TYPED_PLANS = {
 
 
 #: Solver options the wire must refuse by name, by case name: a typo,
-#: and the removed ``sparse_threshold`` (the system's size picks dense
-#: or sparse).
+#: the removed ``sparse_threshold`` (the system's size picks dense or
+#: sparse) and the removed ``xtol`` (no solver step read it).
 UNKNOWN_SOLVER_OPTIONS = {
     "abstol2": {"abstol2": 1e-9},
     "sparse_threshold": {"sparse_threshold": 500},
+    "xtol": {"xtol": 1e-10},
 }
 
 

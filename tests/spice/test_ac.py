@@ -451,6 +451,34 @@ class TestValidation:
         assert corner is not None and np.isfinite(corner)
         assert 0.0 < corner < 1e6
 
+    @pytest.mark.parametrize("sections", [5, 250], ids=["dense", "sparse"])
+    def test_singular_matrix_is_a_netlist_error_on_both_paths(self, sections):
+        # Two ideal sources in parallel make the branch rows dependent;
+        # 250 sections put the ladder past the sparse-assembly size.
+        circuit = Circuit(f"parallel sources, {sections} sections")
+        circuit.add(VoltageSource("V1", "n0", "0", 1.0, ac_mag=1.0))
+        circuit.add(VoltageSource("V2", "n0", "0", 1.0))
+        for index in range(1, sections + 1):
+            circuit.add(Resistor(f"R{index}", f"n{index - 1}", f"n{index}", 1e3))
+        circuit.add(Resistor("RL", f"n{sections}", "0", 1e3))
+        system = MNASystem(circuit)
+        assert system.sparse_assembly == (sections == 250)
+        with pytest.raises(NetlistError, match="AC matrix is singular at 1000 Hz"):
+            ACSystem(system, np.zeros(system.size)).solve([1e3])
+
+    def test_failed_back_substitution_is_a_netlist_error(self, monkeypatch):
+        from repro.spice import ac
+
+        class _Broken:
+            def solve(self, rhs):
+                raise RuntimeError("back-substitution blew up")
+
+        monkeypatch.setattr(ac, "lu", lambda matrix, permc_spec: _Broken())
+        system = MNASystem(rc_lowpass())
+        linear = ACSystem(system, np.zeros(system.size))
+        with pytest.raises(NetlistError, match="back-substitution failed at 1000 Hz"):
+            linear.solve([1e3])
+
     def test_log_frequencies_validation(self):
         with pytest.raises(NetlistError):
             log_frequencies(0.0, 1e3)

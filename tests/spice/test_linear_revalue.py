@@ -155,18 +155,17 @@ def test_revalue_is_byte_equal_to_a_fresh_system(sparse):
 def test_layout_and_groups_survive_set_temperature():
     circuit = _zoo()
     system = MNASystem(circuit, vectorized=True)
-    assembler = system._assembler
     x = np.full(system.size, 0.4)
     system.assemble(x)
-    layout, groups = assembler._layout, list(assembler.groups)
+    layout, groups = system._layout, list(system.groups)
     assert layout is not None and groups
     system.set_temperature(350.0)
     system.assemble(x)
-    assert assembler._layout is layout
-    assert all(a is b for a, b in zip(assembler.groups, groups))
+    assert system._layout is layout
+    assert all(a is b for a, b in zip(system.groups, groups))
     system.invalidate()
-    assert assembler._layout is None
-    assert not any(a is b for a, b in zip(assembler.groups, groups))
+    assert system._layout is None
+    assert not any(a is b for a, b in zip(system.groups, groups))
 
 
 def test_invalidated_mutation_is_picked_up_at_the_next_temperature():
@@ -188,13 +187,13 @@ def test_changed_triplet_count_records_the_layout_again():
     live = MNASystem(circuit)
     x = np.full(live.size, 0.4)
     live.assemble(x)
-    first = live._assembler._layout
+    first = live._layout
     for temperature in (340.0, 300.0):
         live.set_temperature(temperature)
         fresh = MNASystem(circuit, temperature_k=temperature)
         _assert_byte_equal(live, fresh, x, 1e-12, 1.0, None)
-        assert live._assembler._layout is not first
-        first = live._assembler._layout
+        assert live._layout is not first
+        first = live._layout
 
 
 def test_non_positive_tempco_raises_the_fresh_system_error():

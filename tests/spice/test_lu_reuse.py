@@ -26,7 +26,7 @@ from repro.spice import (
 )
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
-from repro.spice.solver import NewtonWorkspace, _newton, solve_dc_system
+from repro.spice.solver import NewtonWorkspace, _newton, lu, solve_dc_system
 from repro.spice.transient import TransientOptions
 
 
@@ -154,6 +154,23 @@ class TestSparseSwitch:
         assert STATS.factorizations == 2
         assert STATS.sparse_factorizations == sparse_factorizations
         assert STATS.sparse_conversions == conversions
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_lu_returns_none_for_a_singular_matrix(self, dtype, layout):
+        # The one LU routine the Newton workspace and the AC analysis
+        # share: real or complex, dense or sparse, singular is None.
+        import scipy.sparse
+
+        def build(rows):
+            matrix = np.array(rows, dtype=dtype)
+            return scipy.sparse.csc_matrix(matrix) if layout == "csc" else matrix
+
+        assert lu(build([[1, 2, 0], [2, 4, 0], [0, 0, 1]]), "COLAMD") is None
+        regular = [[2, 2, 0], [2, 5, 0], [0, 0, 2]]
+        rhs = np.ones(3, dtype=dtype)
+        solution = lu(build(regular), "COLAMD").solve(rhs)
+        np.testing.assert_allclose(np.array(regular) @ solution, rhs, rtol=1e-14)
 
     def test_sparse_reuse_policy_only_applies_to_sparse_factors(self):
         # Dense systems must keep the strict policy bit-for-bit: the

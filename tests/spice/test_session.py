@@ -13,7 +13,9 @@ Three contracts:
   both device-evaluator paths, to 1e-12 of the solution scale.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -735,3 +737,20 @@ class TestResults:
         payload = result.to_dict()
         json.dumps(payload)
         assert len(payload["trials"]) == 1
+
+
+class TestLifetime:
+    def test_dropped_session_frees_its_system_without_collection(self):
+        # Reference counting alone must free a dropped session's
+        # system: a cycle through it would keep every matrix it built
+        # alive until the next collection.
+        gc.disable()
+        try:
+            session = Session(parse_netlist(bandgap_array(cells=12)))
+            session.run(OP())
+            session.run(TempSweep(temperatures_k=(280.15, 320.15)))
+            system = weakref.ref(session.system)
+            del session
+            assert system() is None
+        finally:
+            gc.enable()

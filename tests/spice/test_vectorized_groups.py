@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse
 
 from repro.bjt.parameters import PAPER_PNP_SMALL
+from repro.experiments.ac_common import build_psrr_cell, build_zout_cell
 from repro.spice import Circuit, Resistor, VoltageSource
 from repro.spice.ac import ACSystem
 from repro.spice.elements.base import DynamicState, TransientContext
@@ -189,9 +190,21 @@ def test_sparse_assembly_matches_dense_reference():
     assert np.all((0.3 < voltages) & (voltages < 1.0))
 
 
-def test_sparse_mode_forced_on_small_system_matches():
-    """The sparse mode is size-gated but must stay correct at any size."""
-    circuit = CIRCUITS["bandgap_cell"]()
+#: Small circuits the sparse mode is forced on: the bandgap cell, and
+#: the AC cells whose junction and load capacitors fill ``C``.
+SMALL_SPARSE_CASES = {
+    "bandgap_cell": CIRCUITS["bandgap_cell"],
+    "psrr_cell": build_psrr_cell,
+    "zout_cell": build_zout_cell,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SPARSE_CASES))
+def test_sparse_mode_forced_on_small_system_matches(name):
+    """The sparse mode is size-gated but must stay correct at any size:
+    the same Jacobian and residual and, on the AC cells, the same
+    ``(G, C, b)``, small-signal solution and factorization counts."""
+    circuit = SMALL_SPARSE_CASES[name]()
     sparse_sys = MNASystem(circuit, vectorized=True, sparse=True)
     dense_sys = MNASystem(circuit, vectorized=True, sparse=False)
     x = np.full(sparse_sys.size, 0.45)
@@ -199,6 +212,28 @@ def test_sparse_mode_forced_on_small_system_matches():
     jd, fd = dense_sys.assemble(x)
     assert_stamps_close(js.toarray(), jd)
     assert_stamps_close(fs, fd)
+    if name == "bandgap_cell":
+        return
+    x_op = solve_dc_system(dense_sys).x
+
+    def sweep(system):
+        before = (STATS.ac_factorizations, STATS.ac_factor_reuses)
+        ac = ACSystem(system, x_op)
+        solution = ac.solve(np.logspace(0, 8, 17)).x
+        after = (STATS.ac_factorizations, STATS.ac_factor_reuses)
+        return ac, solution, (after[0] - before[0], after[1] - before[1])
+
+    sparse_ac, xs, sparse_counts = sweep(sparse_sys)
+    dense_ac, xd, dense_counts = sweep(dense_sys)
+    assert scipy.sparse.issparse(sparse_ac.C) and sparse_ac.C.format == "csc"
+    np.testing.assert_array_equal(sparse_ac.C.toarray(), dense_ac.C)
+    np.testing.assert_array_equal(sparse_ac.G.toarray(), dense_ac.G)
+    np.testing.assert_array_equal(sparse_ac.b, dense_ac.b)
+    assert sparse_ac.frequency_flat == dense_ac.frequency_flat
+    # Relative to the solution scale: near-cancelling entries differ by
+    # far more than 1e-10 of themselves, and some entries are zero.
+    assert np.abs(xs - xd).max() <= 1e-10 * np.abs(xd).max()
+    assert sparse_counts == dense_counts
 
 
 def test_group_partition_policy():
@@ -214,10 +249,10 @@ def test_group_partition_policy():
     circuit.add(Resistor("RB2", "vcc", "b", 1e4))
     circuit.add(Resistor("RB3", "e", "0", 1e4))
     system = MNASystem(circuit, vectorized=True)
-    groups = system._assembler.groups
+    groups = system.groups
     kinds = {group.kind: group.n for group in groups}
     assert kinds == {"bjt": 3, "diode": 2}
-    leftover = [el.name for el in system._assembler.scalar_nonlinear]
+    leftover = [el.name for el in system.scalar_nonlinear]
     assert "QSUB" in leftover
 
     # Adaptive threshold: below the crossover nothing groups.
@@ -240,10 +275,10 @@ def retired_selectors(monkeypatch):
 def test_group_size_rule_is_the_module_constant(diodes, grouped):
     """A device class groups at GROUP_MIN = 12 instances or more."""
     system = MNASystem(_bjt_bank(0, sections=diodes))
-    assert [group.kind for group in system._assembler.groups] == (
+    assert [group.kind for group in system.groups] == (
         ["diode"] if grouped else []
     )
-    assert len(system._assembler.scalar_nonlinear) == (0 if grouped else diodes)
+    assert len(system.scalar_nonlinear) == (0 if grouped else diodes)
 
 
 @pytest.mark.usefixtures("retired_selectors")
