@@ -78,9 +78,10 @@ HARD_GATES: Dict[str, str] = {
     # pipeline keeps this at zero, so ANY increment is a regression
     # (someone re-densified or re-formatted a matrix per iteration).
     "sparse_conversions": "lower",
-    # Static linear elements stamped through their own ``stamp``: a
-    # temperature or gmin change re-values the recorded layout, so an
-    # increment means a sweep went back to re-stamping every element.
+    # Static linear elements stamped through their own ``stamp``: only
+    # the non-resistor ones, on every static pass (plain resistors are
+    # filled from packed values), so an increment means resistors went
+    # back to stamping one by one.
     "linear_stamps": "lower",
     # .SUBCKT text work at parse time: one compile per definition and
     # model scope, plus one per body line an instance parses as text.

@@ -18,8 +18,8 @@ def resistance_law(resistance, tc1, tc2, tnom, temperature_k):
     """SPICE polynomial resistance ``R0 * (1 + tc1*dT + tc2*dT**2)`` [ohm].
 
     Works on floats and on NumPy arrays alike: :meth:`Resistor.resistance_at`
-    and the compiled assembly's vectorized re-value of every resistor
-    share this one expression, so both round identically.
+    and the static pass's vectorized fill of every plain resistor share
+    this one expression, so both round identically.
     """
     dt = temperature_k - tnom
     return resistance * (1.0 + tc1 * dt + tc2 * dt * dt)

@@ -48,25 +48,23 @@ the equivalence tests use it to compare the paths.
 
 Cache correctness: the linear part depends only on (temperature,
 ``gmin``, ``source_scale``, ``time``, and the integration context's
-alpha/state), all of which key the cache.  The static group's first
-pass of a topology stamps every element through its own ``stamp`` and
-*records* where each Jacobian triplet goes.  A new temperature
-(:meth:`MNASystem.set_temperature`) or gmin then *re-values* that
-layout: every plain resistor's conductance comes from one NumPy
-expression over its packed values, and only the other static elements
-(sources, controlled sources, ``Resistor`` subclasses) re-stamp into
-their recorded slots; a source-scale or time change re-stamps only
+alpha/state), all of which key the cache.  Every static pass fills one
+layout of Jacobian slots: the gmin diagonal, then each static element's
+triplets in circuit order.  Every plain resistor's conductance comes
+from one NumPy expression over its packed values, and only the other
+static elements (sources, controlled sources, ``Resistor`` subclasses)
+stamp, into their slots; a source-scale or time change re-stamps only
 those others into ``b_lin`` (a resistor adds exactly zero at
-``x = 0``).  The layout is recorded again when an element emits a
-different number of triplets than recorded, or a resistor law turns
-non-positive (so the error is the scalar stamp's).  Mutating element
-*values* (resistance, source dc, gains of linear controlled sources,
-the model parameters of a *grouped* nonlinear device) or
-``temperature_override`` on a live system is not tracked — call
-:meth:`MNASystem.invalidate` after doing so (it drops the linear caches
-and the recorded layout and re-packs the device groups), or build a
-fresh system (``solve_dc`` already builds one per call, which is why
-mutating values between ``solve_dc`` calls is safe).
+``x = 0``).  The slots are built on a topology's first static pass and
+again when an element stamps a different number of triplets; a new
+temperature (:meth:`MNASystem.set_temperature`) or gmin keeps them.
+Mutating element *values* (resistance, source dc, gains of linear
+controlled sources, the model parameters of a *grouped* nonlinear
+device) or ``temperature_override`` on a live system is not tracked —
+call :meth:`MNASystem.invalidate` after doing so (it drops the linear
+caches and re-packs the layout's resistor values and the device
+groups), or build a fresh system (``solve_dc`` already builds one per
+call, which is why mutating values between ``solve_dc`` calls is safe).
 
 A ``gmin`` conductance from every node to ground is always present (it
 bounds the matrix condition number and is the knob the solver's gmin
@@ -77,6 +75,8 @@ sources for source stepping.
 from __future__ import annotations
 
 import sys
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
@@ -117,17 +117,35 @@ def _grow(stamp, needed: int) -> None:
         stamp.vals = np.concatenate([stamp.vals, np.zeros_like(stamp.vals)])
 
 
+def _coo_buffers(capacity: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh ``(rows, cols, vals)`` slot arrays for ``capacity`` triplets."""
+    capacity = max(capacity, 1)
+    return (
+        np.zeros(capacity, dtype=np.intp),
+        np.zeros(capacity, dtype=np.intp),
+        np.zeros(capacity, dtype=float),
+    )
+
+
 class _COOStamp(Stamp):
     """Stamp collecting Jacobian entries as COO triplets.
 
-    The compiled path hands this to the nonlinear elements only; the
-    collected ``(row, col, value)`` triplets are scattered into the
-    Jacobian in one vectorized call.  Slot arrays are preallocated from
-    the elements' ``jacobian_slots`` reservations and grown (rarely) if
-    an element under-declared.
+    Every element stamp of a Jacobian collects through it: the static
+    pass's non-resistor elements, the capacitance pattern and the
+    per-iteration scatter of the ungrouped nonlinear elements, whose
+    triplets are summed into the Jacobian in one vectorized call.  The
+    ``(rows, cols, vals)`` slot arrays are sized from the elements'
+    ``jacobian_slots`` reservations and grown (rarely) if an element
+    under-declared; the nonlinear scatter hands in the same arrays every
+    iteration.
     """
 
     __slots__ = ("rows", "cols", "vals", "n_entries")
+
+    def collect_into(self, buffers) -> None:
+        """Collect from the start of the ``(rows, cols, vals)`` arrays."""
+        self.rows, self.cols, self.vals = buffers
+        self.n_entries = 0
 
     def add_jacobian(self, row: int, col: int, value: float) -> None:
         if row >= 0 and col >= 0:
@@ -138,6 +156,11 @@ class _COOStamp(Stamp):
             self.cols[n] = col
             self.vals[n] = value
             self.n_entries = n + 1
+
+    def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The collected ``(rows, cols, vals)``, in stamping order."""
+        n = self.n_entries
+        return self.rows[:n], self.cols[:n], self.vals[:n]
 
 
 class _COOACStamp(ACStamp):
@@ -153,9 +176,7 @@ class _COOACStamp(ACStamp):
     def __init__(self, x: np.ndarray, temperature_k: float,
                  rhs: np.ndarray, capacity: int):
         super().__init__(x, temperature_k, None, rhs)
-        self.rows = np.zeros(max(capacity, 1), dtype=np.intp)
-        self.cols = np.zeros(max(capacity, 1), dtype=np.intp)
-        self.vals = np.zeros(max(capacity, 1), dtype=float)
+        self.rows, self.cols, self.vals = _coo_buffers(capacity)
         self.n_entries = 0
 
     def add_capacitance(self, row: int, col: int, value: float) -> None:
@@ -181,106 +202,95 @@ class _COOACStamp(ACStamp):
         self.n_entries = n + count
 
 
-class _TripletStamp(Stamp):
-    """Stamp collecting Jacobian entries as plain-list COO triplets.
+#: ``stamp_conductance``'s Jacobian signs at (a,a) (a,b) (b,a) (b,b).
+_CONDUCTANCE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
-    Used by the *configuration-time* passes over the linear groups (run
-    once per cached configuration, so list appends are fine); the
-    system sums the triplets, in stamping order, into a dense or CSC
-    matrix.
-    """
 
-    __slots__ = ("trip_rows", "trip_cols", "trip_vals")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.trip_rows: list = []
-        self.trip_cols: list = []
-        self.trip_vals: list = []
-
-    def add_jacobian(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.trip_rows.append(row)
-            self.trip_cols.append(col)
-            self.trip_vals.append(value)
-
-    def triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The collected ``(rows, cols, vals)`` as arrays."""
-        return (
-            np.array(self.trip_rows, dtype=np.intp),
-            np.array(self.trip_cols, dtype=np.intp),
-            np.array(self.trip_vals, dtype=float),
-        )
+def _packed(elements, getter, dtype, width: int) -> np.ndarray:
+    """One row per element of the ``width`` values ``getter`` reads."""
+    return np.fromiter(
+        chain.from_iterable(map(getter, elements)), dtype, width * len(elements)
+    ).reshape(-1, width)
 
 
 class _StaticLayout:
-    """The static linear group's Jacobian triplets, recorded once.
+    """The slots of the static linear group's Jacobian triplets.
 
-    Built from a recording pass that stamped every element through its
-    own ``stamp``: ``rows``/``cols``/``vals`` hold the triplets in
-    stamping order (the gmin diagonal first, then each element's
-    entries, ``bounds`` delimiting them), so a matrix summed from them
-    adds every entry in the same order as the scalar pass did.
-    :meth:`revalue` refills the same triplets at new conditions: plain
-    resistors from their packed values in one NumPy expression, every
-    other element by re-stamping into its recorded slots.  The first
-    re-value packs the resistors, so a layout that is never re-valued (a
-    DC sweep invalidates every point) costs only the recording.  The
-    packed values are snapshots: mutating them needs
-    :meth:`MNASystem.invalidate`, which drops the layout.
+    ``rows``/``cols``/``vals`` hold the triplets in stamping order: the
+    gmin diagonal first, then each static element's entries in circuit
+    order, so a matrix summed from them adds every entry in the same
+    order as stamping element by element would.  A plain resistor's
+    slots come from its two node indices (``stamp_conductance``'s
+    ``(a,a) (a,b) (b,a) (b,b)``, ground entries dropped); every other
+    element's from the triplets it stamped, counted per element by
+    ``other_counts``.  The slots depend only on the topology and those
+    counts; :meth:`fill` writes one static pass's values into them.
+    The resistors' values are packed snapshots: :meth:`pack` re-reads
+    them, and :meth:`MNASystem.invalidate` calls it.
     """
 
     __slots__ = (
-        "rows", "cols", "vals", "bounds", "elements", "res_slots",
-        "res_owner", "res_sign", "r0", "tc1", "tc2", "tnom",
-        "override_idx", "override_t", "other_slots", "other_ends",
+        "rows", "cols", "vals", "n_gmin", "other_counts", "other_slots",
+        "res_slots", "res_owner", "res_sign", "resistors", "r0", "tc1",
+        "tc2", "tnom", "override_idx", "override_t",
     )
 
-    def __init__(self, stamp: _TripletStamp, bounds, elements):
-        self.rows, self.cols, self.vals = stamp.triplets()
-        self.bounds = bounds
-        self.elements = elements
-        self.res_slots = None
+    def __init__(self, n_nodes: int, elements, other_counts):
+        is_res = [type(el) is Resistor for el in elements]
+        self.resistors = list(compress(elements, is_res))
+        nodes = _packed(self.resistors, attrgetter("_node_idx"), np.intp, 2)
+        # stamp_conductance's (a,a) (a,b) (b,a) (b,b): rows a a b b,
+        # columns a b a b.
+        res_rows = nodes.repeat(2, axis=1)
+        res_cols = np.concatenate((nodes, nodes), axis=1)
+        keep = (res_rows >= 0) & (res_cols >= 0)
+        self.res_owner, corner = keep.nonzero()
+        self.res_sign = _CONDUCTANCE_SIGNS[corner]
+        # Slots per element in circuit order, then each slot's kind.
+        is_res = np.array(is_res, dtype=bool)
+        counts = np.empty(is_res.size, dtype=np.intp)
+        counts[is_res] = keep.sum(axis=1)
+        counts[~is_res] = other_counts
+        res_slot = is_res.repeat(counts)
+        self.n_gmin = n_nodes
+        self.res_slots = n_nodes + res_slot.nonzero()[0]
+        self.other_slots = n_nodes + (~res_slot).nonzero()[0]
+        self.other_counts = other_counts
+        size = n_nodes + res_slot.size
+        self.rows = np.empty(size, dtype=np.intp)
+        self.cols = np.empty(size, dtype=np.intp)
+        self.vals = np.empty(size, dtype=float)
+        self.rows[:n_nodes] = self.cols[:n_nodes] = np.arange(n_nodes)
+        self.rows[self.res_slots] = res_rows[keep]
+        self.cols[self.res_slots] = res_cols[keep]
+        self.pack()
 
-    def _pack(self) -> None:
-        """Locate every triplet's slot and pack the resistors' values."""
-        is_res = np.array([type(el) is Resistor for el in self.elements], dtype=bool)
-        counts = np.diff(np.asarray(self.bounds, dtype=np.intp))
-        owner = np.repeat(np.arange(is_res.size), counts)
-        res_slot = is_res[owner]
-        n_gmin = self.bounds[0]
-        self.res_slots = n_gmin + np.flatnonzero(res_slot)
-        self.res_owner = (np.cumsum(is_res) - 1)[owner[res_slot]]
-        # stamp_conductance emits +g/-g; copysign keeps the sign of a
-        # zero conductance too.
-        self.res_sign = np.copysign(1.0, self.vals[self.res_slots])
-        self.other_slots = n_gmin + np.flatnonzero(~res_slot)
-        self.other_ends = np.cumsum(counts[~is_res]).tolist()
-        resistors = [el for el in self.elements if type(el) is Resistor]
-        self.r0 = np.array([el.resistance for el in resistors], dtype=float)
-        self.tc1 = np.array([el.tc1 for el in resistors], dtype=float)
-        self.tc2 = np.array([el.tc2 for el in resistors], dtype=float)
-        self.tnom = np.array([el.tnom for el in resistors], dtype=float)
-        overridden = [
-            (index, el.temperature_override)
-            for index, el in enumerate(resistors)
+    def pack(self) -> None:
+        """(Re)pack the resistors' values and temperature overrides."""
+        self.r0, self.tc1, self.tc2, self.tnom = _packed(
+            self.resistors, attrgetter("resistance", "tc1", "tc2", "tnom"),
+            float, 4,
+        ).T
+        self.override_idx = [
+            index
+            for index, el in enumerate(self.resistors)
             if el.temperature_override is not None
         ]
-        self.override_idx = [index for index, _ in overridden]
-        self.override_t = [t for _, t in overridden]
+        self.override_t = [
+            self.resistors[index].temperature_override
+            for index in self.override_idx
+        ]
 
-    def revalue(self, stamp: _TripletStamp, others) -> bool:
-        """Refill the triplet values at ``stamp``'s conditions.
+    def fill(self, stamp: _COOStamp) -> None:
+        """Write a static pass's values into the slots.
 
-        ``others`` (the group's elements that are not plain resistors,
-        in order) stamp into ``stamp``, residual included.  Returns
-        False when the layout no longer fits: a resistor law is
-        non-positive (a recording pass then raises
-        :meth:`Resistor.resistance_at`'s error) or an element emitted a
-        different number of triplets than recorded.
+        ``stamp`` holds the triplets the non-resistor elements stamped
+        (in order, as counted by ``other_counts``); the resistors'
+        conductances come from one :func:`resistance_law` expression
+        over the packed values.  A non-positive law raises
+        :meth:`Resistor.resistance_at`'s error for the first such
+        resistor in circuit order.
         """
-        if self.res_slots is None:
-            self._pack()
         temperature = stamp.temperature_k
         if self.override_idx:
             temperature = np.full(self.r0.size, temperature, dtype=float)
@@ -288,21 +298,17 @@ class _StaticLayout:
         resistance = resistance_law(
             self.r0, self.tc1, self.tc2, self.tnom, temperature
         )
-        if np.any(resistance <= 0.0):
-            return False
-        ends = []
-        for el in others:
-            el.stamp(stamp)
-            ends.append(len(stamp.trip_rows))
-        STATS.linear_stamps += len(others)
-        if ends != self.other_ends:
-            return False
-        self.vals[: self.bounds[0]] = stamp.gmin
+        non_positive = resistance <= 0.0
+        if non_positive.any():
+            # The first such resistor raises as its own stamp would.
+            first = self.resistors[int(np.argmax(non_positive))]
+            first.resistance_at(first.device_temperature(stamp))
+        self.vals[: self.n_gmin] = stamp.gmin
         self.vals[self.res_slots] = self.res_sign * (1.0 / resistance)[self.res_owner]
-        self.rows[self.other_slots] = stamp.trip_rows
-        self.cols[self.other_slots] = stamp.trip_cols
-        self.vals[self.other_slots] = stamp.trip_vals
-        return True
+        rows, cols, vals = stamp.triplets()
+        self.rows[self.other_slots] = rows
+        self.cols[self.other_slots] = cols
+        self.vals[self.other_slots] = vals
 
 
 class MNASystem:
@@ -312,8 +318,9 @@ class MNASystem:
 
     ``G_static``
         Jacobian of the non-dynamic linear elements plus the gmin
-        diagonal; keyed by ``gmin``.  Summed from the recorded
-        :class:`_StaticLayout`, which outlives a temperature change.
+        diagonal; keyed by ``gmin``.  Summed from the
+        :class:`_StaticLayout`, whose slots outlive a temperature change
+        and :meth:`invalidate`.
     ``b_static``
         Residual of the same group at ``x = 0`` (source injections,
         branch-equation targets); keyed by ``(source_scale, time)``.
@@ -363,12 +370,13 @@ class MNASystem:
         self.linear_static = [
             el for el in elements if el.is_linear and not el.is_dynamic
         ]
-        #: Static elements that keep their scalar stamp on a re-value:
-        #: everything but plain resistors (sources, controlled sources,
-        #: Resistor subclasses).
+        #: Static elements that stamp on every static pass: everything
+        #: but plain resistors (sources, controlled sources, Resistor
+        #: subclasses).
         self.static_scalar = [
             el for el in self.linear_static if type(el) is not Resistor
         ]
+        self._static_capacity = sum(el.jacobian_slots() for el in self.static_scalar)
         self.linear_dynamic = [el for el in elements if el.is_linear and el.is_dynamic]
         self.nonlinear = [el for el in elements if not el.is_linear]
         # Smallest class that groups: None reads GROUP_MIN at every
@@ -382,10 +390,9 @@ class MNASystem:
         self.sparse_assembly = (
             self.size >= SPARSE_MIN_UNKNOWNS if sparse is None else bool(sparse)
         )
-        capacity = max(sum(el.jacobian_slots() for el in self.scalar_nonlinear), 1)
-        self._rows = np.zeros(capacity, dtype=np.intp)
-        self._cols = np.zeros(capacity, dtype=np.intp)
-        self._vals = np.zeros(capacity, dtype=float)
+        self._coo = _coo_buffers(
+            sum(el.jacobian_slots() for el in self.scalar_nonlinear)
+        )
         #: Extended-iterate buffer [x, 0.0] the groups gather from (the
         #: trailing zero is the ground slot).
         self._x_ext = np.zeros(self.size + 1)
@@ -428,9 +435,9 @@ class MNASystem:
         survive, so LU reuse and the compiled caches span sweep points.
         Only the linear caches are dropped (resistor tempcos and
         temperature-law sources make ``G_lin``/``b_lin``
-        temperature-dependent): the next assembly re-values the recorded
-        static layout instead of re-stamping every element.  The packed
-        device groups are kept — their laws key on the ambient
+        temperature-dependent): the next static pass refills the kept
+        static layout, stamping only the non-resistor elements.  The
+        packed device groups are kept — their laws key on the ambient
         temperature themselves, as do the element-level memos.
         """
         if temperature_k == self.temperature_k:
@@ -439,8 +446,8 @@ class MNASystem:
         self._drop_linear_caches()
 
     def _drop_linear_caches(self) -> None:
-        """Drop every cached linear part, keeping the recorded static
-        layout and the packed device groups."""
+        """Drop every cached linear part, keeping the static layout and
+        the packed device groups."""
         self._g_static_key = None
         self._b_static_key = None
         self._c_pattern = None
@@ -454,15 +461,16 @@ class MNASystem:
         Needed when a *linear* element's value (resistance, source dc,
         controlled-source gain), a *grouped* nonlinear device's model
         values, or any element's ``temperature_override`` is changed on
-        a live system: the linear caches, the recorded static layout
-        (with its packed resistor values) and the groups' packed
-        parameter arrays are all snapshots, and this call drops all
-        three — the next assembly records the layout again and the
-        groups are re-packed now.  Ungrouped nonlinear elements are
-        re-stamped every assembly regardless.
+        a live system: the linear caches, the static layout's packed
+        resistor values and the groups' packed parameter arrays are all
+        snapshots.  This call drops the linear caches and re-packs the
+        other two now; the layout's slots depend only on the topology
+        and survive.  Ungrouped nonlinear elements and the non-resistor
+        static elements stamp every pass regardless.
         """
         self._drop_linear_caches()
-        self._layout = None
+        if self._layout is not None:
+            self._layout.pack()
         self._build_groups()
 
     # -- linear-group passes -------------------------------------------
@@ -505,20 +513,31 @@ class MNASystem:
                      time: Optional[float]) -> None:
         """Full (J, F) stamp of the static linear group at ``x = 0``.
 
-        Re-values the recorded layout when there is one; the first pass
-        of a topology (and any pass the layout no longer fits) stamps
-        every element and records it.
+        The non-resistor elements stamp (residual included) and the
+        plain resistors' conductances come from the layout's packed
+        values (a resistor adds exactly zero to the residual at
+        ``x = 0``).  The layout's slots are built on the first pass and
+        again whenever an element stamps a different number of
+        triplets.
         """
         residual = np.zeros(self.size)
+        stamp = self._stamp(
+            _COOStamp, np.zeros(self.size), residual, gmin, source_scale,
+            time, None,
+        )
+        stamp.collect_into(_coo_buffers(self._static_capacity))
+        counts = []
+        for el in self.static_scalar:
+            start = stamp.n_entries
+            el.stamp(stamp)
+            counts.append(stamp.n_entries - start)
+        STATS.linear_stamps += len(self.static_scalar)
         layout = self._layout
-        if layout is None or not layout.revalue(
-            self._static_stamp(residual, gmin, source_scale, time),
-            self.static_scalar,
-        ):
-            residual = np.zeros(self.size)
-            layout = self._record(
-                self._static_stamp(residual, gmin, source_scale, time)
+        if layout is None or layout.other_counts != counts:
+            layout = self._layout = _StaticLayout(
+                self.n_nodes, self.linear_static, counts
             )
+        layout.fill(stamp)
         self._g_static = self._matrix(layout.rows, layout.cols, layout.vals)
         self._g_static_key = gmin
         self._b_static = residual
@@ -527,33 +546,12 @@ class MNASystem:
         self._g_lin_key = None
         self._b_comb_key = None
 
-    def _static_stamp(self, residual, gmin: float, source_scale: float,
-                      time: Optional[float]) -> _TripletStamp:
-        """A triplet stamp for one static pass at ``x = 0``."""
-        return self._stamp(
-            _TripletStamp, np.zeros(self.size), residual, gmin,
-            source_scale, time, None,
-        )
-
-    def _record(self, stamp: _TripletStamp) -> _StaticLayout:
-        """Stamp every static element through its own ``stamp`` and
-        record the triplet layout."""
-        for node in range(self.n_nodes):
-            stamp.add_jacobian(node, node, stamp.gmin)
-        bounds = [self.n_nodes]
-        for el in self.linear_static:
-            el.stamp(stamp)
-            bounds.append(len(stamp.trip_rows))
-        STATS.linear_stamps += len(self.linear_static)
-        self._layout = _StaticLayout(stamp, bounds, self.linear_static)
-        return self._layout
-
     def _static_residual_pass(self, gmin: float, source_scale: float,
                               time: Optional[float]) -> None:
         """Refresh only ``b_static`` (source values moved, J unchanged).
 
         A plain resistor adds exactly zero at ``x = 0``, so only the
-        scalar-stamped elements stamp.
+        non-resistor elements stamp.
         """
         residual = np.zeros(self.size)
         stamp = self._stamp(
@@ -573,9 +571,12 @@ class MNASystem:
             states = {el.name: DynamicState() for el in self.linear_dynamic}
             unit_ctx = TransientContext(dt=1.0, method="be", states=states)
             stamp = self._stamp(
-                _TripletStamp, np.zeros(self.size), np.zeros(self.size), 0.0,
+                _COOStamp, np.zeros(self.size), np.zeros(self.size), 0.0,
                 1.0, None, unit_ctx,
             )
+            stamp.collect_into(_coo_buffers(
+                sum(el.jacobian_slots() for el in self.linear_dynamic)
+            ))
             for el in self.linear_dynamic:
                 el.stamp(stamp)
             self._c_pattern = self._matrix(*stamp.triplets())
@@ -624,18 +625,17 @@ class MNASystem:
 
     # -- public assembly -----------------------------------------------
     def _scalar_nonlinear_coo(self, x, residual, gmin, source_scale, time,
-                              transient) -> int:
+                              transient) -> _COOStamp:
         """Stamp the ungrouped nonlinear elements into the COO slots."""
         stamp = self._stamp(
             _COOStamp, x, residual, gmin, source_scale, time, transient
         )
-        stamp.rows, stamp.cols, stamp.vals = self._rows, self._cols, self._vals
-        stamp.n_entries = 0
+        stamp.collect_into(self._coo)
         for el in self.scalar_nonlinear:
             el.stamp(stamp)
         # Keep (possibly grown) slot arrays for the next iteration.
-        self._rows, self._cols, self._vals = stamp.rows, stamp.cols, stamp.vals
-        return stamp.n_entries
+        self._coo = stamp.rows, stamp.cols, stamp.vals
+        return stamp
 
     def assemble(
         self,
@@ -676,11 +676,11 @@ class MNASystem:
                 triplets.append(
                     group.stamp_full(x_ext, residual, gmin, self.temperature_k)
                 )
-        n = self._scalar_nonlinear_coo(
+        stamp = self._scalar_nonlinear_coo(
             x, residual, gmin, source_scale, time, transient
         )
-        if n:
-            triplets.append((self._rows[:n], self._cols[:n], self._vals[:n]))
+        if stamp.n_entries:
+            triplets.append(stamp.triplets())
         if self.sparse_assembly:
             STATS.sparse_assemblies += 1
             if not triplets:

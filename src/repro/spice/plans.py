@@ -80,12 +80,10 @@ def _normalise_overrides(overrides) -> Overrides:
                 f"override {item!r} is not an (element, attribute, value) triple"
             ) from None
         element, attribute = str(element), str(attribute)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise PlanError(
-                f"override value for {element}.{attribute} is not a number: {value!r}"
-            ) from None
+        name = f"override value for {element}.{attribute}"
+        value = _real(name, value)
+        if not math.isfinite(value):
+            raise PlanError(f"{name} must be finite, got {value}")
         key = (element, attribute)
         if key in seen:
             if seen[key] != value:

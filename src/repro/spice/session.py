@@ -95,7 +95,7 @@ from .plans import (
     Transient,
 )
 from .solver import NewtonWorkspace, RawSolution, SolverOptions, solve_dc_system
-from .stats import STATS, SolverStats
+from .stats import STATS
 from .transient import TransientOptions, TransientResult, run_transient_system
 
 
@@ -172,6 +172,8 @@ class SolvedPointCache:
     """Solved-point store with exact and nearest-neighbour lookup."""
 
     def __init__(self, max_points: int = 512):
+        if max_points < 1:
+            raise ValueError(f"max_points must be >= 1, got {max_points}")
         self.max_points = max_points
         self._exact: Dict[Tuple, _CachedPoint] = {}
 
@@ -646,11 +648,6 @@ class Session:
         self.cache_hits = 0
         self.cache_warm_starts = 0
         self.cache_misses = 0
-        #: Session-local counter collector: every top-level :meth:`run`
-        #: (and each fanned worker's shipped delta) is folded in, so the
-        #: session can report its own share of the process ``STATS``.
-        self.stats = SolverStats()
-        self._run_depth = 0
         #: Optional persistent solved-point store
         #: (:class:`repro.serve.cachestore.CacheStore`, or a path to
         #: one).  Loaded into the cache on open; :meth:`flush_store` /
@@ -852,18 +849,10 @@ class Session:
             if trc is not None
             else None
         )
-        # Only the outermost run of a nesting chain (MonteCarlo trials
-        # re-enter run per trial) snapshots/merges, so the session-local
-        # collector counts each solve exactly once.
-        self._run_depth += 1
-        baseline = STATS.snapshot() if self._run_depth == 1 else None
         try:
             STATS.session_plans += 1
             return self._dispatch(plan, x0)
         finally:
-            self._run_depth -= 1
-            if baseline is not None:
-                self.stats.merge(STATS.delta_since(baseline))
             if span is not None:
                 trc.end(span)
 
@@ -932,9 +921,7 @@ class Session:
         self.cache_hits += hits
         self.cache_warm_starts += warm_starts
         self.cache_misses += misses
-        box = payload["telemetry"]
-        absorb_worker_telemetry(box)
-        self.stats.merge(box["stats"])
+        absorb_worker_telemetry(payload["telemetry"])
         return _ResultUnpickler(io.BytesIO(payload["results"]), self.circuit).load()
 
     # -- per-plan bodies -----------------------------------------------

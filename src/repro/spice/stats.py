@@ -56,9 +56,10 @@ class SolverStats:
     #: format and re-walked per factorization.
     sparse_conversions: int = 0
     #: Static linear elements stamped through their own ``stamp`` while
-    #: the linear caches are built: every element of the recording pass,
-    #: then only the elements that are not plain resistors on a re-value
-    #: (new temperature or gmin) or a ``b_static`` refresh.
+    #: the linear caches are built: the elements that are not plain
+    #: resistors, on every static pass (new topology, temperature or
+    #: gmin) and every ``b_static`` refresh.  Plain resistors never
+    #: stamp there; their conductances come from packed values.
     linear_stamps: int = 0
     #: ``.SUBCKT`` text work at parse time: one per body compiled into
     #: templates (once per definition and model scope), plus one per

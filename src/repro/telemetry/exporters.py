@@ -39,7 +39,7 @@ _METRIC_HELP = {
     "grouped_device_evals": "Devices evaluated through the grouped path.",
     "sparse_assemblies": "Assemblies that returned a scipy.sparse Jacobian.",
     "sparse_conversions": "Jacobian format conversions paid on the way into splu.",
-    "linear_stamps": "Static linear elements stamped through their own stamp while the linear caches are built.",
+    "linear_stamps": "Static linear elements other than plain resistors stamped while the linear caches are built.",
     "subckt_compiles": ".SUBCKT bodies compiled into templates, plus body lines an instance parsed as text.",
     "ac_solves": "Complex linear solves of the AC subsystem (one per frequency).",
     "ac_factorizations": "Complex G + jwC factorizations.",

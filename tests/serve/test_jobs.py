@@ -19,6 +19,7 @@
 """
 
 import dataclasses
+import json
 import threading
 
 import pytest
@@ -151,6 +152,12 @@ class TestWireCodec:
     def test_bad_override_shape(self):
         with pytest.raises(PlanError, match="triples"):
             plan_from_wire({"analysis": "OP", "overrides": [["R1", 1e3]]})
+
+    def test_nan_override_rejected(self):
+        # json.loads reads a bare NaN literal: the plan must refuse it.
+        wire = json.loads('{"analysis": "OP", "overrides": [["R1", "resistance", NaN]]}')
+        with pytest.raises(PlanError, match=r"R1\.resistance must be finite"):
+            plan_from_wire(wire)
 
     @pytest.mark.parametrize(
         "options, message",

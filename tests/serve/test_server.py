@@ -82,6 +82,20 @@ class TestEndpoints:
         assert server.service._queue.empty()
         assert STATS.newton_solves == 0
 
+    def test_non_finite_override_maps_to_400(self, server, client):
+        # The client encodes NaN as a bare JSON literal the server reads
+        # back; the plan refuses it before any job is queued.
+        plan = {"analysis": "OP", "overrides": [["R1", "resistance", float("nan")]]}
+        rejected = STATS.serve_jobs_rejected
+        with pytest.raises(ServeError) as err:
+            client.submit({"circuit": {"netlist": NETLIST}, "plan": plan})
+        assert (err.value.status, err.value.error_type) == (400, "PlanError")
+        assert "R1.resistance" in err.value.message
+        assert STATS.serve_jobs_rejected == rejected + 1
+        assert client.jobs() == []
+        assert server.service._queue.empty()
+        assert STATS.newton_solves == 0
+
     def test_netlist_error_maps_to_400(self, client):
         with pytest.raises(ServeError) as err:
             client.submit(

@@ -152,6 +152,42 @@ def test_revalue_is_byte_equal_to_a_fresh_system(sparse):
             assert_stamps_close(residual, f_ref)
 
 
+def _linear_zoo() -> Circuit:
+    """The zoo without its diodes: every Jacobian entry is static."""
+    circuit = Circuit("linear re-value zoo")
+    for element in _zoo().elements:
+        if not isinstance(element, Diode):
+            circuit.add(element)
+    return circuit
+
+
+def _assert_reference_bytes(system, circuit, x):
+    """Every condition's dense J equals the element-by-element oracle's."""
+    reference = ReferenceSystem(circuit, temperature_k=system.temperature_k)
+    for gmin, source_scale, time in CONDITIONS:
+        kwargs = dict(gmin=gmin, source_scale=source_scale, time=time)
+        assert _raw(system.assemble(x, **kwargs)[0]) == _raw(
+            reference.assemble(x, **kwargs)[0]
+        )
+
+
+def test_linear_deck_is_byte_equal_to_the_reference():
+    circuit = _linear_zoo()
+    live = MNASystem(circuit, sparse=False)
+    x = np.random.default_rng(20261018).normal(0.3, 0.6, live.size)
+    for temperature in TEMPERATURES:
+        fresh = MNASystem(circuit, temperature_k=temperature, sparse=False)
+        _assert_reference_bytes(fresh, circuit, x)
+        live.set_temperature(temperature)
+        _assert_reference_bytes(live, circuit, x)
+    circuit.element("R2").resistance = 6.8e3
+    circuit.element("R3").temperature_override = 250.0
+    live.invalidate()
+    for temperature in TEMPERATURES:
+        live.set_temperature(temperature)
+        _assert_reference_bytes(live, circuit, x)
+
+
 def test_layout_and_groups_survive_set_temperature():
     circuit = _zoo()
     system = MNASystem(circuit, vectorized=True)
@@ -164,7 +200,7 @@ def test_layout_and_groups_survive_set_temperature():
     assert system._layout is layout
     assert all(a is b for a, b in zip(system.groups, groups))
     system.invalidate()
-    assert system._layout is None
+    assert system._layout is layout  # slots kept, resistor values re-packed
     assert not any(a is b for a, b in zip(system.groups, groups))
 
 
@@ -209,6 +245,9 @@ def test_non_positive_tempco_raises_the_fresh_system_error():
         MNASystem(circuit, temperature_k=560.0).assemble(x)
     assert str(from_live.value) == str(from_fresh.value)
     assert "RN" in str(from_live.value)
+    with pytest.raises(NetlistError) as from_law:
+        circuit.element("RN").resistance_at(560.0)
+    assert str(from_live.value) == str(from_law.value)
     # Back in range the layout still serves, byte-equal.
     live.set_temperature(400.0)
     fresh = MNASystem(circuit, temperature_k=400.0)
@@ -241,3 +280,10 @@ def test_linear_stamps_grow_by_the_scalar_elements_per_temperature():
 
     base = stamps([260.0, 290.0])
     assert stamps([260.0, 290.0, 320.0, 350.0, 380.0]) - base == 3 * n_scalar
+
+
+def test_first_static_pass_stamps_only_the_non_resistors():
+    system = MNASystem(_bias_deck())
+    before = STATS.linear_stamps
+    system.assemble(np.zeros(system.size))
+    assert STATS.linear_stamps - before == len(system.static_scalar) == 3

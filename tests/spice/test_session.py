@@ -99,6 +99,17 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match="conflicting"):
             OP(overrides=(("R1", "resistance", 1e3), ("R1", "resistance", 2e3)))
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), True],
+        ids=["nan", "inf", "-inf", "bool"],
+    )
+    def test_override_value_must_be_a_finite_number(self, value):
+        override = (("R1", "resistance", value),)
+        with pytest.raises(PlanError, match=r"R1\.resistance"):
+            OP(overrides=override)
+        with pytest.raises(PlanError, match=r"R1\.resistance"):
+            MonteCarlo(inner=OP(), trials=(override,))
+
     def test_identical_repeated_override_folds(self):
         plan = OP(overrides=(("R1", "resistance", 1e3), ("R1", "resistance", 1e3)))
         assert plan.overrides == (("R1", "resistance", 1e3),)
@@ -189,6 +200,13 @@ class TestPlanValidation:
 
 
 class TestSolvedPointCache:
+    @pytest.mark.parametrize("cache_points", [0, -1])
+    def test_a_cache_with_no_room_is_refused_at_construction(self, cache_points):
+        # Like CacheStore: refused up front, not a StopIteration from
+        # the first insert after a finished solve.
+        with pytest.raises(ValueError, match=f"max_points must be >= 1, got {cache_points}"):
+            Session(diode_circuit, cache_points=cache_points)
+
     def test_exact_hit_skips_the_solve(self):
         session = Session(diode_circuit)
         first = session.run(OP())

@@ -174,36 +174,3 @@ class TestFannedCountersMatchSerial:
         assert session.cache_misses == STATS.op_cache_misses
         assert session.cache_warm_starts == STATS.op_cache_warm_starts
 
-
-class TestSessionLocalStats:
-    def test_session_stats_collects_this_sessions_share(self):
-        session = Session(diode_circuit)
-        STATS.reset()
-        before = STATS.snapshot()
-        session.run(TempSweep(temperatures_k=(290.0, 310.0)))
-        assert session.stats.as_dict() == STATS.delta_since(before)
-        assert session.stats.newton_solves > 0
-
-    def test_two_sessions_split_the_process_totals(self):
-        STATS.reset()
-        first = Session(diode_circuit)
-        second = Session(rc_circuit)
-        first.run(OP())
-        second.run(OP())
-        merged = SolverStats()
-        merged.merge(first.stats)
-        merged.merge(second.stats)
-        assert merged.as_dict() == STATS.as_dict()
-
-    def test_nested_montecarlo_runs_count_once(self):
-        from repro.spice import MonteCarlo
-
-        trials = tuple(
-            (("R1", "resistance", resistance),) for resistance in (500.0, 2e3)
-        )
-        session = Session(diode_circuit)
-        STATS.reset()
-        before = STATS.snapshot()
-        session.run(MonteCarlo(inner=OP(), trials=trials))
-        # The inner per-trial run() re-entries must not double-merge.
-        assert session.stats.as_dict() == STATS.delta_since(before)
