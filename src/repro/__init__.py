@@ -44,7 +44,6 @@ from .errors import (
     ConvergenceError,
     ExtractionError,
     FaultInjected,
-    ItemTimeout,
     MeasurementError,
     ModelError,
     NetlistError,
@@ -68,7 +67,6 @@ __all__ = [
     "ConvergenceError",
     "ExtractionError",
     "FaultInjected",
-    "ItemTimeout",
     "WorkerCrash",
     "Outcome",
     "RunPolicy",

@@ -99,7 +99,6 @@ HARD_GATES: Dict[str, str] = {
     "strategies.gmin-stepping": "lower",
     "strategies.source-stepping": "lower",
     "retries": "lower",
-    "timeouts": "lower",
     "worker_failures": "lower",
     "serial_fallbacks": "lower",
 }

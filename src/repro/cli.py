@@ -45,8 +45,8 @@ Prometheus text exposition format.  Both compose with ``--bench``.
 failures recorded instead of aborting the batch): a crashed experiment
 is reported with its attempt count and captured exception while the
 rest of the run completes, and the resilience counters (``retries``,
-``timeouts``, ``worker_failures``, ``serial_fallbacks``) appear in the
-bench rows' ``resil=`` segment and the Prometheus export.  Composes
+``worker_failures``, ``serial_fallbacks``) appear in the bench rows'
+``resil=`` segment and the Prometheus export.  Composes
 with the ``REPRO_FAULTS`` deterministic fault-injection spec (see
 :mod:`repro.faultinject`), which only arms under a policy.
 
@@ -426,8 +426,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{row['op_cache_warm_starts']}w/"
             f"{row['op_cache_misses']}m  "
             f"plans={row['session_plans']}  "
-            f"resil={row['retries']}r/{row['timeouts']}t/"
-            f"{row['worker_failures']}wf/{row['serial_fallbacks']}sf  "
+            f"resil={row['retries']}r/{row['worker_failures']}wf/"
+            f"{row['serial_fallbacks']}sf  "
             f"strategies: {strategies or '-'}"
         )
         print("BENCH " + json.dumps(row, sort_keys=True))

@@ -13,11 +13,10 @@ The supervised execution layer (:mod:`repro.resilience`,
 * **Retryable** — transient conditions where re-running the *same* work
   item can legitimately succeed: :class:`ConvergenceError` (a Newton
   run that strayed from a bad warm start or marginal ladder rung can
-  converge on a clean retry), :class:`WorkerCrash` (the process-pool
-  worker died — the work itself may be fine) and :class:`ItemTimeout`
-  (a deadline expired, e.g. on a loaded host).  The canonical set is
-  :data:`RETRYABLE_ERRORS`, the default of
-  :attr:`repro.resilience.RunPolicy.retryable`.
+  converge on a clean retry) and :class:`WorkerCrash` (the process-pool
+  worker died — the work itself may be fine).  The set is
+  :data:`RETRYABLE_ERRORS`, which
+  :meth:`repro.resilience.RunPolicy.is_retryable` reads.
 * **Terminal** — deterministic failures a retry cannot fix, because
   re-running identical inputs reproduces them: :class:`NetlistError` /
   :class:`PlanError` (the description itself is malformed),
@@ -26,9 +25,6 @@ The supervised execution layer (:mod:`repro.resilience`,
   exception raised by user code (``TypeError``, ``ValueError``...).
   These fail fast — one attempt, attributed to the item that raised
   them — so a retry policy can never mask a real bug by hammering it.
-
-A custom :class:`~repro.resilience.RunPolicy` may widen or narrow the
-retryable set per call site; the split above is the library default.
 """
 
 from __future__ import annotations
@@ -100,23 +96,14 @@ class ConvergenceError(ReproError):
         self.best_residual = best_residual
 
 
-class ItemTimeout(ReproError):
-    """A supervised work item exceeded its :class:`RunPolicy` deadline.
-
-    Raised (or recorded, per the policy's on-failure action) by the
-    supervised execution layer; retryable by default — a timeout on a
-    loaded host says nothing about the work itself.
-    """
-
-
 class WorkerCrash(ReproError):
     """A process-pool worker died while holding a supervised work item.
 
     Covers both a real ``BrokenProcessPool`` (the pool reported a dead
     worker; the supervisor attributes it to the unfinished items) and
     the deterministic simulation injected by :mod:`repro.faultinject`.
-    Retryable by default: the *work* may be fine even when the process
-    that ran it was not.
+    Retryable: the *work* may be fine even when the process that ran
+    it was not.
     """
 
 
@@ -147,7 +134,7 @@ class ModelError(ReproError):
     """A device model received unphysical parameters or bias."""
 
 
-#: The default retryable set of the supervised execution layer (see the
-#: module docstring's taxonomy).  Deliberately a tuple of types so it
-#: drops straight into ``isinstance`` and ``RunPolicy.retryable``.
-RETRYABLE_ERRORS = (ConvergenceError, WorkerCrash, ItemTimeout)
+#: The retryable set of the supervised execution layer (see the module
+#: docstring's taxonomy).  A tuple of types, so it drops straight into
+#: ``isinstance``.
+RETRYABLE_ERRORS = (ConvergenceError, WorkerCrash)

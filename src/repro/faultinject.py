@@ -2,9 +2,9 @@
 
 A **fault plan** names exactly which supervised work items fail, how,
 and on which attempts — the proof harness behind the resilience layer's
-contracts (fanned == serial results under every failure mode, retries
-recover transients, timeouts and crashes are attributed to the right
-item).  Faults fire *only* inside supervised execution with an explicit
+contracts (fanned == serial results under every fault kind, retries
+recover transients, crashes are attributed to the right item).
+Faults fire *only* inside supervised execution with an explicit
 :class:`~repro.resilience.RunPolicy` (``supervised_map`` /
 ``supervised_call`` with a policy, ``Session.run_many(policy=...)``,
 Monte-Carlo trials under a plan policy...), so a standing plan in the
@@ -15,7 +15,7 @@ Spec grammar (the ``REPRO_FAULTS`` environment variable and
 
     spec     := entry (";" entry)*
     entry    := kind "@" index [":" attempts]
-    kind     := convergence | crash | hardcrash | timeout | pickle | error
+    kind     := convergence | crash | hardcrash | error
     index    := <int>  | "*"          (supervised item index)
     attempts := <int> | <int>-<int> | "*"   (1-based, default "*")
 
@@ -23,13 +23,13 @@ Examples::
 
     convergence@3:1        # item 3's first attempt raises ConvergenceError
     crash@7                # every attempt of item 7 simulates a worker crash
-    timeout@12:1-2         # item 12 times out on attempts 1 and 2
+    crash@12:1-2           # item 12 crashes on attempts 1 and 2
     convergence@*:1        # every item's first attempt fails transiently
 
 Kinds:
 
 * ``convergence`` — raises :class:`~repro.errors.ConvergenceError`
-  (retryable by default: the transient-failure exemplar).
+  (retryable: the transient-failure exemplar).
 * ``crash`` — raises :class:`~repro.errors.WorkerCrash` (the simulated,
   fully deterministic worker death; fires in both serial and pool
   execution, so fanned == serial equality holds under it).
@@ -37,12 +37,6 @@ Kinds:
   worker process, producing a genuine ``BrokenProcessPool``; in the
   parent process it downgrades to ``WorkerCrash`` (a test must never
   kill its own interpreter).
-* ``timeout`` — raises :class:`~repro.errors.ItemTimeout` (the
-  deterministic stand-in for a wall-clock deadline expiry).
-* ``pickle`` — **worker-only**: raises ``pickle.PicklingError`` inside
-  the worker, exercising the supervisor's infrastructure-failure path
-  (per-item serial fallback); in the parent it is skipped, which is
-  exactly what makes fanned and serial results equal under it.
 * ``error`` — raises :class:`~repro.errors.FaultInjected`, a
   deliberately *terminal* error (proves non-retryable failures are
   never retried).
@@ -59,24 +53,17 @@ globals).
 from __future__ import annotations
 
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
-from .errors import (
-    ConvergenceError,
-    FaultInjected,
-    ItemTimeout,
-    ReproError,
-    WorkerCrash,
-)
+from .errors import ConvergenceError, FaultInjected, ReproError, WorkerCrash
 
-KINDS = ("convergence", "crash", "hardcrash", "timeout", "pickle", "error")
+KINDS = ("convergence", "crash", "hardcrash", "error")
 
 #: Pid of the process that imported this module: in a forked pool worker
-#: it still names the parent, which is how the worker-only kinds know
-#: they are on the other side of the pool.
+#: it still names the parent, which is how ``hardcrash`` knows it is on
+#: the other side of the pool.
 _MAIN_PID = os.getpid()
 
 
@@ -239,12 +226,6 @@ def check(index: int, attempt: int, spec: Optional[str] = None) -> None:
         if _in_worker():
             os._exit(3)
         raise WorkerCrash(f"injected worker crash ({where}; in-process downgrade)")
-    if kind == "timeout":
-        raise ItemTimeout(f"injected timeout ({where})")
-    if kind == "pickle":
-        if _in_worker():
-            raise pickle.PicklingError(f"injected pickling failure ({where})")
-        return  # parent-side: infrastructure faults only exist across the pool
     if kind == "error":
         raise FaultInjected(f"injected terminal fault ({where})")
 

@@ -4,10 +4,10 @@ Every sweep/Monte-Carlo layer in the repo funnels its independent work
 through this module:
 
 * :func:`supervised_map` — the fan-out engine: one
-  :class:`~repro.resilience.Outcome` per item (ok / failed / timed-out,
-  with the captured exception, attempt count and worker pid), governed
-  by a :class:`~repro.resilience.RunPolicy` (retries with exponential
-  backoff, per-item deadlines, on-failure action).  With
+  :class:`~repro.resilience.Outcome` per item (ok / failed, with the
+  captured exception, attempt count and worker pid), governed by a
+  :class:`~repro.resilience.RunPolicy` (retries with exponential
+  backoff, on-failure action).  With
   ``policy=None`` it has :func:`parallel_map` semantics, so the Session
   fan-out (:meth:`~repro.spice.session.Session.run_many`,
   :func:`~repro.spice.session.run_plans`) and the experiment registry
@@ -25,10 +25,9 @@ function's exception as data, so any exception raised by the future
 itself is pool infrastructure by construction — payload/result
 pickling, or a broken pool.  Infrastructure failures fall back to
 in-process execution **for the affected items only** (counted in
-``STATS.serial_fallbacks``); a mid-run ``BrokenProcessPool`` retries
-**only the unfinished items** (never the completed ones), rebuilding
-the pool up to ``RunPolicy.max_pool_rebuilds`` times before finishing
-serially, and warns naming the cause.
+``STATS.serial_fallbacks``); a mid-run ``BrokenProcessPool`` keeps every
+completed item, finishes **only the unfinished items** (and pending
+retries) in-process, and warns once naming the cause.
 
 Worker-count resolution: an explicit ``max_workers`` wins; otherwise the
 ``REPRO_WORKERS`` environment variable; otherwise serial.  ``0`` (or any
@@ -51,13 +50,11 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from . import faultinject
-from .errors import ItemTimeout
-from .resilience.outcome import OK, Outcome, SKIPPED
+from .resilience.outcome import FAILED, OK, Outcome
 from .resilience.policy import RunPolicy
 from .resilience.supervisor import (
     attempt_in_worker,
     count_failure,
-    failure_status,
     record_retry,
     supervised_call,
 )
@@ -94,8 +91,7 @@ def _tracer():
 
 
 #: The compatibility policy :func:`parallel_map` supervises under:
-#: legacy semantics exactly — no retries, no deadline, first work
-#: failure re-raised.
+#: legacy semantics exactly — no retries, first work failure re-raised.
 _COMPAT_POLICY = RunPolicy(on_failure="raise")
 
 
@@ -124,29 +120,9 @@ class _Supervisor:
         t0 = self.t0[index]
         return 0.0 if t0 is None else time.perf_counter() - t0
 
-    def _finalize_failure(self, index, attempt, error, pid, traceback=""):
-        status = failure_status(error)
-        if self.policy.on_failure == "skip":
-            status = SKIPPED
-        self.outcomes[index] = Outcome(
-            index=index,
-            status=status,
-            error=error,
-            attempts=attempt,
-            worker_pid=pid,
-            wall_s=self._wall(index),
-            traceback=traceback,
-        )
-
-    def _handle_failure(self, index, attempt, error, pid, traceback=""):
-        """Classify one failed attempt: count it, then retry or finalize."""
-        count_failure(error)
-        if self.policy.is_retryable(error) and attempt < self.policy.max_attempts:
-            self.retry_next.append((index, attempt, error))
-        else:
-            self._finalize_failure(index, attempt, error, pid, traceback)
-
     def _handle_envelope(self, envelope: dict, index: int, attempt: int) -> None:
+        """File one worker attempt: ok, a retry for the next wave, or a
+        terminal failure."""
         if envelope["ok"]:
             self.outcomes[index] = Outcome(
                 index=index,
@@ -156,173 +132,123 @@ class _Supervisor:
                 worker_pid=envelope["pid"],
                 wall_s=self._wall(index),
             )
-        else:
-            self._handle_failure(
-                index,
-                attempt,
-                envelope["error"],
-                envelope["pid"],
-                envelope.get("traceback", ""),
-            )
-
-    def _run_in_process(self, index: int, attempt: int) -> None:
-        """Finish one item in-process, continuing at ``attempt``."""
-        item = self.work[index]
-        self.outcomes[index] = supervised_call(
-            lambda: self.func(item),
+            return
+        error = envelope["error"]
+        count_failure(error)
+        if self.policy.is_retryable(error) and attempt < self.policy.max_attempts:
+            self.retry_next.append((index, attempt, error))
+            return
+        self.outcomes[index] = Outcome(
             index=index,
-            policy=self.policy,
-            fault_spec=self.fault_spec,
-            start_attempt=attempt,
+            status=FAILED,
+            error=error,
+            attempts=attempt,
+            worker_pid=envelope["pid"],
+            wall_s=self._wall(index),
+            traceback=envelope.get("traceback", ""),
         )
 
-    def _serial_fallback(self, pairs, cause: str, warn: bool) -> None:
+    def _serial_fallback(self, pairs) -> None:
+        """Finish ``(index, attempt)`` pairs in-process, continuing each
+        item's attempt count; counted once per call."""
         _stats().serial_fallbacks += 1
-        if warn:
-            warnings.warn(
-                f"parallel fan-out degraded to serial execution for "
-                f"{len(pairs)} item(s): {cause}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
         for index, attempt in pairs:
-            self._run_in_process(index, attempt)
+            item = self.work[index]
+            self.outcomes[index] = supervised_call(
+                lambda: self.func(item),
+                index=index,
+                policy=self.policy,
+                fault_spec=self.fault_spec,
+                start_attempt=attempt,
+            )
 
     # -- the pool wave loop --------------------------------------------
     def run_pool(self) -> None:
         from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
+
+        try:
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+        except (OSError, ImportError):
+            # Cannot spawn at all (sandbox, resource limits): the classic
+            # quiet degradation — work is pure, so in-process execution
+            # is a correct answer.
+            self._serial_fallback([(index, 1) for index in range(len(self.work))])
+            return
+        try:
+            leftover = self._waves(pool)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if leftover:
+            self._serial_fallback(leftover)
+
+    def _waves(self, pool) -> List:
+        """Submit attempt waves until every item is final.
+
+        Returns the ``(index, attempt)`` pairs still to run when the
+        pool died mid-run (empty otherwise): the unfinished items at
+        the attempt they lost — a pool death is not the item's fault,
+        so it is not charged an attempt — and the retries the dead wave
+        had already decided on.
+        """
         from concurrent.futures.process import BrokenProcessPool
 
         todo = [(index, 1) for index in range(len(self.work))]
-        pool = None
-        rebuilds_left = self.policy.max_pool_rebuilds
-        try:
-            while todo:
-                if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=self.workers)
-                    except (OSError, ImportError) as exc:
-                        # Cannot spawn at all (sandbox, resource limits):
-                        # the classic quiet degradation — work is pure,
-                        # so in-process execution is a correct answer.
-                        self._serial_fallback(
-                            todo, f"process pool unavailable ({exc})", warn=False
-                        )
-                        return
-                futures = []
-                broken: Optional[BaseException] = None
+        while todo:
+            futures = []
+            broken: Optional[BaseException] = None
+            try:
+                for index, attempt in todo:
+                    if self.t0[index] is None:
+                        self.t0[index] = time.perf_counter()
+                    payload = (
+                        self.func, self.work[index], index, attempt,
+                        self.fault_spec,
+                    )
+                    futures.append(
+                        (pool.submit(attempt_in_worker, payload), index, attempt)
+                    )
+            except BrokenProcessPool as exc:
+                broken = exc
+            self.retry_next = []
+            unfinished = todo[len(futures):]
+            for future, index, attempt in futures:
+                if broken is not None and not future.done():
+                    unfinished.append((index, attempt))
+                    continue
                 try:
-                    for index, attempt in todo:
-                        if self.t0[index] is None:
-                            self.t0[index] = time.perf_counter()
-                        payload = (
-                            self.func, self.work[index], index, attempt,
-                            self.fault_spec,
-                        )
-                        futures.append(
-                            (pool.submit(attempt_in_worker, payload), index, attempt)
-                        )
+                    envelope = future.result()
                 except BrokenProcessPool as exc:
                     broken = exc
-                self.retry_next = []
-                unfinished: List = []
-                submitted = {index for _f, index, _a in futures}
-                unfinished.extend(p for p in todo if p[0] not in submitted)
-                for position, (future, index, attempt) in enumerate(futures):
-                    if broken is not None:
-                        # The pool died: salvage every attempt that DID
-                        # finish (completed work is never re-run), queue
-                        # the rest.
-                        if future.done():
-                            try:
-                                envelope = future.result(timeout=0)
-                            except Exception:
-                                unfinished.append((index, attempt))
-                                continue
-                            self._handle_envelope(envelope, index, attempt)
-                        else:
-                            unfinished.append((index, attempt))
-                        continue
-                    try:
-                        envelope = future.result(timeout=self.policy.timeout_s)
-                    except FuturesTimeout:
-                        error = ItemTimeout(
-                            f"work item {index} exceeded its "
-                            f"{self.policy.timeout_s} s deadline (attempt {attempt})"
-                        )
-                        self._handle_failure(index, attempt, error, None)
-                        continue
-                    except BrokenProcessPool as exc:
-                        broken = exc
+                    unfinished.append((index, attempt))
+                except Exception:
+                    # By construction (see attempt_in_worker) this is pool
+                    # infrastructure — payload or result could not cross
+                    # the pool.  Finish this item in-process; the others
+                    # keep their workers.  Once the pool is dead it joins
+                    # the unfinished items instead.
+                    if broken is None:
+                        self._serial_fallback([(index, attempt)])
+                    else:
                         unfinished.append((index, attempt))
-                        continue
-                    except Exception:
-                        # By construction (see attempt_in_worker) this is
-                        # pool infrastructure — payload or result could
-                        # not cross the pool.  Finish this item
-                        # in-process; the others keep their workers.
-                        self._serial_fallback(
-                            [(index, attempt)],
-                            "item payload/result could not cross the pool",
-                            warn=False,
-                        )
-                        continue
-                    self._handle_envelope(envelope, index, attempt)
-                if broken is not None:
-                    _stats().worker_failures += 1
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    done = len(self.work) - len(unfinished) - len(self.retry_next)
-                    if rebuilds_left > 0:
-                        rebuilds_left -= 1
-                        warnings.warn(
-                            f"process pool died mid-run ({type(broken).__name__}: "
-                            f"{broken}); rebuilding the pool for "
-                            f"{len(unfinished)} unfinished item(s) "
-                            f"({done} completed item(s) kept)",
-                            RuntimeWarning,
-                            stacklevel=3,
-                        )
-                        # Breakage is not the items' fault: attempts are
-                        # not charged, so a retry budget is never eaten
-                        # by an innocent bystander.
-                        todo = unfinished + [
-                            (index, attempt + 1)
-                            for index, attempt, _err in self.retry_next
-                        ]
-                        for index, attempt, error in self.retry_next:
-                            record_retry(self.policy, index, attempt, error)
-                        continue
-                    warnings.warn(
-                        f"process pool died mid-run ({type(broken).__name__}: "
-                        f"{broken}) with the rebuild budget spent; finishing "
-                        f"{len(unfinished)} unfinished item(s) serially "
-                        f"({done} completed item(s) kept)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    retries = self.retry_next
-                    self.retry_next = []
-                    self._serial_fallback(
-                        unfinished, "pool rebuild budget spent", warn=False
-                    )
-                    for index, attempt, error in retries:
-                        record_retry(self.policy, index, attempt, error)
-                        self._run_in_process(index, attempt + 1)
-                    return
-                if self.retry_next:
-                    for index, attempt, error in self.retry_next:
-                        record_retry(self.policy, index, attempt, error)
-                    todo = [
-                        (index, attempt + 1)
-                        for index, attempt, _err in self.retry_next
-                    ]
                 else:
-                    todo = []
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                    # Every attempt that finished is kept, even in a wave
+                    # the pool died in: completed work is never re-run.
+                    self._handle_envelope(envelope, index, attempt)
+            for index, attempt, error in self.retry_next:
+                record_retry(self.policy, index, attempt, error)
+            todo = [(index, attempt + 1) for index, attempt, _err in self.retry_next]
+            if broken is not None:
+                _stats().worker_failures += 1
+                kept = sum(outcome is not None for outcome in self.outcomes)
+                warnings.warn(
+                    f"process pool died mid-run ({type(broken).__name__}: "
+                    f"{broken}); finishing {len(unfinished) + len(todo)} "
+                    f"item(s) in-process ({kept} completed item(s) kept)",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+                return unfinished + todo
+        return []
 
 
 def supervised_map(
@@ -334,22 +260,23 @@ def supervised_map(
     """Map ``func`` over ``items`` under supervision; one Outcome each.
 
     Outcomes come back in item order.  With ``policy=None`` the
-    compatibility policy applies (no retries, no deadline, first work
-    failure re-raised — exactly :func:`parallel_map`) and fault
-    injection is disarmed; with an explicit policy, failures become
+    compatibility policy applies (no retries, first work failure
+    re-raised — exactly :func:`parallel_map`) and fault injection is
+    disarmed; with an explicit policy, failures become
     per-item records per the policy's on-failure action and the active
     :mod:`repro.faultinject` plan is honoured.
 
     Semantics are identical for serial and fanned execution (the
     fault-injection suite pins this): retries and backoff always run in
     the submitting process, a worker runs exactly one attempt per
-    submission, and the resilience counters (``retries``, ``timeouts``,
-    ``worker_failures``, ``serial_fallbacks``) move the same way on
-    both paths.  The only pool-specific events are a real
-    ``BrokenProcessPool`` (unfinished items are retried without being
-    charged an attempt, completed ones are kept) and per-item
-    payload/result pickling failures (finished in-process, counted as
-    serial fallbacks).
+    submission, and the resilience counters (``retries``,
+    ``worker_failures``, ``serial_fallbacks``) move the same way on both
+    paths.  The only pool-specific events are a real
+    ``BrokenProcessPool`` (completed items are kept; the unfinished ones
+    finish in-process without being charged an attempt, counted as one
+    worker failure and one serial fallback) and per-item payload/result
+    pickling failures (finished in-process, counted as serial
+    fallbacks).
     """
     armed = policy is not None
     policy = policy if policy is not None else _COMPAT_POLICY

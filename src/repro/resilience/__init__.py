@@ -7,25 +7,24 @@ item serially.  The resilience layer makes every recovery decision
 explicit, bounded, and visible:
 
 * :class:`RunPolicy` — the declarative knob set: retry budget,
-  exponential backoff (injectable sleep), per-item deadline, and the
-  on-failure action (``raise`` | ``skip`` | ``record``).
+  exponential backoff (injectable sleep), and the on-failure action
+  (``raise`` | ``record``).
 * :class:`Outcome` — the per-item record supervised execution returns
-  instead of dying: status (``ok`` / ``failed`` / ``timed_out`` /
-  ``skipped``), the captured exception (pickled home from the worker,
-  with a :class:`CapturedFailure` stand-in when the exception itself
-  cannot cross the pool), attempt count, and worker pid.
+  instead of dying: status (``ok`` / ``failed``), the captured
+  exception (pickled home from the worker, with a
+  :class:`CapturedFailure` stand-in when the exception itself cannot
+  cross the pool), attempt count, and worker pid.
 * :func:`supervised_call` — the single-item primitive: run a thunk
-  under a policy (retry loop, backoff, deadline, deterministic fault
-  injection via :mod:`repro.faultinject`).
+  under a policy (retry loop, backoff, deterministic fault injection
+  via :mod:`repro.faultinject`).
 * :func:`repro.parallel.supervised_map` — the fan-out form: per-item
   outcomes over a process pool, distinguishing submission-time
-  infrastructure failures (fall back serially, counted) from mid-run
-  worker crashes (retry only the unfinished items, never the completed
-  ones).
+  infrastructure failures (fall back serially, counted) from a mid-run
+  pool death (keep the completed items, finish the rest in-process).
 
 Every decision lands in :data:`repro.spice.stats.STATS` (``retries``,
-``timeouts``, ``worker_failures``, ``serial_fallbacks``) and — when a
-tracer is installed — in ``supervised``/``retry`` telemetry spans, so
+``worker_failures``, ``serial_fallbacks``) and — when a tracer is
+installed — in ``supervised_map``/``retry`` telemetry spans, so
 ``--bench``, ``--trace`` and ``--metrics`` all show recovery activity.
 
 The upward wiring: ``Session.run_many`` / ``run_plans`` accept a

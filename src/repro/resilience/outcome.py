@@ -12,8 +12,6 @@ from ..errors import ReproError
 #: Outcome statuses.
 OK = "ok"
 FAILED = "failed"
-TIMED_OUT = "timed_out"
-SKIPPED = "skipped"
 
 
 class CapturedFailure(ReproError):
@@ -50,8 +48,7 @@ class Outcome:
     """What happened to one supervised work item.
 
     ``value`` holds the result for ``ok`` items; ``error`` the captured
-    exception otherwise (``timed_out`` carries the
-    :class:`~repro.errors.ItemTimeout`).  ``attempts`` counts every run
+    exception of ``failed`` ones.  ``attempts`` counts every run
     including the successful one; ``retried`` is sugar for
     ``attempts > 1``.  ``worker_pid`` names the process that produced
     the final attempt (the parent pid for serial execution).
@@ -107,8 +104,6 @@ class Outcome:
 __all__ = [
     "FAILED",
     "OK",
-    "SKIPPED",
-    "TIMED_OUT",
     "CapturedFailure",
     "Outcome",
     "capture_error",

@@ -1,8 +1,8 @@
 """The supervised-attempt engine shared by serial and fanned execution.
 
 One code path owns the semantics — attempt numbering, fault injection,
-retry classification, exponential backoff, deadline enforcement, STATS
-accounting, retry telemetry — and two transports reuse it:
+retry classification, exponential backoff, STATS accounting, retry
+telemetry — and two transports reuse it:
 :func:`supervised_call` runs a thunk in-process (the serial path and
 the per-trial Monte-Carlo supervisor), while
 :func:`repro.parallel.supervised_map` ships single attempts into pool
@@ -12,9 +12,8 @@ through the same classification helpers.
 Retries always happen in the *submitting* process: a pool worker runs
 exactly one attempt per submission and returns an envelope (result or
 captured exception plus its pid), so attempt counts, backoff sleeps and
-the ``retries``/``timeouts``/``worker_failures`` counters are identical
-for serial and fanned execution — the property the fault-injection
-suite pins.
+the ``retries``/``worker_failures`` counters are identical for serial
+and fanned execution — the property the fault-injection suite pins.
 
 Lazy imports of ``STATS`` and the telemetry tracer keep this module out
 of the ``repro.spice`` import graph (same convention as
@@ -24,21 +23,12 @@ of the ``repro.spice`` import graph (same convention as
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Any, Callable, Optional
 
 from .. import faultinject
-from ..errors import ItemTimeout, WorkerCrash
-from .outcome import (
-    FAILED,
-    OK,
-    SKIPPED,
-    TIMED_OUT,
-    Outcome,
-    capture_error,
-    format_traceback,
-)
+from ..errors import WorkerCrash
+from .outcome import FAILED, OK, Outcome, capture_error, format_traceback
 from .policy import RunPolicy
 
 
@@ -79,47 +69,12 @@ def record_retry(
         policy.do_sleep(backoff)
 
 
-def failure_status(error: BaseException) -> str:
-    """The outcome status a terminal failure maps to (pure)."""
-    return TIMED_OUT if isinstance(error, ItemTimeout) else FAILED
-
-
 def count_failure(error: BaseException) -> None:
     """Account one failed attempt's STATS movement (every failure event
     counts, retried or terminal — the counters measure recovery
     activity, not just final state)."""
-    if isinstance(error, ItemTimeout):
-        _stats().timeouts += 1
-    elif isinstance(error, WorkerCrash):
+    if isinstance(error, WorkerCrash):
         _stats().worker_failures += 1
-
-
-def _call_with_deadline(thunk: Callable[[], Any], timeout_s: Optional[float]) -> Any:
-    """Run ``thunk``, raising :class:`ItemTimeout` past the deadline.
-
-    The serial transport's deadline: the work runs on a daemon watchdog
-    thread and is *abandoned* (not killed) on expiry — safe for the
-    library's pure work functions, but a reason to keep ``timeout_s``
-    off for work that mutates shared state in place.
-    """
-    if timeout_s is None:
-        return thunk()
-    box: dict = {}
-
-    def runner():
-        try:
-            box["value"] = thunk()
-        except BaseException as exc:  # ships the real error to the caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=runner, daemon=True, name="repro-deadline")
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise ItemTimeout(f"work item exceeded its {timeout_s} s deadline")
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 def supervised_call(
@@ -134,11 +89,11 @@ def supervised_call(
     The in-process supervised primitive: consults the fault plan before
     each attempt (``fault_spec`` defaults to the active plan; pass
     ``None`` to disarm injection, e.g. from compatibility shims),
-    enforces the deadline, retries retryable failures with backoff, and
-    classifies the terminal result.  ``on_failure="raise"`` re-raises
-    the original exception after the retry budget is spent.
-    ``start_attempt`` lets the pool supervisor hand an item over
-    mid-retry-budget without resetting its attempt count.
+    retries retryable failures with backoff, and records the terminal
+    result.  ``on_failure="raise"`` re-raises the original exception
+    after the retry budget is spent.  ``start_attempt`` lets the pool
+    supervisor hand an item over mid-retry-budget without resetting its
+    attempt count.
     """
     policy = policy or RunPolicy()
     if fault_spec == "__active__":
@@ -149,7 +104,7 @@ def supervised_call(
         try:
             if fault_spec is not None:
                 faultinject.check(index, attempt, spec=fault_spec)
-            value = _call_with_deadline(thunk, policy.timeout_s)
+            value = thunk()
             return Outcome(
                 index=index,
                 status=OK,
@@ -159,7 +114,6 @@ def supervised_call(
                 wall_s=time.perf_counter() - t0,
             )
         except Exception as exc:
-            status = failure_status(exc)
             count_failure(exc)
             if policy.is_retryable(exc) and attempt < policy.max_attempts:
                 record_retry(policy, index, attempt, exc)
@@ -169,7 +123,7 @@ def supervised_call(
                 raise
             return Outcome(
                 index=index,
-                status=SKIPPED if policy.on_failure == "skip" else status,
+                status=FAILED,
                 error=capture_error(exc),
                 attempts=attempt,
                 worker_pid=os.getpid(),
@@ -206,7 +160,6 @@ def attempt_in_worker(payload) -> dict:
 __all__ = [
     "attempt_in_worker",
     "count_failure",
-    "failure_status",
     "record_retry",
     "supervised_call",
 ]

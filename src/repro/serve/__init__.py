@@ -26,8 +26,8 @@ process.  This package is the missing durability-and-transport layer:
   session per topology+options, LRU-evicted through the store), and
   :class:`~.jobs.JobService`, whose worker threads run each job under a
   :class:`~repro.resilience.RunPolicy` via ``supervised_call`` —
-  per-job retries with ``Outcome``-style failure attribution in the
-  job record.
+  bounded per-job retries with ``Outcome``-style failure attribution in
+  the job record.
 * :mod:`repro.serve.server` — the stdlib-only HTTP front end
   (``ThreadingHTTPServer``).  Endpoints:
 

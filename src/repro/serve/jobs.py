@@ -8,8 +8,9 @@ Three pieces, all transport-agnostic (the HTTP front end in
   JSON dicts (``{"analysis": "TempSweep", "temperatures_k": [...]}``),
   :func:`circuit_from_wire` parses the submitted netlist text, and
   :func:`policy_from_wire` builds the per-job
-  :class:`~repro.resilience.RunPolicy`.  Every malformed request, a
-  field of the wrong JSON type included, raises a typed
+  :class:`~repro.resilience.RunPolicy`, its retries and total backoff
+  bounded.  Every malformed request, a field of the wrong JSON type or
+  an over-limit policy included, raises a typed
   :class:`~repro.errors.PlanError` (or another
   ``NetlistError``) *before any solve* — the same validation boundary
   the Session planner enforces, which the server maps to HTTP 400.
@@ -20,8 +21,8 @@ Three pieces, all transport-agnostic (the HTTP front end in
   warm-start off each other *and* off previous server processes.
 * **JobService** — the async queue: ``submit`` validates and enqueues,
   worker threads execute each job under ``supervised_call`` with the
-  job's :class:`RunPolicy` (retries with backoff; no deadline over the
-  wire, see ``_POLICY_WIRE_KEYS``), and the :class:`JobRecord` carries
+  job's :class:`RunPolicy` (bounded retries with backoff, see
+  ``_POLICY_WIRE_KEYS``), and the :class:`JobRecord` carries
   ``Outcome``-style failure attribution (error type, message, attempts,
   wall time).  Completed jobs flush the owning session to the store
   immediately (write-through), so a server kill after job completion
@@ -32,6 +33,7 @@ Three pieces, all transport-agnostic (the HTTP front end in
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import queue
 import threading
@@ -42,7 +44,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import NetlistError, PlanError
 from ..resilience import Outcome, RunPolicy
-from ..resilience.supervisor import failure_status, supervised_call
+from ..resilience.outcome import FAILED as OUTCOME_FAILED
+from ..resilience.supervisor import supervised_call
 from ..spice.parser import parse_netlist
 from ..spice.plans import (
     ACSweep,
@@ -65,12 +68,19 @@ PLAN_TYPES = {
     for cls in (OP, DCSweep, TempSweep, ACSweep, Transient, MonteCarlo)
 }
 
-#: RunPolicy knobs a job may set over the wire (`retryable`, `sleep`
-#: and `on_failure` stay server-side: the executor always records).
-#: `timeout_s` is not one of them: the deadline watchdog abandons the
-#: solve rather than stopping it, so a timed-out job would keep
-#: mutating its pooled Session after the lock is released.
+#: RunPolicy knobs a job may set over the wire (`sleep` and
+#: `on_failure` stay server-side: the executor always records).
 _POLICY_WIRE_KEYS = ("max_retries", "backoff_s", "backoff_factor")
+
+#: Most retries a wire policy may ask for: a job's retries and backoff
+#: sleeps hold a service worker and its pooled session's lock.
+MAX_WIRE_RETRIES = 10
+#: Most backoff sleep, in seconds, a wire policy may sum over its retries.
+MAX_WIRE_BACKOFF_S = 60.0
+
+#: The policy of a job submitted without one: no retries, failures
+#: recorded on the job.
+_DEFAULT_POLICY = RunPolicy(on_failure="record")
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +276,14 @@ def circuit_from_wire(data):
 
 
 def policy_from_wire(data) -> Optional[RunPolicy]:
-    """Build the per-job :class:`RunPolicy` (``None`` wire => None)."""
+    """Build the per-job :class:`RunPolicy` (``None`` wire => None).
+
+    Each key must have the type of its ``RunPolicy`` default, and the
+    policy must stay within :data:`MAX_WIRE_RETRIES` retries and
+    :data:`MAX_WIRE_BACKOFF_S` seconds of total backoff sleep (an
+    overflowing backoff sum is refused too); anything else raises
+    :class:`PlanError`.
+    """
     if data is None:
         return None
     if not isinstance(data, Mapping):
@@ -274,10 +291,28 @@ def policy_from_wire(data) -> Optional[RunPolicy]:
     unknown = sorted(set(data) - set(_POLICY_WIRE_KEYS))
     if unknown:
         raise PlanError(f"policy has no field(s): {', '.join(unknown)}")
+    _check_option_fields("policy", RunPolicy, data)
     try:
-        return RunPolicy(on_failure="record", **dict(data))
+        policy = RunPolicy(on_failure="record", **dict(data))
     except Exception as exc:
         raise PlanError(f"invalid policy: {exc}") from None
+    if policy.max_retries > MAX_WIRE_RETRIES:
+        raise PlanError(
+            f"policy max_retries must be <= {MAX_WIRE_RETRIES}, "
+            f"got {policy.max_retries}"
+        )
+    try:
+        total = sum(
+            policy.backoff_for(k) for k in range(1, policy.max_retries + 1)
+        )
+    except OverflowError:
+        total = math.inf
+    if not total <= MAX_WIRE_BACKOFF_S:
+        raise PlanError(
+            f"policy backoff sums to {total:g} s over max_retries="
+            f"{policy.max_retries}; the limit is {MAX_WIRE_BACKOFF_S:g} s"
+        )
+    return policy
 
 
 # ----------------------------------------------------------------------
@@ -388,29 +423,19 @@ class JobService:
     """The async job engine: validate-submit-queue-execute-record.
 
     ``workers`` threads drain the queue; each job executes inside its
-    session's lock under ``supervised_call`` with the job's policy (or
-    ``default_policy``).  ``cache_dir`` attaches a persistent
+    session's lock under ``supervised_call`` with the job's policy (no
+    retries when it has none).  ``cache_dir`` attaches a persistent
     :class:`CacheStore` (``<cache_dir>/opcache.jsonl``) shared by every
     pooled session.
     """
 
-    def __init__(
-        self,
-        cache_dir=None,
-        workers: int = 1,
-        default_policy: Optional[RunPolicy] = None,
-        session_limit: int = 8,
-        store_points: int = 4096,
-    ):
+    def __init__(self, cache_dir=None, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = (
-            None
-            if cache_dir is None
-            else CacheStore(Path(cache_dir) / "opcache.jsonl", max_points=store_points)
+            None if cache_dir is None else CacheStore(Path(cache_dir) / "opcache.jsonl")
         )
-        self.pool = SessionPool(store=self.store, limit=session_limit)
-        self.default_policy = default_policy or RunPolicy(on_failure="record")
+        self.pool = SessionPool(store=self.store)
         self.started_at = time.time()
         self._queue: "queue.Queue" = queue.Queue()
         self._jobs: Dict[str, JobRecord] = {}
@@ -508,7 +533,7 @@ class JobService:
             session, lock = self.pool.lease(
                 circuit_wire["netlist"], str(circuit_wire.get("title", ""))
             )
-            policy = policy_from_wire(job.request.get("policy")) or self.default_policy
+            policy = policy_from_wire(job.request.get("policy")) or _DEFAULT_POLICY
             with lock:
                 outcome = supervised_call(
                     lambda: session.run(job.plan).to_dict(), index=0, policy=policy
@@ -521,7 +546,7 @@ class JobService:
             # were not persisted; the worker goes on to the next job.
             outcome = Outcome(
                 index=0,
-                status=failure_status(exc),
+                status=OUTCOME_FAILED,
                 error=exc,
                 attempts=0 if outcome is None else outcome.attempts,
                 worker_pid=os.getpid(),

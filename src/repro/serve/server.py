@@ -35,7 +35,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from ..errors import NetlistError
-from ..resilience import RunPolicy
 from ..spice.stats import STATS
 from ..telemetry import prometheus_text
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobService
@@ -231,15 +230,8 @@ class ReproServer:
         port: int = DEFAULT_PORT,
         cache_dir=None,
         workers: int = 1,
-        session_limit: int = 8,
-        default_policy: Optional[RunPolicy] = None,
     ):
-        self.service = JobService(
-            cache_dir=cache_dir,
-            workers=workers,
-            session_limit=session_limit,
-            default_policy=default_policy,
-        )
+        self.service = JobService(cache_dir=cache_dir, workers=workers)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.repro = self
@@ -294,20 +286,13 @@ def serve(
     port: int = DEFAULT_PORT,
     cache_dir=None,
     workers: int = 1,
-    session_limit: int = 8,
 ) -> None:
     """Blocking entry point: ``python -m repro --serve``.
 
     Installs SIGINT/SIGTERM handlers that trigger the same graceful
     drain-flush-stop path as ``POST /shutdown``.
     """
-    server = ReproServer(
-        host=host,
-        port=port,
-        cache_dir=cache_dir,
-        workers=workers,
-        session_limit=session_limit,
-    )
+    server = ReproServer(host=host, port=port, cache_dir=cache_dir, workers=workers)
 
     def _signalled(_signum, _frame):
         server.stop_async()

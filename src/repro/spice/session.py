@@ -1067,10 +1067,10 @@ class Session:
                 results.append(self.run(plan.trial_plan(trial)))
             return MonteCarloResult(self, plan, results)
         # Supervised population: every trial runs under the plan's
-        # policy (retries, deadline, deterministic fault injection keyed
-        # by trial index), and a terminal casualty costs exactly its own
-        # trial — the survivors ship with precise attribution of the
-        # dead.  ``on_failure="raise"`` restores fail-fast inside
+        # policy (retries, deterministic fault injection keyed by trial
+        # index), and a terminal casualty costs exactly its own trial —
+        # the survivors ship with precise attribution of the dead.
+        # ``on_failure="raise"`` restores fail-fast inside
         # supervised_call.
         outcomes = [
             supervised_call(

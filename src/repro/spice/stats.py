@@ -86,17 +86,13 @@ class SolverStats:
     #: (one increment per retry attempt, parent-side — identical for
     #: serial and fanned execution).
     retries: int = 0
-    #: Supervised work items that exceeded their ``RunPolicy`` deadline
-    #: (counted per expiry, so a timeout that is then retried and times
-    #: out again counts twice).
-    timeouts: int = 0
     #: Worker-process deaths observed by the supervised layer: one per
     #: ``BrokenProcessPool`` event, plus one per simulated/injected
     #: :class:`~repro.errors.WorkerCrash`.
     worker_failures: int = 0
     #: Times the parallel layer abandoned a process pool and fell back
     #: to in-process serial execution (unspawnable pool, un-picklable
-    #: payload/result, or pool-rebuild budget exhausted).
+    #: payload/result, or a pool that died mid-run).
     serial_fallbacks: int = 0
     #: Persistent cache store (:mod:`repro.serve.cachestore`): store
     #: files opened and read into a session's solved-point cache.

@@ -91,8 +91,7 @@ Attributes by span:
     (``"newton"`` | ``"lte"``).
 ``supervised_map``
     ``items``, ``workers``, ``mode`` (``"pool"`` | ``"serial"``), and on
-    exit one count per outcome status seen (``ok`` / ``failed`` /
-    ``timed_out`` / ``skipped``).
+    exit one count per outcome status seen (``ok`` / ``failed``).
 ``retry``
     ``item`` (work-item index), ``attempt`` (the attempt the backoff
     precedes), ``backoff_s``, ``reason`` (failed attempt's exception

@@ -49,7 +49,6 @@ _METRIC_HELP = {
     "op_cache_misses": "Session solved-point cache: cold solves.",
     "session_plans": "Analysis plans executed through Session.run.",
     "retries": "Supervised work items re-attempted after a retryable failure.",
-    "timeouts": "Supervised work items that exceeded their deadline.",
     "worker_failures": "Worker-process deaths observed by the supervised layer.",
     "serial_fallbacks": "Fan-outs that fell back to in-process serial execution.",
     "op_store_loads": "Persistent store: files loaded into a session cache.",

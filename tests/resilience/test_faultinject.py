@@ -1,18 +1,10 @@
 """The deterministic fault-injection harness itself: spec grammar,
 plan matching, install/env precedence, and what each kind raises."""
 
-import pickle
-
 import pytest
 
 from repro import faultinject
-from repro.errors import (
-    ConvergenceError,
-    FaultInjected,
-    ItemTimeout,
-    ReproError,
-    WorkerCrash,
-)
+from repro.errors import ConvergenceError, FaultInjected, ReproError, WorkerCrash
 
 
 class TestParse:
@@ -23,13 +15,13 @@ class TestParse:
         assert (fault.kind, fault.index, fault.attempts) == ("convergence", 3, (1, 1))
 
     def test_wildcards_and_ranges(self):
-        plan = faultinject.parse("crash@*;timeout@12:1-2;error@0:*")
+        plan = faultinject.parse("crash@*;convergence@12:1-2;error@0:*")
         assert plan.faults[0].index is None
         assert plan.faults[1].attempts == (1, 2)
         assert plan.faults[2].attempts is None
 
     def test_spec_round_trip(self):
-        spec = "convergence@3:1;crash@7;timeout@12:1-2;error@*"
+        spec = "convergence@3:1;crash@7;hardcrash@12:1-2;error@*"
         assert faultinject.parse(spec).spec() == spec
 
     def test_empty_entries_skipped(self):
@@ -110,11 +102,6 @@ class TestCheck:
             with pytest.raises(WorkerCrash):
                 faultinject.check(0, 1)
 
-    def test_timeout_kind(self):
-        with faultinject.injected("timeout@0"):
-            with pytest.raises(ItemTimeout):
-                faultinject.check(0, 1)
-
     def test_error_kind_is_terminal_type(self):
         with faultinject.injected("error@0"):
             with pytest.raises(FaultInjected):
@@ -126,12 +113,6 @@ class TestCheck:
         with faultinject.injected("hardcrash@0"):
             with pytest.raises(WorkerCrash, match="downgrade"):
                 faultinject.check(0, 1)
-
-    def test_pickle_kind_is_noop_in_parent(self):
-        # Pickling failures only exist across a pool boundary; in the
-        # parent the fault is skipped so fanned == serial results hold.
-        with faultinject.injected("pickle@0"):
-            faultinject.check(0, 1)
 
     def test_explicit_spec_overrides_active_plan(self):
         with faultinject.injected("error@0"):

@@ -2,17 +2,12 @@
 equality/pickling (a policy rides inside MonteCarlo plans across the
 process boundary)."""
 
+import json
 import pickle
 
 import pytest
 
-from repro.errors import (
-    ConvergenceError,
-    ItemTimeout,
-    ReproError,
-    RETRYABLE_ERRORS,
-    WorkerCrash,
-)
+from repro.errors import ConvergenceError, ReproError, WorkerCrash
 from repro.resilience import RunPolicy
 
 
@@ -22,8 +17,6 @@ class TestValidation:
         assert policy.max_retries == 0
         assert policy.max_attempts == 1
         assert policy.on_failure == "record"
-        assert policy.timeout_s is None
-        assert policy.retryable == RETRYABLE_ERRORS
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ReproError, match="max_retries"):
@@ -41,25 +34,10 @@ class TestValidation:
         with pytest.raises(ReproError, match="backoff_factor"):
             RunPolicy(backoff_factor=0.0)
 
-    def test_non_positive_timeout_rejected(self):
-        with pytest.raises(ReproError, match="timeout_s"):
-            RunPolicy(timeout_s=0.0)
-
-    def test_unknown_on_failure_rejected(self):
+    @pytest.mark.parametrize("action", ["explode", "skip"])
+    def test_unknown_on_failure_rejected(self, action):
         with pytest.raises(ReproError, match="on_failure"):
-            RunPolicy(on_failure="explode")
-
-    def test_negative_pool_rebuilds_rejected(self):
-        with pytest.raises(ReproError, match="max_pool_rebuilds"):
-            RunPolicy(max_pool_rebuilds=-1)
-
-    def test_non_exception_retryable_rejected(self):
-        with pytest.raises(ReproError, match="retryable"):
-            RunPolicy(retryable=(int,))
-
-    def test_retryable_normalised_to_tuple(self):
-        policy = RunPolicy(retryable=[ConvergenceError])
-        assert policy.retryable == (ConvergenceError,)
+            RunPolicy(on_failure=action)
 
 
 class TestBackoff:
@@ -88,18 +66,21 @@ class TestIdentity:
         assert RunPolicy(max_retries=2, sleep=print) == RunPolicy(max_retries=2)
 
     def test_default_policy_pickles(self):
-        policy = RunPolicy(max_retries=2, backoff_s=0.1, timeout_s=5.0)
+        policy = RunPolicy(max_retries=2, backoff_s=0.1)
         assert pickle.loads(pickle.dumps(policy)) == policy
 
     def test_is_retryable_matches_defaults(self):
         policy = RunPolicy()
         assert policy.is_retryable(ConvergenceError("x"))
         assert policy.is_retryable(WorkerCrash("x"))
-        assert policy.is_retryable(ItemTimeout("x"))
         assert not policy.is_retryable(ValueError("x"))
 
     def test_describe_is_json_ready(self):
-        described = RunPolicy(max_retries=1, timeout_s=2.0).describe()
-        assert described["max_retries"] == 1
-        assert described["timeout_s"] == 2.0
-        assert "ConvergenceError" in described["retryable"]
+        described = RunPolicy(max_retries=1).describe()
+        assert described == {
+            "max_retries": 1,
+            "backoff_s": 0.0,
+            "backoff_factor": 2.0,
+            "on_failure": "record",
+        }
+        assert json.loads(json.dumps(described)) == described

@@ -81,6 +81,23 @@ UNKNOWN_SOLVER_OPTIONS = {
 }
 
 
+#: Wire policies the codec must refuse, by case name, with the message
+#: each raises: a key of the wrong JSON type, or retries and backoff
+#: sleeps that would hold a service worker and its session's lock for
+#: too long (at most 10 retries and 60 s of backoff in total).
+REFUSED_POLICIES = {
+    "retries-bool": ({"max_retries": True}, "max_retries must be an integer"),
+    "retries-float": ({"max_retries": 2.5}, "max_retries must be an integer"),
+    "backoff-bool": ({"backoff_s": True}, "backoff_s must be a number"),
+    "retries-huge": ({"max_retries": 1000000000}, "max_retries must be <= 10"),
+    "backoff-huge": ({"max_retries": 1, "backoff_s": 1e9}, "limit is 60 s"),
+    "factor-overflow": (
+        {"max_retries": 10, "backoff_s": 1.0, "backoff_factor": 1e308},
+        "backoff sums to inf s",
+    ),
+}
+
+
 @pytest.fixture(autouse=True)
 def _reset_stats():
     STATS.reset()
@@ -200,13 +217,25 @@ class TestWireCodec:
         policy = policy_from_wire({"max_retries": 2, "backoff_s": 0.5})
         assert policy.max_retries == 2
         assert policy.backoff_s == 0.5
-        assert policy.timeout_s is None
         assert policy.on_failure == "record"
         assert policy_from_wire(None) is None
         with pytest.raises(PlanError, match="no field"):
             policy_from_wire({"on_failure": "raise"})
         with pytest.raises(PlanError, match="no field.*timeout_s"):
             policy_from_wire({"max_retries": 2, "timeout_s": 5.0})
+
+    @pytest.mark.parametrize(
+        "policy, message", list(REFUSED_POLICIES.values()), ids=list(REFUSED_POLICIES)
+    )
+    def test_mistyped_or_unbounded_policy_rejected(self, policy, message):
+        with pytest.raises(PlanError, match=message):
+            policy_from_wire(policy)
+
+    def test_policy_at_the_bounds_accepted(self):
+        # 20 s + 40 s of backoff is exactly the limit.
+        policy = policy_from_wire({"max_retries": 2, "backoff_s": 20.0})
+        assert (policy.max_retries, policy.backoff_s) == (2, 20.0)
+        assert policy_from_wire({"max_retries": 10}).max_attempts == 11
 
 
 class TestOptionsCacheKeyRegression:
@@ -351,11 +380,14 @@ class TestJobService:
         finally:
             service.stop()
 
-    def _assert_rejected_at_submit(self, plan, match=None):
+    def _assert_rejected_at_submit(self, plan, match=None, policy=None):
+        request = self._request(plan)
+        if policy is not None:
+            request["policy"] = policy
         service = self._service()
         try:
             with pytest.raises(PlanError, match=match):
-                service.submit(self._request(plan))
+                service.submit(request)
             assert STATS.serve_jobs_rejected == 1
             assert STATS.serve_jobs_submitted == 0
             assert service.jobs() == []
@@ -388,6 +420,14 @@ class TestJobService:
             {"analysis": "OP", "options": {"gain_ramp_ratio": ratio}},
             match="gain_ramp_ratio",
         )
+
+    @pytest.mark.parametrize(
+        "policy, message", list(REFUSED_POLICIES.values()), ids=list(REFUSED_POLICIES)
+    )
+    def test_unbounded_policy_rejected_before_any_solve(self, policy, message):
+        # Accepted, {"max_retries": 1, "backoff_s": 1e9} would hold the
+        # only worker and the pooled session's lock for about 31 years.
+        self._assert_rejected_at_submit(None, match=message, policy=policy)
 
     def test_wire_timeout_rejected_before_any_solve(self):
         # The deadline watchdog abandons a timed-out solve instead of

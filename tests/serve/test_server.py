@@ -96,6 +96,19 @@ class TestEndpoints:
         assert server.service._queue.empty()
         assert STATS.newton_solves == 0
 
+    def test_unbounded_policy_maps_to_400(self, server, client):
+        rejected = STATS.serve_jobs_rejected
+        with pytest.raises(ServeError) as err:
+            client.submit(
+                {**REQUEST, "policy": {"max_retries": 1, "backoff_s": 1e9}}
+            )
+        assert (err.value.status, err.value.error_type) == (400, "PlanError")
+        assert "limit is 60 s" in err.value.message
+        assert STATS.serve_jobs_rejected == rejected + 1
+        assert client.jobs() == []
+        assert server.service._queue.empty()
+        assert STATS.newton_solves == 0
+
     def test_netlist_error_maps_to_400(self, client):
         with pytest.raises(ServeError) as err:
             client.submit(

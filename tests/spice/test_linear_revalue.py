@@ -1,12 +1,14 @@
-"""The recorded static stamp layout and its re-value.
+"""The static linear group's one layout and every pass that fills it.
 
-The first static pass of a topology stamps every static linear element
-through its own ``stamp`` and records each Jacobian triplet's slot; a
-new temperature or gmin re-values that layout (plain resistors in one
-NumPy expression, every other element re-stamped into its slots)
-instead of re-stamping the whole group.  The contract: every assembly
-stays *byte-equal* to a freshly built :class:`MNASystem` at the same
-conditions, on the dense and the sparse path.
+Every static pass of a topology, the first one included, fills one
+``_StaticLayout``: plain resistors' conductances come from one NumPy
+expression over their packed values, and every other static element
+stamps into its own slots.  The slots are built from the circuit on the
+first pass and built again only when an element stamps a different
+number of triplets; a new temperature, gmin or ``invalidate()`` keeps
+them.  The contract: every assembly stays *byte-equal* to a freshly
+built :class:`MNASystem` at the same conditions, on the dense and the
+sparse path.
 """
 
 import numpy as np

@@ -91,7 +91,6 @@ class TestRunPlansFaultEquality:
 
     FAULT_CASES = {
         "worker-crash": "crash@2:1",
-        "timeout": "timeout@1:1",
         "transient-convergence": "convergence@0:1",
     }
 
@@ -112,14 +111,14 @@ class TestRunPlansFaultEquality:
         serial_counters = {
             k: v
             for k, v in STATS.as_dict().items()
-            if k in ("retries", "timeouts", "worker_failures")
+            if k in ("retries", "worker_failures")
         }
         STATS.reset()
         fanned = run_plans(self._pairs(), workers=2, policy=RECORD)
         fanned_counters = {
             k: v
             for k, v in STATS.as_dict().items()
-            if k in ("retries", "timeouts", "worker_failures")
+            if k in ("retries", "worker_failures")
         }
         assert _normalize(serial) == _normalize(fanned)
         assert serial_counters == fanned_counters
