@@ -33,10 +33,12 @@ Kinds:
 * ``crash`` — raises :class:`~repro.errors.WorkerCrash` (the simulated,
   fully deterministic worker death; fires in both serial and pool
   execution, so fanned == serial equality holds under it).
-* ``hardcrash`` — **worker-only**: calls ``os._exit(3)`` inside a pool
-  worker process, producing a genuine ``BrokenProcessPool``; in the
-  parent process it downgrades to ``WorkerCrash`` (a test must never
-  kill its own interpreter).
+* ``hardcrash`` — **worker-only**: calls ``os._exit(3)`` on the
+  pool-worker side of an attempt, producing a genuine
+  ``BrokenProcessPool`` under every start method; everywhere else (the
+  parent process, or a ``supervised_call`` nested inside a worker) it
+  downgrades to ``WorkerCrash`` (a test must never kill its own
+  interpreter).
 * ``error`` — raises :class:`~repro.errors.FaultInjected`, a
   deliberately *terminal* error (proves non-retryable failures are
   never retried).
@@ -60,11 +62,6 @@ from typing import Iterable, Optional, Tuple, Union
 from .errors import ConvergenceError, FaultInjected, ReproError, WorkerCrash
 
 KINDS = ("convergence", "crash", "hardcrash", "error")
-
-#: Pid of the process that imported this module: in a forked pool worker
-#: it still names the parent, which is how ``hardcrash`` knows it is on
-#: the other side of the pool.
-_MAIN_PID = os.getpid()
 
 
 @dataclass(frozen=True)
@@ -200,16 +197,18 @@ def active_spec() -> Optional[str]:
     return plan.spec() if plan else None
 
 
-def _in_worker() -> bool:
-    return os.getpid() != _MAIN_PID
-
-
-def check(index: int, attempt: int, spec: Optional[str] = None) -> None:
+def check(
+    index: int, attempt: int, spec: Optional[str] = None, in_worker: bool = False
+) -> None:
     """Fire the fault armed for this (item index, attempt), if any.
 
     Called by the supervised layer immediately before each attempt's
     work runs.  ``spec`` is the plan shipped with a pool-worker payload;
     the parent-side paths pass nothing and consult :func:`active_plan`.
+    ``in_worker`` is True only from the pool-worker side of an attempt
+    (:func:`~repro.resilience.supervisor.attempt_in_worker`), whatever
+    the pool's start method; it is what lets ``hardcrash`` exit the
+    process.
     """
     plan = parse(spec) if spec is not None else active_plan()
     if plan is None:
@@ -223,7 +222,7 @@ def check(index: int, attempt: int, spec: Optional[str] = None) -> None:
     if kind == "crash":
         raise WorkerCrash(f"injected worker crash ({where})")
     if kind == "hardcrash":
-        if _in_worker():
+        if in_worker:
             os._exit(3)
         raise WorkerCrash(f"injected worker crash ({where}; in-process downgrade)")
     if kind == "error":

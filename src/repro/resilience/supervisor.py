@@ -146,7 +146,7 @@ def attempt_in_worker(payload) -> dict:
     func, item, index, attempt, fault_spec = payload
     try:
         if fault_spec is not None:
-            faultinject.check(index, attempt, spec=fault_spec)
+            faultinject.check(index, attempt, spec=fault_spec, in_worker=True)
         return {"ok": True, "value": func(item), "pid": os.getpid()}
     except Exception as exc:
         return {

@@ -73,7 +73,7 @@ PLAN_TYPES = {
 _POLICY_WIRE_KEYS = ("max_retries", "backoff_s", "backoff_factor")
 
 #: Most retries a wire policy may ask for: a job's retries and backoff
-#: sleeps hold a service worker and its pooled session's lock.
+#: sleeps hold a service worker.
 MAX_WIRE_RETRIES = 10
 #: Most backoff sleep, in seconds, a wire policy may sum over its retries.
 MAX_WIRE_BACKOFF_S = 60.0
@@ -422,11 +422,12 @@ class JobRecord:
 class JobService:
     """The async job engine: validate-submit-queue-execute-record.
 
-    ``workers`` threads drain the queue; each job executes inside its
-    session's lock under ``supervised_call`` with the job's policy (no
-    retries when it has none).  ``cache_dir`` attaches a persistent
-    :class:`CacheStore` (``<cache_dir>/opcache.jsonl``) shared by every
-    pooled session.
+    ``workers`` threads drain the queue; each job executes under
+    ``supervised_call`` with the job's policy (no retries when it has
+    none), holding its session's lock for each attempt and for the
+    store flush but not across a retry's backoff sleep.  ``cache_dir``
+    attaches a persistent :class:`CacheStore`
+    (``<cache_dir>/opcache.jsonl``) shared by every pooled session.
     """
 
     def __init__(self, cache_dir=None, workers: int = 1):
@@ -534,11 +535,16 @@ class JobService:
                 circuit_wire["netlist"], str(circuit_wire.get("title", ""))
             )
             policy = policy_from_wire(job.request.get("policy")) or _DEFAULT_POLICY
+
+            def attempt():
+                # The lock is held per attempt, so a retry's backoff
+                # sleeps with the session free for other submits/jobs.
+                with lock:
+                    return session.run(job.plan).to_dict()
+
+            outcome = supervised_call(attempt, index=0, policy=policy)
+            # Write-through: points persisted before the state flip.
             with lock:
-                outcome = supervised_call(
-                    lambda: session.run(job.plan).to_dict(), index=0, policy=policy
-                )
-                # Write-through: points persisted before the state flip.
                 session.flush_store()
         except Exception as exc:
             # Outside the supervised solve (the lease, the store flush):

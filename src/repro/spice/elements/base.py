@@ -129,7 +129,17 @@ class Stamp:
     ``transient`` is the :class:`TransientContext` of the step being
     solved, or ``None`` for DC (charge-storage elements then stamp
     nothing — a capacitor is an open circuit at DC).
+
+    ``wants_jacobian`` is False on a stamp that discards every
+    :meth:`add_jacobian` call (residual-only assembly).  An element may
+    then skip its derivative work and make no ``add_jacobian`` call at
+    all, but the residual it adds must stay bit-identical to the one a
+    full stamp adds at the same iterate: same expressions, same
+    arithmetic order, same ``add_residual`` sequence.
     """
+
+    #: False when every Jacobian entry is discarded (see class docstring).
+    wants_jacobian = True
 
     __slots__ = (
         "x",

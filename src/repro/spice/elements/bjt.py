@@ -69,11 +69,11 @@ class SpiceBJT(Element):
         #: re-evaluated hundreds of times per solve at a single device
         #: temperature, and each law costs a pow+exp.
         self._tcache: Optional[tuple] = None
-        #: Memo of the last (vbe, vbc, t) junction evaluation.  The
-        #: solver evaluates the residual at an accepted candidate and
-        #: then assembles the Jacobian at that same iterate — back to
-        #: back — so one-deep memoisation halves the junction math on
-        #: every fresh Newton iteration.
+        #: Memo of the last (vbe, vbc, t) currents stage
+        #: (:meth:`_currents`).  The solver evaluates the residual at an
+        #: accepted candidate and then assembles the Jacobian at that
+        #: same iterate — back to back — so the full stamp there adds
+        #: only the derivative tail.
         self._op_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -136,26 +136,29 @@ class SpiceBJT(Element):
         self._tcache = cache
         return cache
 
-    def currents_and_derivatives(self, vbe: float, vbc: float, t: float):
-        """Junction-convention ``(ic, ib, dic_dvbe, dic_dvbc, dib_dvbe,
-        dib_dvbc)`` at temperature ``t``.
+    def _currents(self, vbe: float, vbc: float, t: float):
+        """Junction-convention ``(ic, ib, core)`` at temperature ``t``.
 
         The base-charge denominator ``1 - vbe/VAR - vbc/VAF`` is clamped
         at 0.05 to keep intermediate Newton iterates finite; converged
-        operating points sit far from the clamp.
+        operating points sit far from the clamp.  ``core`` carries every
+        intermediate the derivative completion (:meth:`_derivatives`)
+        needs, so a full stamp at the iterate a residual-only stamp just
+        evaluated pays only the derivative tail — the scalar mirror of
+        ``BJTGroup._currents``/``_derivatives``.
         """
+        key = (vbe, vbc, t)
         cached = self._op_cache
-        if cached is not None and cached[0] == (vbe, vbc, t):
+        if cached is not None and cached[0] == key:
             return cached[1]
         p = self.params
-        _, is_t, ise_t, bf_t, nf_vt, nr_vt, ne_vt = self._laws_at(t)
+        laws = self._laws_at(t)
+        _, is_t, ise_t, bf_t, nf_vt, nr_vt, ne_vt = laws
 
         ef, def_ = limited_exp(vbe / nf_vt)
         er, der = limited_exp(vbc / nr_vt)
         i_f = is_t * (ef - 1.0)
         i_r = is_t * (er - 1.0)
-        gif = is_t * def_ / nf_vt
-        gir = is_t * der / nr_vt
 
         # Base charge qb = q1 * (1 + sqrt(1 + 4 q2)) / 2
         inv_var = 0.0 if math.isinf(p.var) else 1.0 / p.var
@@ -165,35 +168,48 @@ class SpiceBJT(Element):
         if clamped:
             d = 0.05
         q1 = 1.0 / d
-        dq1_dvbe = 0.0 if clamped else q1 * q1 * inv_var
-        dq1_dvbc = 0.0 if clamped else q1 * q1 * inv_vaf
-        if math.isinf(p.ikf):
-            q2, dq2_dvbe = 0.0, 0.0
-        else:
-            q2 = i_f / p.ikf
-            dq2_dvbe = gif / p.ikf
+        q2 = 0.0 if math.isinf(p.ikf) else i_f / p.ikf
         root = math.sqrt(1.0 + 4.0 * max(q2, 0.0))
         h = 0.5 * (1.0 + root)
-        dh_dq2 = 1.0 / root
         qb = q1 * h
-        dqb_dvbe = dq1_dvbe * h + q1 * dh_dq2 * dq2_dvbe
-        dqb_dvbc = dq1_dvbc * h
-
         icc = (i_f - i_r) / qb
-        dicc_dvbe = gif / qb - icc * dqb_dvbe / qb
-        dicc_dvbc = -gir / qb - icc * dqb_dvbc / qb
 
         ele, dele = limited_exp(vbe / ne_vt)
 
         ic = icc - i_r / p.br
-        dic_dvbe = dicc_dvbe
-        dic_dvbc = dicc_dvbc - gir / p.br
         ib = i_f / bf_t + ise_t * (ele - 1.0) + i_r / p.br
+        core = (laws, def_, der, dele, inv_var, inv_vaf, clamped, q1, root, h,
+                qb, icc)
+        result = (ic, ib, core)
+        self._op_cache = (key, result)
+        return result
+
+    def _derivatives(self, core):
+        """``(dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc)`` from a
+        :meth:`_currents` core."""
+        p = self.params
+        laws, def_, der, dele, inv_var, inv_vaf, clamped, q1, root, h, qb, icc = core
+        _, is_t, ise_t, bf_t, nf_vt, nr_vt, ne_vt = laws
+        gif = is_t * def_ / nf_vt
+        gir = is_t * der / nr_vt
+        dq1_dvbe = 0.0 if clamped else q1 * q1 * inv_var
+        dq1_dvbc = 0.0 if clamped else q1 * q1 * inv_vaf
+        dq2_dvbe = 0.0 if math.isinf(p.ikf) else gif / p.ikf
+        dh_dq2 = 1.0 / root
+        dqb_dvbe = dq1_dvbe * h + q1 * dh_dq2 * dq2_dvbe
+        dqb_dvbc = dq1_dvbc * h
+        dicc_dvbe = gif / qb - icc * dqb_dvbe / qb
+        dicc_dvbc = -gir / qb - icc * dqb_dvbc / qb
+        dic_dvbc = dicc_dvbc - gir / p.br
         dib_dvbe = gif / bf_t + ise_t * dele / ne_vt
         dib_dvbc = gir / p.br
-        result = (ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc)
-        self._op_cache = ((vbe, vbc, t), result)
-        return result
+        return dicc_dvbe, dic_dvbc, dib_dvbe, dib_dvbc
+
+    def currents_and_derivatives(self, vbe: float, vbc: float, t: float):
+        """Junction-convention ``(ic, ib, dic_dvbe, dic_dvbc, dib_dvbe,
+        dib_dvbc)`` at temperature ``t`` (see :meth:`_currents`)."""
+        ic, ib, core = self._currents(vbe, vbc, t)
+        return (ic, ib) + self._derivatives(core)
 
     # ------------------------------------------------------------------
     def stamp(self, stamp: Stamp) -> None:
@@ -211,9 +227,7 @@ class SpiceBJT(Element):
         ve = float(x[e]) if e >= 0 else 0.0
         vbe = s * (vb - ve)
         vbc = s * (vb - vc)
-        ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = (
-            self.currents_and_derivatives(vbe, vbc, t)
-        )
+        ic, ib, core = self._currents(vbe, vbc, t)
 
         # Terminal currents leaving each node into the device, with the
         # gmin junction conductances (B-E and B-C, for Jacobian
@@ -227,16 +241,20 @@ class SpiceBJT(Element):
         stamp.add_residual(b, i_b + i_be + i_bc)
         stamp.add_residual(e, -(i_c + i_b) - i_be)
 
-        # Chain rule: d vbe/dVb = s etc.; the s*s products cancel.
-        stamp.add_jacobian(c, b, dic_dvbe + dic_dvbc - gmin)
-        stamp.add_jacobian(c, e, -dic_dvbe)
-        stamp.add_jacobian(c, c, -dic_dvbc + gmin)
-        stamp.add_jacobian(b, b, dib_dvbe + dib_dvbc + gmin + gmin)
-        stamp.add_jacobian(b, e, -dib_dvbe - gmin)
-        stamp.add_jacobian(b, c, -dib_dvbc - gmin)
-        stamp.add_jacobian(e, b, -(dic_dvbe + dic_dvbc) - (dib_dvbe + dib_dvbc) - gmin)
-        stamp.add_jacobian(e, e, dic_dvbe + dib_dvbe + gmin)
-        stamp.add_jacobian(e, c, dic_dvbc + dib_dvbc)
+        if stamp.wants_jacobian:
+            dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc = self._derivatives(core)
+            # Chain rule: d vbe/dVb = s etc.; the s*s products cancel.
+            stamp.add_jacobian(c, b, dic_dvbe + dic_dvbc - gmin)
+            stamp.add_jacobian(c, e, -dic_dvbe)
+            stamp.add_jacobian(c, c, -dic_dvbc + gmin)
+            stamp.add_jacobian(b, b, dib_dvbe + dib_dvbc + gmin + gmin)
+            stamp.add_jacobian(b, e, -dib_dvbe - gmin)
+            stamp.add_jacobian(b, c, -dib_dvbc - gmin)
+            stamp.add_jacobian(
+                e, b, -(dic_dvbe + dic_dvbc) - (dib_dvbe + dib_dvbc) - gmin
+            )
+            stamp.add_jacobian(e, e, dic_dvbe + dib_dvbe + gmin)
+            stamp.add_jacobian(e, c, dic_dvbc + dib_dvbc)
 
         if has_substrate:
             if self.substrate_drive is not None:
@@ -318,7 +336,7 @@ class SpiceBJT(Element):
         s = self.sign
         t = self.device_temperature(stamp)
         vc, vb, ve = stamp.v(c), stamp.v(b), stamp.v(e)
-        ic, ib, *_ = self.currents_and_derivatives(s * (vb - ve), s * (vb - vc), t)
+        ic, ib, _ = self._currents(s * (vb - ve), s * (vb - vc), t)
         return (vc - ve) * s * ic + (vb - ve) * s * ib
 
 

@@ -64,24 +64,38 @@ class Diode(Element):
         )
         return self.is_ * ratio ** (self.xti / self.n) * math.exp(exponent)
 
-    def current_and_conductance(self, vd: float, temperature_k: float):
-        """``(i(vd), di/dvd)`` with overflow-limited exponential."""
+    def _current(self, vd: float, temperature_k: float):
+        """``(i(vd), core)`` with overflow-limited exponential; ``core``
+        is what :meth:`_conductance` completes ``di/dvd`` from."""
         nvt = self.n * thermal_voltage(temperature_k)
         sat = self.is_at(temperature_k)
         value, slope = limited_exp(vd / nvt)
-        return sat * (value - 1.0), sat * slope / nvt
+        return sat * (value - 1.0), (sat, slope, nvt)
+
+    @staticmethod
+    def _conductance(core) -> float:
+        """``di/dvd`` from a :meth:`_current` core."""
+        sat, slope, nvt = core
+        return sat * slope / nvt
+
+    def current_and_conductance(self, vd: float, temperature_k: float):
+        """``(i(vd), di/dvd)`` with overflow-limited exponential."""
+        i, core = self._current(vd, temperature_k)
+        return i, self._conductance(core)
 
     def stamp(self, stamp: Stamp) -> None:
         a, c = self._node_idx
         t = self.device_temperature(stamp)
         vd = stamp.v(a) - stamp.v(c)
-        i, g = self.current_and_conductance(vd, t)
+        i, core = self._current(vd, t)
         # gmin in parallel with the junction keeps the Jacobian regular
         # at deep reverse bias / zero bias.
         i += stamp.gmin * vd
-        g += stamp.gmin
         stamp.add_residual(a, i)
         stamp.add_residual(c, -i)
+        if not stamp.wants_jacobian:
+            return
+        g = self._conductance(core) + stamp.gmin
         stamp.add_jacobian(a, a, g)
         stamp.add_jacobian(a, c, -g)
         stamp.add_jacobian(c, a, -g)
@@ -90,5 +104,5 @@ class Diode(Element):
     def power(self, stamp: Stamp) -> float:
         a, c = self._node_idx
         vd = stamp.v(a) - stamp.v(c)
-        i, _ = self.current_and_conductance(vd, self.device_temperature(stamp))
+        i, _ = self._current(vd, self.device_temperature(stamp))
         return vd * i

@@ -89,7 +89,7 @@ class OpAmp(Element):
         #: Memo of a callable offset law at the last temperature — the
         #: law is re-evaluated every stamp but only depends on T.
         self._vos_cache = None
-        #: One-deep memo of the last output/slope evaluation (the solver
+        #: One-deep memo of the last output evaluation (the solver
         #: stamps the same iterate twice back to back: residual probe,
         #: then Jacobian assembly).  Keyed on every input including the
         #: gain, which gain stepping mutates between stages.
@@ -114,7 +114,7 @@ class OpAmp(Element):
         supply_v: Optional[float] = None,
     ) -> float:
         """Clamped output voltage for a differential input [V]."""
-        value, _ = self._output_and_slope(vdiff, temperature_k, supply_v)
+        value, _ = self._output(vdiff, temperature_k, supply_v)
         return value
 
     def _effective_rail_high(self, supply_v: Optional[float]):
@@ -126,12 +126,14 @@ class OpAmp(Element):
             return floor, 0.0
         return supply_v, 1.0
 
-    def _output_and_slope(
+    def _output(
         self,
         vdiff: float,
         temperature_k: float,
         supply_v: Optional[float] = None,
     ):
+        """``(value, core)``: the output voltage plus what
+        :meth:`_slopes` needs to complete the branch row's derivatives."""
         key = (vdiff, temperature_k, supply_v, self.gain, self.vos)
         cached = self._op_cache
         if cached is not None and cached[0] == key:
@@ -142,14 +144,21 @@ class OpAmp(Element):
         arg = self.gain * (vdiff + self.offset_at(temperature_k)) / swing
         th = math.tanh(arg)
         value = center + swing * th
-        slope = self.gain * (1.0 - th * th)
+        result = (value, (self.gain, drail, arg, th))
+        self._op_cache = (key, result)
+        return result
+
+    @staticmethod
+    def _slopes(core):
+        """``(d value/d vdiff, d value/d rail_high)`` from an
+        :meth:`_output` core."""
+        gain, drail, arg, th = core
+        slope = gain * (1.0 - th * th)
         # d value / d rail_high: the center and swing both move with the
         # rail, and the tanh argument shrinks as the window widens:
         #   value = c + s*th,  dc/dr = ds/dr = 1/2,  darg/dr = -arg/(2s)
         slope_rail = drail * 0.5 * (1.0 + th - arg * (1.0 - th * th))
-        result = (value, (slope, slope_rail))
-        self._op_cache = (key, result)
-        return result
+        return slope, slope_rail
 
     def stamp(self, stamp: Stamp) -> None:
         if self.supply is None:
@@ -162,12 +171,13 @@ class OpAmp(Element):
         k = self.branch_index()
         i = stamp.v(k)
         stamp.add_residual(out, i)
-        stamp.add_jacobian(out, k, 1.0)
         vdiff = stamp.v(inp) - stamp.v(inn)
-        value, (slope, slope_rail) = self._output_and_slope(
-            vdiff, self.device_temperature(stamp), supply_v
-        )
+        value, core = self._output(vdiff, self.device_temperature(stamp), supply_v)
         stamp.add_residual(k, stamp.v(out) - value)
+        if not stamp.wants_jacobian:
+            return
+        slope, slope_rail = self._slopes(core)
+        stamp.add_jacobian(out, k, 1.0)
         stamp.add_jacobian(k, out, 1.0)
         stamp.add_jacobian(k, inp, -slope)
         stamp.add_jacobian(k, inn, slope)

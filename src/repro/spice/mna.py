@@ -46,6 +46,15 @@ picks them, from the circuit's size and device count:
 ``MNASystem(vectorized=, sparse=)`` pins either choice for one system;
 the equivalence tests use it to compare the paths.
 
+Residual-only assembly (:meth:`MNASystem.assemble_residual`, what line
+searches and LU-reuse probes call) hands the ungrouped nonlinear
+elements a :class:`_ResidualOnlyStamp`, whose ``wants_jacobian`` is
+False: the scalar BJT, diode and op-amp then compute only their
+terminal currents, as a group's ``stamp_residual`` does.  The BJT and
+op-amp memoise that currents stage, so a full assembly at the iterate
+a probe just evaluated adds only the derivatives.  Either way the
+residual is bit-identical to :meth:`MNASystem.assemble`'s.
+
 Cache correctness: the linear part depends only on (temperature,
 ``gmin``, ``source_scale``, ``time``, and the integration context's
 alpha/state), all of which key the cache.  Every static pass fills one
@@ -100,10 +109,16 @@ class _ResidualOnlyStamp(Stamp):
     """Stamp variant that discards Jacobian contributions.
 
     Used by residual-only assembly (line searches evaluate |F| many
-    times per Newton iteration and never look at J).
+    times per Newton iteration and never look at J).  With
+    ``wants_jacobian`` False the scalar nonlinear devices (BJT, diode,
+    op-amp) compute only their terminal currents and make no
+    ``add_jacobian`` call; for every other element (sources, controlled
+    sources, capacitors, custom classes) :meth:`add_jacobian` stays a
+    no-op.
     """
 
     __slots__ = ()
+    wants_jacobian = False
 
     def add_jacobian(self, row: int, col: int, value: float) -> None:
         return None

@@ -1,10 +1,13 @@
 """The deterministic fault-injection harness itself: spec grammar,
 plan matching, install/env precedence, and what each kind raises."""
 
+import multiprocessing
+
 import pytest
 
 from repro import faultinject
 from repro.errors import ConvergenceError, FaultInjected, ReproError, WorkerCrash
+from repro.resilience.supervisor import attempt_in_worker
 
 
 class TestParse:
@@ -113,6 +116,29 @@ class TestCheck:
         with faultinject.injected("hardcrash@0"):
             with pytest.raises(WorkerCrash, match="downgrade"):
                 faultinject.check(0, 1)
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            m for m in ("spawn", "forkserver")
+            if m in multiprocessing.get_all_start_methods()
+        ],
+    )
+    def test_hardcrash_kills_a_fresh_interpreter_worker(self, method):
+        # A spawn or forkserver worker imports faultinject itself, so
+        # nothing pid-based can tell it from the parent: the worker side
+        # of an attempt must say so.
+        worker = multiprocessing.get_context(method).Process(
+            target=attempt_in_worker, args=((abs, -1, 1, 1, "hardcrash@1:1"),)
+        )
+        worker.start()
+        try:
+            worker.join(60)
+            assert worker.exitcode == 3
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
 
     def test_explicit_spec_overrides_active_plan(self):
         with faultinject.injected("error@0"):

@@ -20,7 +20,7 @@
 
 import dataclasses
 import json
-import threading
+import time
 
 import pytest
 
@@ -83,8 +83,8 @@ UNKNOWN_SOLVER_OPTIONS = {
 
 #: Wire policies the codec must refuse, by case name, with the message
 #: each raises: a key of the wrong JSON type, or retries and backoff
-#: sleeps that would hold a service worker and its session's lock for
-#: too long (at most 10 retries and 60 s of backoff in total).
+#: sleeps that would hold a service worker for too long (at most 10
+#: retries and 60 s of backoff in total).
 REFUSED_POLICIES = {
     "retries-bool": ({"max_retries": True}, "max_retries must be an integer"),
     "retries-float": ({"max_retries": 2.5}, "max_retries must be an integer"),
@@ -426,18 +426,12 @@ class TestJobService:
     )
     def test_unbounded_policy_rejected_before_any_solve(self, policy, message):
         # Accepted, {"max_retries": 1, "backoff_s": 1e9} would hold the
-        # only worker and the pooled session's lock for about 31 years.
+        # only worker for about 31 years.
         self._assert_rejected_at_submit(None, match=message, policy=policy)
 
     def test_wire_timeout_rejected_before_any_solve(self):
-        # The deadline watchdog abandons a timed-out solve instead of
-        # stopping it: a wire deadline on this sweep would leave three
-        # attempts still solving on the pooled session after its lock is
-        # released.  The request is refused at submit instead.
-        def deadline_threads():
-            return {t for t in threading.enumerate() if t.name == "repro-deadline"}
-
-        before = deadline_threads()
+        # RunPolicy has no deadline: a wire timeout_s is refused at
+        # submit, before any solve.
         service = self._service()
         try:
             with pytest.raises(PlanError, match="timeout_s"):
@@ -456,7 +450,6 @@ class TestJobService:
             assert service.jobs() == []
             assert service._queue.empty()
             assert STATS.newton_solves == 0
-            assert deadline_threads() <= before
         finally:
             service.stop()
 
@@ -566,6 +559,46 @@ class TestJobService:
             assert record.state == "done"
             assert record.attempts == 2
             assert STATS.retries == 1
+        finally:
+            service.stop()
+
+    def test_retry_backoff_leaves_the_session_free(self):
+        # Job A fails its first attempt and sleeps a 2 s backoff before
+        # the retry; job B runs on the same pooled session.  B's submit
+        # validates under the session's lock, and the second worker runs
+        # B under it: neither may wait out A's backoff.
+        netlist = NETLIST + "C1 d 0 1n\n"
+        backoff_s = 2.0
+        service = self._service(workers=2)
+        try:
+            slow = service.submit(
+                {
+                    "circuit": {"netlist": netlist},
+                    "plan": {
+                        "analysis": "Transient",
+                        "t_stop": 1e-6,
+                        "options": {"max_steps": 1},
+                    },
+                    "policy": {"max_retries": 1, "backoff_s": backoff_s},
+                }
+            )
+            deadline = time.monotonic() + 10.0
+            while STATS.retries < 1:
+                assert time.monotonic() < deadline, "job A never retried"
+                time.sleep(0.005)
+            retry_due = time.monotonic() + backoff_s
+            quick = service.submit(
+                {"circuit": {"netlist": netlist}, "plan": {"analysis": "OP"}}
+            )
+            assert time.monotonic() < retry_due - 0.5 * backoff_s
+            while service.job(quick.id).state != "done":
+                assert time.monotonic() < retry_due, "job B waited for A's retry"
+                time.sleep(0.005)
+            assert service.job(slow.id).state == "running"
+            assert service.drain(10.0)
+            record = service.job(slow.id)
+            assert record.state == "failed"
+            assert record.attempts == 2
         finally:
             service.stop()
 

@@ -6,6 +6,8 @@ monotonicity/ordering properties of nonlinear networks, and — for the
 vectorized device-group engine — stamp-level equivalence against the
 scalar reference under random model cards and random bias points,
 including finite-difference cross-checks of the assembled Jacobian.
+Residual-only assembly, which lets the devices skip their derivative
+work, must reproduce the full assembly's residual bit for bit.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bjt.parameters import BJTParameters
+from repro.bjt.substrate import SubstratePNP
+from repro.constants import thermal_voltage
 from repro.spice import (
     OP,
     Circuit,
@@ -22,8 +26,12 @@ from repro.spice import (
     Session,
     VoltageSource,
 )
+from repro.spice.elements.base import _MAX_EXP_ARG, DynamicState, TransientContext
 from repro.spice.elements.bjt import SpiceBJT
-from repro.spice.mna import MNASystem
+from repro.spice.elements.opamp import OpAmp
+from repro.spice.mna import MNASystem, _ResidualOnlyStamp
+
+from families import CIRCUITS
 
 resistances = st.floats(min_value=10.0, max_value=1e6)
 sources = st.floats(min_value=-50.0, max_value=50.0)
@@ -338,3 +346,242 @@ class TestVectorizedScalarEquivalence:
         _, jacobian, residual = _assert_paths_match(circuit, x, 300.15)
         assert np.all(np.isfinite(jacobian))
         assert np.all(np.isfinite(residual))
+
+
+# ----------------------------------------------------------------------
+# Residual-only evaluation equals the full stamp's residual, bit for bit
+# ----------------------------------------------------------------------
+
+#: Temperatures of the family sweep: both ends of the paper's range and
+#: the nominal point.
+RESIDUAL_TEMPERATURES = (220.0, 300.15, 418.0)
+
+
+def _family_iterates(size: int):
+    """The origin, a converged-looking offset, moderate noise, and two
+    wild Newton trials that drive junctions past the ``limited_exp`` cap
+    and the 0.05 base-charge clamp (:func:`_bjt_regimes` checks that
+    they do).  The moderate draws put some junction currents near the
+    gmin terms, where a reordered sum rounds differently."""
+    rng = np.random.default_rng(2718)
+    return [
+        np.zeros(size),
+        np.full(size, 0.61),
+        *(rng.normal(0.4, 0.8, size) for _ in range(6)),
+        rng.normal(0.0, 40.0, size),
+        rng.uniform(-150.0, 150.0, size),
+    ]
+
+
+def _bjt_regimes(circuit, x, temperature_k):
+    """Which guards the iterate drives some BJT of ``circuit`` past:
+    ``"cap"`` (a junction exponential argument above the ``limited_exp``
+    cap) and ``"clamp"`` (base-charge denominator below 0.05)."""
+    regimes = set()
+    vt = thermal_voltage(temperature_k)
+    for el in circuit.elements:
+        if not isinstance(el, SpiceBJT):
+            continue
+        c, b, e = (0.0 if i < 0 else float(x[i]) for i in el._node_idx[:3])
+        vbe, vbc = el.sign * (b - e), el.sign * (b - c)
+        p = el.params
+        if max(vbe / (p.nf * vt), vbc / (p.nr * vt), vbe / (p.ne * vt)) > _MAX_EXP_ARG:
+            regimes.add("cap")
+        if 1.0 - vbe / p.var - vbc / p.vaf < 0.05:
+            regimes.add("clamp")
+    return regimes
+
+
+def _substrate_bjt_fixture(params, drive):
+    """:func:`_bjt_fixture` plus a substrate transistor on node ``s``
+    (``drive`` fixed, or ``None`` for the headroom-derived drive); the
+    1.5 V onset lets the drawn biases reach the derived drive's ramp."""
+    circuit = _bjt_fixture(params)
+    circuit.add(Resistor("RS", "s", "0", 1e5))
+    circuit.element("Q1").attach_substrate(
+        SubstratePNP(area=8.0, vsat_onset=1.5), "s", drive
+    )
+    return circuit
+
+
+def _opamp_fixture(gain, vos, supply):
+    """One op-amp, every node registered via resistors."""
+    circuit = Circuit("opamp under test")
+    nodes = ("p", "n", "o", "vdd") if supply else ("p", "n", "o")
+    for node in nodes:
+        circuit.add(Resistor(f"R{node}", node, "0", 1e5))
+    circuit.add(
+        OpAmp("A1", "p", "n", "o", gain=gain, vos=vos,
+              supply="vdd" if supply else None)
+    )
+    return circuit
+
+
+def _transient_states(circuit, x):
+    """Mid-run integrator history for the dynamic elements."""
+    return {
+        el.name: DynamicState(
+            charge=el.charge_at(x) * 0.7 + 1e-12, current=1e-6 * (1 + index)
+        )
+        for index, el in enumerate(e for e in circuit.elements if e.is_dynamic)
+    }
+
+
+def _assert_residual_only_exact(build, x, temperature_k, conditions):
+    """``assemble_residual(x)`` equals ``assemble(x)[1]`` byte for byte,
+    grouped and scalar, under every ``conditions`` keyword set.
+
+    The two sides are separate circuits from ``build``, so no device memo
+    carries one evaluation into the other.  The residual-only system
+    then assembles at the same iterate, as Newton does after a line
+    search; ``J`` must equal the fresh full assembly's too.
+    """
+    for vectorized in (False, True):
+        fresh = MNASystem(build(), temperature_k=temperature_k, vectorized=vectorized)
+        probed = MNASystem(build(), temperature_k=temperature_k, vectorized=vectorized)
+        for kwargs in conditions:
+            j_full, f_full = fresh.assemble(x, **kwargs)
+            f_residual = probed.assemble_residual(x, **kwargs)
+            assert f_residual.tobytes() == f_full.tobytes(), (vectorized, kwargs)
+            j_after, f_after = probed.assemble(x, **kwargs)
+            assert f_after.tobytes() == f_full.tobytes(), (vectorized, kwargs)
+            assert j_after.tobytes() == j_full.tobytes(), (vectorized, kwargs)
+
+
+class TestResidualOnlyExact:
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_every_family(self, name):
+        build = CIRCUITS[name]
+        circuit = build()
+        size = MNASystem(circuit).size
+        regimes = set()
+        for temperature_k in RESIDUAL_TEMPERATURES:
+            for x in _family_iterates(size):
+                regimes |= _bjt_regimes(circuit, x, temperature_k)
+                context = TransientContext(
+                    dt=2.5e-7, method="trap", states=_transient_states(circuit, x)
+                )
+                conditions = [
+                    {"gmin": gmin, **mode}
+                    for gmin in (1e-12, 1e-3)
+                    for mode in ({}, {"time": 3e-6, "transient": context})
+                ]
+                _assert_residual_only_exact(build, x, temperature_k, conditions)
+        if any(isinstance(el, SpiceBJT) for el in circuit.elements):
+            assert regimes == {"cap", "clamp"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=bjt_cards,
+        vc=biases, vb=biases, ve=biases, t=temperatures,
+        stretch=st.sampled_from([1.0, 30.0]),
+        substrate=st.booleans(),
+        drive=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    def test_bjt(self, params, vc, vb, ve, t, stretch, substrate, drive):
+        def build():
+            if substrate:
+                return _substrate_bjt_fixture(params, drive)
+            return _bjt_fixture(params)
+
+        circuit = build()
+        x = np.zeros(MNASystem(circuit).size)
+        for node, value in (("c", vc), ("b", vb), ("e", ve)):
+            x[circuit.node_index(node)] = stretch * value
+        _assert_residual_only_exact(build, x, t, ({}, {"gmin": 1e-3}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        is_=st.floats(min_value=1e-18, max_value=1e-12),
+        n=st.floats(min_value=0.9, max_value=2.2),
+        eg=st.floats(min_value=0.8, max_value=1.3),
+        xti=st.floats(min_value=2.0, max_value=4.0),
+        va=biases, vk=biases, t=temperatures,
+        stretch=st.sampled_from([1.0, 30.0]),
+    )
+    def test_diode(self, is_, n, eg, xti, va, vk, t, stretch):
+        def build():
+            return _diode_fixture(is_, n, eg, xti)
+
+        circuit = build()
+        x = np.zeros(MNASystem(circuit).size)
+        x[circuit.node_index("a")] = stretch * va
+        x[circuit.node_index("k")] = stretch * vk
+        _assert_residual_only_exact(build, x, t, ({}, {"gmin": 1e-3}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gain=st.floats(min_value=10.0, max_value=1e6),
+        offset=st.floats(min_value=-5e-3, max_value=5e-3),
+        drift=st.one_of(st.none(), st.floats(min_value=-1e-5, max_value=1e-5)),
+        supply=st.booleans(),
+        vp=biases, vn=biases, vo=biases, vdd=st.floats(min_value=-0.5, max_value=5.0),
+        branch=st.floats(min_value=-1e-3, max_value=1e-3),
+        t=temperatures,
+    )
+    def test_opamp(self, gain, offset, drift, supply, vp, vn, vo, vdd, branch, t):
+        def build():
+            vos = offset if drift is None else (
+                lambda temperature_k: offset + drift * (temperature_k - 300.15)
+            )
+            return _opamp_fixture(gain, vos, supply)
+
+        circuit = build()
+        x = np.zeros(MNASystem(circuit).size)
+        for node, value in (("p", vp), ("n", vn), ("o", vo), ("vdd", vdd)):
+            if supply or node != "vdd":
+                x[circuit.node_index(node)] = value
+        x[circuit.element("A1").branch_index()] = branch
+        _assert_residual_only_exact(build, x, t, ({}, {"gmin": 1e-3}))
+
+
+class _CountingResidualStamp(_ResidualOnlyStamp):
+    """Residual-only stamp that counts the Jacobian entries offered."""
+
+    __slots__ = ("jacobian_calls",)
+
+    def add_jacobian(self, row: int, col: int, value: float) -> None:
+        self.jacobian_calls += 1
+
+
+#: One circuit per scalar nonlinear device variant.
+SCALAR_DEVICES = {
+    "npn": lambda: _bjt_fixture(
+        BJTParameters(polarity="npn", rb=0.0, re=0.0, rc=0.0)
+    ),
+    "pnp": lambda: _bjt_fixture(BJTParameters(rb=0.0, re=0.0, rc=0.0)),
+    "pnp-substrate-fixed-drive": lambda: _substrate_bjt_fixture(
+        BJTParameters(rb=0.0, re=0.0, rc=0.0), 0.4
+    ),
+    "pnp-substrate-derived-drive": lambda: _substrate_bjt_fixture(
+        BJTParameters(rb=0.0, re=0.0, rc=0.0), None
+    ),
+    "diode": lambda: _diode_fixture(1e-15, 1.0, 1.11, 3.0),
+    "opamp": lambda: _opamp_fixture(1e4, 1e-3, supply=False),
+    "opamp-supply-callable-vos": lambda: _opamp_fixture(
+        1e4, lambda t: 1e-3 + 1e-6 * (t - 300.15), supply=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DEVICES))
+def test_residual_only_stamp_gets_no_jacobian_entries(name):
+    """With ``wants_jacobian`` False the scalar devices skip their
+    derivative work entirely: not one ``add_jacobian`` call."""
+    circuit = SCALAR_DEVICES[name]()
+    system = MNASystem(circuit, vectorized=False)
+    residual = np.zeros(system.size)
+    stamp = _CountingResidualStamp(
+        x=np.linspace(-0.7, 0.9, system.size),
+        jacobian=None,
+        residual=residual,
+        temperature_k=300.15,
+        gmin=1e-12,
+        source_scale=1.0,
+    )
+    stamp.jacobian_calls = 0
+    assert system.scalar_nonlinear
+    for el in system.scalar_nonlinear:
+        el.stamp(stamp)
+    assert stamp.jacobian_calls == 0
+    assert np.any(residual != 0.0)
