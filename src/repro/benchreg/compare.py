@@ -19,6 +19,13 @@ advisory wall-time metrics classify against a relative tolerance band
 and never fail.  Metrics the baseline row lacks are ``new-metric``:
 informational by construction, so a schema that *grows* new counters
 (the normal direction of travel) never breaks old baselines.
+
+The hard gates also apply per plan: each root of a row's
+``trace_summary`` (normally one ``plan`` span) gates its own counters
+as ``plan[<index>:<kind>].<counter>``, so one plan's regression cannot
+hide behind another plan's gain in the experiment total.  When the
+candidate's roots differ from the baseline's in number or kinds, its
+per-plan metrics are all ``new-metric``.
 """
 
 from __future__ import annotations
@@ -155,6 +162,58 @@ def classify(
     return "regressed" if delta > 0 else "improved"
 
 
+def _plan_gates(row: Mapping[str, object]) -> List[Tuple[str, Dict[str, float]]]:
+    """Per ``trace_summary`` root of a bench row: its label
+    (``plan[<index>:<kind>]``) and its hard-gated counters.
+
+    A root's counters are the non-zero deltas of its span, so a gate
+    missing from them moved by zero.
+    """
+    summary = row.get("trace_summary")
+    roots = summary.get("roots", []) if isinstance(summary, Mapping) else []
+    plans = []
+    for index, root in enumerate(roots):
+        kind = root.get("kind", root.get("span", "?"))
+        counters = schema.flatten_metrics(root.get("counters", {}))
+        gated = {
+            name: value
+            for name, value in counters.items()
+            if name in schema.HARD_GATES
+        }
+        plans.append((f"plan[{index}:{kind}]", gated))
+    return plans
+
+
+def _plan_deltas(
+    experiment: str,
+    row: Mapping[str, object],
+    base_row: Optional[Mapping[str, object]],
+) -> List[Delta]:
+    """The per-plan hard-gate deltas of one experiment (module docstring)."""
+    plans = _plan_gates(row)
+    base_plans = _plan_gates(base_row) if base_row is not None else []
+    matched = [label for label, _ in plans] == [label for label, _ in base_plans]
+    deltas = []
+    for position, (label, counters) in enumerate(plans):
+        base_counters = base_plans[position][1] if matched else {}
+        for counter in sorted(set(counters) | set(base_counters)):
+            value = counters.get(counter, 0)
+            base_value = base_counters.get(counter, 0) if matched else None
+            direction = schema.HARD_GATES[counter]
+            deltas.append(
+                Delta(
+                    experiment=experiment,
+                    metric=f"{label}.{counter}",
+                    severity="hard",
+                    direction=direction,
+                    baseline=base_value,
+                    candidate=value,
+                    status=classify(base_value, value, direction, 0.0),
+                )
+            )
+    return deltas
+
+
 def compare_rows(
     baseline_entry: Mapping[str, object],
     rows: List[Mapping[str, object]],
@@ -168,7 +227,8 @@ def compare_rows(
     scalar legs are trajectory colour, not baselines).  Candidate
     experiments absent from the baseline produce ``new-metric`` deltas
     throughout; baseline experiments the candidate did not run are
-    listed as ``uncompared``.
+    listed as ``uncompared``.  Each row's totals are followed by its
+    per-plan gates (:func:`_plan_gates`).
     """
     comparison = Comparison(
         baseline_id=str(baseline_entry.get("id", "?")),
@@ -207,6 +267,7 @@ def compare_rows(
                     status=status,
                 )
             )
+        comparison.deltas.extend(_plan_deltas(experiment, row, base_row))
     for experiment, _row in schema.iter_default_rows(baseline_entry):
         if experiment not in compared:
             comparison.uncompared.append(experiment)

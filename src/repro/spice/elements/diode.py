@@ -56,6 +56,7 @@ class Diode(Element):
         self.eg = eg
         self.xti = xti
         self.tnom = tnom
+        self._tcache = None
 
     def is_at(self, temperature_k: float) -> float:
         ratio = temperature_k / self.tnom
@@ -64,11 +65,24 @@ class Diode(Element):
         )
         return self.is_ * ratio ** (self.xti / self.n) * math.exp(exponent)
 
+    def _laws_at(self, temperature_k: float):
+        """Memoised ``(IS(T), n*VT)``, keyed on every input the law
+        reads: a plan override can set ``is_`` on a live diode."""
+        key = (temperature_k, self.is_, self.n, self.eg, self.xti, self.tnom)
+        cache = self._tcache
+        if cache is not None and cache[0] == key:
+            return cache[1]
+        laws = (
+            self.is_at(temperature_k),
+            self.n * thermal_voltage(temperature_k),
+        )
+        self._tcache = (key, laws)
+        return laws
+
     def _current(self, vd: float, temperature_k: float):
         """``(i(vd), core)`` with overflow-limited exponential; ``core``
         is what :meth:`_conductance` completes ``di/dvd`` from."""
-        nvt = self.n * thermal_voltage(temperature_k)
-        sat = self.is_at(temperature_k)
+        sat, nvt = self._laws_at(temperature_k)
         value, slope = limited_exp(vd / nvt)
         return sat * (value - 1.0), (sat, slope, nvt)
 

@@ -488,6 +488,19 @@ class MNASystem:
             self._layout.pack()
         self._build_groups()
 
+    def invalidate_sources(self) -> None:
+        """Invalidate ``b_static`` only, after changing an independent
+        source's ``dc``.
+
+        A source value enters the residual alone (a voltage source's
+        branch target, a current source's injections), so the Jacobian
+        caches, the packed resistor values and the device groups all
+        stay; the next pass re-stamps just the residual of the static
+        group.
+        """
+        self._b_static_key = None
+        self._b_comb_key = None
+
     # -- linear-group passes -------------------------------------------
     def _stamp(self, cls, x, residual, gmin, source_scale, time, transient):
         return cls(

@@ -196,7 +196,8 @@ class OP(AnalysisPlan):
 
 @dataclass(frozen=True)
 class DCSweep(AnalysisPlan):
-    """Sweep the DC value of an independent V/I source (warm-chained)."""
+    """Sweep the DC value of an independent V/I source, each point
+    starting from the secant through the two before it."""
 
     source: str = ""
     values: Tuple[float, ...] = ()
@@ -247,8 +248,8 @@ class TempSweep(AnalysisPlan):
 class ACSweep(AnalysisPlan):
     """Small-signal frequency sweep at each temperature's solved op.
 
-    One warm-chained DC point per temperature, one complex
-    ``(G + jwC) x = b`` sweep per point.
+    One DC point per temperature, chained like a sweep (secant starts),
+    and one complex ``(G + jwC) x = b`` sweep per point.
     """
 
     frequencies_hz: Tuple[float, ...] = ()

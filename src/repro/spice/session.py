@@ -5,9 +5,11 @@ It owns ONE :class:`~repro.spice.mna.MNASystem` per topology
 (``set_temperature``/``invalidate`` handled internally), one shared
 :class:`~repro.spice.solver.NewtonWorkspace`, and a
 **solved-point cache** that warm-starts Newton from the nearest
-previously solved point — which is what finally amortises the cold-start
-gain-stepping ladder (~60 % of a 16-point Fig. 8 sweep) across
-analyses and experiment families.
+previously solved point — which is what amortises the cold-start
+gain-stepping ladder across analyses and experiment families.  The
+ladder is ~60 % of a 16-point Fig. 8 sweep's factorizations (39 of
+65), because the sweep's chained points follow the solution curve from
+secant starts (:class:`~repro.spice.solver.SecantChain`).
 
 Analyses are declarative plans (:mod:`repro.spice.plans`) submitted via
 :meth:`Session.run` / :meth:`Session.run_many`; cross-topology batches
@@ -94,7 +96,13 @@ from .plans import (
     TempSweep,
     Transient,
 )
-from .solver import NewtonWorkspace, RawSolution, SolverOptions, solve_dc_system
+from .solver import (
+    NewtonWorkspace,
+    RawSolution,
+    SecantChain,
+    SolverOptions,
+    solve_dc_system,
+)
 from .stats import STATS
 from .transient import TransientOptions, TransientResult, run_transient_system
 
@@ -730,14 +738,16 @@ class Session:
         time: Optional[float] = None,
         options: Optional[SolverOptions] = None,
         _overrides: Overrides = (),
+        predicted: Optional[np.ndarray] = None,
     ) -> RawSolution:
         """Solve one DC point on the session's system, cache-assisted.
 
         The engine-level entry (:func:`repro.spice.solver.solve_dc`
         routes one-shot solves through a short-lived session via this
-        method).  ``x0`` wins over the cache when given — warm-start
-        *chains* (sweeps) are ordering-sensitive and keep their legacy
-        semantics bit for bit.
+        method).  ``x0`` wins over the cache when given: a chained sweep
+        hands each point the previous point's solution as ``x0`` and
+        its secant extrapolation as ``predicted``, both passed on to
+        :func:`~repro.spice.solver.solve_dc_system` unchanged.
         """
         options = options or self.options
         temperature_k = float(temperature_k)
@@ -789,7 +799,8 @@ class Session:
             elif span is not None:
                 span.attrs["cache"] = "seeded"
             raw = solve_dc_system(
-                self.system, options=options, x0=x0, time=time, workspace=self.workspace
+                self.system, options=options, x0=x0, time=time,
+                workspace=self.workspace, predicted=predicted,
             )
             self.cache.insert(
                 exact_key, _CachedPoint(temperature_k, time_key, okey, coords, raw)
@@ -943,22 +954,24 @@ class Session:
             original = element.dc
             self._record_baseline(plan.source, "dc", original)
             points: List[OperatingPoint] = []
-            x_prev = x0
+            chain = SecantChain()
             try:
                 for value in plan.values:
+                    # A source's dc enters the residual only.
                     element.dc = float(value)
-                    self.system.invalidate()
+                    self.system.invalidate_sources()
                     raw = self.solve_raw(
                         plan.temperature_k,
-                        x0=x_prev,
+                        x0=x0 if chain.x is None else chain.x,
                         options=plan.options,
                         _overrides=plan.overrides + ((plan.source, "dc", value),),
+                        predicted=chain.start(value),
                     )
                     points.append(_wrap_point(self.circuit, plan.temperature_k, raw))
-                    x_prev = raw.x
+                    chain.push(value, raw.x)
             finally:
                 element.dc = original
-                self.system.invalidate()
+                self.system.invalidate_sources()
         sweep = SweepResult(
             parameter=plan.source,
             values=np.asarray(plan.values, float),
@@ -974,9 +987,11 @@ class Session:
             # then amortises the cold gain-stepping ladder over the
             # WHOLE grid, where a naive first-point warm start across
             # 100+ K would just fail plain Newton back onto the ladder.
-            # With an empty cache the anchor is index 0 and the
-            # traversal — and therefore every solution bit — is
-            # identical to the legacy chained sweep.
+            # With an empty cache the anchor is index 0 and the sweep is
+            # one chain up the grid.  Each leg chains outward from the
+            # anchor, starting every point from the secant through the
+            # two solved points behind it on that leg, and falling back
+            # to the previous point.
             anchor = 0
             if x0 is None and len(self.cache):
                 coords = {(e, a): v for e, a, v in plan.overrides}
@@ -990,23 +1005,24 @@ class Session:
                     )
             points: List[Optional[OperatingPoint]] = [None] * len(temps)
 
-            def solve_at(index: int, x_prev) -> np.ndarray:
-                raw = self.solve_raw(
-                    temps[index],
-                    x0=x_prev,
-                    options=plan.options,
-                    _overrides=plan.overrides,
-                )
-                points[index] = _wrap_point(self.circuit, temps[index], raw)
-                return raw.x
+            def leg(indices, chain: SecantChain) -> None:
+                for index in indices:
+                    raw = self.solve_raw(
+                        temps[index],
+                        x0=x0 if chain.x is None else chain.x,
+                        options=plan.options,
+                        _overrides=plan.overrides,
+                        predicted=chain.start(temps[index]),
+                    )
+                    points[index] = _wrap_point(self.circuit, temps[index], raw)
+                    chain.push(temps[index], raw.x)
 
-            x_anchor = solve_at(anchor, x0)
-            x_prev = x_anchor
-            for index in range(anchor - 1, -1, -1):
-                x_prev = solve_at(index, x_prev)
-            x_prev = x_anchor
-            for index in range(anchor + 1, len(temps)):
-                x_prev = solve_at(index, x_prev)
+            anchored = SecantChain()
+            leg((anchor,), anchored)
+            for indices in (range(anchor - 1, -1, -1), range(anchor + 1, len(temps))):
+                chain = SecantChain()
+                chain.push(anchored.value, anchored.x)
+                leg(indices, chain)
         sweep = SweepResult(
             parameter="temperature",
             values=np.asarray(temps, float),
@@ -1018,15 +1034,16 @@ class Session:
         options = plan.options or self.options
         with self._applied(plan.overrides):
             results: List[ACResult] = []
-            x_prev = x0
+            chain = SecantChain()
             for temperature in plan.temperatures_k:
                 raw = self.solve_raw(
                     temperature,
-                    x0=x_prev,
+                    x0=x0 if chain.x is None else chain.x,
                     options=plan.options,
                     _overrides=plan.overrides,
+                    predicted=chain.start(temperature),
                 )
-                x_prev = raw.x
+                chain.push(temperature, raw.x)
                 ac_system = ACSystem(
                     self.system,
                     raw.x,

@@ -7,15 +7,24 @@ Strategy (mirrors what production SPICE engines do, scaled down):
    cheap probe: it gets a fifth of ``stall_window`` before the ladder
    takes over, while a seeded run keeps the full window;
 2. on failure, **gain stepping**: ramp every op-amp's open-loop gain
-   from ~unity to its final value (a low-gain loop is barely nonlinear;
-   the solution trajectory in gain is smooth), warm-starting each stage
-   — this is what makes the bandgap cell's stiff feedback loop routine;
+   from unity to its final value (a low-gain loop is barely nonlinear;
+   the solution trajectory in gain is smooth) — this is what makes the
+   bandgap cell's stiff feedback loop routine.  The ramp is a
+   predictor–corrector continuation: each rung starts from the secant
+   through the last two converged rungs (in ``1/gain``), a quick rung
+   squares the ratio and a failed one backs off to its square root;
 3. on failure, **gmin stepping**: converge with a large gmin (1e-3 S from
    every node to ground makes the system nearly linear), then tighten
    gmin decade by decade, warm-starting each stage;
 4. on failure, **source stepping**: ramp all independent sources from 0
    to 100 % (the zero-source circuit converges trivially), warm-starting
    each step.
+
+A chained sweep point passes the previous point as ``x0`` and the
+secant extrapolation through the two before it as ``predicted``
+(:func:`secant_start`, the transient's predictor too): plain Newton
+runs from the prediction first and from ``x0`` second, and the ladder
+starts from ``x0``.
 
 Damping is two-fold: the Newton step is scaled so no unknown moves more
 than ``max_step_v`` per iteration (the guard against the junction
@@ -148,12 +157,16 @@ class SolverOptions:
     gmin_ladder: Sequence[float] = (1e-3, 1e-5, 1e-7, 1e-9, 1e-12)
     #: Source-stepping ramp.
     source_ramp: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    #: Gain-stepping ratio for op-amp macro-models.  The loop is solved
-    #: at gain 1 and the gain multiplied by this ratio per stage.  The
-    #: equilibrium tanh argument is gain-independent, so a warm start at
-    #: the next stage sits at ``ratio * arg*``; ratios beyond ~e saturate
-    #: the tanh and strand Newton, hence the gentle default.
-    #: Must exceed 1, or the ramp would never reach the final gain.
+    #: First gain-stepping ratio for op-amp macro-models.  The loop is
+    #: solved at gain 1 and the gain multiplied by this ratio for the
+    #: next rung.  Step control then adapts it: a rung converging within
+    #: 6 iterations squares the ratio (up to 16), a failed rung returns
+    #: to the last converged gain with its square root, never below this
+    #: first ratio (a failed rung at it ends the ramp).  The gentle
+    #: default suits the first rungs, where an unpredicted warm start
+    #: sits at ``ratio * arg*`` of the tanh and ratios beyond ~e
+    #: saturate it.  Must exceed 1, or the ramp would never reach the
+    #: final gain.
     gain_ramp_ratio: float = 2.0
     #: Keep a stale LU across iterations/timesteps while it still works
     #: (modified Newton).  Convergence criteria are unchanged — only the
@@ -540,6 +553,60 @@ def _newton_run(
     return None
 
 
+def secant_start(
+    x_prev: Optional[np.ndarray],
+    x_last: np.ndarray,
+    step: float,
+    step_prev: float,
+) -> np.ndarray:
+    """Secant predictor: the next start extrapolated from two solutions.
+
+    ``x_last + (x_last - x_prev) * (step / step_prev)``, where
+    ``step_prev`` is the parameter distance between the two solved
+    points and ``step`` the distance from the last one to the next.
+    With no earlier point (``x_prev`` is None) or a repeated parameter
+    value (``step_prev == 0``) it returns ``x_last`` unchanged.
+    """
+    if x_prev is None or step_prev == 0.0:
+        return x_last
+    return x_last + (x_last - x_prev) * (step / step_prev)
+
+
+class SecantChain:
+    """The last two solved points of a continuation, for secant starts.
+
+    ``push(value, x)`` records a solved point; ``start(value)`` is the
+    :func:`secant_start` prediction at the next parameter value (the
+    last point itself while only one is solved, ``None`` before).
+    """
+
+    __slots__ = ("value", "x", "value_prev", "x_prev")
+
+    def __init__(self):
+        self.value: Optional[float] = None
+        self.x: Optional[np.ndarray] = None
+        self.value_prev: Optional[float] = None
+        self.x_prev: Optional[np.ndarray] = None
+
+    def start(self, value: float) -> Optional[np.ndarray]:
+        if self.x_prev is None:
+            return self.x
+        return secant_start(
+            self.x_prev, self.x, value - self.value, self.value - self.value_prev
+        )
+
+    def push(self, value: float, x: np.ndarray) -> None:
+        self.value_prev, self.x_prev = self.value, self.x
+        self.value, self.x = value, x
+
+
+#: Gain-ramp step control: a rung that converges within this many
+#: counted iterations squares the ramp ratio for the next rung...
+_FAST_RUNG_ITERATIONS = 6
+#: ...up to this ratio.
+_MAX_RAMP_RATIO = 16.0
+
+
 def _gain_stepping(
     system: MNASystem,
     circuit: Circuit,
@@ -548,10 +615,22 @@ def _gain_stepping(
     time: Optional[float] = None,
     workspace: Optional[NewtonWorkspace] = None,
 ) -> Optional[RawSolution]:
-    """Ramp op-amp open-loop gains from ~1 to final, warm-starting.
+    """Ramp op-amp open-loop gains from 1 to final, under step control.
 
-    Gives up after ``options.max_iterations`` rungs, so even a ratio
-    barely above 1 cannot hold the solver indefinitely.
+    The ramp is natural-parameter continuation in the gain.  Its first
+    ratio is ``options.gain_ramp_ratio``; a rung that converges within
+    ``_FAST_RUNG_ITERATIONS`` squares the ratio (capped at
+    ``_MAX_RAMP_RATIO``), and a failed rung returns to the last
+    converged gain with the ratio's square root, but never with less
+    than the first ratio.  Each rung starts from the secant prediction
+    in ``1/gain`` through the last two converged rungs (the equilibrium
+    tanh argument is gain-independent, so the loop's input error moves
+    as ``1/gain``).  The rung that sets every amp to its final gain is
+    the answer.  Gives up when the first rung fails, when a rung at the
+    first ratio fails (past a gain the loop cannot pass, smaller steps
+    would only creep up on it), or after ``options.max_iterations``
+    rungs, failed ones included, so even a first ratio barely above 1
+    cannot hold the solver indefinitely.
     """
     from .elements.opamp import OpAmp
 
@@ -560,37 +639,46 @@ def _gain_stepping(
         return None
     final_gains = [amp.gain for amp in amps]
     max_gain = max(final_gains)
-    x = start.copy()
     trc = _tele.ACTIVE
     rungs = 0
+    # Converged rungs, parameterised by 1/gain.
+    chain = SecantChain()
+    last_gain = None
+    gain = 1.0
+    ratio = options.gain_ramp_ratio
     try:
-        gain = 1.0
-        while gain < max_gain:
-            if rungs == options.max_iterations:
-                return None
+        while rungs < options.max_iterations:
             for amp, final in zip(amps, final_gains):
                 amp.gain = min(final, gain)
             rungs += 1
+            predicted = chain.start(1.0 / gain)
             stage = _newton(
-                system, x, options, gmin=options.gmin, source_scale=1.0, time=time,
+                system, start if predicted is None else predicted, options,
+                gmin=options.gmin, source_scale=1.0, time=time,
                 workspace=workspace, phase=f"gain[{rungs}]",
             )
             if stage is None:
-                return None
-            x = stage.x
-            gain *= options.gain_ramp_ratio
+                # The ratio never drops below the first one: a failed
+                # rung there ends the ramp, as it did before step control.
+                if last_gain is None or ratio <= options.gain_ramp_ratio:
+                    return None
+                ratio = max(ratio**0.5, options.gain_ramp_ratio)
+                gain = last_gain * ratio
+                continue
+            if gain >= max_gain:
+                stage.strategy = "gain-stepping"
+                return stage
+            chain.push(1.0 / gain, stage.x)
+            last_gain = gain
+            if stage.iterations <= _FAST_RUNG_ITERATIONS and ratio < _MAX_RAMP_RATIO:
+                ratio = min(ratio * ratio, _MAX_RAMP_RATIO)
+            gain *= ratio
+        return None
     finally:
         for amp, final in zip(amps, final_gains):
             amp.gain = final
         if trc is not None:
             trc.annotate(gain_rungs=rungs)
-    final_solution = _newton(
-        system, x, options, gmin=options.gmin, source_scale=1.0, time=time,
-        workspace=workspace, phase="gain[final]",
-    )
-    if final_solution is not None:
-        final_solution.strategy = "gain-stepping"
-    return final_solution
 
 
 def solve_dc(
@@ -628,6 +716,7 @@ def solve_dc_system(
     x0: Optional[np.ndarray] = None,
     time: Optional[float] = None,
     workspace: Optional[NewtonWorkspace] = None,
+    predicted: Optional[np.ndarray] = None,
 ) -> RawSolution:
     """:func:`solve_dc` against a caller-owned :class:`MNASystem`.
 
@@ -639,14 +728,23 @@ def solve_dc_system(
     previous point's factorization.  Callers that mutate *linear*
     element values between solves must call :meth:`MNASystem.invalidate`
     themselves.
+
+    ``predicted`` is a continuation's extrapolated start (a
+    :func:`secant_start`).  Plain Newton runs from it first; if that
+    fails, plain Newton runs from ``x0`` (the previous point) before
+    any ladder rung, and the ladder starts from ``x0`` as it would
+    without a prediction — so a prediction never decides the branch.
+    A prediction equal to ``x0`` is no prediction.
     """
     trc = _tele.ACTIVE
     if trc is None or not trc.detailed:
-        return _solve_dc_system_impl(system, options, x0, time, workspace, None)
+        return _solve_dc_system_impl(
+            system, options, x0, time, workspace, predicted, None
+        )
     with trc.span("dc_solve") as span:
         try:
             solution = _solve_dc_system_impl(
-                system, options, x0, time, workspace, trc
+                system, options, x0, time, workspace, predicted, trc
             )
         except ConvergenceError:
             span.attrs["converged"] = False
@@ -662,6 +760,7 @@ def _solve_dc_system_impl(
     x0: Optional[np.ndarray],
     time: Optional[float],
     workspace: Optional[NewtonWorkspace],
+    predicted: Optional[np.ndarray],
     trc: Optional["_tele.Tracer"],
 ) -> RawSolution:
     circuit = system.circuit
@@ -672,6 +771,22 @@ def _solve_dc_system_impl(
         raise ConvergenceError(
             f"initial point has {start.shape} unknowns, circuit needs {system.size}"
         )
+
+    if predicted is not None:
+        predicted = np.asarray(predicted, dtype=float)
+        if predicted.shape != start.shape:
+            raise ConvergenceError(
+                f"predicted start has {predicted.shape} unknowns, "
+                f"circuit needs {system.size}"
+            )
+        if not np.array_equal(predicted, start):
+            solution = _newton(
+                system, predicted, options, gmin=options.gmin, source_scale=1.0,
+                time=time, workspace=workspace, phase="predicted",
+            )
+            if solution is not None:
+                STATS.record_strategy(solution.strategy)
+                return solution
 
     # A cold start (no seed, no cached warm start) that is not halving
     # its residual is almost always a stiff loop plain Newton cannot

@@ -43,7 +43,13 @@ from .analysis import OperatingPoint
 from .elements.base import DynamicState, TransientContext
 from .mna import MNASystem
 from .netlist import Circuit
-from .solver import NewtonWorkspace, RawSolution, SolverOptions, _newton
+from .solver import (
+    NewtonWorkspace,
+    RawSolution,
+    SolverOptions,
+    _newton,
+    secant_start,
+)
 
 #: Integration order of each method (for the step-growth exponent).
 _METHOD_ORDER = {"be": 1, "trap": 2}
@@ -416,9 +422,8 @@ def _transient_loop(
         # the step's Newton and retries smaller, like any hard step.
         predictor = None
         if len(times) >= 2:
-            dt_prev = times[-1] - times[-2]
-            predictor = solutions[-1] + (solutions[-1] - solutions[-2]) * (
-                dt / dt_prev
+            predictor = secant_start(
+                solutions[-2], solutions[-1], dt, times[-1] - times[-2]
             )
         start = predictor if predictor is not None else x
         solution = _newton(

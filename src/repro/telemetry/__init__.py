@@ -60,7 +60,9 @@ Attributes by span:
     ``"gmin-stepping"`` | ``"source-stepping"``), ``gain_rungs`` /
     ``gmin_rungs`` / ``source_steps`` when a ladder ran, ``converged``.
 ``newton_solve``
-    ``phase`` (``"plain"``, ``"gain[k]"``, ``"transient"``, ...),
+    ``phase`` (``"predicted"`` — a chained sweep point's secant start,
+    tried before ``"plain"`` —, ``"plain"``, ``"gain[k]"``,
+    ``"transient"``, ...),
     ``converged``, ``iterations``, and on failure ``reason``
     (``"stagnation"`` | ``"max_iterations"`` | ``"singular_jacobian"``).
     The ``"plain"`` run of a DC solve also carries ``stall_window``, the

@@ -227,3 +227,74 @@ class TestGate:
         row = comparison.deltas[0].as_dict()
         assert set(row) == {"experiment", "metric", "severity", "direction",
                             "baseline", "candidate", "status"}
+
+
+def planned_row(op_factorizations, sweep_factorizations, kinds=("OP", "TempSweep")):
+    """A demo row whose two plans split its factorizations."""
+    counters = (
+        {"factorizations": op_factorizations, "newton_solves": 8,
+         "strategies": {"gain-stepping": 1}},
+        {"factorizations": sweep_factorizations, "newton_solves": 2,
+         "strategies": {"newton": 2}},
+    )
+    roots = [
+        {"span": "plan", "kind": kind, "wall_s": 0.01, "counters": plan}
+        for kind, plan in zip(kinds, counters)
+    ]
+    return base_row(trace_summary={"spans": 9, "roots": roots})
+
+
+class TestPerPlanGates:
+    def test_equal_totals_hide_no_plan_regression(self):
+        # The same 100 factorizations in total, moved from the sweep to
+        # the OP: the totals gate passes, the OP plan's gate fails.
+        comparison = compare.compare_rows(
+            entry("c0001", rows=[planned_row(60, 40)]), [planned_row(70, 30)]
+        )
+        assert not comparison.ok
+        assert [(f.experiment, f.metric) for f in comparison.hard_failures] == [
+            ("demo", "plan[0:OP].factorizations")
+        ]
+        improved = [d.metric for d in comparison.deltas if d.status == "improved"]
+        assert improved == ["plan[1:TempSweep].factorizations"]
+        text = compare.render_check(comparison)
+        assert "FAIL" in text and "demo.plan[0:OP].factorizations" in text
+        assert "60 -> 70" in text
+
+    def test_a_gate_a_plan_starts_moving_counts_from_zero(self):
+        baseline = planned_row(60, 40)
+        candidate = planned_row(60, 40)
+        candidate["trace_summary"]["roots"][1]["counters"]["newton_failures"] = 1
+        comparison = compare.compare_rows(entry("c0001", rows=[baseline]), [candidate])
+        (failure,) = comparison.hard_failures
+        assert failure.metric == "plan[1:TempSweep].newton_failures"
+        assert (failure.baseline, failure.candidate) == (0, 1)
+
+    def test_only_hard_gated_counters_are_gated_per_plan(self):
+        comparison = compare.compare_rows(
+            entry("c0001", rows=[planned_row(60, 40)]), [planned_row(60, 40)]
+        )
+        assert comparison.ok
+        per_plan = {d.metric for d in comparison.deltas if d.metric.startswith("plan[")}
+        assert per_plan == {
+            "plan[0:OP].factorizations",
+            "plan[0:OP].newton_solves",
+            "plan[0:OP].strategies.gain-stepping",
+            "plan[1:TempSweep].factorizations",
+            "plan[1:TempSweep].newton_solves",
+        }
+
+    @pytest.mark.parametrize(
+        "kinds", [("OP", "ACSweep"), ("OP",)], ids=["kinds-differ", "list-differs"]
+    )
+    def test_a_different_plan_list_is_new_metric(self, kinds):
+        candidate = planned_row(90, 10, kinds=kinds)
+        candidate["trace_summary"]["roots"] = candidate["trace_summary"]["roots"][
+            : len(kinds)
+        ]
+        comparison = compare.compare_rows(
+            entry("c0001", rows=[planned_row(60, 40)]), [candidate]
+        )
+        assert comparison.ok
+        per_plan = [d for d in comparison.deltas if d.metric.startswith("plan[")]
+        assert per_plan and all(d.status == "new-metric" for d in per_plan)

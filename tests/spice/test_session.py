@@ -43,8 +43,15 @@ from repro.spice import (
 from repro.spice.hierarchy import bandgap_array
 from repro.spice.mna import MNASystem
 from repro.spice.parser import parse_netlist
-from repro.spice.solver import NewtonWorkspace, solve_dc_system
+from repro.spice.solver import (
+    NewtonWorkspace,
+    SecantChain,
+    SolverOptions,
+    secant_start,
+    solve_dc_system,
+)
 from repro.spice.stats import STATS
+from repro.telemetry.tracer import tracing
 
 from families import CIRCUITS, assert_stamps_close
 
@@ -255,6 +262,21 @@ class TestSolvedPointCache:
         again = session.run(OP())
         assert again.voltage("d") == base.voltage("d")
 
+    def test_diode_saturation_override_is_never_stale(self):
+        # The scalar diode memoises its temperature law: a plan override
+        # of ``is_`` at an unchanged temperature must still reach it.
+        session = Session(diode_circuit)
+        assert not session.system.vectorized
+        base = session.run(OP())
+        override = (("D1", "is_", 1e-14),)
+        bumped = session.run(OP(overrides=override))
+        fresh = Session(diode_circuit).run(OP(overrides=override))
+        # The bumped point warm-starts off the base one: equal to solver
+        # tolerance, not bitwise.
+        np.testing.assert_allclose(bumped.op.x, fresh.op.x, rtol=0.0, atol=1e-9)
+        # Ten times the saturation current: ~60 mV less junction drop.
+        assert base.voltage("d") - bumped.voltage("d") > 0.05
+
     def test_time_keys_are_isolated(self):
         # A ramped source: the dead t=0 state must never answer (or
         # warm-start) the plain-DC solve.
@@ -412,13 +434,22 @@ class TestSessionMatchesEngine:
         build = CIRCUITS["bandgap_cell"]
         system = MNASystem(build(), temperature_k=temps[0])
         workspace = NewtonWorkspace()
-        x_prev = None
         expected = []
-        for temperature in temps:
+        for index, temperature in enumerate(temps):
             system.set_temperature(temperature)
-            raw = solve_dc_system(system, x0=x_prev, workspace=workspace)
+            # The session's chain: each point from the previous one, with
+            # the secant through the two before it as the predicted start.
+            x_prev = expected[-1] if expected else None
+            predicted = None
+            if index >= 2:
+                ratio = (temperature - temps[index - 1]) / (
+                    temps[index - 1] - temps[index - 2]
+                )
+                predicted = expected[-1] + (expected[-1] - expected[-2]) * ratio
+            raw = solve_dc_system(
+                system, x0=x_prev, workspace=workspace, predicted=predicted
+            )
             expected.append(raw.x)
-            x_prev = raw.x
         result = Session(build).run(TempSweep(temperatures_k=temps))
         for point, x in zip(result.points, expected):
             assert_stamps_close(point.x, x)
@@ -477,6 +508,181 @@ class TestSessionMatchesEngine:
         )
         np.testing.assert_array_equal(result.times, expected.times)
         assert_stamps_close(result.result.states, expected.states)
+
+
+def _dc_solve_phases(tracer):
+    """Per ``dc_solve`` span: the ``(phase, converged)`` of each Newton
+    run, in order."""
+
+    def walk(span):
+        yield span
+        for child in span.children:
+            yield from walk(child)
+
+    return [
+        [
+            (run.attrs["phase"], run.attrs["converged"])
+            for run in walk(solve)
+            if run.name == "newton_solve"
+        ]
+        for root in tracer.roots
+        for solve in walk(root)
+        if solve.name == "dc_solve"
+    ]
+
+
+def _engine_supply_chain(build, source, values, temperature_k, predict, options=None):
+    """The engine-level DC sweep: one system and workspace, a full
+    ``invalidate()`` per point, each point from the previous one, and
+    (``predict``) the secant through the two before it as the predicted
+    start.  Returns the points and the ``linear_stamps`` spent."""
+    circuit = build()
+    system = MNASystem(circuit, temperature_k=temperature_k)
+    workspace = NewtonWorkspace()
+    element = circuit.element(source)
+    chain = SecantChain()
+    points = []
+    STATS.reset()
+    for value in values:
+        element.dc = value
+        system.invalidate()
+        raw = solve_dc_system(
+            system, options=options, x0=chain.x, workspace=workspace,
+            predicted=chain.start(value) if predict else None,
+        )
+        points.append(raw)
+        chain.push(value, raw.x)
+    return points, STATS.linear_stamps
+
+
+class TestSecantContinuation:
+    """Chained sweeps start each point from the secant through the two
+    solved points behind it, falling back to the previous point."""
+
+    def test_secant_start_is_the_transient_predictor(self):
+        rng = np.random.default_rng(7)
+        x0, x1 = rng.normal(size=(2, 17))
+        dt, dt_prev = 3.7e-7, 1.3e-7
+        np.testing.assert_array_equal(
+            secant_start(x0, x1, dt, dt_prev), x1 + (x1 - x0) * (dt / dt_prev)
+        )
+        # Fewer than two points, or a repeated parameter value: the last
+        # point itself.
+        assert secant_start(None, x1, dt, dt_prev) is x1
+        assert secant_start(x0, x1, dt, 0.0) is x1
+
+    def test_two_point_sweep_chains_zero_order(self):
+        plan = DCSweep(source="V1", values=(4.999, 5.001))
+        with tracing(detail="full") as tracer:
+            result = Session(diode_circuit).run(plan)
+        assert [phases[0][0] for phases in _dc_solve_phases(tracer)] == [
+            "plain", "plain",
+        ]
+        expected, _ = _engine_supply_chain(
+            diode_circuit, "V1", plan.values, plan.temperature_k, predict=False
+        )
+        for point, raw in zip(result.points, expected):
+            np.testing.assert_array_equal(point.x, raw.x)
+
+    def test_mid_anchored_sweep_legs_chain_zero_order(self):
+        # One cached point mid-grid: each leg has one point past the
+        # anchor, so no secant start exists anywhere.
+        session = Session(diode_circuit)
+        session.run(OP(temperature_k=300.0))
+        with tracing(detail="full") as tracer:
+            session.run(TempSweep(temperatures_k=(290.0, 300.5, 310.0)))
+        phases = [run for solve in _dc_solve_phases(tracer) for run in solve]
+        assert ("predicted", True) not in phases
+        assert ("predicted", False) not in phases
+
+    def test_failed_prediction_costs_one_plain_run(self):
+        # The grid turns back sharply: 1 V down into reverse bias, then
+        # 6 V up.  The secant carries the reverse-biased junction's unit
+        # slope on and starts the last point with 5 V across the diode,
+        # which 40 iterations of 0.5 V steps cannot walk back.  That run
+        # fails, the previous point's plain run converges, and no ladder
+        # strategy runs.
+        options = SolverOptions(max_iterations=40)
+        plan = DCSweep(source="V1", values=(0.0, -1.0, 5.0), options=options)
+        STATS.reset()
+        with tracing(detail="full") as tracer:
+            result = Session(diode_circuit).run(plan)
+        phases = _dc_solve_phases(tracer)
+        assert phases[-1] == [("predicted", False), ("plain", True)]
+        assert STATS.newton_failures == 1
+        assert dict(STATS.strategies) == {"newton": 3}
+        fresh = Session(diode_circuit).run(OP(options=options))
+        np.testing.assert_allclose(
+            result.points[-1].x, fresh.op.x, rtol=0.0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "temperature_k, first, last",
+        [(230.0, 5.0, 1.0), (300.15, 1.5, 3.5), (400.0, 1.0, 5.0)],
+        ids=["fold-230K", "mid-300K", "rise-400K"],
+    )
+    def test_supply_sweeps_keep_the_zero_order_branch(self, temperature_k, first, last):
+        # PSRR-cell supply sweeps in 0.25 V steps, the 230 K one down
+        # through the fold where VREF collapses to ~0.92 V: every point
+        # takes the zero-order chain's strategy and lands on its branch.
+        from repro.experiments.ac_common import build_psrr_cell
+
+        count = int(round(abs(last - first) / 0.25)) + 1
+        values = tuple(float(v) for v in np.linspace(first, last, count))
+        expected, _ = _engine_supply_chain(
+            build_psrr_cell, "VDD", values, temperature_k, predict=False
+        )
+        result = Session(build_psrr_cell).run(
+            DCSweep(source="VDD", values=values, temperature_k=temperature_k)
+        )
+        assert [p.strategy for p in result.points] == [r.strategy for r in expected]
+        vref = result.circuit.node_index("vref")
+        gaps = [abs(p.x[vref] - r.x[vref]) for p, r in zip(result.points, expected)]
+        assert max(gaps) <= 1e-8
+
+
+class TestDCSweepSourceRefresh:
+    """A DC-sweep point re-stamps only the static residual."""
+
+    def test_points_match_a_full_invalidate_chain_bitwise(self):
+        from repro.experiments.ac_common import build_psrr_cell
+
+        values = tuple(float(v) for v in np.linspace(4.5, 5.5, 6))
+        expected, linear_stamps = _engine_supply_chain(
+            build_psrr_cell, "VDD", values, 300.15, predict=True
+        )
+        STATS.reset()
+        result = Session(build_psrr_cell).run(DCSweep(source="VDD", values=values))
+        for point, raw in zip(result.points, expected):
+            np.testing.assert_array_equal(point.x, raw.x)
+        # Each point's residual pass stamps the same elements a full
+        # static pass does.
+        assert STATS.linear_stamps == linear_stamps
+
+    def test_resistor_override_in_the_plan_is_honoured(self):
+        values = (1.0, 2.0, 4.0)
+
+        def halved():
+            circuit = diode_circuit()
+            circuit.element("R1").resistance = 500.0
+            return circuit
+
+        expected, _ = _engine_supply_chain(halved, "V1", values, 300.15, predict=True)
+        session = Session(diode_circuit)
+        result = session.run(
+            DCSweep(source="V1", values=values, overrides=(("R1", "resistance", 500.0),))
+        )
+        for point, raw in zip(result.points, expected):
+            np.testing.assert_array_equal(point.x, raw.x)
+        # The override and the swept value are both rolled back.
+        again = session.run(OP(overrides=(("V1", "dc", 4.0),)))
+        np.testing.assert_allclose(
+            again.op.x,
+            Session(diode_circuit).run(OP(overrides=(("V1", "dc", 4.0),))).op.x,
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert session.circuit.element("V1").dc == 5.0
 
 
 class TestRunManyAndRunPlans:

@@ -44,18 +44,32 @@ class TestPlainNewton:
         assert solution.strategy == "newton"
 
 
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def _gain_rungs(tracer):
+    """The traced ``dc_solve`` span and whether each ramp rung converged."""
+    (dc_solve,) = [
+        span for root in tracer.roots for span in _walk(root)
+        if span.name == "dc_solve"
+    ]
+    rungs = [
+        span.attrs["converged"]
+        for span in _walk(dc_solve)
+        if span.name == "newton_solve" and span.attrs["phase"].startswith("gain[")
+    ]
+    return dc_solve, rungs
+
+
 def _plain_span(tracer):
     """The one plain-phase ``newton_solve`` span of a traced DC solve."""
-
-    def walk(span):
-        yield span
-        for child in span.children:
-            yield from walk(child)
-
     (plain,) = [
         span
         for root in tracer.roots
-        for span in walk(root)
+        for span in _walk(root)
         if span.name == "newton_solve" and span.attrs["phase"] == "plain"
     ]
     return plain
@@ -69,7 +83,7 @@ COLD_WINDOW = WINDOW // 5
 class TestGainStepping:
     @pytest.mark.parametrize(
         "seeded, window, max_factorizations",
-        [(False, COLD_WINDOW, 64), (True, WINDOW, 128)],
+        [(False, COLD_WINDOW, 41), (True, WINDOW, 105)],
         ids=["cold", "seeded-at-zero"],
     )
     def test_bandgap_cell_cold_start_uses_gain_stepping(
@@ -121,24 +135,48 @@ class TestGainStepping:
         assert abs(fast.x[circuit.node_index("vref")]) < 5e-3
 
     def test_slow_gain_ramp_gives_up_within_the_iteration_budget(self):
-        # A ratio of 1.001 needs ~11.5k rungs to reach a gain of 1e5; the
-        # ladder gives up after max_iterations of them and the gmin
-        # ladder solves the log amplifier instead.
+        # A first ratio of 1.001 squares its way up (1.001, 1.002,
+        # 1.004, ...) through ten quick rungs.  The eleventh is the log
+        # amplifier's hard one (22 iterations under the default budget):
+        # under a budget of 12 it fails, and so does its square-root
+        # retry.  Failed rungs count, so the ramp gives up after
+        # max_iterations of them and the gmin ladder solves the log
+        # amplifier instead.
         from repro.spice.parser import parse_netlist
 
         log_amp = (
             ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 1\nR1 in n 1k\n"
             "A1 0 n out gain=1e5\nD1 n out DM\n"
         )
-        options = SolverOptions(gain_ramp_ratio=1.001)
-        with tracing(detail="plans") as tracer:
+        options = SolverOptions(gain_ramp_ratio=1.001, max_iterations=12)
+        with tracing(detail="full") as tracer:
             slow = solve_dc(parse_netlist(log_amp), options=options)
-        (solve,) = tracer.roots
-        assert solve.attrs["gain_rungs"] == options.max_iterations
+        dc_solve, rungs = _gain_rungs(tracer)
+        assert dc_solve.attrs["gain_rungs"] == len(rungs) == options.max_iterations
+        assert rungs.count(False) == 2
         assert slow.strategy == "gmin-stepping"
         reference = solve_dc(parse_netlist(log_amp))
         assert reference.strategy == "gain-stepping"
         assert slow.x == pytest.approx(reference.x, abs=1e-9)
+
+    def test_stalled_ramp_gives_up_at_the_first_ratio(self):
+        # The PSRR cell at VDD = 1 V and 300.15 K: the ramp converges at
+        # gains 1, 4 and 8 but at none of 16 or more, and every ladder
+        # fails.  A failed rung backs off to the square root of its
+        # ratio, but not below the first ratio (2): a failed rung there
+        # ends the ramp.  Without that floor the ramp creeps up on the
+        # stall through all max_iterations (150) rungs before handing
+        # over.
+        from repro.experiments.ac_common import build_psrr_cell
+
+        circuit = build_psrr_cell()
+        circuit.element("VDD").dc = 1.0
+        with tracing(detail="full") as tracer:
+            with pytest.raises(ConvergenceError, match="source stepping stalled"):
+                solve_dc(circuit, temperature_k=300.15)
+        dc_solve, rungs = _gain_rungs(tracer)
+        assert rungs == [True, True, False, False, True, False, False]
+        assert dc_solve.attrs["gain_rungs"] == len(rungs)
 
     def test_gain_stepping_restores_final_gains(self):
         from repro.circuits.bandgap_cell import build_bandgap_cell
