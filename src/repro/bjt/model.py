@@ -15,14 +15,17 @@ Everything the extraction methods consume comes from here:
 Sign convention: the model works in *forward-junction* voltages (positive
 ``vbe`` forward-biases the emitter junction) regardless of NPN/PNP; the
 circuit layer applies polarity.
+
+The two inversions import :func:`scipy.optimize.brentq` when first
+called, not at module import: the SPICE engine loads this module through
+its BJT element, never calls them, and would otherwise pay the
+``scipy.optimize`` import (about 0.15 s) on every cold start.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Tuple
-
-from scipy.optimize import brentq
 
 from ..constants import K_BOLTZMANN_EV, thermal_voltage
 from ..errors import ModelError
@@ -132,6 +135,8 @@ class GummelPoonModel:
         the classical extraction fits (paper eq. 13 data).  The inversion
         is exact (bracketing root solve on the monotone ``IC(VBE)``).
         """
+        from scipy.optimize import brentq
+
         if ic <= 0.0:
             raise ModelError("vbe_for_ic requires a positive collector current")
         upper = min(_VBE_MAX, 0.95 * self.params.var)
@@ -156,6 +161,8 @@ class GummelPoonModel:
         measurement configuration of the paper's Fig. 5 and is what limits
         the top decade of the curves.
         """
+        from scipy.optimize import brentq
+
         if vbe_applied <= 0.0:
             return 0.0, 0.0
         p = self.params

@@ -21,25 +21,15 @@ regenerates its data and checks the shape criteria of DESIGN.md:
 ======================  =========================================
 
 Use :func:`run_experiment`/:func:`run_all` or ``python -m repro``.
+
+Importing this package loads no runner module: the registry imports
+them on the first read of :data:`EXPERIMENTS` (through
+:func:`run_experiment`, :func:`run_all` or a lookup of its own), so
+``import repro.experiments.ac_common`` loads that module alone and
+``python -m repro --serve`` loads none.
 """
 
 from .registry import EXPERIMENTS, ExperimentResult, run_all, run_experiment
-from . import (  # noqa: F401  (imports register the runners)
-    fig1_bandgap_models,
-    fig2_bias_principle,
-    fig5_ic_vbe_family,
-    fig6_characteristic_straight,
-    fig8_vref_curves,
-    table1_die_temperature,
-    ablations,
-    sub1v_extension,
-    startup_transient,
-    psrr_vref,
-    loop_gain,
-    zout_vref,
-    large_n,
-    service_warm_start,
-)
 from .report import render_result, render_summary
 
 __all__ = [

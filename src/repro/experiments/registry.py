@@ -1,7 +1,17 @@
-"""Experiment registry and result container."""
+"""Experiment registry and result container.
+
+The runner modules are imported on the first read of
+:data:`EXPERIMENTS` (a lookup, a membership test, an iteration or a
+length), not when this package is imported: importing one runner's
+helpers, or starting the service, loads no other runner.  A spawned
+pool worker's first lookup loads them the same way.
+"""
 
 from __future__ import annotations
 
+import importlib
+import threading
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -10,8 +20,70 @@ from ..parallel import absorb_worker_telemetry, supervised_map, worker_telemetry
 from ..resilience import RunPolicy
 from ..telemetry import tracer as _tele
 
+#: The runner modules, in registration order: importing each runs its
+#: ``@register`` decorators.
+_RUNNER_MODULES = (
+    "fig1_bandgap_models",
+    "fig2_bias_principle",
+    "fig5_ic_vbe_family",
+    "fig6_characteristic_straight",
+    "fig8_vref_curves",
+    "table1_die_temperature",
+    "ablations",
+    "sub1v_extension",
+    "startup_transient",
+    "psrr_vref",
+    "loop_gain",
+    "zout_vref",
+    "large_n",
+    "service_warm_start",
+)
+
+
+class _Registry(MutableMapping):
+    """Experiment id -> runner, filled by the runner modules on the
+    first read.
+
+    Writes do not load: :func:`register` fills the table while a runner
+    module imports.  The first read imports the modules under a lock,
+    so a concurrent first read waits for the whole registry.
+    """
+
+    def __init__(self):
+        self._runners: Dict[str, Callable[[], "ExperimentResult"]] = {}
+        self._loaded = False
+        self._lock = threading.RLock()
+
+    def _load(self) -> None:
+        if self._loaded:
+            return
+        with self._lock:
+            if not self._loaded:
+                for module in _RUNNER_MODULES:
+                    importlib.import_module(f"{__package__}.{module}")
+                self._loaded = True
+
+    def __getitem__(self, experiment_id):
+        self._load()
+        return self._runners[experiment_id]
+
+    def __iter__(self):
+        self._load()
+        return iter(self._runners)
+
+    def __len__(self):
+        self._load()
+        return len(self._runners)
+
+    def __setitem__(self, experiment_id, runner):
+        self._runners[experiment_id] = runner
+
+    def __delitem__(self, experiment_id):
+        del self._runners[experiment_id]
+
+
 #: Registered experiment runners, keyed by experiment id.
-EXPERIMENTS: Dict[str, Callable[[], "ExperimentResult"]] = {}
+EXPERIMENTS = _Registry()
 
 
 @dataclass
@@ -43,7 +115,9 @@ def register(experiment_id: str):
     """Decorator adding a runner to the registry."""
 
     def wrap(func: Callable[[], ExperimentResult]):
-        if experiment_id in EXPERIMENTS:
+        # The raw table: a membership test on EXPERIMENTS would load
+        # every runner module from inside the first one imported.
+        if experiment_id in EXPERIMENTS._runners:
             raise ReproError(f"duplicate experiment id {experiment_id!r}")
         EXPERIMENTS[experiment_id] = func
         return func

@@ -38,11 +38,16 @@ process.  This package is the missing durability-and-transport layer:
                                     ``PlanError`` validation boundary
                                     => HTTP 400 with the typed message;
                                     accepted => 202 + job id
-  ``GET /jobs``                     job records (most recent last)
-  ``GET /jobs/<id>``                one job's status record
+  ``GET /jobs``                     the retained job records (most
+                                    recent last)
+  ``GET /jobs/<id>``                one job's status record (410 once
+                                    evicted: the service keeps the
+                                    last ``MAX_FINISHED_JOBS``
+                                    finished jobs)
   ``GET /jobs/<id>/result``         the ``AnalysisResult.to_dict()``
                                     payload (409 while pending, 500
-                                    with the failure record)
+                                    with the failure record, 410 once
+                                    evicted)
   ``GET /metrics``                  ``telemetry.prometheus_text()``
                                     plus job-queue gauges
   ``GET /healthz``                  liveness + job/session counts
@@ -58,28 +63,50 @@ D]``; it binds ``127.0.0.1`` by default (there is no authentication —
 fronting a network deployment is out of scope by design).  Graceful
 shutdown (SIGINT/SIGTERM or ``POST /shutdown``) drains in-flight jobs
 and flushes every pooled session to the cache store.
+
+The package's exports load their module on first access (PEP 562), so
+``from repro.serve import JobService`` works as before while
+``python -m repro.serve.client`` imports the urllib client alone: no
+server, no numpy, no engine.  The default address lives here, where
+both the server and the client read it.
 """
 
-from .cachestore import CacheStore, OPCACHE_SCHEMA
-from .jobs import JobService, SessionPool
-from .server import ReproServer, serve
+import importlib
 
-_CLIENT_EXPORTS = ("ServeClient", "ServeError")
+#: Default bind address: loopback only (no authentication by design).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8347
+
+#: Lazy export -> the submodule that defines it.
+_EXPORTS = {
+    "CacheStore": "cachestore",
+    "OPCACHE_SCHEMA": "cachestore",
+    "JobService": "jobs",
+    "SessionPool": "jobs",
+    "ReproServer": "server",
+    "serve": "server",
+    "ServeClient": "client",
+    "ServeError": "client",
+}
 
 
 def __getattr__(name):
-    # Lazy: importing the package from client.py's own
-    # ``python -m repro.serve.client`` entry must not pre-import the
-    # client module (runpy would warn about the double import).
-    if name in _CLIENT_EXPORTS:
-        from . import client
-
-        return getattr(client, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Lazy also for the client: the package import that precedes
+    # ``python -m repro.serve.client`` must not pre-import the client
+    # module (runpy would warn about the double import).
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 __all__ = [
     "CacheStore",
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
     "JobService",
     "OPCACHE_SCHEMA",
     "ReproServer",

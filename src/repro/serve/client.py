@@ -32,7 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Optional
 
-from .server import DEFAULT_HOST, DEFAULT_PORT
+from . import DEFAULT_HOST, DEFAULT_PORT
 
 
 class ServeError(Exception):

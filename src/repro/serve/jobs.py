@@ -32,7 +32,7 @@ Three pieces, all transport-agnostic (the HTTP front end in
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 import os
 import queue
@@ -40,7 +40,7 @@ import threading
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import NetlistError, PlanError
 from ..resilience import Outcome, RunPolicy
@@ -77,6 +77,10 @@ _POLICY_WIRE_KEYS = ("max_retries", "backoff_s", "backoff_factor")
 MAX_WIRE_RETRIES = 10
 #: Most backoff sleep, in seconds, a wire policy may sum over its retries.
 MAX_WIRE_BACKOFF_S = 60.0
+#: Most finished (done or failed) job records the service keeps, each
+#: with its request and result: one more finished job evicts the one
+#: that finished first.  Queued and running jobs are never evicted.
+MAX_FINISHED_JOBS = 256
 
 #: The policy of a job submitted without one: no retries, failures
 #: recorded on the job.
@@ -383,6 +387,10 @@ class SessionPool:
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
 
+def _job_id(number: int) -> str:
+    return f"j{number:04d}"
+
+
 class JobRecord:
     """One submitted job: identity, lifecycle, attribution, result."""
 
@@ -428,6 +436,8 @@ class JobService:
     store flush but not across a retry's backoff sleep.  ``cache_dir``
     attaches a persistent :class:`CacheStore`
     (``<cache_dir>/opcache.jsonl``) shared by every pooled session.
+    At most :data:`MAX_FINISHED_JOBS` finished records are kept, so the
+    service's memory does not grow with the number of jobs it has run.
     """
 
     def __init__(self, cache_dir=None, workers: int = 1):
@@ -440,8 +450,10 @@ class JobService:
         self.started_at = time.time()
         self._queue: "queue.Queue" = queue.Queue()
         self._jobs: Dict[str, JobRecord] = {}
+        #: Ids of the retained finished jobs, the first finished first.
+        self._finished: Deque[str] = collections.deque()
         self._jobs_lock = threading.Lock()
-        self._ids = itertools.count(1)
+        self._issued = 0
         self._stopping = False
         self._workers = [
             threading.Thread(
@@ -486,8 +498,9 @@ class JobService:
         if self._stopping:
             raise PlanError("service is shutting down; not accepting jobs")
         with self._jobs_lock:
+            self._issued += 1
             job = JobRecord(
-                f"j{next(self._ids):04d}",
+                _job_id(self._issued),
                 dict(request),
                 plan,
                 session.circuit.title,
@@ -506,6 +519,20 @@ class JobService:
     def jobs(self) -> List[JobRecord]:
         with self._jobs_lock:
             return list(self._jobs.values())
+
+    def evicted(self, job_id: str) -> bool:
+        """Whether this service issued ``job_id`` and has since evicted
+        its finished record (see :data:`MAX_FINISHED_JOBS`)."""
+        try:
+            number = int(job_id[1:])
+        except ValueError:
+            return False
+        with self._jobs_lock:
+            return (
+                job_id == _job_id(number)
+                and 0 < number <= self._issued
+                and job_id not in self._jobs
+            )
 
     def counts(self) -> Dict[str, int]:
         out = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
@@ -570,6 +597,10 @@ class JobService:
             job.error = failure
             job.state = FAILED
             STATS.serve_jobs_failed += 1
+        with self._jobs_lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
 
     # -- lifecycle -----------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> bool:

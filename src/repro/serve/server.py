@@ -10,6 +10,9 @@ table in the package docstring.  Error contract:
 * Unknown job id, or any path under ``/jobs/<id>`` other than
   ``/result`` => **404**; result of a pending job => **409**; result
   of a failed job => **500** carrying the job's failure record.
+* ``/jobs/<id>`` or ``/jobs/<id>/result`` of a job this server ran but
+  no longer keeps => **410** (``type: "Gone"``): the service retains
+  the last :data:`~.jobs.MAX_FINISHED_JOBS` finished jobs.
 * Malformed JSON or a non-JSON body => **400** (``type: "ValueError"``).
 * A body whose framing cannot be trusted is refused before it is read,
   and the connection is closed: a missing, non-integer or negative
@@ -37,11 +40,9 @@ from typing import Optional, Tuple
 from ..errors import NetlistError
 from ..spice.stats import STATS
 from ..telemetry import prometheus_text
-from .jobs import DONE, FAILED, QUEUED, RUNNING, JobService
+from . import DEFAULT_HOST, DEFAULT_PORT
+from .jobs import FAILED, QUEUED, RUNNING, JobService
 
-#: Default bind address: loopback only (no authentication by design).
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8347
 #: Largest request body the server reads (8 MiB); a longer declared
 #: ``Content-Length`` is answered 413 before a byte of it is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -172,7 +173,13 @@ class _Handler(BaseHTTPRequestHandler):
             parts = path.split("/")[2:]  # ["<id>"] or ["<id>", "result"]
             job = self._service.job(parts[0])
             if job is None:
-                self._error(404, "NotFound", f"no such job {parts[0]!r}")
+                if parts[1:] in ([], ["result"]) and self._service.evicted(parts[0]):
+                    self._error(
+                        410, "Gone", f"job {parts[0]} finished and its record "
+                        "was evicted: only the latest finished jobs are kept"
+                    )
+                else:
+                    self._error(404, "NotFound", f"no such job {parts[0]!r}")
             elif len(parts) == 1:
                 self._send(200, job.to_dict())
             elif parts[1:] == ["result"]:

@@ -20,6 +20,7 @@
 
 import dataclasses
 import json
+import threading
 import time
 
 import pytest
@@ -654,3 +655,42 @@ class TestJobService:
         assert all(service.job(job_id).state == "done" for job_id in ids)
         with pytest.raises(PlanError, match="shutting down"):
             service.submit(self._request())
+
+    def test_queued_and_running_jobs_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.jobs.MAX_FINISHED_JOBS", 2)
+        release = threading.Event()
+        real_run = Session.run
+
+        def gated(self, plan, x0=None):
+            assert release.wait(10.0)
+            return real_run(self, plan, x0)
+
+        monkeypatch.setattr(Session, "run", gated)
+        service = self._service()
+        try:
+            ids = [service.submit(self._request()).id for _ in range(4)]
+            deadline = time.monotonic() + 10.0
+            while service.job(ids[0]).state != "running":
+                assert time.monotonic() < deadline, "the first job never ran"
+                time.sleep(0.005)
+            # Four live jobs and a bound of two: none is finished, so
+            # none is evicted.
+            assert [job.id for job in service.jobs()] == ids
+            assert service.counts() == {
+                "queued": 3, "running": 1, "done": 0, "failed": 0
+            }
+            release.set()
+            assert service.drain(10.0)
+            # The third and fourth finishes evicted the first two.
+            assert [job.id for job in service.jobs()] == ids[2:]
+            assert service.counts() == {
+                "queued": 0, "running": 0, "done": 2, "failed": 0
+            }
+            assert [service.evicted(job_id) for job_id in ids] == [
+                True, True, False, False
+            ]
+            for never_issued in ("j0005", "j9999", "j1", "x0001", ""):
+                assert not service.evicted(never_issued), never_issued
+        finally:
+            release.set()
+            service.stop()

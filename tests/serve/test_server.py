@@ -339,3 +339,31 @@ class TestClientCLI:
         from repro.serve.client import main
 
         assert main(["frobnicate"]) == 2
+
+
+class TestJobRetention:
+    def test_evicted_job_is_410_and_never_issued_is_404(
+        self, client, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.jobs.MAX_FINISHED_JOBS", 2)
+        ids = [client.submit(REQUEST) for _ in range(3)]
+        # One worker finishes the jobs in order: the third evicts the first.
+        assert client.wait(ids[2])["state"] == "done"
+        for fetch in (client.status, client.result):
+            with pytest.raises(ServeError) as err:
+                fetch(ids[0])
+            assert (err.value.status, err.value.error_type) == (410, "Gone")
+            assert ids[0] in err.value.message
+        assert client.status(ids[2])["state"] == "done"
+        assert 0.6 < client.result(ids[2])["voltages"]["d"] < 0.9
+        with pytest.raises(ServeError) as err:
+            client.status("j9999")
+        assert (err.value.status, err.value.error_type) == (404, "NotFound")
+        # An evicted id under an unknown route is still no route.
+        with pytest.raises(ServeError) as err:
+            client._request("GET", f"/jobs/{ids[0]}/status")
+        assert err.value.status == 404
+        assert [job["id"] for job in client.jobs()] == ids[1:]
+        assert client.health()["jobs"] == {
+            "queued": 0, "running": 0, "done": 2, "failed": 0
+        }
