@@ -23,7 +23,7 @@ process.  This package is the missing durability-and-transport layer:
   powered solve.
 * :mod:`repro.serve.jobs` — the execution layer: the JSON wire codec
   for plans/circuits, a bounded :class:`~.jobs.SessionPool` (one
-  session per topology+options, LRU-evicted through the store), and
+  session per netlist and title, LRU-evicted through the store), and
   :class:`~.jobs.JobService`, whose worker threads run each job under a
   :class:`~repro.resilience.RunPolicy` via ``supervised_call`` —
   bounded per-job retries with ``Outcome``-style failure attribution in

@@ -15,8 +15,8 @@ Three pieces, all transport-agnostic (the HTTP front end in
   ``NetlistError``) *before any solve* — the same validation boundary
   the Session planner enforces, which the server maps to HTTP 400.
 * **SessionPool** — one :class:`~repro.spice.session.Session` per
-  distinct (netlist, solver options) submission, bounded and
-  LRU-evicted; every pooled session shares the service's persistent
+  distinct (netlist, title) submission, bounded and LRU-evicted; every
+  pooled session shares the service's persistent
   :class:`~.cachestore.CacheStore`, so jobs against the same topology
   warm-start off each other *and* off previous server processes.
 * **JobService** — the async queue: ``submit`` validates and enqueues,
@@ -109,10 +109,10 @@ def _check_option_fields(kind: str, cls, value) -> None:
 
     Every key must name a field, and every value must have the type of
     that field's default: a bool; an int that is not a bool; any real
-    number; a string; a list of real numbers for sequence fields; and
-    ``null`` only where the default is ``None`` (those fields take a
-    number otherwise).  A nested options object (a field without a plain
-    default) is left to its own codec.
+    number; a string; and ``null`` only where the default is ``None``
+    (those fields take a number otherwise).  A nested options object (a
+    field without a plain default) is left to its own codec, and each
+    value's range to the dataclass's own check.
     """
     if not isinstance(value, Mapping):
         raise PlanError(f"options must be an object, got {type(value).__name__}")
@@ -133,9 +133,6 @@ def _check_option_fields(kind: str, cls, value) -> None:
             ok, expected = _is_real(got), "a number"
         elif isinstance(default, str):
             ok, expected = isinstance(got, str), "a string"
-        elif isinstance(default, tuple):
-            ok = isinstance(got, (list, tuple)) and all(map(_is_real, got))
-            expected = "a list of numbers"
         else:
             continue
         if not ok:
@@ -144,14 +141,8 @@ def _check_option_fields(kind: str, cls, value) -> None:
 
 def _solver_options_from_wire(value) -> SolverOptions:
     _check_option_fields("solver", SolverOptions, value)
-    kwargs = {
-        # JSON arrays arrive as lists; SolverOptions equality (and the
-        # session cache key, which is its repr) expects tuples.
-        key: tuple(v) if isinstance(v, list) else v
-        for key, v in value.items()
-    }
     try:
-        return SolverOptions(**kwargs)
+        return SolverOptions(**value)
     except (TypeError, ValueError) as exc:
         raise PlanError(f"invalid solver options: {exc}") from None
 

@@ -74,6 +74,9 @@ class ACSystem:
     unknown vector — the path ``Session`` uses so one re-temperatured
     system serves a whole temperature grid.
 
+    ``options`` supplies only ``gmin``, the one the DC point was solved
+    under, so ``G`` is that solve's Jacobian.
+
     Attributes of interest to tests and diagnostics: ``G`` (real DC
     Jacobian at the operating point), ``C`` (real capacitance matrix,
     a dense ndarray or, when ``G`` is sparse, ``scipy.sparse.csc``),
@@ -93,7 +96,6 @@ class ACSystem:
         self.system = system
         self.circuit = system.circuit
         self.temperature_k = system.temperature_k
-        self.options = options
         self.x_op = np.asarray(x_op, dtype=float)
         if self.x_op.shape != (system.size,):
             raise NetlistError(
@@ -137,7 +139,7 @@ class ACSystem:
             STATS.ac_factor_reuses += 1
             return self._lu
         STATS.ac_factorizations += 1
-        factors = lu(self.G + 1j * omega_key * self.C, self.options.sparse_permc)
+        factors = lu(self.G + 1j * omega_key * self.C)
         if factors is None:
             raise NetlistError(f"AC matrix is singular at {self._where(omega)}")
         self._lu, self._omega_key = factors, omega_key

@@ -151,7 +151,7 @@ _WARM_REL = 0.05
 #: Warm-start temperature band [K].  Past this gap a seeded plain
 #: Newton routinely fails back onto the gain-stepping ladder (junction
 #: voltages move ~2 mV/K, so 50 K is ~100 mV of drift — the edge of the
-#: max_step_v basin), which would make a "warm start" *slower* than a
+#: MAX_STEP_V basin), which would make a "warm start" *slower* than a
 #: cold solve while the counter still claimed a ladder skip.  Sweep
 #: grids bridge larger spans by anchored chaining, not by one jump.
 _WARM_MAX_DT = 50.0
@@ -619,7 +619,6 @@ class Session:
         args: Tuple = (),
         kwargs: Optional[Mapping] = None,
         *,
-        options: Optional[SolverOptions] = None,
         temperature_k: float = 300.15,
         cache_points: int = 512,
         store=None,
@@ -644,7 +643,6 @@ class Session:
             self._args = ()
             self._kwargs = {}
             self.circuit = circuit
-        self.options = options or SolverOptions()
         self.system = MNASystem(self.circuit, temperature_k=temperature_k)
         self.workspace = NewtonWorkspace()
         self.fingerprint = _fingerprint(self.circuit)
@@ -727,7 +725,6 @@ class Session:
             builder=self._builder,
             args=self._args,
             kwargs=tuple(sorted(self._kwargs.items())),
-            options=None if self.options == SolverOptions() else self.options,
         )
 
     # -- the engine-level solved-point entry ---------------------------
@@ -749,7 +746,7 @@ class Session:
         its secant extrapolation as ``predicted``, both passed on to
         :func:`~repro.spice.solver.solve_dc_system` unchanged.
         """
-        options = options or self.options
+        options = options or SolverOptions()
         temperature_k = float(temperature_k)
         trc = _tele.ACTIVE
         span = (
@@ -1031,7 +1028,6 @@ class Session:
         return TempSweepResult(self, plan, sweep)
 
     def _run_ac_sweep(self, plan: ACSweep, x0) -> ACSweepResult:
-        options = plan.options or self.options
         with self._applied(plan.overrides):
             results: List[ACResult] = []
             chain = SecantChain()
@@ -1047,7 +1043,7 @@ class Session:
                 ac_system = ACSystem(
                     self.system,
                     raw.x,
-                    options=options,
+                    options=plan.options,
                     op=_wrap_point(self.circuit, temperature, raw),
                 )
                 results.append(ac_system.solve(plan.frequencies_hz))
@@ -1118,12 +1114,9 @@ class SessionRecipe:
     builder: Callable[..., Circuit]
     args: Tuple = ()
     kwargs: Tuple[Tuple[str, object], ...] = ()
-    options: Optional[SolverOptions] = None
 
     def build(self) -> Session:
-        return Session(
-            self.builder, self.args, dict(self.kwargs), options=self.options
-        )
+        return Session(self.builder, self.args, dict(self.kwargs))
 
 
 class _ResultPickler(pickle.Pickler):

@@ -4,8 +4,10 @@ Strategy (mirrors what production SPICE engines do, scaled down):
 
 1. plain damped Newton from the supplied initial point (zeros if none).
    A *cold* run — no caller seed and no cached warm start — is only a
-   cheap probe: it gets a fifth of ``stall_window`` before the ladder
-   takes over, while a seeded run keeps the full window;
+   cheap probe: it gets a fifth of ``STALL_WINDOW`` before the ladder
+   takes over, while a seeded run keeps the full window.  It returns
+   its zero start only where the residual there is exactly zero, so a
+   source below the tolerances still moves the answer;
 2. on failure, **gain stepping**: ramp every op-amp's open-loop gain
    from unity to its final value (a low-gain loop is barely nonlinear;
    the solution trajectory in gain is smooth) — this is what makes the
@@ -20,6 +22,9 @@ Strategy (mirrors what production SPICE engines do, scaled down):
    to 100 % (the zero-source circuit converges trivially), warm-starting
    each step.
 
+:class:`SolverOptions` holds what the answer must meet; how the solver
+gets there is fixed by the module constants next to it.
+
 A chained sweep point passes the previous point as ``x0`` and the
 secant extrapolation through the two before it as ``predicted``
 (:func:`secant_start`, the transient's predictor too): plain Newton
@@ -27,7 +32,7 @@ runs from the prediction first and from ``x0`` second, and the ladder
 starts from ``x0``.
 
 Damping is two-fold: the Newton step is scaled so no unknown moves more
-than ``max_step_v`` per iteration (the guard against the junction
+than ``MAX_STEP_V`` per iteration (the guard against the junction
 exponential catapulting the iterate), and a backtracking line search
 halves the step until the residual norm actually decreases (the guard
 against rail-to-rail oscillation in stiff op-amp loops).
@@ -38,7 +43,7 @@ routine the DC, transient and AC analyses share:
 
 * **LU reuse (modified Newton)**: the factorization from an earlier
   iterate (or earlier transient timestep) is kept while it still
-  contracts the residual by ``reuse_contraction`` per full step; on
+  contracts the residual by ``REUSE_CONTRACTION`` per full step; on
   slowdown the Jacobian is refactored at the current iterate.  Far from
   the solution the Jacobian changes every iteration and reuse buys
   nothing, but in the convergence tail — and across the small timesteps
@@ -51,18 +56,18 @@ routine the DC, transient and AC analyses share:
   ``SPARSE_MIN_UNKNOWNS`` (200) or more unknowns.  The sparse assembly
   mode hands ``splu`` its native CSC format directly (conversions are
   counted in ``STATS.sparse_conversions`` and stay at zero end-to-end),
-  the fill-reducing ordering is an explicit option (``sparse_permc``),
-  and stale-LU reuse runs a cost-aware policy:
-  sparse factors get a higher consecutive-reuse cap and a relaxed
-  contraction demand (``sparse_reuse_limit`` /
-  ``sparse_reuse_contraction``) because each skipped factorization is
-  worth milliseconds there, not microseconds.
+  the fill-reducing ordering is pinned (``SPARSE_PERMC``), and stale-LU
+  reuse runs a cost-aware policy: sparse factors get a higher
+  consecutive-reuse cap and a relaxed contraction demand
+  (``SPARSE_REUSE_LIMIT`` / ``SPARSE_REUSE_CONTRACTION``) because each
+  skipped factorization is worth milliseconds there, not microseconds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -108,14 +113,14 @@ class _DenseLU:
 LU = Union[_DenseLU, SuperLU]
 
 
-def lu(matrix, permc_spec: str) -> Optional[LU]:
+def lu(matrix) -> Optional[LU]:
     """Factor ``matrix``; None when it is singular.
 
     A real or complex ndarray factors through LAPACK ``getrf``;
     ``info > 0`` (exactly singular, routine during the stepping
     ladders) and ``info < 0`` (bad input) both return None.  Anything
     else is a ``scipy.sparse`` matrix and factors through ``splu`` with
-    the ``permc_spec`` column ordering.  The sparse assembly mode
+    the ``SPARSE_PERMC`` column ordering.  The sparse assembly mode
     already produces CSC, so the common case is a zero-copy
     pass-through; a sparse matrix in another format pays a conversion,
     counted in ``STATS.sparse_conversions`` so benchmarks can assert the
@@ -129,7 +134,7 @@ def lu(matrix, permc_spec: str) -> Optional[LU]:
             if matrix.format != "csc":
                 matrix = matrix.tocsc()
                 STATS.sparse_conversions += 1
-            return _splu(matrix, permc_spec=permc_spec)
+            return _splu(matrix, permc_spec=SPARSE_PERMC)
     except _LU_ERRORS:
         return None
     if info != 0:
@@ -139,8 +144,10 @@ def lu(matrix, permc_spec: str) -> Optional[LU]:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunable solver knobs (defaults handle every circuit in the repo)."""
+    """What a Newton solve's answer must meet (the defaults handle every
+    circuit in the repo); values no solve can meet raise ``ValueError``."""
 
+    #: Iteration budget of each Newton run, and of the gain ramp's rungs.
     max_iterations: int = 150
     #: KCL residual tolerance [A] (node rows).
     abstol: float = 1e-12
@@ -151,79 +158,62 @@ class SolverOptions:
     vtol: float = 1e-8
     #: Final gmin from every node to ground [S].
     gmin: float = 1e-12
-    #: Per-iteration cap on the largest unknown update [V].
-    max_step_v: float = 0.5
-    #: gmin ladder for stepping (descending).
-    gmin_ladder: Sequence[float] = (1e-3, 1e-5, 1e-7, 1e-9, 1e-12)
-    #: Source-stepping ramp.
-    source_ramp: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    #: First gain-stepping ratio for op-amp macro-models.  The loop is
-    #: solved at gain 1 and the gain multiplied by this ratio for the
-    #: next rung.  Step control then adapts it: a rung converging within
-    #: 6 iterations squares the ratio (up to 16), a failed rung returns
-    #: to the last converged gain with its square root, never below this
-    #: first ratio (a failed rung at it ends the ramp).  The gentle
-    #: default suits the first rungs, where an unpredicted warm start
-    #: sits at ``ratio * arg*`` of the tanh and ratios beyond ~e
-    #: saturate it.  Must exceed 1, or the ramp would never reach the
-    #: final gain.
-    gain_ramp_ratio: float = 2.0
-    #: Keep a stale LU across iterations/timesteps while it still works
-    #: (modified Newton).  Convergence criteria are unchanged — only the
-    #: step *direction* comes from a lagged Jacobian, guarded by the
-    #: contraction test below.
-    reuse_lu: bool = True
-    #: A stale-LU full step must shrink the residual norm by at least
-    #: this factor, or the Jacobian is refactored at the current iterate.
-    #: Demanding near-quadratic contraction keeps reuse confined to the
-    #: regime where the Jacobian is genuinely unchanged (transient
-    #: timesteps, warm-started sweep points) instead of letting slow
-    #: linear convergence eat the iteration budget.
-    reuse_contraction: float = 0.1
-    #: Consecutive stale-step cap: after this many reused iterations in
-    #: a row the Jacobian is refactored regardless, bounding the extra
-    #: iterations modified Newton can spend versus the fresh path.
-    reuse_limit: int = 4
-    #: Fill-reducing column ordering passed to ``splu`` (``COLAMD``,
-    #: ``MMD_AT_PLUS_A``, ``MMD_ATA`` or ``NATURAL``).  COLAMD is
-    #: scipy's own default, restated here so the choice is explicit,
-    #: benchmarkable and overridable per solve.
-    sparse_permc: str = "COLAMD"
-    #: Stale-LU policy for *sparse* factors.  A sparse factorization of
-    #: a 1k+-unknown system costs milliseconds where the dense
-    #: ~20-unknown LU costs microseconds, so trading extra stale-step
-    #: iterations for skipped factorizations pays off much further out:
-    #: the consecutive-reuse cap is raised and the contraction demand
-    #: relaxed (any 0.4x shrink per full step still converges in a
-    #: handful of iterations, each costing only a triangular solve).
-    #: Dense systems keep the strict ``reuse_limit``/
-    #: ``reuse_contraction`` policy above, bit-for-bit.
-    sparse_reuse_limit: int = 16
-    sparse_reuse_contraction: float = 0.4
-    #: Stagnation bail-out: if the best residual norm seen has not
-    #: halved over this many iterations, the Newton run is declared
-    #: failed immediately instead of grinding to ``max_iterations``.  A
-    #: genuinely converging run halves its residual far faster than
-    #: this; the rule exists for the hopeless cold starts (the bandgap
-    #: cell without gain stepping) that previously burned the entire
-    #: budget — hundreds of assemblies — before the fallback ladder got
-    #: its turn.  This full window applies to seeded and cache-warm
-    #: plain runs, every ladder stage and every transient step.  A
-    #: *cold* plain run (no ``x0``, no cache candidate) is only a probe
-    #: ahead of the ladder and runs under ``stall_window // 5`` (8 at
-    #: the default, never below 1): a cold start of a stiff op-amp loop
-    #: that has not halved its residual in 8 iterations hands over to
-    #: gain stepping instead of grinding out two full windows.  Zero
-    #: disables the bail-out for every run.
-    stall_window: int = 40
-    #: The improvement factor the stall window must achieve.
-    stall_improvement: float = 0.5
 
     def __post_init__(self):
-        if not self.gain_ramp_ratio > 1.0:
-            raise ValueError(
-                f"gain_ramp_ratio must be greater than 1, got {self.gain_ramp_ratio!r}"
-            )
+        for name, ok, expected in (
+            ("max_iterations", self.max_iterations >= 1, "at least 1"),
+            ("abstol", 0.0 < self.abstol < math.inf, "positive and finite"),
+            ("vtol", 0.0 < self.vtol < math.inf, "positive and finite"),
+            ("gmin", 0.0 <= self.gmin < math.inf, "non-negative and finite"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+#: Per-iteration cap on the largest unknown update [V].
+MAX_STEP_V = 0.5
+#: gmin ladder for stepping (descending) [S].
+GMIN_LADDER = (1e-3, 1e-5, 1e-7, 1e-9, 1e-12)
+#: Source-stepping ramp; it ends at full source.
+SOURCE_RAMP = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+#: First gain-stepping ratio for op-amp macro-models (step control
+#: adapts it, never below it; see :func:`_gain_stepping`).  The gentle
+#: value suits the first rungs, where an unpredicted warm start sits at
+#: ``ratio * arg*`` of the tanh and ratios beyond ~e saturate it.
+GAIN_RAMP_RATIO = 2.0
+#: Gain-ramp step control: a rung that converges within this many
+#: counted iterations squares the ramp ratio for the next rung...
+_FAST_RUNG_ITERATIONS = 6
+#: ...up to this ratio.
+_MAX_RAMP_RATIO = 16.0
+#: Modified Newton keeps a stale LU across iterations and timesteps
+#: while a full stale step shrinks the residual norm by at least
+#: ``REUSE_CONTRACTION``, and for at most ``REUSE_LIMIT`` steps in a
+#: row (0 is plain Newton); otherwise it refactors at the current
+#: iterate.  Only the step *direction* lags, never the convergence test,
+#: and near-quadratic contraction confines reuse to where the Jacobian
+#: is genuinely unchanged (transient steps, warm-started sweep points).
+REUSE_LIMIT = 4
+REUSE_CONTRACTION = 0.1
+#: ``splu``'s fill-reducing column ordering (scipy's own default).
+SPARSE_PERMC = "COLAMD"
+#: The stale-LU policy for *sparse* factors: a 1k+-unknown splu costs
+#: milliseconds where the dense ~20-unknown LU costs microseconds, so
+#: longer streaks of weaker stale steps (each only a triangular solve)
+#: pay off there.  Dense factors keep the strict policy above.
+SPARSE_REUSE_LIMIT = 16
+SPARSE_REUSE_CONTRACTION = 0.4
+#: Stagnation bail-out: a Newton run whose best residual norm has not
+#: shrunk by ``STALL_IMPROVEMENT`` over this many iterations fails at
+#: once instead of grinding to ``max_iterations``, so a hopeless start
+#: (the bandgap cell without gain stepping) hands over to the ladder
+#: early.  Seeded and cache-warm plain runs, every ladder stage and
+#: every transient step get the full window; a *cold* plain run (no
+#: ``x0``, no cache candidate) is only a probe and gets a fifth of it
+#: (8 iterations, never below 1).  Zero disables the bail-out.
+STALL_WINDOW = 40
+STALL_IMPROVEMENT = 0.5
 
 
 @dataclass
@@ -280,19 +270,19 @@ class NewtonWorkspace:
             self.invalidate()
             self._size = size
 
-    def factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
+    def factor(self, jacobian: np.ndarray) -> bool:
         """Factor the Jacobian through :func:`lu`; False if it is
         singular."""
         trc = _tele.ACTIVE
         if trc is None or not trc.detailed:
-            return self._factor(jacobian, options)
+            return self._factor(jacobian)
         t0 = trc.clock()
-        ok = self._factor(jacobian, options)
+        ok = self._factor(jacobian)
         trc.leaf("factorization", t0, sparse=self.is_sparse, ok=ok)
         return ok
 
-    def _factor(self, jacobian: np.ndarray, options: SolverOptions) -> bool:
-        factors = lu(jacobian, options.sparse_permc)
+    def _factor(self, jacobian: np.ndarray) -> bool:
+        factors = lu(jacobian)
         if factors is None:
             self.invalidate()
             return False
@@ -328,6 +318,7 @@ def _newton(
     workspace: Optional[NewtonWorkspace] = None,
     phase: str = "plain",
     stall_window: Optional[int] = None,
+    cold: bool = False,
 ) -> Optional[RawSolution]:
     """One damped Newton run; None if it does not converge.
 
@@ -337,15 +328,16 @@ def _newton(
     the LU factorization (and its reuse policy) across calls.
     ``phase`` labels the run's ``newton_solve`` span when a detailed
     tracer is installed (which strategy-ladder rung asked for it).
-    ``stall_window`` overrides ``options.stall_window`` for this run;
-    an explicit window is recorded on the span.
+    ``stall_window`` overrides ``STALL_WINDOW`` for this run; an
+    explicit window is recorded on the span.  A ``cold`` run returns
+    its start only where the residual there is exactly zero.
     """
-    window = options.stall_window if stall_window is None else stall_window
+    window = STALL_WINDOW if stall_window is None else stall_window
     trc = _tele.ACTIVE
     if trc is None or not trc.detailed:
         solution = _newton_run(
             system, x0, options, gmin, source_scale, time, transient,
-            workspace, window, None,
+            workspace, window, cold, None,
         )
         if solution is None:
             STATS.newton_failures += 1
@@ -356,7 +348,7 @@ def _newton(
     with trc.span("newton_solve", **attrs) as span:
         solution = _newton_run(
             system, x0, options, gmin, source_scale, time, transient,
-            workspace, window, trc,
+            workspace, window, cold, trc,
         )
         span.attrs["converged"] = solution is not None
         if solution is not None:
@@ -377,6 +369,7 @@ def _newton_run(
     transient: Optional[TransientContext],
     workspace: Optional[NewtonWorkspace],
     stall_window: int,
+    cold: bool,
     trc: Optional["_tele.Tracer"],
 ) -> Optional[RawSolution]:
     ws = workspace if workspace is not None else NewtonWorkspace()
@@ -418,8 +411,10 @@ def _newton_run(
     stall_deadline = stall_window
     for iteration in range(1, options.max_iterations + 1):
         STATS.iterations += 1
-        if converged(abs_residual):
-            # The residual of *this* iterate is converged; return it.
+        # The residual of *this* iterate is converged; return it.  A
+        # cold start takes at least one step unless its residual is
+        # exactly zero: a source below abstol or vtol still moves x.
+        if converged(abs_residual) and not (cold and iteration == 1 and norm):
             return RawSolution(
                 x=x,
                 iterations=iteration,
@@ -428,7 +423,7 @@ def _newton_run(
                 lu_reuses=ws.reuses - reuses_before,
             )
         if stall_window and iteration > stall_deadline:
-            if best_norm > options.stall_improvement * stall_best:
+            if best_norm > STALL_IMPROVEMENT * stall_best:
                 # No meaningful progress in a whole window: this run is
                 # not going to make it — hand over to the fallback
                 # ladder now rather than at max_iterations.
@@ -440,7 +435,7 @@ def _newton_run(
 
         # -- modified-Newton fast path: try the stale factorization.
         # Only the undamped step is probed, and only while it stays
-        # inside the max_step_v junction guard — a stale LU that wants a
+        # inside the MAX_STEP_V junction guard — a stale LU that wants a
         # big move (cold start, snap-on) gets a fresh Jacobian with the
         # full damping machinery instead.  Strong contraction plus the
         # consecutive-reuse cap keep reuse from trading one saved
@@ -450,24 +445,14 @@ def _newton_run(
         # factors (1k+ unknowns, milliseconds each) tolerate more and
         # weaker stale steps than dense LU (microseconds each), whose
         # strict policy is unchanged.
-        reuse_limit = (
-            options.sparse_reuse_limit if ws.is_sparse else options.reuse_limit
-        )
-        reuse_contraction = (
-            options.sparse_reuse_contraction
-            if ws.is_sparse
-            else options.reuse_contraction
-        )
-        if (
-            options.reuse_lu
-            and ws.stale
-            and ws.has_factorization
-            and ws.consecutive_reuses < reuse_limit
-        ):
+        sparse = ws.is_sparse
+        reuse_limit = SPARSE_REUSE_LIMIT if sparse else REUSE_LIMIT
+        reuse_contraction = SPARSE_REUSE_CONTRACTION if sparse else REUSE_CONTRACTION
+        if ws.stale and ws.has_factorization and ws.consecutive_reuses < reuse_limit:
             step = ws.solve(residual)
             if step is None:
                 guard = "solve_failed"
-            elif step.size != 0 and float(np.abs(step).max()) > options.max_step_v:
+            elif step.size != 0 and float(np.abs(step).max()) > MAX_STEP_V:
                 guard = "step_bound"
             else:
                 candidate = x - step
@@ -490,19 +475,14 @@ def _newton_run(
                         )
                     continue
                 guard = "no_contraction"
-        elif (
-            trc is not None
-            and options.reuse_lu
-            and ws.stale
-            and ws.has_factorization
-        ):
+        elif trc is not None and ws.stale and ws.has_factorization:
             guard = "reuse_limit"
 
         # -- full Newton: factor at the current iterate.
         jacobian, _ = system.assemble(
             x, gmin=gmin, source_scale=source_scale, time=time, transient=transient
         )
-        if not ws.factor(jacobian, options):
+        if not ws.factor(jacobian):
             if trc is not None:
                 trc.annotate(reason="singular_jacobian")
             return None
@@ -512,10 +492,10 @@ def _newton_run(
                 trc.annotate(reason="singular_jacobian")
             return None
         max_step = float(np.abs(step).max()) if step.size else 0.0
-        clamp = 1.0 if max_step <= options.max_step_v else options.max_step_v / max_step
+        clamp = 1.0 if max_step <= MAX_STEP_V else MAX_STEP_V / max_step
         # Backtracking line search over a damping ladder: the full Newton
         # step first (solves linear and mildly nonlinear systems in one
-        # go), then the max_step_v clamp (junction guard), then halvings.
+        # go), then the MAX_STEP_V clamp (junction guard), then halvings.
         # A candidate is accepted as soon as the residual norm decreases;
         # Newton's direction is a descent direction for |F|, so some
         # scale improves unless we are at a stationary point.
@@ -600,13 +580,6 @@ class SecantChain:
         self.value, self.x = value, x
 
 
-#: Gain-ramp step control: a rung that converges within this many
-#: counted iterations squares the ramp ratio for the next rung...
-_FAST_RUNG_ITERATIONS = 6
-#: ...up to this ratio.
-_MAX_RAMP_RATIO = 16.0
-
-
 def _gain_stepping(
     system: MNASystem,
     circuit: Circuit,
@@ -618,7 +591,7 @@ def _gain_stepping(
     """Ramp op-amp open-loop gains from 1 to final, under step control.
 
     The ramp is natural-parameter continuation in the gain.  Its first
-    ratio is ``options.gain_ramp_ratio``; a rung that converges within
+    ratio is ``GAIN_RAMP_RATIO``; a rung that converges within
     ``_FAST_RUNG_ITERATIONS`` squares the ratio (capped at
     ``_MAX_RAMP_RATIO``), and a failed rung returns to the last
     converged gain with the ratio's square root, but never with less
@@ -645,7 +618,7 @@ def _gain_stepping(
     chain = SecantChain()
     last_gain = None
     gain = 1.0
-    ratio = options.gain_ramp_ratio
+    ratio = GAIN_RAMP_RATIO
     try:
         while rungs < options.max_iterations:
             for amp, final in zip(amps, final_gains):
@@ -660,9 +633,9 @@ def _gain_stepping(
             if stage is None:
                 # The ratio never drops below the first one: a failed
                 # rung there ends the ramp, as it did before step control.
-                if last_gain is None or ratio <= options.gain_ramp_ratio:
+                if last_gain is None or ratio <= GAIN_RAMP_RATIO:
                     return None
-                ratio = max(ratio**0.5, options.gain_ramp_ratio)
+                ratio = max(ratio**0.5, GAIN_RAMP_RATIO)
                 gain = last_gain * ratio
                 continue
             if gain >= max_gain:
@@ -706,8 +679,10 @@ def solve_dc(
     """
     from .session import Session
 
-    session = Session(circuit, options=options, temperature_k=temperature_k)
-    return session.solve_raw(temperature_k=temperature_k, x0=x0, time=time)
+    session = Session(circuit, temperature_k=temperature_k)
+    return session.solve_raw(
+        temperature_k=temperature_k, x0=x0, time=time, options=options
+    )
 
 
 def solve_dc_system(
@@ -791,12 +766,12 @@ def _solve_dc_system_impl(
     # A cold start (no seed, no cached warm start) that is not halving
     # its residual is almost always a stiff loop plain Newton cannot
     # converge, so it gets the short window and hands over early.
-    window = options.stall_window
+    window = STALL_WINDOW
     if x0 is None and window:
         window = max(1, window // 5)
     solution = _newton(
         system, start, options, gmin=options.gmin, source_scale=1.0, time=time,
-        workspace=workspace, phase="plain", stall_window=window,
+        workspace=workspace, phase="plain", stall_window=window, cold=x0 is None,
     )
     if solution is not None:
         STATS.record_strategy(solution.strategy)
@@ -814,7 +789,7 @@ def _solve_dc_system_impl(
     x = start.copy()
     failed = False
     rungs = 0
-    for gmin in options.gmin_ladder:
+    for gmin in GMIN_LADDER:
         rungs += 1
         stage = _newton(
             system, x, options, gmin=gmin, source_scale=1.0, time=time,
@@ -836,13 +811,10 @@ def _solve_dc_system_impl(
             STATS.record_strategy(final.strategy)
             return final
 
-    # Source stepping, always finishing at full source.
-    ramp = tuple(options.source_ramp)
-    if not ramp or ramp[-1] != 1.0:
-        ramp += (1.0,)
+    # Source stepping, finishing at full source.
     x = np.zeros(system.size)
     steps = 0
-    for scale in ramp:
+    for scale in SOURCE_RAMP:
         steps += 1
         stage = _newton(
             system, x, options, gmin=options.gmin, source_scale=scale, time=time,

@@ -75,13 +75,13 @@ def solve_with_self_heating(
     # One session for the whole fixed-point loop: the system is
     # re-temperatured in place per iteration (the legacy loop rebuilt
     # TWO systems per iteration — one to solve, one for the power sum).
-    session = Session(circuit, options=options, temperature_k=ambient_k)
+    session = Session(circuit, temperature_k=ambient_k)
     die_k = ambient_k
     point: Optional[OperatingPoint] = None
     power = 0.0
     x_prev = x0
     for iteration in range(1, max_iterations + 1):
-        raw = session.solve_raw(temperature_k=die_k, x0=x_prev)
+        raw = session.solve_raw(temperature_k=die_k, x0=x_prev, options=options)
         point = _wrap_point(circuit, die_k, raw)
         x_prev = point.x
         power = session.system.total_source_power(point.x)

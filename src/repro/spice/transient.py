@@ -32,6 +32,7 @@ needs when the bandgap loop snaps on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -53,11 +54,16 @@ from .solver import (
 
 #: Integration order of each method (for the step-growth exponent).
 _METHOD_ORDER = {"be": 1, "trap": 2}
+#: Per-accepted-step growth cap on the timestep.
+MAX_GROWTH = 2.0
+#: Shrink factor on a Newton (non-)convergence failure.
+NEWTON_SHRINK = 0.25
 
 
 @dataclass(frozen=True)
 class TransientOptions:
-    """Tunable knobs of the transient engine."""
+    """Tunable knobs of the transient engine, checked at construction
+    (``NetlistError``)."""
 
     #: Integration rule: ``"trap"`` (trapezoidal, 2nd order) or ``"be"``
     #: (backward Euler, 1st order, heavily damped).
@@ -74,10 +80,6 @@ class TransientOptions:
     #: LTE tolerance band: ``tol = lte_abstol + lte_reltol * max|v|``.
     lte_reltol: float = 1e-3
     lte_abstol: float = 1e-6
-    #: Per-accepted-step growth cap on the timestep.
-    max_growth: float = 2.0
-    #: Shrink factor on a Newton (non-)convergence failure.
-    newton_shrink: float = 0.25
     #: Hard cap on total attempted steps (runaway guard).
     max_steps: int = 100000
     #: Newton options for the per-step solves and the initial DC point.
@@ -86,12 +88,12 @@ class TransientOptions:
     def __post_init__(self):
         if self.method not in _METHOD_ORDER:
             raise NetlistError(f"unknown integration method {self.method!r}")
-        if self.lte_reltol <= 0.0 or self.lte_abstol <= 0.0:
-            raise NetlistError("LTE tolerances must be positive")
-        if self.max_growth <= 1.0:
-            raise NetlistError("max_growth must exceed 1")
-        if not 0.0 < self.newton_shrink < 1.0:
-            raise NetlistError("newton_shrink must be in (0, 1)")
+        if self.max_steps < 1:
+            raise NetlistError(f"max_steps must be at least 1, got {self.max_steps!r}")
+        for name in ("lte_reltol", "lte_abstol", "dt_init", "dt_min", "dt_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise NetlistError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -455,7 +457,7 @@ def _transient_loop(
             if step_span is not None:
                 step_span.attrs.update(accepted=False, reason="newton")
                 trc.end(step_span)
-            dt *= options.newton_shrink
+            dt *= NEWTON_SHRINK
             if dt < dt_min:
                 raise ConvergenceError(
                     f"transient Newton failed below dt_min at t = {t:.3e} s "
@@ -483,9 +485,9 @@ def _transient_loop(
                 dt = max(dt * min(0.5, factor), dt_min)
                 continue
             factor = 0.9 * (tol / max(err, 1e-300)) ** order_exponent
-            next_dt = dt * min(options.max_growth, max(0.3, factor))
+            next_dt = dt * min(MAX_GROWTH, max(0.3, factor))
         elif options.adaptive:
-            next_dt = dt * options.max_growth
+            next_dt = dt * MAX_GROWTH
         else:
             # Fixed-step mode returns to the requested grid step even
             # after a breakpoint clamp shortened this one.

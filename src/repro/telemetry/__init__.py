@@ -66,8 +66,8 @@ Attributes by span:
     ``converged``, ``iterations``, and on failure ``reason``
     (``"stagnation"`` | ``"max_iterations"`` | ``"singular_jacobian"``).
     The ``"plain"`` run of a DC solve also carries ``stall_window``, the
-    stall window it ran under (a fifth of ``SolverOptions.stall_window``
-    on a cold start, the full window when seeded or cache-warm).
+    stall window it ran under (a fifth of ``solver.STALL_WINDOW`` on a
+    cold start, the full window when seeded or cache-warm).
     Per-iteration records (``Span.iterations``) carry ``i``,
     ``residual``, ``step``, ``damping``, ``kind`` (``"factor"`` |
     ``"reuse"``), and — when the reuse probe declined — ``guard``

@@ -2,14 +2,12 @@
 
 * **wire codec** — every plan type round-trips ``plan_to_wire`` ->
   ``plan_from_wire`` to an equal plan (including nested MonteCarlo
-  inners and solver/transient options, with JSON's list-vs-tuple
-  mismatch normalized away); every malformed shape raises a typed
+  inners and solver/transient options); every malformed shape, unknown
+  option name or out-of-range option value raises a typed
   ``PlanError`` naming the problem.
 * **options cache keys** — the regression lock for the solved-point
   cache key: EVERY ``SolverOptions`` field participates in
-  ``_options_key``, including the sparse-tuning knobs
-  (``sparse_reuse_limit``/``sparse_reuse_contraction``/
-  ``sparse_permc``), and wire-decoded options produce byte-identical
+  ``_options_key``, and wire-decoded options produce byte-identical
   keys to natively constructed ones.
 * **session pool** — textually identical submissions share a session;
   the pool is LRU-bounded and flushes evicted sessions to the store.
@@ -20,6 +18,7 @@
 
 import dataclasses
 import json
+import math
 import threading
 import time
 
@@ -65,7 +64,7 @@ WRONG_TYPED_PLANS = {
     "dc-values-text": {"analysis": "DCSweep", "source": "V1", "values": "123"},
     "record-text": {"analysis": "OP", "record": "d"},
     "solver-int-text": {"analysis": "OP", "options": {"max_iterations": "many"}},
-    "solver-bool-text": {"analysis": "OP", "options": {"reuse_lu": "no"}},
+    "solver-real-text": {"analysis": "OP", "options": {"gmin": "tiny"}},
     "transient-bool-text": {
         "analysis": "Transient", "t_stop": 1e-6, "options": {"adaptive": "no"}
     },
@@ -74,11 +73,53 @@ WRONG_TYPED_PLANS = {
 
 #: Solver options the wire must refuse by name, by case name: a typo,
 #: the removed ``sparse_threshold`` (the system's size picks dense or
-#: sparse) and the removed ``xtol`` (no solver step read it).
+#: sparse), the removed ``xtol`` (no solver step read it) and the
+#: convergence-policy knobs that are now solver constants.
 UNKNOWN_SOLVER_OPTIONS = {
     "abstol2": {"abstol2": 1e-9},
     "sparse_threshold": {"sparse_threshold": 500},
     "xtol": {"xtol": 1e-10},
+    "max_step_v": {"max_step_v": 0.5},
+    "gmin_ladder": {"gmin_ladder": [1e-3, 1e-6]},
+    "source_ramp": {"source_ramp": [0.5, 1.0]},
+    "gain_ramp_ratio": {"gain_ramp_ratio": 2.0},
+    "reuse_lu": {"reuse_lu": False},
+    "reuse_limit": {"reuse_limit": 4},
+    "reuse_contraction": {"reuse_contraction": 0.1},
+    "sparse_permc": {"sparse_permc": "NATURAL"},
+    "sparse_reuse_limit": {"sparse_reuse_limit": 32},
+    "sparse_reuse_contraction": {"sparse_reuse_contraction": 0.2},
+    "stall_window": {"stall_window": 0},
+    "stall_improvement": {"stall_improvement": 0.5},
+}
+
+#: Transient options the wire must refuse by name: the step-growth cap
+#: and the Newton-failure shrink are transient-engine constants now.
+UNKNOWN_TRANSIENT_OPTIONS = {
+    "max_growth": {"max_growth": 2.0},
+    "newton_shrink": {"newton_shrink": 0.25},
+}
+
+#: Plans whose options no solve can honour, by case name, with the
+#: option each message names.  Each must be refused as a PlanError at
+#: submit, before any solve: accepted, a negative gmin solved to a
+#: wrong answer and the others failed only once they ran.
+_OP = {"analysis": "OP"}
+_TRANSIENT = {"analysis": "Transient", "t_stop": 1e-6}
+OUT_OF_RANGE_PLANS = {
+    "gmin-negative": ({**_OP, "options": {"gmin": -1e-3}}, "gmin"),
+    "max-iterations-0": ({**_OP, "options": {"max_iterations": 0}}, "max_iterations"),
+    "abstol-0": ({**_OP, "options": {"abstol": 0.0}}, "abstol"),
+    "vtol-negative": ({**_OP, "options": {"vtol": -1e-8}}, "vtol"),
+    "dt-init-negative": ({**_TRANSIENT, "options": {"dt_init": -1}}, "dt_init"),
+    "dt-max-0": ({**_TRANSIENT, "options": {"dt_max": 0}}, "dt_max"),
+    "max-steps-0": ({**_TRANSIENT, "options": {"max_steps": 0}}, "max_steps"),
+    "lte-reltol-nan": (
+        {**_TRANSIENT, "options": {"lte_reltol": math.nan}}, "lte_reltol"
+    ),
+    "newton-gmin-negative": (
+        {**_TRANSIENT, "options": {"newton": {"gmin": -1e-3}}}, "gmin"
+    ),
 }
 
 
@@ -121,12 +162,12 @@ class TestWireCodec:
                 options=TransientOptions(
                     dt_init=1e-9,
                     adaptive=False,
-                    newton=SolverOptions(gmin_ladder=(1e-3, 1e-6)),
+                    newton=SolverOptions(gmin=1e-13),
                 ),
             ),
             MonteCarlo(inner=OP(), trials=((("R1", "resistance", 1.1e3),),)),
-            # An integer is a real number: max_step_v takes 1.
-            OP(options=SolverOptions(max_iterations=99, max_step_v=1)),
+            # An integer is a real number: vtol takes 1.
+            OP(options=SolverOptions(max_iterations=99, vtol=1)),
         ],
         ids=lambda plan: type(plan).__name__,
     )
@@ -184,12 +225,8 @@ class TestWireCodec:
             ({"max_iterations": 150.0}, "max_iterations must be an integer"),
             ({"abstol": True}, "abstol must be a number"),
             ({"abstol": None}, "abstol must be a number"),
-            ({"sparse_permc": 5}, "sparse_permc must be a string"),
-            ({"gmin_ladder": 1e-3}, "gmin_ladder must be a list of numbers"),
-            ({"gmin_ladder": [1e-3, "1e-5"]}, "gmin_ladder must be a list of numbers"),
         ],
-        ids=["int-bool", "int-float", "real-bool", "real-null", "text-number",
-             "list-number", "list-text-item"],
+        ids=["int-bool", "int-float", "real-bool", "real-null"],
     )
     def test_solver_option_types(self, options, message):
         with pytest.raises(PlanError, match=message):
@@ -213,6 +250,13 @@ class TestWireCodec:
     def test_transient_option_types(self, options, message):
         with pytest.raises(PlanError, match=message):
             plan_from_wire({"analysis": "Transient", "t_stop": 1e-6, "options": options})
+
+    @pytest.mark.parametrize(
+        "plan, name", list(OUT_OF_RANGE_PLANS.values()), ids=list(OUT_OF_RANGE_PLANS)
+    )
+    def test_out_of_range_options(self, plan, name):
+        with pytest.raises(PlanError, match=f"invalid .*options: {name} must be"):
+            plan_from_wire(plan)
 
     def test_policy_codec(self):
         policy = policy_from_wire({"max_retries": 2, "backoff_s": 0.5})
@@ -241,16 +285,10 @@ class TestWireCodec:
 
 class TestOptionsCacheKeyRegression:
     def _perturbed(self, spec, value):
-        if isinstance(value, bool):
-            return not value
         if isinstance(value, int):
             return value + 1
         if isinstance(value, float):
             return value * 2 + 1.0
-        if isinstance(value, str):
-            return "NATURAL" if value != "NATURAL" else "COLAMD"
-        if isinstance(value, tuple):
-            return value + (value[-1] / 2,)
         raise AssertionError(
             f"SolverOptions.{spec.name} has type {type(value).__name__}; "
             "teach this test how to perturb it so the cache-key lock "
@@ -261,10 +299,9 @@ class TestOptionsCacheKeyRegression:
         "field_name", [spec.name for spec in dataclasses.fields(SolverOptions)]
     )
     def test_every_field_participates_in_the_cache_key(self, field_name):
-        """The sparse-tuning knobs (sparse_reuse_limit & co.) steer the
-        NewtonWorkspace reuse policy, so two sessions differing ONLY in
-        them must never share a solved point — locked here for every
-        current and future SolverOptions field."""
+        """Each field changes what a solve's answer must meet, so two
+        solves differing ONLY in one must never share a solved point —
+        locked here for every current and future SolverOptions field."""
         default = SolverOptions()
         spec = {s.name: s for s in dataclasses.fields(SolverOptions)}[field_name]
         perturbed = dataclasses.replace(
@@ -272,33 +309,21 @@ class TestOptionsCacheKeyRegression:
         )
         assert _options_key(perturbed) != _options_key(default)
 
-    def test_sparse_knobs_named_in_issue(self):
-        default = SolverOptions()
-        for kwargs in (
-            {"sparse_reuse_limit": 32},
-            {"sparse_reuse_contraction": 0.2},
-            {"sparse_permc": "NATURAL"},
-        ):
-            tuned = dataclasses.replace(default, **kwargs)
-            assert _options_key(tuned) != _options_key(default)
-
     def test_wire_decoded_options_key_matches_native(self):
-        wire = {"gmin_ladder": [1e-3, 1e-6], "sparse_reuse_limit": 8}
+        wire = {"max_iterations": 99, "gmin": 1e-13}
         plan = plan_from_wire({"analysis": "OP", "options": wire})
-        native = SolverOptions(gmin_ladder=(1e-3, 1e-6), sparse_reuse_limit=8)
+        native = SolverOptions(max_iterations=99, gmin=1e-13)
         assert _options_key(plan.options) == _options_key(native)
 
     def test_tuned_sessions_never_share_store_points(self, tmp_path):
-        """End to end: a solved point stored under tuned sparse knobs is
-        not an exact hit for the default-options session."""
+        """End to end: a solved point stored under tuned options is not
+        an exact hit for a default-options plan."""
         from repro.spice.parser import parse_netlist
 
         path = tmp_path / "op.jsonl"
-        tuned = SolverOptions(sparse_reuse_limit=32, sparse_permc="NATURAL")
-        with Session(
-            parse_netlist(NETLIST), options=tuned, store=CacheStore(path)
-        ) as session:
-            session.run(OP())
+        tuned = SolverOptions(max_iterations=99, abstol=1e-13)
+        with Session(parse_netlist(NETLIST), store=CacheStore(path)) as session:
+            session.run(OP(options=tuned))
 
         STATS.reset()
         default = Session(parse_netlist(NETLIST), store=CacheStore(path))
@@ -413,14 +438,32 @@ class TestJobService:
             {"analysis": "OP", "options": options}, match="unknown solver option"
         )
 
+    @pytest.mark.parametrize(
+        "options",
+        list(UNKNOWN_TRANSIENT_OPTIONS.values()),
+        ids=list(UNKNOWN_TRANSIENT_OPTIONS),
+    )
+    def test_unknown_transient_option_rejected_before_any_solve(self, options):
+        self._assert_rejected_at_submit(
+            {"analysis": "Transient", "t_stop": 1e-6, "options": options},
+            match="unknown transient option",
+        )
+
     @pytest.mark.parametrize("ratio", [1.0, 0.5])
     def test_non_growing_gain_ramp_rejected_before_any_solve(self, ratio):
         # A ratio <= 1 never reaches the final gain: accepted, the job
-        # would hold its worker forever.
+        # would hold its worker forever.  The ramp ratio is a solver
+        # constant, so the wire refuses the name whatever its value.
         self._assert_rejected_at_submit(
             {"analysis": "OP", "options": {"gain_ramp_ratio": ratio}},
             match="gain_ramp_ratio",
         )
+
+    @pytest.mark.parametrize(
+        "plan, name", list(OUT_OF_RANGE_PLANS.values()), ids=list(OUT_OF_RANGE_PLANS)
+    )
+    def test_out_of_range_option_rejected_before_any_solve(self, plan, name):
+        self._assert_rejected_at_submit(plan, match=name)
 
     @pytest.mark.parametrize(
         "policy, message", list(REFUSED_POLICIES.values()), ids=list(REFUSED_POLICIES)

@@ -18,7 +18,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ReproServer
 from repro.spice.stats import STATS
 
-from test_jobs import WRONG_TYPED_PLANS
+from test_jobs import OUT_OF_RANGE_PLANS, WRONG_TYPED_PLANS
 
 NETLIST = ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 5\nR1 in d 1k\nD1 d 0 DM\n"
 REQUEST = {
@@ -70,9 +70,12 @@ class TestEndpoints:
         assert err.value.status == 400
         assert err.value.error_type == "PlanError"
         assert "unknown node" in err.value.message
-        # A field of the wrong JSON type is the same typed 400: each
-        # moves the rejection counter by one and queues nothing.
-        for case, plan in WRONG_TYPED_PLANS.items():
+        # A field of the wrong JSON type or an option no solve can meet
+        # is the same typed 400: each moves the rejection counter by one
+        # and queues nothing.
+        refused = dict(WRONG_TYPED_PLANS)
+        refused.update((case, plan) for case, (plan, _) in OUT_OF_RANGE_PLANS.items())
+        for case, plan in refused.items():
             rejected = STATS.serve_jobs_rejected
             with pytest.raises(ServeError) as err:
                 client.submit({"circuit": {"netlist": NETLIST}, "plan": plan})

@@ -56,16 +56,16 @@ class TestRCLowPass:
 
     def test_matches_closed_form_across_five_decades(self):
         freqs = log_frequencies(1e3, 1e8, points_per_decade=7)
-        result = Session(rc_lowpass(self.R, self.C), options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(rc_lowpass(self.R, self.C)).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         measured = result.phasor("out")
         exact = 1.0 / (1.0 + 2j * np.pi * freqs * self.R * self.C)
         np.testing.assert_allclose(measured, exact, rtol=1e-9)
 
     def test_magnitude_and_phase_at_the_corner(self):
-        result = Session(rc_lowpass(self.R, self.C), options=TIGHT).run(
-            ACSweep(frequencies_hz=[self.corner_hz()])
+        result = Session(rc_lowpass(self.R, self.C)).run(
+            ACSweep(frequencies_hz=[self.corner_hz()], options=TIGHT)
         ).ac_results[0]
         phasor = result.phasor("out")[0]
         assert abs(phasor) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-9)
@@ -73,8 +73,8 @@ class TestRCLowPass:
 
     def test_corner_extraction(self):
         freqs = log_frequencies(1e3, 1e8, points_per_decade=20)
-        result = Session(rc_lowpass(self.R, self.C), options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(rc_lowpass(self.R, self.C)).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         # The half-power point is 10*log10(2) = 3.0103 dB down; the
         # round "-3 dB" default lands 0.24% below the true corner.
@@ -84,15 +84,15 @@ class TestRCLowPass:
         assert nominal == pytest.approx(self.corner_hz(), rel=5e-3)
 
     def test_input_node_is_the_excitation(self):
-        result = Session(rc_lowpass(), options=TIGHT).run(
-            ACSweep(frequencies_hz=[1e4])
+        result = Session(rc_lowpass()).run(
+            ACSweep(frequencies_hz=[1e4], options=TIGHT)
         ).ac_results[0]
         assert result.phasor("in")[0] == pytest.approx(1.0 + 0.0j, rel=1e-12)
 
     def test_bode_shape(self):
         freqs = log_frequencies(1e3, 1e6, points_per_decade=3)
-        result = Session(rc_lowpass(), options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(rc_lowpass()).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         f, mag, phase = result.bode("out")
         assert len(f) == len(mag) == len(phase) == len(freqs)
@@ -110,8 +110,8 @@ class TestRCDivider:
 
     def test_flat_across_frequency_at_the_dc_ratio(self):
         freqs = log_frequencies(1.0, 1e9, points_per_decade=3)
-        result = Session(self.divider(), options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(self.divider()).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         measured = result.phasor("mid")
         np.testing.assert_allclose(measured, 0.25 + 0.0j, rtol=1e-9)
@@ -119,7 +119,7 @@ class TestRCDivider:
     def test_resistive_sweep_factors_once(self):
         STATS.reset()
         freqs = log_frequencies(1.0, 1e6, points_per_decade=2)
-        Session(self.divider(), options=TIGHT).run(ACSweep(frequencies_hz=freqs))
+        Session(self.divider()).run(ACSweep(frequencies_hz=freqs, options=TIGHT))
         assert STATS.ac_solves == len(freqs)
         assert STATS.ac_factorizations == 1
         assert STATS.ac_factor_reuses == len(freqs) - 1
@@ -127,7 +127,7 @@ class TestRCDivider:
     def test_reactive_sweep_factors_per_frequency(self):
         STATS.reset()
         freqs = log_frequencies(1e3, 1e6, points_per_decade=2)
-        Session(rc_lowpass(), options=TIGHT).run(ACSweep(frequencies_hz=freqs))
+        Session(rc_lowpass()).run(ACSweep(frequencies_hz=freqs, options=TIGHT))
         assert STATS.ac_factorizations == len(freqs)
         assert STATS.ac_factor_reuses == 0
 
@@ -293,8 +293,8 @@ class TestOpAmpPole:
                   rail_high=5.0, pole_hz=pole)
         )
         freqs = log_frequencies(1e2, 1e7, points_per_decade=10)
-        result = Session(circuit, options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(circuit).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         measured = result.phasor("out")
         exact = gain / (1.0 + 1j * freqs / pole)
@@ -306,8 +306,8 @@ class TestOpAmpPole:
         circuit.add(
             OpAmp("A1", "in", "0", "out", gain=50.0, rail_low=-5.0, rail_high=5.0)
         )
-        result = Session(circuit, options=TIGHT).run(
-            ACSweep(frequencies_hz=log_frequencies(1.0, 1e9, 2))
+        result = Session(circuit).run(
+            ACSweep(frequencies_hz=log_frequencies(1.0, 1e9, 2), options=TIGHT)
         ).ac_results[0]
         np.testing.assert_allclose(result.phasor("out"), 50.0 + 0.0j, rtol=1e-9)
 
@@ -324,8 +324,8 @@ class TestCurrentExcitation:
         circuit.add(Capacitor("C1", "n", "0", c))
         circuit.add(CurrentSource("I1", "0", "n", 0.0, ac_mag=1.0))
         freqs = log_frequencies(1e3, 1e7, points_per_decade=5)
-        result = Session(circuit, options=TIGHT).run(
-            ACSweep(frequencies_hz=freqs)
+        result = Session(circuit).run(
+            ACSweep(frequencies_hz=freqs, options=TIGHT)
         ).ac_results[0]
         exact = r / (1.0 + 2j * np.pi * freqs * r * c)
         np.testing.assert_allclose(result.phasor("n"), exact, rtol=1e-9)
@@ -435,8 +435,8 @@ class TestValidation:
             Session(rc_lowpass()).run(ACSweep(frequencies_hz=[-1.0]))
 
     def test_zero_frequency_is_the_dc_limit(self):
-        result = Session(rc_lowpass(), options=TIGHT).run(
-            ACSweep(frequencies_hz=[0.0, 1.0])
+        result = Session(rc_lowpass()).run(
+            ACSweep(frequencies_hz=[0.0, 1.0], options=TIGHT)
         ).ac_results[0]
         assert result.phasor("out")[0] == pytest.approx(1.0 + 0.0j, rel=1e-9)
 
@@ -444,8 +444,8 @@ class TestValidation:
         # A grid starting at 0 Hz has no log coordinate for its first
         # interval; the crossing must come back finite (linear interp),
         # never NaN.
-        result = Session(rc_lowpass(), options=TIGHT).run(
-            ACSweep(frequencies_hz=[0.0, 1e6, 1e7, 1e8])
+        result = Session(rc_lowpass()).run(
+            ACSweep(frequencies_hz=[0.0, 1e6, 1e7, 1e8], options=TIGHT)
         ).ac_results[0]
         corner = result.corner_frequency("out")
         assert corner is not None and np.isfinite(corner)
@@ -473,7 +473,7 @@ class TestValidation:
             def solve(self, rhs):
                 raise RuntimeError("back-substitution blew up")
 
-        monkeypatch.setattr(ac, "lu", lambda matrix, permc_spec: _Broken())
+        monkeypatch.setattr(ac, "lu", lambda matrix: _Broken())
         system = MNASystem(rc_lowpass())
         linear = ACSystem(system, np.zeros(system.size))
         with pytest.raises(NetlistError, match="back-substitution failed at 1000 Hz"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import NetlistError
 from repro.spice import (
@@ -32,6 +32,9 @@ class TestVoltageDivider:
         r2=st.floats(min_value=10.0, max_value=1e6),
         v=st.floats(min_value=-100.0, max_value=100.0),
     )
+    # A source below vtol: the cold start's zero vector already meets
+    # every tolerance, but it is not the answer.
+    @example(r1=10.0, r2=10.0, v=7.399368355671079e-09)
     def test_divider_property(self, r1, r2, v):
         c = Circuit()
         c.add(VoltageSource("V1", "in", "0", v))
@@ -39,6 +42,15 @@ class TestVoltageDivider:
         c.add(Resistor("R2", "out", "0", r2))
         op = Session(c).run(OP()).op
         assert op.voltage("out") == pytest.approx(v * r2 / (r1 + r2), rel=1e-6, abs=1e-9)
+
+    def test_current_below_abstol_still_moves_the_node(self):
+        # 0.5 pA into 1 MOhm: the zero start's KCL residual is under
+        # abstol (1 pA), so a cold solve must still take a step.
+        c = Circuit()
+        c.add(CurrentSource("I1", "0", "out", 0.5e-12))
+        c.add(Resistor("R1", "out", "0", 1e6))
+        op = Session(c).run(OP()).op
+        assert op.voltage("out") == pytest.approx(0.5e-6, rel=1e-5)
 
     def test_source_current_sign(self):
         # Delivering source: branch current (npos->nneg internal) negative.

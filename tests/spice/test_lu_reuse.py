@@ -24,6 +24,7 @@ from repro.spice import (
     VoltageSource,
     solve_dc,
 )
+from repro.spice import solver
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
 from repro.spice.solver import NewtonWorkspace, _newton, lu, solve_dc_system
@@ -42,17 +43,20 @@ def _diode_ladder(sections: int) -> Circuit:
 
 
 class TestReusePolicy:
-    def test_same_solution_with_and_without_reuse(self):
+    def test_same_solution_with_and_without_reuse(self, monkeypatch):
+        # A reuse limit of 0 is plain Newton: no stale step is tried.
         circuit = build_bandgap_cell()
-        with_reuse = solve_dc(circuit, options=SolverOptions(reuse_lu=True))
-        without = solve_dc(circuit, options=SolverOptions(reuse_lu=False))
+        with_reuse = solve_dc(circuit)
+        monkeypatch.setattr(solver, "REUSE_LIMIT", 0)
+        without = solve_dc(circuit)
         assert with_reuse.x == pytest.approx(without.x, abs=1e-9)
 
-    def test_no_reuse_means_factorization_per_iteration(self):
+    def test_no_reuse_means_factorization_per_iteration(self, monkeypatch):
+        monkeypatch.setattr(solver, "REUSE_LIMIT", 0)
         circuit = _diode_ladder(3)
         system = MNASystem(circuit)
         workspace = NewtonWorkspace()
-        options = SolverOptions(reuse_lu=False)
+        options = SolverOptions()
         solution = _newton(
             system, np.zeros(system.size), options, gmin=options.gmin,
             source_scale=1.0, workspace=workspace,
@@ -75,13 +79,10 @@ class TestReusePolicy:
         # Every accepted step still certified converged.
         assert all(r < 1e-6 for r in result.step_residuals)
 
-    def test_reuse_disabled_by_option_in_transient(self):
+    def test_reuse_disabled_by_option_in_transient(self, monkeypatch):
+        monkeypatch.setattr(solver, "REUSE_LIMIT", 0)
         circuit = build_startup_bandgap_cell(StartupRampConfig())
-        options = TransientOptions(
-            method="trap",
-            adaptive=True,
-            newton=SolverOptions(reuse_lu=False),
-        )
+        options = TransientOptions(method="trap", adaptive=True)
         result = Session(circuit).run(Transient(t_stop=2e-4, options=options)).result
         assert result.lu_reuses == 0
 
@@ -146,10 +147,9 @@ class TestSparseSwitch:
         if layout != "dense":
             jacobian = scipy.sparse.csr_matrix(jacobian).asformat(layout)
         workspace = NewtonWorkspace()
-        options = SolverOptions()
         STATS.reset()
-        assert workspace.factor(jacobian, options)
-        assert workspace.factor(jacobian, options)
+        assert workspace.factor(jacobian)
+        assert workspace.factor(jacobian)
         assert workspace.is_sparse == (layout != "dense")
         assert STATS.factorizations == 2
         assert STATS.sparse_factorizations == sparse_factorizations
@@ -166,49 +166,45 @@ class TestSparseSwitch:
             matrix = np.array(rows, dtype=dtype)
             return scipy.sparse.csc_matrix(matrix) if layout == "csc" else matrix
 
-        assert lu(build([[1, 2, 0], [2, 4, 0], [0, 0, 1]]), "COLAMD") is None
+        assert lu(build([[1, 2, 0], [2, 4, 0], [0, 0, 1]])) is None
         regular = [[2, 2, 0], [2, 5, 0], [0, 0, 2]]
         rhs = np.ones(3, dtype=dtype)
-        solution = lu(build(regular), "COLAMD").solve(rhs)
+        solution = lu(build(regular)).solve(rhs)
         np.testing.assert_allclose(np.array(regular) @ solution, rhs, rtol=1e-14)
 
-    def test_sparse_reuse_policy_only_applies_to_sparse_factors(self):
+    def test_sparse_reuse_policy_only_applies_to_sparse_factors(self, monkeypatch):
         # Dense systems must keep the strict policy bit-for-bit: the
-        # workspace reports is_sparse=False, so the sparse knobs are
+        # workspace reports is_sparse=False, so the sparse constants are
         # never consulted.
         circuit = _diode_ladder(3)
         system = MNASystem(circuit)
         workspace = NewtonWorkspace()
         jacobian, _ = system.assemble(np.zeros(system.size))
-        assert workspace.factor(jacobian, SolverOptions())
+        assert workspace.factor(jacobian)
         assert not workspace.is_sparse
         strict = solve_dc(circuit)
-        relaxed = solve_dc(
-            circuit,
-            options=SolverOptions(
-                sparse_reuse_limit=99, sparse_reuse_contraction=0.99
-            ),
-        )
+        monkeypatch.setattr(solver, "SPARSE_REUSE_LIMIT", 99)
+        monkeypatch.setattr(solver, "SPARSE_REUSE_CONTRACTION", 0.99)
+        relaxed = solve_dc(circuit)
         assert strict.x == pytest.approx(relaxed.x, abs=1e-12)
         assert strict.iterations == relaxed.iterations
 
-    def test_explicit_permc_spec_matches_default(self):
+    def test_explicit_permc_spec_matches_default(self, monkeypatch):
         # COLAMD is scipy's default ordering; naming it explicitly (or
         # picking NATURAL) must change performance only, never answers.
         circuit = _diode_ladder(120)
         default = solve_dc(circuit)
-        natural = solve_dc(
-            circuit, options=SolverOptions(sparse_permc="NATURAL")
-        )
+        monkeypatch.setattr(solver, "SPARSE_PERMC", "NATURAL")
+        natural = solve_dc(circuit)
         assert default.x == pytest.approx(natural.x, abs=1e-8)
 
-    def test_stall_bailout_disabled_reaches_budget(self):
-        # stall_window=0 restores the grind-to-max_iterations behaviour;
-        # the solution must not change either way.
+    def test_stall_bailout_disabled_reaches_budget(self, monkeypatch):
+        # STALL_WINDOW = 0 restores the grind-to-max_iterations
+        # behaviour; the solution must not change either way.
         circuit = build_bandgap_cell()
-        patient = solve_dc(
-            circuit, options=SolverOptions(stall_window=0)
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "STALL_WINDOW", 0)
+            patient = solve_dc(circuit)
         eager = solve_dc(circuit)
         assert patient.strategy == eager.strategy == "gain-stepping"
         assert patient.x == pytest.approx(eager.x, abs=1e-9)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import ConvergenceError
 from repro.spice import Circuit, Resistor, SolverOptions, VoltageSource, solve_dc
+from repro.spice import solver
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
 from repro.spice.stats import STATS
@@ -28,6 +29,29 @@ def diode_chain(n_diodes: int, load_ohm: float = 1e3, supply_v: float = 2.5) -> 
         circuit.add(Diode(f"D{i}", f"m{i}", f"m{i + 1}", is_=1e-15))
     circuit.add(Resistor("RL", f"m{n_diodes}", "0", load_ohm))
     return circuit
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iterations": 0},
+            {"abstol": 0.0},
+            {"vtol": -1e-8},
+            {"abstol": np.inf},
+            {"vtol": np.nan},
+            {"gmin": -1e-3},
+            {"gmin": np.inf},
+        ],
+        ids=["budget-0", "abstol-0", "vtol-negative", "abstol-inf", "vtol-nan",
+             "gmin-negative", "gmin-inf"],
+    )
+    def test_rejects_what_no_solve_can_meet(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverOptions(**bad)
+
+    def test_zero_gmin_is_allowed(self):
+        assert SolverOptions(gmin=0.0).gmin == 0.0
 
 
 class TestPlainNewton:
@@ -76,7 +100,7 @@ def _plain_span(tracer):
 
 
 #: The full stall window, and the fifth of it a cold plain run gets.
-WINDOW = SolverOptions().stall_window
+WINDOW = solver.STALL_WINDOW
 COLD_WINDOW = WINDOW // 5
 
 
@@ -92,7 +116,7 @@ class TestGainStepping:
         # The plain run's residual goes flat at ~4.7e-2 by its fifth
         # iteration, so it halves within the first window and then
         # never again: it bails out when the second window closes.  A
-        # cold run gets a fifth of stall_window; a caller seed, even the
+        # cold run gets a fifth of STALL_WINDOW; a caller seed, even the
         # cold start's own zero vector, keeps the full window.
         from repro.circuits.bandgap_cell import build_bandgap_cell
 
@@ -108,7 +132,7 @@ class TestGainStepping:
         assert plain.iterations[-1]["i"] == 2 * window + 1
         assert STATS.factorizations <= max_factorizations
 
-    def test_cold_hand_over_lands_on_the_patient_plain_answer(self):
+    def test_cold_hand_over_lands_on_the_patient_plain_answer(self, monkeypatch):
         # The rule's measured trade-off: before its 48 us ramp (VDD = 0)
         # at 327 K, the startup cell's plain run converges only under a
         # window of at least 25 iterations; it halves its residual too
@@ -122,19 +146,15 @@ class TestGainStepping:
         ramp = StartupRampConfig(ramp=48e-6)
         circuit = build_startup_bandgap_cell(ramp)
         fast = solve_dc(circuit, temperature_k=327.0, time=0.0)
-        patient = solve_dc(
-            circuit,
-            temperature_k=327.0,
-            time=0.0,
-            options=SolverOptions(stall_window=0),
-        )
+        monkeypatch.setattr(solver, "STALL_WINDOW", 0)
+        patient = solve_dc(circuit, temperature_k=327.0, time=0.0)
         assert fast.strategy == "gain-stepping"
         assert patient.strategy == "newton"
         np.testing.assert_allclose(fast.x, patient.x, rtol=0.0, atol=1e-8)
         # perfbench's dead-state bound on VREF before the ramp.
         assert abs(fast.x[circuit.node_index("vref")]) < 5e-3
 
-    def test_slow_gain_ramp_gives_up_within_the_iteration_budget(self):
+    def test_slow_gain_ramp_gives_up_within_the_iteration_budget(self, monkeypatch):
         # A first ratio of 1.001 squares its way up (1.001, 1.002,
         # 1.004, ...) through ten quick rungs.  The eleventh is the log
         # amplifier's hard one (22 iterations under the default budget):
@@ -148,8 +168,9 @@ class TestGainStepping:
             ".model DM D (IS=1e-15 N=1.0)\nV1 in 0 1\nR1 in n 1k\n"
             "A1 0 n out gain=1e5\nD1 n out DM\n"
         )
-        options = SolverOptions(gain_ramp_ratio=1.001, max_iterations=12)
-        with tracing(detail="full") as tracer:
+        options = SolverOptions(max_iterations=12)
+        with monkeypatch.context() as patch, tracing(detail="full") as tracer:
+            patch.setattr(solver, "GAIN_RAMP_RATIO", 1.001)
             slow = solve_dc(parse_netlist(log_amp), options=options)
         dc_solve, rungs = _gain_rungs(tracer)
         assert dc_solve.attrs["gain_rungs"] == len(rungs) == options.max_iterations
@@ -213,40 +234,26 @@ class TestGminStepping:
 
 
 class TestSourceStepping:
-    def test_starved_newton_without_gmin_ladder_source_steps(self):
+    def test_starved_newton_without_gmin_ladder_source_steps(self, monkeypatch):
         # With the gmin ladder disabled the only remaining fallback is
         # the source ramp (the zero-source circuit solves trivially and
         # each 10%-step warm start stays in the basin).
-        options = SolverOptions(max_iterations=8, gmin_ladder=())
+        monkeypatch.setattr(solver, "GMIN_LADDER", ())
+        options = SolverOptions(max_iterations=8)
         solution = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
         assert solution.strategy == "source-stepping"
 
-    def test_source_stepping_solution_matches_reference(self):
-        options = SolverOptions(max_iterations=8, gmin_ladder=())
-        stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
+    def test_source_stepping_solution_matches_reference(self, monkeypatch):
+        options = SolverOptions(max_iterations=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "GMIN_LADDER", ())
+            stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
         reference = solve_dc(diode_chain(4, load_ohm=10.0))
         assert stepped.x == pytest.approx(reference.x, abs=1e-6)
 
-    def test_truncated_ramp_still_ends_at_full_source(self):
-        # A ramp that stops at 50 % must not return the half-source
-        # point as the answer: the ladder always finishes at full source.
-        options = SolverOptions(
-            max_iterations=8, gmin_ladder=(), source_ramp=(0.1, 0.3, 0.5)
-        )
-        stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
-        reference = solve_dc(diode_chain(4, load_ohm=10.0))
-        assert stepped.strategy == "source-stepping"
-        assert stepped.x == pytest.approx(reference.x, abs=1e-6)
-
-    def test_empty_ramp_is_a_single_full_source_stage(self):
-        # With no ramp the only source stage is a cold full-source run,
-        # which the starved budget cannot converge: a typed failure.
-        options = SolverOptions(max_iterations=8, gmin_ladder=(), source_ramp=())
-        with pytest.raises(ConvergenceError, match="100%"):
-            solve_dc(diode_chain(4, load_ohm=10.0), options=options)
-
-    def test_exhausted_ladder_raises_convergence_error(self):
+    def test_exhausted_ladder_raises_convergence_error(self, monkeypatch):
         # 2 iterations are not enough for any rung of the ladder.
-        options = SolverOptions(max_iterations=2, gmin_ladder=())
+        monkeypatch.setattr(solver, "GMIN_LADDER", ())
+        options = SolverOptions(max_iterations=2)
         with pytest.raises(ConvergenceError):
             solve_dc(diode_chain(4, load_ohm=10.0), options=options)

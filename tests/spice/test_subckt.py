@@ -32,7 +32,7 @@ from repro.spice.mna import MNASystem
 from repro.spice.parser import parse_netlist
 from repro.spice.plans import OP
 from repro.spice.session import Session
-from repro.spice.solver import NewtonWorkspace, SolverOptions, solve_dc_system
+from repro.spice.solver import NewtonWorkspace, solve_dc_system
 from repro.spice.stats import STATS
 
 
@@ -369,30 +369,31 @@ class TestSparseRouting:
         outputs = [result.voltage(f"o{i}") for i in range(cells)]
         assert max(outputs) - min(outputs) < 1e-9
 
-    def test_sparse_reuse_policy_beats_the_dense_policy(self):
+    def test_sparse_reuse_policy_beats_the_dense_policy(self, monkeypatch):
         # The same warm-started 9-point resweep of the 120-cell array,
         # once under the sparse stale-LU policy (limit 16, contraction
         # 0.4) and once under the dense limits (4 / 0.1) applied to the
         # sparse factors: the sparse policy must spend no more
         # factorizations, reuse at least as often, and win on one.
-        def warm_resweep(options):
+        from repro.spice import solver
+
+        def warm_resweep():
             system = MNASystem(parse_netlist(bandgap_array(cells=120)))
             workspace = NewtonWorkspace()
             before = STATS.snapshot()
             x = None
             for temperature in np.linspace(280.15, 320.15, 9):
                 system.set_temperature(temperature)
-                x = solve_dc_system(
-                    system, options=options, x0=x, workspace=workspace
-                ).x
+                x = solve_dc_system(system, x0=x, workspace=workspace).x
             delta = STATS.delta_since(before)
             assert delta["sparse_conversions"] == 0
             return delta["factorizations"], delta["lu_reuses"]
 
-        strict_factorizations, strict_reuses = warm_resweep(
-            SolverOptions(sparse_reuse_limit=4, sparse_reuse_contraction=0.1)
-        )
-        tuned_factorizations, tuned_reuses = warm_resweep(SolverOptions())
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "SPARSE_REUSE_LIMIT", solver.REUSE_LIMIT)
+            patch.setattr(solver, "SPARSE_REUSE_CONTRACTION", solver.REUSE_CONTRACTION)
+            strict_factorizations, strict_reuses = warm_resweep()
+        tuned_factorizations, tuned_reuses = warm_resweep()
         assert tuned_factorizations <= strict_factorizations
         assert tuned_reuses >= strict_reuses
         assert (

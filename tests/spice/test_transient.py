@@ -354,9 +354,25 @@ class TestStepControl:
         with pytest.raises(NetlistError):
             TransientOptions(method="gear2")
 
-    def test_rejects_non_shrinking_newton_shrink(self):
-        with pytest.raises(NetlistError):
-            TransientOptions(newton_shrink=1.0)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_steps": 0},
+            {"dt_init": -1.0},
+            {"dt_min": 0.0},
+            {"dt_max": math.inf},
+            {"dt_init": math.nan},
+            {"lte_reltol": math.nan},
+            {"lte_abstol": 0.0},
+        ],
+        ids=[
+            "max-steps-0", "dt-init-negative", "dt-min-zero", "dt-max-inf",
+            "dt-init-nan", "lte-reltol-nan", "lte-abstol-zero",
+        ],
+    )
+    def test_rejects_out_of_range_step_settings(self, bad):
+        with pytest.raises(NetlistError, match=next(iter(bad))):
+            TransientOptions(**bad)
 
     def test_narrow_pulse_is_not_stepped_over(self):
         # A 10 ns pulse halfway through a 1 ms window: the grown step
