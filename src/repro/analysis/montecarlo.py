@@ -4,9 +4,10 @@ Runs both extraction methods over a synthetic lot and summarises the
 recovered couples: the quantitative version of the paper's comparison
 between the classical and analytical approaches.
 
-Chips are independent (each carries its own seed), so the lot fans out
-over a process pool via :func:`repro.parallel.parallel_map`; results
-are bitwise identical to the serial run regardless of worker count.
+Chips are independent (each carries its own seed), so the lot can fan
+out over a process pool via :func:`repro.parallel.supervised_map`;
+results are bitwise identical to the serial run regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..errors import ReproError
 from ..extraction.pipeline import run_analytical_extraction
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.samples import ProcessSpread
-from ..parallel import parallel_map
+from ..parallel import supervised_map
 
 #: The planted ground truth (see repro.bjt.parameters).
 TRUE_EG, TRUE_XTI = 1.1324, 3.4616
@@ -80,9 +81,10 @@ def run_extraction_montecarlo(
 
     ``corrected`` chooses the full analytical method (pad-corrected
     offset + eqs. 19-20 current correction) versus the raw readout.
-    ``max_workers`` fans the lot out over processes (None defers to the
-    REPRO_WORKERS environment variable; chips carry their own seeds, so
-    the summary does not depend on the worker count).
+    ``max_workers`` fans the lot out over that many processes (None,
+    the default, runs it serially; non-positive uses every core).
+    Chips carry their own seeds, so the summary does not depend on the
+    worker count.
     """
     if lot_size < 2:
         raise ReproError("a Monte-Carlo lot needs at least two chips")
@@ -91,7 +93,10 @@ def run_extraction_montecarlo(
         (sample, seed + index, include_noise, corrected)
         for index, sample in enumerate(samples)
     ]
-    couples = parallel_map(_extract_chip, tasks, max_workers=max_workers)
+    couples = [
+        outcome.value
+        for outcome in supervised_map(_extract_chip, tasks, max_workers=max_workers)
+    ]
     label = "analytical/corrected" if corrected else "analytical/raw"
     return MonteCarloSummary(
         label=label,

@@ -15,9 +15,10 @@ as a machine-scrapable ``BENCH {json}`` line, so perf trajectories can
 be collected from plain CI logs.  Bench rows carry a ``trace_summary``
 with per-plan wall times and counter deltas (a plans-level tracer runs
 during each timed experiment), so experiments sharing one session no
-longer blend their work into a single total.  ``--workers N`` fans
-independent work (experiments, sweep chains, Monte-Carlo chips) over N
-processes (0 = all cores); results are identical to a serial run.
+longer blend their work into a single total.  ``--workers N`` fans the
+named experiments, whole, over N processes (0 = all cores; bench runs
+stay in-process); results, counters and traces are identical to a
+serial run.
 
 Bench runs print a one-line provenance stamp (git SHA, host
 fingerprint) and can be *governed* through the campaign index
@@ -77,6 +78,8 @@ from typing import List, Optional
 from . import telemetry
 from .experiments import EXPERIMENTS, render_result, render_summary, run_experiment
 from .experiments.export import write_csv
+from .experiments.registry import run_experiments
+from .resilience import RunPolicy, supervised_call
 from .spice.stats import STATS, SolverStats
 
 #: Exit status for usage errors (unknown experiment, bad flags).
@@ -140,6 +143,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         except ValueError as exc:
             print(f"--serve: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        if serve_workers < 1:
+            print(
+                f"--serve-workers must be at least 1, got {serve_workers}",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
+        if port is not None and not 0 <= port <= 65535:
+            print(f"--port must be in 0..65535, got {port}", file=sys.stderr)
             return USAGE_ERROR
         from .serve import server as serve_server
 
@@ -265,8 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError:
             print(f"--retries needs an integer, got {retries_raw!r}", file=sys.stderr)
             return USAGE_ERROR
-        from .resilience import RunPolicy
-
         try:
             policy = RunPolicy(max_retries=retries, on_failure="record")
         except Exception as exc:
@@ -304,88 +314,59 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"host={bench_host['fingerprint']}"
         )
 
-    def run_supervised(name: str, position: int):
-        """Run one experiment under the --retries policy, filing the
-        result or the failure record."""
-        from .resilience import supervised_call
-
-        outcome = supervised_call(
-            lambda: run_experiment(name), index=position, policy=policy
-        )
-        if outcome.ok:
-            results[name] = outcome.value
-        else:
-            failures[name] = outcome
-
     if bench:
-        # Timed one-by-one, fully in-process: worker processes would
-        # increment their own STATS singletons and the parent snapshot
-        # would under-report, so intra-experiment fan-out (REPRO_WORKERS)
-        # is forced off for the duration of the timed runs.
-        import os
-
-        saved_workers = os.environ.get("REPRO_WORKERS")
-        os.environ["REPRO_WORKERS"] = "1"
-        # A plans-level tracer per timed run attributes counters to the
-        # individual plan spans (shared-session experiments used to
-        # blend their plans into one blended STATS row); --trace
-        # upgrades it to full detail, which perturbs the measured walls
-        # but buys the whole solve tree.
+        # Timed one-by-one in this process, so each row's STATS snapshot
+        # is exactly that experiment's work.  A plans-level tracer per
+        # timed run attributes counters to the individual plan spans
+        # (shared-session experiments used to blend their plans into one
+        # blended STATS row); --trace upgrades it to full detail, which
+        # perturbs the measured walls but buys the whole solve tree.
         detail = "full" if trace_path else "plans"
         metrics_stats = SolverStats()
-        try:
-            for position, name in enumerate(names):
-                STATS.reset()
-                tracer = telemetry.install_tracer(detail=detail)
-                t0 = time.perf_counter()
-                try:
-                    if policy is not None:
-                        run_supervised(name, position)
-                    else:
-                        results[name] = run_experiment(name)
-                finally:
-                    telemetry.uninstall_tracer()
-                wall = time.perf_counter() - t0
-                bench_rows.append(
-                    {
-                        "experiment": name,
-                        "wall_s": round(wall, 4),
-                        **STATS.as_dict(),
-                        "trace_summary": telemetry.trace_summary(tracer),
-                    }
+        batch = {}
+        for position, name in enumerate(names):
+            STATS.reset()
+            tracer = telemetry.install_tracer(detail=detail)
+            t0 = time.perf_counter()
+            try:
+                batch[name] = (
+                    run_experiment(name)
+                    if policy is None
+                    else supervised_call(
+                        lambda: run_experiment(name), index=position, policy=policy
+                    )
                 )
-                metrics_stats.merge(STATS)
-                trace_spans.extend(tracer.roots)
-        finally:
-            if saved_workers is None:
-                del os.environ["REPRO_WORKERS"]
-            else:
-                os.environ["REPRO_WORKERS"] = saved_workers
+            finally:
+                telemetry.uninstall_tracer()
+            wall = time.perf_counter() - t0
+            bench_rows.append(
+                {
+                    "experiment": name,
+                    "wall_s": round(wall, 4),
+                    **STATS.as_dict(),
+                    "trace_summary": telemetry.trace_summary(tracer),
+                }
+            )
+            metrics_stats.merge(STATS)
+            trace_spans.extend(tracer.roots)
     else:
         tracer = telemetry.install_tracer(detail="full") if trace_path else None
         try:
-            if max_workers is not None and max_workers != 1 and len(names) > 1:
-                from .experiments.registry import run_experiments
-
-                batch = run_experiments(names, max_workers=max_workers, policy=policy)
-                if policy is None:
-                    results = batch
-                else:
-                    for name, outcome in batch.items():
-                        if outcome is not None and outcome.ok:
-                            results[name] = outcome.value
-                        else:
-                            failures[name] = outcome
-            elif policy is not None:
-                for position, name in enumerate(names):
-                    run_supervised(name, position)
-            else:
-                for name in names:
-                    results[name] = run_experiment(name)
+            batch = run_experiments(names, max_workers, policy)
         finally:
             if tracer is not None:
                 telemetry.uninstall_tracer()
                 trace_spans.extend(tracer.roots)
+    # Without --retries the batch maps names to results; with it, to
+    # Outcome records.
+    if policy is None:
+        results = batch
+    else:
+        for name, outcome in batch.items():
+            if outcome.ok:
+                results[name] = outcome.value
+            else:
+                failures[name] = outcome
     for name in names:
         if name in results:
             print(render_result(results[name]))

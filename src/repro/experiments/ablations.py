@@ -127,8 +127,8 @@ def run_solver() -> ExperimentResult:
         ("trimmed", BandgapCellConfig(radja=2.5e3)),
     )
     # Three sessions (one per configuration) over the same grid: the
-    # Session batch layer solves them (and fans them across processes
-    # under REPRO_WORKERS) with results identical to sequential sweeps.
+    # Session batch layer solves them, with results identical to
+    # sequential sweeps.
     sweeps = run_plans(
         [
             (

@@ -28,7 +28,6 @@ from ..circuits.trim import PAPER_RADJA_SWEEP_OHM
 from ..extraction.pipeline import run_analytical_extraction, run_classical_extraction
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.samples import paper_lot
-from ..parallel import parallel_map
 from ..units import celsius_to_kelvin
 from .registry import ExperimentResult, register
 
@@ -59,9 +58,7 @@ def run() -> ExperimentResult:
     temps_k = [celsius_to_kelvin(t) for t in FIG8_TEMPS_C]
     true_couple = (sample.bjt_params().eg, sample.bjt_params().xti)
 
-    # The six curve families are independent sweeps over the same
-    # temperature grid — exactly the batch shape the parallel layer
-    # handles.  Serial by default; REPRO_WORKERS fans them out.
+    # The six curve families: analytic sweeps over the same grid.
     configs = [
         _cell_config(sample, *true_couple, with_parasitic=True),
         _cell_config(sample, *standard, with_parasitic=False),
@@ -69,7 +66,7 @@ def run() -> ExperimentResult:
         _cell_config(sample, *extracted, with_parasitic=True, radja=radja)
         for radja in PAPER_RADJA_SWEEP_OHM
     ]
-    curves = parallel_map(_sweep_task, [(config, temps_k) for config in configs])
+    curves = [_sweep(config, temps_k) for config in configs]
     measured, s0 = curves[0], curves[1]
     trimmed = dict(zip(PAPER_RADJA_SWEEP_OHM, curves[2:]))
 
@@ -141,9 +138,3 @@ def run() -> ExperimentResult:
 def _sweep(config: BandgapCellConfig, temps_k) -> np.ndarray:
     bandgap = BehaviouralBandgap(config)
     return np.array([bandgap.vref(t) for t in temps_k])
-
-
-def _sweep_task(task) -> np.ndarray:
-    """Worker: one (config, temperature grid) curve (picklable)."""
-    config, temps_k = task
-    return _sweep(config, temps_k)

@@ -15,10 +15,9 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError, ReproError
-from ..parallel import absorb_worker_telemetry, supervised_map, worker_telemetry
+from ..errors import RETRYABLE_ERRORS, ExperimentError, ReproError
+from ..parallel import supervised_map
 from ..resilience import RunPolicy
-from ..telemetry import tracer as _tele
 
 #: The runner modules, in registration order: importing each runs its
 #: ``@register`` decorators.
@@ -138,7 +137,7 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
 
 
 def _run_attributed(name: str) -> ExperimentResult:
-    """Worker: run one experiment, attributing any failure to its id.
+    """Worker: run one experiment, attributing a terminal failure to its id.
 
     A raw exception escaping a process-pool worker loses the submitting
     call site (the traceback points into the pool plumbing), so a batch
@@ -146,25 +145,17 @@ def _run_attributed(name: str) -> ExperimentResult:
     Wrapping here — inside the worker — bakes the experiment id into
     the exception message itself, which also survives pickling back to
     the parent (pickled exceptions keep their args, not their chained
-    context).
+    context).  Retryable errors pass through with their own type, so a
+    run policy can still retry them.
     """
     try:
         return run_experiment(name)
-    except ExperimentError:
-        raise  # already attributed (e.g. an unknown-name error)
+    except (ExperimentError, *RETRYABLE_ERRORS):
+        raise  # already attributed (an unknown name), or retryable
     except Exception as exc:
         raise ExperimentError(
             f"experiment {name!r} failed: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-def _run_attributed_task(task: Tuple[str, Optional[str]]):
-    """Worker: :func:`_run_attributed` plus telemetry capture, so a
-    fanned experiment's counters and spans ship home with its result."""
-    name, trace_detail = task
-    with worker_telemetry(trace_detail) as box:
-        result = _run_attributed(name)
-    return result, box
 
 
 def run_experiments(
@@ -172,16 +163,18 @@ def run_experiments(
     max_workers: Optional[int] = None,
     policy: Optional["RunPolicy"] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run the named experiments, optionally fanning out over processes.
+    """Run the named experiments, serially or fanned over processes.
 
-    Experiments are independent of each other, so the results are
-    identical regardless of worker count; unknown names raise through
-    :func:`run_experiment` before any work is dispatched, and a runner
-    failure surfaces as :class:`~repro.errors.ExperimentError` carrying
-    the failing experiment's id (see :func:`_run_attributed`).  Worker
-    STATS counters and trace spans are merged back into this process
-    (:func:`repro.parallel.absorb_worker_telemetry`), so fanned and
-    serial batches report identical telemetry.
+    One :func:`~repro.parallel.supervised_map` call runs the batch:
+    ``max_workers=None`` runs it in this process, a count fans whole
+    experiments over that many worker processes (non-positive: every
+    core).  Experiments are independent of each other, so the results
+    are identical regardless of worker count, and the workers' counters
+    and trace spans come home with their results.  Unknown names raise
+    through :func:`run_experiment` before any work is dispatched, and a
+    terminal runner failure surfaces as
+    :class:`~repro.errors.ExperimentError` carrying the failing
+    experiment's id (see :func:`_run_attributed`).
 
     With a :class:`~repro.resilience.RunPolicy` the batch runs
     supervised and the mapping's values become per-experiment
@@ -193,16 +186,9 @@ def run_experiments(
     for name in names:
         if name not in EXPERIMENTS:
             run_experiment(name)  # raises with the known-experiment list
-    detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
-    tasks = [(name, detail) for name in names]
     outcomes = supervised_map(
-        _run_attributed_task, tasks, policy=policy, max_workers=max_workers
+        _run_attributed, names, policy=policy, max_workers=max_workers
     )
-    for outcome in outcomes:
-        if outcome.ok:
-            result, box = outcome.value
-            absorb_worker_telemetry(box)
-            outcome.value = result
     if policy is None:
         return {name: outcome.value for name, outcome in zip(names, outcomes)}
     return dict(zip(names, outcomes))

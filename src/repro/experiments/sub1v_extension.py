@@ -20,18 +20,10 @@ from ..circuits.sub1v import Sub1VBandgap, Sub1VConfig
 from ..extraction.pipeline import run_analytical_extraction, run_classical_extraction
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.samples import paper_lot
-from ..parallel import parallel_map
 from ..units import celsius_to_kelvin
 from .registry import ExperimentResult, register
 
 TEMPS_C = tuple(range(-55, 146, 20))
-
-
-def _variant_curve(task) -> list:
-    """Worker: sweep one model-card variant over the grid (picklable)."""
-    config, temps_k = task
-    model = Sub1VBandgap(config)
-    return [model.vref(temp_k) for temp_k in temps_k]
 
 
 @register("sub1v_extension")
@@ -53,17 +45,16 @@ def run() -> ExperimentResult:
 
     true_couple = (sample.bjt_params().eg, sample.bjt_params().xti)
     temps_k = [celsius_to_kelvin(t) for t in TEMPS_C]
-    # Three independent model-card variants over the same grid: a batch
-    # (serial by default, REPRO_WORKERS fans it out).
+    # Three model-card variants over the same grid.
     variants = [
         config_for(true_couple, with_parasitic=True),
         config_for(standard, with_parasitic=False),
         config_for(extracted, with_parasitic=True),
     ]
-    curves = parallel_map(
-        _variant_curve, [(config, temps_k) for config in variants]
+    fab, std, insitu = (
+        np.asarray([model.vref(temp_k) for temp_k in temps_k])
+        for model in map(Sub1VBandgap, variants)
     )
-    fab, std, insitu = (np.asarray(curve) for curve in curves)
     rows = [
         (temp_c, round(f, 5), round(s, 5), round(i, 5))
         for temp_c, f, s, i in zip(TEMPS_C, fab, std, insitu)

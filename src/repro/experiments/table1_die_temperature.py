@@ -18,7 +18,6 @@ import numpy as np
 from ..extraction.pipeline import run_analytical_extraction
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.samples import paper_lot
-from ..parallel import parallel_map
 from ..units import kelvin_to_celsius
 from .registry import ExperimentResult, register
 
@@ -32,9 +31,8 @@ PAPER_TABLE1 = {
 }
 
 
-def _sample_deltas(task):
-    """Worker: one chip's extraction + temperature deltas (picklable)."""
-    index, sample = task
+def _sample_deltas(index, sample):
+    """One chip's extraction + temperature deltas."""
     sweep = sorted(set(TABLE1_TEMPS_C) | {-50.0, 50.0, 100.0})
     campaign = MeasurementCampaign(sample, include_noise=True, seed=10 + index)
     extraction = run_analytical_extraction(
@@ -45,9 +43,10 @@ def _sample_deltas(task):
 
 @register("table1")
 def run() -> ExperimentResult:
-    # Five independent chips: a batch — serial by default, REPRO_WORKERS
-    # fans the lot out (each chip's seed is fixed, so results match).
-    per_sample = parallel_map(_sample_deltas, list(enumerate(paper_lot())))
+    # Five chips, each with its own fixed seed.
+    per_sample = [
+        _sample_deltas(index, sample) for index, sample in enumerate(paper_lot())
+    ]
     rows = []
     deltas_t1, deltas_t3 = [], []
     for name, (d1, d2, d3) in per_sample:

@@ -1,39 +1,43 @@
 """Process fan-out for independent work items, with supervised execution.
 
-Every sweep/Monte-Carlo layer in the repo funnels its independent work
-through this module:
+:func:`supervised_map` is the one fan-out path: the Session batches
+(:meth:`~repro.spice.session.Session.run_many`,
+:func:`~repro.spice.session.run_plans`), the experiment registry
+(:func:`~repro.experiments.registry.run_experiments`) and the
+Monte-Carlo extraction lot
+(:func:`~repro.analysis.montecarlo.run_extraction_montecarlo`) each make
+one call.  It returns one :class:`~repro.resilience.Outcome` per item
+(ok / failed, with the captured exception, attempt count and worker
+pid), governed by a :class:`~repro.resilience.RunPolicy` (retries with
+exponential backoff, on-failure action).  With ``policy=None`` it is a
+plain map: no retries, the first work-function exception re-raised
+unchanged, fault injection disarmed and no span of its own.
 
-* :func:`supervised_map` — the fan-out engine: one
-  :class:`~repro.resilience.Outcome` per item (ok / failed, with the
-  captured exception, attempt count and worker pid), governed by a
-  :class:`~repro.resilience.RunPolicy` (retries with exponential
-  backoff, on-failure action).  With
-  ``policy=None`` it has :func:`parallel_map` semantics, so the Session
-  fan-out (:meth:`~repro.spice.session.Session.run_many`,
-  :func:`~repro.spice.session.run_plans`) and the experiment registry
-  make one call either way and only unwrap the outcomes differently.
-* :func:`parallel_map` — the plain map over that engine: results in item
-  order, first work-function exception re-raised unchanged.  Pool
-  *infrastructure* failures (un-picklable payloads, an unspawnable
-  pool, a worker death) degrade gracefully without re-running completed
-  work; a genuine exception raised by ``func`` propagates — it is never
-  masked by a silent serial re-run.
+Failure taxonomy: a pool worker runs each attempt through an
+*envelope* that returns the work function's exception as data, so any
+exception raised by the future itself is pool infrastructure by
+construction — payload/result pickling, or a broken pool.
+Infrastructure failures fall back to in-process execution **for the
+affected items only** (counted in ``STATS.serial_fallbacks``); a
+mid-run ``BrokenProcessPool`` keeps every completed item, finishes
+**only the unfinished items** (and pending retries) in-process, and
+warns once naming the cause.  A genuine exception raised by ``func`` is
+never masked by a silent serial re-run.
 
-Failure taxonomy (the fix for the old over-broad fallback): a pool
-worker runs each attempt through an *envelope* that returns the work
-function's exception as data, so any exception raised by the future
-itself is pool infrastructure by construction — payload/result
-pickling, or a broken pool.  Infrastructure failures fall back to
-in-process execution **for the affected items only** (counted in
-``STATS.serial_fallbacks``); a mid-run ``BrokenProcessPool`` keeps every
-completed item, finishes **only the unfinished items** (and pending
-retries) in-process, and warns once naming the cause.
+Telemetry crosses the process boundary in the same envelope and
+nowhere else: each worker attempt, ok or failed, ships its
+:data:`~repro.spice.stats.STATS` movement and — when the submitter is
+tracing — its span tree at the submitter's detail.  The supervisor
+merges the counters into this process and grafts the spans (tagged
+``worker_pid``) under the submitter's current span.  In-process
+execution (the serial path and every serial fallback) records straight
+into this process and captures nothing, so every attempt's counters
+and spans are reported exactly once, fanned or serial.
 
-Worker-count resolution: an explicit ``max_workers`` wins; otherwise the
-``REPRO_WORKERS`` environment variable; otherwise serial.  ``0`` (or any
-non-positive count) means "all cores".  Serial-by-default keeps test
-runs and single-core CI deterministic-by-construction and free of pool
-startup cost; batch jobs opt in with ``REPRO_WORKERS=0`` (or a count).
+Worker counts are explicit: ``max_workers=None`` runs serially, a
+positive count sizes the pool, and ``0`` (or any non-positive count)
+means every core.  Serial-by-default keeps test runs and single-core
+CI deterministic by construction and free of pool startup cost.
 
 Deterministic fault injection (:mod:`repro.faultinject`) is consulted
 only when a caller passes an explicit policy to :func:`supervised_map`
@@ -46,7 +50,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from . import faultinject
@@ -64,15 +67,9 @@ R = TypeVar("R")
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
-    """Resolve a worker count: argument, else REPRO_WORKERS, else 1."""
+    """Resolve a worker count: None is serial, non-positive is every core."""
     if max_workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if not raw:
-            return 1
-        try:
-            max_workers = int(raw)
-        except ValueError:
-            return 1
+        return 1
     if max_workers <= 0:
         return os.cpu_count() or 1
     return max_workers
@@ -90,9 +87,9 @@ def _tracer():
     return _tele.ACTIVE
 
 
-#: The compatibility policy :func:`parallel_map` supervises under:
-#: legacy semantics exactly — no retries, first work failure re-raised.
-_COMPAT_POLICY = RunPolicy(on_failure="raise")
+#: The policy a policy-free :func:`supervised_map` runs under: no
+#: retries, first work failure re-raised.
+_PLAIN_POLICY = RunPolicy(on_failure="raise")
 
 
 class _Supervisor:
@@ -111,6 +108,8 @@ class _Supervisor:
         self.policy = policy
         self.workers = workers
         self.fault_spec = fault_spec
+        trc = _tracer()
+        self.trace_detail = None if trc is None else trc.detail
         self.outcomes: List[Optional[Outcome]] = [None] * len(work)
         self.t0 = [None] * len(work)  # first-submission clock per item
         self.retry_next: List = []  # (index, attempt, error) of this wave
@@ -121,8 +120,12 @@ class _Supervisor:
         return 0.0 if t0 is None else time.perf_counter() - t0
 
     def _handle_envelope(self, envelope: dict, index: int, attempt: int) -> None:
-        """File one worker attempt: ok, a retry for the next wave, or a
-        terminal failure."""
+        """Merge one worker attempt's telemetry, then file the attempt:
+        ok, a retry for the next wave, or a terminal failure."""
+        _stats().merge(envelope["stats"])
+        trc = _tracer()
+        if trc is not None and envelope.get("spans"):
+            trc.graft(envelope["spans"], worker_pid=envelope["pid"])
         if envelope["ok"]:
             self.outcomes[index] = Outcome(
                 index=index,
@@ -202,7 +205,7 @@ class _Supervisor:
                         self.t0[index] = time.perf_counter()
                     payload = (
                         self.func, self.work[index], index, attempt,
-                        self.fault_spec,
+                        self.fault_spec, self.trace_detail,
                     )
                     futures.append(
                         (pool.submit(attempt_in_worker, payload), index, attempt)
@@ -259,19 +262,21 @@ def supervised_map(
 ) -> List[Outcome]:
     """Map ``func`` over ``items`` under supervision; one Outcome each.
 
-    Outcomes come back in item order.  With ``policy=None`` the
-    compatibility policy applies (no retries, first work failure
-    re-raised — exactly :func:`parallel_map`) and fault injection is
-    disarmed; with an explicit policy, failures become
-    per-item records per the policy's on-failure action and the active
-    :mod:`repro.faultinject` plan is honoured.
+    Outcomes come back in item order.  With ``policy=None`` it is a
+    plain map (no retries, the first work failure re-raised unchanged,
+    fault injection disarmed, no ``supervised_map`` span); with an
+    explicit policy, failures become per-item records per the policy's
+    on-failure action and the active :mod:`repro.faultinject` plan is
+    honoured.  ``max_workers=None`` runs serially, a non-positive count
+    uses every core.
 
     Semantics are identical for serial and fanned execution (the
     fault-injection suite pins this): retries and backoff always run in
     the submitting process, a worker runs exactly one attempt per
     submission, and the resilience counters (``retries``,
     ``worker_failures``, ``serial_fallbacks``) move the same way on both
-    paths.  The only pool-specific events are a real
+    paths, as do the solver counters and trace spans of the work (see
+    the module docstring).  The only pool-specific events are a real
     ``BrokenProcessPool`` (completed items are kept; the unfinished ones
     finish in-process without being charged an attempt, counted as one
     worker failure and one serial fallback) and per-item payload/result
@@ -279,7 +284,7 @@ def supervised_map(
     fallbacks).
     """
     armed = policy is not None
-    policy = policy if policy is not None else _COMPAT_POLICY
+    policy = policy if policy is not None else _PLAIN_POLICY
     work: Sequence[T] = list(items)
     fault_spec = faultinject.active_spec() if armed else None
     workers = min(resolve_workers(max_workers), len(work))
@@ -304,9 +309,8 @@ def supervised_map(
                     raise outcome.error
         return supervisor.outcomes
 
-    # Compat mode stays span-silent: parallel_map's serial fast path
-    # never traced, and fanned-vs-serial trace equality is a pinned
-    # contract of the telemetry suite.
+    # A policy-free map stays span-silent, so run_plans traces exactly
+    # the plans it runs, fanned or serial.
     trc = _tracer() if armed else None
     if trc is None:
         return run()
@@ -322,84 +326,3 @@ def supervised_map(
             counts[outcome.status] = counts.get(outcome.status, 0) + 1
         span.attrs.update(counts)
         return outcomes
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: Optional[int] = None,
-) -> List[R]:
-    """Map ``func`` over ``items``, fanning out across processes.
-
-    Results come back in item order, exactly as ``[func(i) for i in
-    items]`` would produce them — parallelism never changes the answer,
-    only the wall clock.  Pool-infrastructure failures degrade to
-    in-process execution (completed items are never re-run); a genuine
-    error *raised by func* re-raises unchanged — it is never masked by
-    a serial re-run of expensive (or side-effectful) work.
-    """
-    work: Sequence[T] = list(items)
-    workers = min(resolve_workers(max_workers), len(work))
-    if workers <= 1 or len(work) <= 1:
-        return [func(item) for item in work]
-    outcomes = supervised_map(func, work, policy=None, max_workers=workers)
-    return [outcome.value for outcome in outcomes]
-
-
-# ----------------------------------------------------------------------
-# Worker telemetry (ship-and-merge, like the Session solved-point cache)
-# ----------------------------------------------------------------------
-
-@contextmanager
-def worker_telemetry(trace_detail: Optional[str] = None):
-    """Capture a work item's telemetry into a picklable box.
-
-    Wrap the body of a fan-out work function with this and ship the
-    yielded ``box`` home in the payload; the submitting side hands it
-    to :func:`absorb_worker_telemetry`.  The box records the
-    worker ``pid``, the :data:`repro.spice.stats.STATS` counter movement
-    of the block (``stats``), and — when ``trace_detail`` is given
-    (pass the parent tracer's ``detail`` at submission time) — the
-    block's exported trace ``spans``.  A fresh tracer is installed for
-    the block even when the work runs in-process (the serial
-    fallback), so spans are never double-recorded: the parent sees them
-    only via the graft.
-    """
-    from .spice.stats import STATS
-    from .telemetry import tracer as _tele
-
-    box: Dict[str, object] = {"pid": os.getpid()}
-    before = STATS.snapshot()
-    try:
-        if trace_detail is not None:
-            with _tele.tracing(detail=trace_detail) as tracer:
-                yield box
-            box["spans"] = tracer.export()
-        else:
-            yield box
-    finally:
-        box["stats"] = STATS.delta_since(before)
-
-
-def absorb_worker_telemetry(box: Optional[Dict[str, object]]) -> None:
-    """Merge a :func:`worker_telemetry` box into this process.
-
-    The STATS delta is merged only when the box came from *another*
-    process — the serial fallback runs the work function in-process,
-    where its increments already landed on this STATS singleton, and
-    merging the shipped delta on top would double-count (exactly the
-    bug this pid guard exists for).  Spans are grafted unconditionally:
-    the capture tracer hid the parent tracer even in-process, so the
-    graft is the only way they arrive.
-    """
-    if not box:
-        return
-    from .spice.stats import STATS
-    from .telemetry import tracer as _tele
-
-    if box.get("pid") != os.getpid():
-        STATS.merge(box.get("stats", {}))
-    trc = _tele.ACTIVE
-    spans = box.get("spans")
-    if trc is not None and spans:
-        trc.graft(spans, worker_pid=box.get("pid"))

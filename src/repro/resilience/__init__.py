@@ -1,9 +1,8 @@
 """Supervised execution: failure as a first-class, attributed outcome.
 
 Before this layer, one ``ConvergenceError`` in Monte-Carlo trial 7412
-aborted the whole run, one worker exception killed an entire
-``parallel_map`` batch, and a mid-run pool death silently re-ran every
-item serially.  The resilience layer makes every recovery decision
+aborted the whole run, one worker exception killed an entire fan-out
+batch, and a mid-run pool death silently re-ran every item serially.  The resilience layer makes every recovery decision
 explicit, bounded, and visible:
 
 * :class:`RunPolicy` — the declarative knob set: retry budget,

@@ -33,8 +33,8 @@ class RunPolicy:
       ``backoff_s * backoff_factor ** (k - 1)``.  ``backoff_s=0``
       (the default) retries immediately.
     * ``on_failure`` — what a terminally failed item does to the batch:
-      ``"raise"`` re-raises the original exception (legacy
-      ``parallel_map`` semantics), ``"record"`` keeps a failed
+      ``"raise"`` re-raises the original exception (what a
+      policy-free ``supervised_map`` does), ``"record"`` keeps a failed
       :class:`~repro.resilience.Outcome` in the results.
     * ``sleep`` — injectable sleep (default ``time.sleep``), compared
       and hashed as identity-excluded so two policies differing only in

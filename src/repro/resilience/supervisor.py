@@ -11,9 +11,10 @@ through the same classification helpers.
 
 Retries always happen in the *submitting* process: a pool worker runs
 exactly one attempt per submission and returns an envelope (result or
-captured exception plus its pid), so attempt counts, backoff sleeps and
-the ``retries``/``worker_failures`` counters are identical for serial
-and fanned execution — the property the fault-injection suite pins.
+captured exception, its pid, and the attempt's telemetry), so attempt
+counts, backoff sleeps and the ``retries``/``worker_failures`` counters
+are identical for serial and fanned execution — the property the
+fault-injection suite pins.
 
 Lazy imports of ``STATS`` and the telemetry tracer keep this module out
 of the ``repro.spice`` import graph (same convention as
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
 from .. import faultinject
@@ -88,7 +90,7 @@ def supervised_call(
 
     The in-process supervised primitive: consults the fault plan before
     each attempt (``fault_spec`` defaults to the active plan; pass
-    ``None`` to disarm injection, e.g. from compatibility shims),
+    ``None`` to disarm injection, as a policy-free map does),
     retries retryable failures with backoff, and records the terminal
     result.  ``on_failure="raise"`` re-raises the original exception
     after the retry budget is spent.  ``start_attempt`` lets the pool
@@ -135,26 +137,40 @@ def supervised_call(
 def attempt_in_worker(payload) -> dict:
     """One supervised attempt, pool-worker side: an envelope, never a raise.
 
-    ``payload`` is ``(func, item, index, attempt, fault_spec)``.  The
-    work function's exception comes home *inside* the envelope (pickled
-    when possible, a :class:`CapturedFailure` stand-in otherwise), so
-    any exception raised by the future itself is — by construction —
-    pool infrastructure: payload/result pickling or a broken pool.
-    That is what lets the supervisor classify failures without
-    guessing from exception types.
+    ``payload`` is ``(func, item, index, attempt, fault_spec,
+    trace_detail)``.  The work function's exception comes home *inside*
+    the envelope (pickled when possible, a :class:`CapturedFailure`
+    stand-in otherwise), so any exception raised by the future itself
+    is — by construction — pool infrastructure: payload/result pickling
+    or a broken pool.  That is what lets the supervisor classify
+    failures without guessing from exception types.
+
+    The envelope also carries the attempt's telemetry, ok or failed:
+    ``stats``, this process's STATS movement during the attempt, and
+    ``spans``, the attempt's span tree recorded at ``trace_detail``
+    (the submitter's tracer detail, or None when it is not tracing —
+    then no tracer runs here and no spans ship).
     """
-    func, item, index, attempt, fault_spec = payload
-    try:
-        if fault_spec is not None:
-            faultinject.check(index, attempt, spec=fault_spec, in_worker=True)
-        return {"ok": True, "value": func(item), "pid": os.getpid()}
-    except Exception as exc:
-        return {
-            "ok": False,
-            "error": capture_error(exc),
-            "traceback": format_traceback(exc),
-            "pid": os.getpid(),
-        }
+    from ..telemetry.tracer import tracing
+
+    func, item, index, attempt, fault_spec, trace_detail = payload
+    stats = _stats()
+    before = stats.snapshot()
+    envelope = {"pid": os.getpid()}
+    capture = nullcontext() if trace_detail is None else tracing(trace_detail)
+    with capture as tracer:
+        try:
+            if fault_spec is not None:
+                faultinject.check(index, attempt, spec=fault_spec, in_worker=True)
+            envelope.update(ok=True, value=func(item))
+        except Exception as exc:
+            envelope.update(
+                ok=False, error=capture_error(exc), traceback=format_traceback(exc)
+            )
+    envelope["stats"] = stats.delta_since(before)
+    if tracer is not None:
+        envelope["spans"] = tracer.export()
+    return envelope
 
 
 __all__ = [

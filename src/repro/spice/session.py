@@ -72,12 +72,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..errors import NetlistError, PlanError
-from ..parallel import (
-    absorb_worker_telemetry,
-    resolve_workers,
-    supervised_map,
-    worker_telemetry,
-)
+from ..parallel import resolve_workers, supervised_map
 from ..resilience import Outcome, RunPolicy
 from ..resilience.outcome import OK
 from ..resilience.supervisor import supervised_call
@@ -889,10 +884,10 @@ class Session:
 
         Every plan is validated before the first solve.  Serial by
         default (sharing this session's cache, so later plans warm-start
-        off earlier ones); with ``workers`` > 1 — or ``REPRO_WORKERS``
-        set — builder-backed sessions fan plans out across processes
-        (see the module docstring) and merge the workers' solved points
-        back into this cache.  Each worker session is seeded with this
+        off earlier ones); with a worker count above 1 (or a
+        non-positive one, for every core) builder-backed sessions fan
+        plans out across processes (see the module docstring) and merge
+        the workers' solved points back into this cache.  Each worker session is seeded with this
         session's cache snapshot, so fanned plans still warm-start off
         everything solved before the call, though not off each other.
         Either way every converged point is equal to solver tolerance.
@@ -919,17 +914,14 @@ class Session:
         """Fold a worker session's state into this one and return its
         results, loaded against this session's circuit.
 
-        The state is the solved points, the cache-counter mirrors, and
-        the telemetry box (whose STATS delta is pid-guarded — a worker
-        process has its own STATS singleton whose movement would
-        otherwise be lost, while the serial fallback already
-        incremented ours directly)."""
+        The state is the solved points and the cache-counter mirrors;
+        the worker's STATS movement and spans came home in the pool
+        envelope (see :mod:`repro.parallel`)."""
         self.cache.merge(payload["cache"])
         hits, warm_starts, misses = payload["counters"]
         self.cache_hits += hits
         self.cache_warm_starts += warm_starts
         self.cache_misses += misses
-        absorb_worker_telemetry(payload["telemetry"])
         return _ResultUnpickler(io.BytesIO(payload["results"]), self.circuit).load()
 
     # -- per-plan bodies -----------------------------------------------
@@ -1147,17 +1139,17 @@ def _run_plans_task(task) -> dict:
     """Worker: build a session from its recipe, seed its cache from the
     parent snapshot, run its plans serially (sharing the cache within
     the group), and return the pickled results plus the solved points
-    and telemetry for the parent to merge back.
+    for the parent to merge back.
 
-    ``task`` is ``(recipe, plans, cache_seed, trace_detail)`` —
-    ``trace_detail`` is the parent tracer's detail level (or None), so
-    a traced fanned run captures the same span tree a serial run would.
+    ``task`` is ``(recipe, plans, cache_seed)``.  The build belongs to
+    the pool attempt, so its counters ship home too: a netlist recipe's
+    ``subckt_compiles`` count once for the parent-side session and once
+    for the worker's.
     """
-    recipe, plans, seed, detail = task
+    recipe, plans, seed = task
     session = recipe.build()
     session.cache.merge(seed)
-    with worker_telemetry(detail) as box:
-        results = [session.run(plan) for plan in plans]
+    results = [session.run(plan) for plan in plans]
     blob = io.BytesIO()
     _ResultPickler(blob, session.circuit).dump(results)
     return {
@@ -1168,7 +1160,6 @@ def _run_plans_task(task) -> dict:
             session.cache_warm_starts,
             session.cache_misses,
         ),
-        "telemetry": box,
     }
 
 
@@ -1205,13 +1196,11 @@ def _run_groups(
     if min(resolve_workers(workers), len(groups)) > 1 and all(
         session._builder is not None for session, _members in groups
     ):
-        detail = None if _tele.ACTIVE is None else _tele.ACTIVE.detail
         tasks = [
             (
                 session.recipe(),
                 tuple(plan for _index, plan in members),
                 session.cache.export(),
-                detail,
             )
             for session, members in groups
         ]
@@ -1253,10 +1242,10 @@ def run_plans(
     submission order), so they share its solved-point cache — that is
     the cross-analysis amortisation; groups are independent and fan out
     across processes through the same path as :meth:`Session.run_many`
-    (workers resolve like everywhere else: argument, else
-    ``REPRO_WORKERS``, else serial).  Results are identical between the
-    serial and fanned paths because grouping is deterministic and each
-    group runs sequentially inside one process either way.  Pairs that
+    (``workers=None`` is serial, a non-positive count every core).
+    Results are identical between the serial and fanned paths because
+    grouping is deterministic and each group runs sequentially inside
+    one process either way.  Pairs that
     must not share warm starts need recipes that compare unequal.
 
     With a :class:`~repro.resilience.RunPolicy` the batch runs

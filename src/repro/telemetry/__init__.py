@@ -114,10 +114,8 @@ dataclass fields, so new counters export automatically.
 """
 
 from .tracer import (
-    NULL,
     Span,
     Tracer,
-    current_tracer,
     install_tracer,
     tracing,
     uninstall_tracer,
@@ -134,11 +132,9 @@ from .exporters import (
 )
 
 __all__ = [
-    "NULL",
     "Span",
     "Tracer",
     "TRACE_SCHEMA",
-    "current_tracer",
     "install_tracer",
     "prometheus_text",
     "read_jsonl",

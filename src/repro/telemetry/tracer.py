@@ -29,11 +29,11 @@ Counter deltas: every non-leaf span snapshots the process
 difference on exit, so a span carries exactly the solver work done
 inside it and sibling spans' deltas sum to their parent's.
 
-Cross-process merging: a worker's spans are exported with
-:meth:`Tracer.export` (plain nested dicts, picklable) and grafted into
-the parent's tracer with :meth:`Tracer.graft` — the same
-ship-and-merge convention as the Session solved-point cache, so fanned
-and serial runs report identical telemetry trees (wall times and the
+Cross-process merging: a pool worker's spans are exported with
+:meth:`Tracer.export` (plain nested dicts, picklable), ride home in the
+supervised pool envelope (:mod:`repro.parallel`) and are grafted into
+the submitter's tracer with :meth:`Tracer.graft`, so fanned and serial
+runs report identical telemetry trees (wall times and the
 ``worker_pid`` attribute aside).
 """
 
@@ -125,23 +125,6 @@ class Span:
         span.iterations = [dict(r) for r in data.get("iterations", [])]
         span.children = [cls.from_dict(c) for c in data.get("children", [])]
         return span
-
-
-class _NullSpan:
-    """Shared no-op context manager for untraced scopes (a singleton, so
-    the tracer-off path allocates nothing)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-#: The singleton no-op scope: ``with (NULL if trc is None else trc.span(...)):``.
-NULL = _NullSpan()
 
 
 class Tracer:
@@ -265,17 +248,10 @@ def uninstall_tracer() -> Optional[Tracer]:
     return tracer
 
 
-def current_tracer() -> Optional[Tracer]:
-    """The active tracer, or None."""
-    return ACTIVE
-
-
 @contextmanager
 def tracing(detail: str = "full", clock: Optional[Callable[[], float]] = None):
     """Install a fresh tracer for the block, restoring the previous one
-    on exit (the worker-capture primitive — nesting is what lets a
-    serial fan-out fallback capture spans exactly like a real
-    worker process would)."""
+    on exit (a pool worker records each attempt's spans into one)."""
     global ACTIVE
     previous = ACTIVE
     tracer = Tracer(detail=detail, clock=clock)

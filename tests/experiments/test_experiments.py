@@ -114,6 +114,35 @@ class TestRunExperimentsErrorAttribution:
         finally:
             del EXPERIMENTS["_failing_probe_pool"]
 
+    def test_retryable_failure_keeps_its_type_and_is_retried(self):
+        # A real ConvergenceError inside a runner is transient: wrapping
+        # it in the (terminal) ExperimentError would make the policy
+        # give up after one attempt.
+        from repro import faultinject
+        from repro.errors import ConvergenceError
+        from repro.experiments.registry import register, run_experiments
+        from repro.resilience import RunPolicy
+
+        calls = []
+
+        @register("_flaky_probe")
+        def _flaky():
+            calls.append(len(calls) + 1)
+            if len(calls) == 1:
+                raise ConvergenceError("first attempt does not converge")
+            return ExperimentResult("_flaky_probe", "flaky", ["x"], [(1,)])
+
+        try:
+            with faultinject.injected(""):  # no standing fault plan
+                outcomes = run_experiments(
+                    ["_flaky_probe"], max_workers=1, policy=RunPolicy(max_retries=1)
+                )
+        finally:
+            del EXPERIMENTS["_flaky_probe"]
+        outcome = outcomes["_flaky_probe"]
+        assert outcome.ok and outcome.attempts == 2
+        assert calls == [1, 2]
+
     def test_unknown_name_still_lists_registry(self):
         from repro.experiments.registry import run_experiments
 

@@ -129,7 +129,8 @@ class TestCheck:
         # nothing pid-based can tell it from the parent: the worker side
         # of an attempt must say so.
         worker = multiprocessing.get_context(method).Process(
-            target=attempt_in_worker, args=((abs, -1, 1, 1, "hardcrash@1:1"),)
+            target=attempt_in_worker,
+            args=((abs, -1, 1, 1, "hardcrash@1:1", None),),
         )
         worker.start()
         try:

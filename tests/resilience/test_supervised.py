@@ -1,6 +1,6 @@
 """Supervised execution semantics: supervised_call, supervised_map on
-both transports, the reworked parallel_map failure taxonomy, and the
-resilience STATS counters / telemetry spans.
+both transports, the pool failure taxonomy of a policy-free map, and
+the resilience STATS counters / telemetry spans.
 
 Pool work functions live at module level (the pickling convention of the
 whole fan-out stack).
@@ -12,7 +12,7 @@ import pytest
 
 from repro import faultinject, telemetry
 from repro.errors import ConvergenceError, FaultInjected, WorkerCrash
-from repro.parallel import parallel_map, supervised_map
+from repro.parallel import supervised_map
 from repro.resilience import CapturedFailure, Outcome, RunPolicy, supervised_call
 from repro.resilience.outcome import capture_error
 from repro.spice.stats import STATS
@@ -191,11 +191,11 @@ class TestSupervisedMapEquality:
             fanned = run(2)
         assert fanned == serial
 
-    def test_faults_require_explicit_policy(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_faults_require_explicit_policy(self, workers):
         # A standing plan must never perturb unsupervised traffic.
         with faultinject.injected("error@*"):
-            assert parallel_map(square, [1, 2, 3]) == [1, 4, 9]
-            outcomes = supervised_map(square, [1, 2, 3])
+            outcomes = supervised_map(square, [1, 2, 3], max_workers=workers)
             assert [o.value for o in outcomes] == [1, 4, 9]
 
 
@@ -205,17 +205,18 @@ class TestPoolFailureTaxonomy:
         # func raised TypeError; now the work function's own exception
         # propagates unchanged from pool execution.
         with pytest.raises(TypeError, match="raised by the work function"):
-            parallel_map(raises_type_error, [1, 2], max_workers=2)
+            supervised_map(raises_type_error, [1, 2], max_workers=2)
         assert STATS.serial_fallbacks == 0
 
     def test_func_exception_type_preserved_from_workers(self):
         with pytest.raises(ValueError, match="item 1 failed"):
-            parallel_map(raises_value_error, [1, 2], max_workers=2)
+            supervised_map(raises_value_error, [1, 2], max_workers=2)
 
     def test_unpicklable_payload_falls_back_per_item(self):
         # A lambda cannot cross the pool: infrastructure failure, so
         # each item finishes in-process and the degradation is counted.
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], max_workers=2) == [2, 3, 4]
+        outcomes = supervised_map(lambda x: x + 1, [1, 2, 3], max_workers=2)
+        assert [o.value for o in outcomes] == [2, 3, 4]
         assert STATS.serial_fallbacks == 3
 
     def test_unpicklable_result_falls_back_per_item(self):
@@ -289,7 +290,8 @@ class TestObservability:
         assert attrs["mode"] == "serial"
         assert attrs["ok"] == 2 and attrs["failed"] == 1
 
-    def test_compat_parallel_map_stays_span_silent(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_policy_free_map_stays_span_silent(self, workers):
         with tracing(detail="plans") as tracer:
-            parallel_map(square, [1, 2, 3])
+            supervised_map(square, [1, 2, 3], max_workers=workers)
         assert tracer.roots == []

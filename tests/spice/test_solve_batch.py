@@ -1,33 +1,52 @@
 """Cross-topology batches and the process fan-out helper.
 
 ``run_plans`` over distinct recipes must return exactly what one fresh
-``Session`` per recipe returns, independent of worker count, and
-``parallel_map`` must preserve item order and fall back to serial
-execution gracefully.
+``Session`` per recipe returns, independent of worker count, and a
+policy-free ``supervised_map`` must preserve item order and fall back
+to serial execution gracefully.
 """
+
+import os
 
 import numpy as np
 
 from repro.circuits.bandgap_cell import BandgapCellConfig, build_bandgap_cell
-from repro.parallel import parallel_map, resolve_workers
+from repro.parallel import resolve_workers, supervised_map
 from repro.spice import SessionRecipe, TempSweep, run_plans
 from repro.units import celsius_to_kelvin
 
 TEMPS = tuple(celsius_to_kelvin(t) for t in (-20.0, 25.0, 85.0))
 
 
-class TestParallelMap:
+def mapped(func, items, max_workers):
+    return [o.value for o in supervised_map(func, items, max_workers=max_workers)]
+
+
+class _EveryVariableSet(dict):
+    """An environment in which every variable reads "2"."""
+
+    def get(self, key, default=None):
+        return "2"
+
+    def __getitem__(self, key):
+        return "2"
+
+    def __contains__(self, key):
+        return True
+
+
+class TestPolicyFreeMap:
     def test_preserves_order_serial(self):
-        assert parallel_map(abs, [-3, 1, -2], max_workers=1) == [3, 1, 2]
+        assert mapped(abs, [-3, 1, -2], max_workers=1) == [3, 1, 2]
 
     def test_preserves_order_with_workers(self):
         # celsius_to_kelvin is a module-level (picklable) function, so
         # this exercises the real process pool where the host allows it
         # and the serial fallback where it does not — identical output
         # either way, which is the contract under test.
-        values = [0.0, 25.0, 100.0, -40.0]
-        expected = [celsius_to_kelvin(v) for v in values]
-        assert parallel_map(celsius_to_kelvin, values, max_workers=2) == expected
+        temps = [0.0, 25.0, 100.0, -40.0]
+        expected = [celsius_to_kelvin(v) for v in temps]
+        assert mapped(celsius_to_kelvin, temps, max_workers=2) == expected
 
     def test_unpicklable_work_falls_back_to_serial(self):
         offset = 10
@@ -35,17 +54,17 @@ class TestParallelMap:
         def local_closure(value):  # not picklable: defined in a test body
             return value + offset
 
-        assert parallel_map(local_closure, [1, 2], max_workers=2) == [11, 12]
+        assert mapped(local_closure, [1, 2], max_workers=2) == [11, 12]
 
     def test_worker_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        # The count is the argument alone: with every environment
+        # variable set to 2 — the retired worker-count variable among
+        # them — None still means serial.
+        monkeypatch.setattr(os, "environ", _EveryVariableSet())
         assert resolve_workers(None) == 1
         assert resolve_workers(3) == 3
         assert resolve_workers(0) >= 1  # all cores
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_workers(None) == 2
-        monkeypatch.setenv("REPRO_WORKERS", "nonsense")
-        assert resolve_workers(None) == 1
+        assert resolve_workers(-1) == resolve_workers(0)
 
 
 class TestRunPlansBatch:

@@ -142,20 +142,13 @@ def _stats_after_run_plans(workers):
 
 
 class TestFannedCountersMatchSerial:
-    """Worker STATS deltas ship home and merge (pid-guarded), so the
-    process counters after a fanned ``run_plans`` equal the serial
-    run's — the regression the telemetry merge layer pins down."""
+    """Worker STATS deltas ship home in the pool envelope and merge, so
+    the process counters after a fanned ``run_plans`` equal the serial
+    run's — the regression the telemetry transport pins down."""
 
     def test_run_plans_workers_flag(self):
         serial = _stats_after_run_plans(workers=1)
         fanned = _stats_after_run_plans(workers=2)
-        assert fanned == serial
-
-    def test_run_plans_repro_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        serial = _stats_after_run_plans(workers=None)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        fanned = _stats_after_run_plans(workers=None)
         assert fanned == serial
 
     def test_run_many_fanned_work_lands_on_process_stats(self):

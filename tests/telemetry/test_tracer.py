@@ -1,6 +1,6 @@
 """Tracer tests: span-tree schema on a real sweep, counter-delta
-accounting, the zero-cost untraced path, and the worker ship-and-merge
-contract that makes fanned and serial runs report identical telemetry.
+accounting, the zero-cost untraced path, and the pool-envelope
+transport that makes fanned and serial runs report identical telemetry.
 
 The span names and attribute keys asserted here are the STABLE CONTRACT
 documented in ``repro/telemetry/__init__.py`` — if one of these tests
@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.parallel import absorb_worker_telemetry, worker_telemetry
+from repro.parallel import supervised_map
+from repro.resilience import RunPolicy
 from repro.spice import (
     Circuit,
     Diode,
@@ -42,6 +43,15 @@ def diode_circuit():
     c.add(Resistor("R1", "in", "d", 1e3))
     c.add(Diode("D1", "d", "0"))
     return c
+
+
+def solve_op_then(fail):
+    """Pool work: solve one OP, then return or raise (module-level, so
+    it pickles)."""
+    Session(diode_circuit).run(OP())
+    if fail:
+        raise ValueError("after the solve")
+    return "solved"
 
 
 def rc_circuit():
@@ -251,26 +261,31 @@ class TestWorkerMerge:
             run_plans(pairs(), workers=2)
         assert normalize(fanned.export()) == normalize(serial.export())
 
-    def test_worker_box_ships_stats_and_spans(self):
-        with worker_telemetry("full") as box:
-            Session(diode_circuit).run(OP())
-        assert box["pid"] == os.getpid()
-        assert box["stats"]["newton_solves"] >= 1
-        assert box["spans"][0]["span"] == "plan"
-
-    def test_in_process_absorb_does_not_double_count_stats(self):
-        # The serial parallel_map fallback runs the work function in
-        # this very process: its STATS increments already landed here,
-        # so absorbing the shipped delta again must be a no-op (the pid
-        # guard).  Spans still arrive — the capture tracer hid ours.
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_ok_and_failed_attempts_report_counters_and_spans_once(self, workers):
+        # Serially the attempts record straight into this process; fanned,
+        # each worker attempt ships its STATS movement and spans home in
+        # the pool envelope, the failed one included.  Either way every
+        # plan is counted exactly once and both plan spans arrive, marked
+        # with the worker pid only when they crossed the pool.
         before = STATS.snapshot()
         with tracing(detail="full") as tracer:
-            with worker_telemetry("full") as box:
-                Session(diode_circuit).run(OP())
-            assert tracer.roots == []  # hidden while the box captured
-            absorb_worker_telemetry(box)
-        assert STATS.delta_since(before) == box["stats"]
-        assert tracer.roots[0].attrs["worker_pid"] == os.getpid()
+            outcomes = supervised_map(
+                solve_op_then,
+                [False, True],
+                policy=RunPolicy(on_failure="record"),
+                max_workers=workers,
+            )
+        assert [o.status for o in outcomes] == ["ok", "failed"]
+        assert STATS.delta_since(before)["session_plans"] == 2
+        plans = [span for span in _forest(tracer) if span.name == "plan"]
+        assert len(plans) == 2
+        for span, outcome in zip(plans, outcomes):
+            if workers is None:
+                assert "worker_pid" not in span.attrs
+            else:
+                assert span.attrs["worker_pid"] == outcome.worker_pid
+                assert outcome.worker_pid != os.getpid()
 
     def test_capture_restores_the_previous_tracer(self):
         with tracing(detail="plans") as outer:

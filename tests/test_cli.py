@@ -237,3 +237,41 @@ class TestCliResilience:
         out = capsys.readouterr().out
         assert status == 0
         assert "PASS" in out
+
+
+class TestCliServeUsage:
+    """Out-of-range --serve arguments are usage errors, caught before
+    any server starts."""
+
+    @pytest.fixture
+    def serve_calls(self, monkeypatch):
+        import repro.serve.server as serve_server
+
+        calls = []
+        monkeypatch.setattr(serve_server, "serve", lambda **kwargs: calls.append(kwargs))
+        return calls
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--serve-workers", "0"],
+            ["--serve-workers", "-3"],
+            ["--port", "99999"],
+            ["--port", "-1"],
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, flags, serve_calls, capsys):
+        status = main(["--serve", *flags])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert flags[0] in err
+        assert len(err.strip().splitlines()) == 1
+        assert serve_calls == []
+
+    def test_range_ends_are_accepted(self, serve_calls):
+        from repro.serve.server import DEFAULT_HOST
+
+        assert main(["--serve", "--port", "65535", "--serve-workers", "1"]) == 0
+        assert serve_calls == [
+            {"host": DEFAULT_HOST, "port": 65535, "cache_dir": None, "workers": 1}
+        ]
