@@ -34,8 +34,11 @@ starts from ``x0``.
 Damping is two-fold: the Newton step is scaled so no unknown moves more
 than ``MAX_STEP_V`` per iteration (the guard against the junction
 exponential catapulting the iterate), and a backtracking line search
-halves the step until the residual norm actually decreases (the guard
-against rail-to-rail oscillation in stiff op-amp loops).
+halves the step until the residual decreases (the guard against
+rail-to-rail oscillation in stiff op-amp loops), in the raw inf-norm of
+F or in tolerance units, ``max(kcl / abstol, branch / vtol)``: the
+convergence test's units, in which a gain-amplified op-amp branch row
+at its float floor cannot mask KCL rows that contract.
 
 Linear algebra goes through a :class:`NewtonWorkspace` implementing the
 production-SPICE factorization policy on top of :func:`lu`, the one LU
@@ -43,11 +46,11 @@ routine the DC, transient and AC analyses share:
 
 * **LU reuse (modified Newton)**: the factorization from an earlier
   iterate (or earlier transient timestep) is kept while it still
-  contracts the residual by ``REUSE_CONTRACTION`` per full step; on
-  slowdown the Jacobian is refactored at the current iterate.  Far from
-  the solution the Jacobian changes every iteration and reuse buys
-  nothing, but in the convergence tail — and across the small timesteps
-  of a transient — most factorizations are redundant.
+  contracts the tolerance-unit residual by ``REUSE_CONTRACTION`` per
+  full step; on slowdown the Jacobian is refactored at the current
+  iterate.  Far from the solution the Jacobian changes every iteration
+  and reuse buys nothing, but in the convergence tail — and across the
+  small timesteps of a transient — most factorizations are redundant.
 * **dense or sparse, as assembled**: :func:`lu` factors whatever
   matrix the system hands it — ``scipy.sparse.linalg.splu`` for a
   sparse matrix, raw LAPACK ``getrf`` for a real or complex ndarray —
@@ -188,9 +191,9 @@ _FAST_RUNG_ITERATIONS = 6
 #: ...up to this ratio.
 _MAX_RAMP_RATIO = 16.0
 #: Modified Newton keeps a stale LU across iterations and timesteps
-#: while a full stale step shrinks the residual norm by at least
-#: ``REUSE_CONTRACTION``, and for at most ``REUSE_LIMIT`` steps in a
-#: row (0 is plain Newton); otherwise it refactors at the current
+#: while a full stale step shrinks the residual in tolerance units by
+#: at least ``REUSE_CONTRACTION``, and for at most ``REUSE_LIMIT`` steps
+#: in a row (0 is plain Newton); otherwise it refactors at the current
 #: iterate.  Only the step *direction* lags, never the convergence test,
 #: and near-quadratic contraction confines reuse to where the Jacobian
 #: is genuinely unchanged (transient steps, warm-started sweep points).
@@ -378,17 +381,12 @@ def _newton_run(
     reuses_before = ws.reuses
     x = x0.copy()
     n_nodes = system.n_nodes
-
-    def converged(abs_residual: np.ndarray) -> bool:
-        kcl = float(abs_residual[:n_nodes].max()) if n_nodes else 0.0
-        branch = (
-            float(abs_residual[n_nodes:].max())
-            if abs_residual.size > n_nodes
-            else 0.0
-        )
-        return kcl < options.abstol and branch < options.vtol
+    abstol, vtol = options.abstol, options.vtol
 
     def evaluate(candidate: np.ndarray):
+        """F(candidate), its inf-norm, the norm in tolerance units
+        (KCL rows per ``abstol``, branch rows per ``vtol``) and whether
+        both row types meet their tolerance."""
         trial = system.assemble_residual(
             candidate,
             gmin=gmin,
@@ -397,7 +395,10 @@ def _newton_run(
             transient=transient,
         )
         abs_trial = np.abs(trial)
-        return trial, abs_trial, float(abs_trial.max())
+        kcl = float(abs_trial[:n_nodes].max()) if n_nodes else 0.0
+        branch = float(abs_trial[n_nodes:].max()) if trial.size > n_nodes else 0.0
+        done = kcl < abstol and branch < vtol
+        return trial, max(kcl, branch), max(kcl / abstol, branch / vtol), done
 
     STATS.newton_solves += 1
     # The residual vector is carried across iterations: a line-search or
@@ -405,7 +406,7 @@ def _newton_run(
     # iterate's residual, so the loop never recomputes F(x) it already
     # knows.  The full (J, F) assembly runs only when a factorization is
     # actually taken.
-    residual, abs_residual, norm = evaluate(x)
+    residual, norm, scaled, done = evaluate(x)
     best_norm = norm
     stall_best = norm
     stall_deadline = stall_window
@@ -414,7 +415,7 @@ def _newton_run(
         # The residual of *this* iterate is converged; return it.  A
         # cold start takes at least one step unless its residual is
         # exactly zero: a source below abstol or vtol still moves x.
-        if converged(abs_residual) and not (cold and iteration == 1 and norm):
+        if done and not (cold and iteration == 1 and norm):
             return RawSolution(
                 x=x,
                 iterations=iteration,
@@ -456,19 +457,20 @@ def _newton_run(
                 guard = "step_bound"
             else:
                 candidate = x - step
-                trial, abs_trial, trial_norm = evaluate(candidate)
-                if trial_norm < reuse_contraction * norm:
+                trial, trial_norm, trial_scaled, trial_done = evaluate(candidate)
+                if trial_scaled < reuse_contraction * scaled:
                     ws.reuses += 1
                     ws.consecutive_reuses += 1
                     STATS.lu_reuses += 1
-                    x, residual, abs_residual, norm = (
-                        candidate, trial, abs_trial, trial_norm,
+                    x, residual, norm, scaled, done = (
+                        candidate, trial, trial_norm, trial_scaled, trial_done,
                     )
                     best_norm = min(best_norm, norm)
                     if trc is not None:
                         trc.iteration(
                             i=iteration,
                             residual=norm,
+                            scaled=scaled,
                             step=float(np.abs(step).max()) if step.size else 0.0,
                             damping=1.0,
                             kind="reuse",
@@ -496,30 +498,28 @@ def _newton_run(
         # Backtracking line search over a damping ladder: the full Newton
         # step first (solves linear and mildly nonlinear systems in one
         # go), then the MAX_STEP_V clamp (junction guard), then halvings.
-        # A candidate is accepted as soon as the residual norm decreases;
-        # Newton's direction is a descent direction for |F|, so some
-        # scale improves unless we are at a stationary point.
+        # A candidate is accepted as soon as the residual decreases in
+        # either the raw inf-norm or tolerance units; Newton's direction
+        # is a descent direction for |F|, so some scale improves unless
+        # we are at a stationary point.  When no rung decreases either,
+        # the smallest rung is taken: it was the ladder's last
+        # evaluation, so its residual is already in hand.
         ladder = [1.0] if clamp == 1.0 else [1.0, clamp]
         ladder += [clamp * 0.5**k for k in range(1, 12)]
-        accepted = None
         for damping in ladder:
             candidate = x - damping * step
-            trial, abs_trial, trial_norm = evaluate(candidate)
-            if trial_norm < norm:
-                accepted = candidate
+            trial, trial_norm, trial_scaled, trial_done = evaluate(candidate)
+            if trial_norm < norm or trial_scaled < scaled:
                 break
-        if accepted is not None:
-            x, residual, abs_residual, norm = accepted, trial, abs_trial, trial_norm
-        else:
-            # No descent anywhere on the ladder: take the smallest rung.
-            # That candidate was the ladder's last evaluation, so its
-            # residual is already in hand.
-            x, residual, abs_residual, norm = candidate, trial, abs_trial, trial_norm
+        x, residual, norm, scaled, done = (
+            candidate, trial, trial_norm, trial_scaled, trial_done,
+        )
         best_norm = min(best_norm, norm)
         if trc is not None:
             record = {
                 "i": iteration,
                 "residual": norm,
+                "scaled": scaled,
                 "step": max_step,
                 "damping": damping,
                 "kind": "factor",

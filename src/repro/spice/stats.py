@@ -145,16 +145,16 @@ class SolverStats:
         return self.as_dict()
 
     def delta_since(self, baseline: Mapping[str, object]) -> Dict[str, object]:
-        """Counter movement since a :meth:`snapshot` (every field, zeros
-        included — use the telemetry span deltas for the sparse form)."""
+        """Counter movement since a :meth:`snapshot`: every scalar field,
+        zeros included, and the ``strategies`` keys that moved (use the
+        telemetry span deltas for the all-sparse form)."""
         delta: Dict[str, object] = {}
         for name, value in self.as_dict().items():
             base = baseline.get(name, 0)
             if isinstance(value, dict):
-                keys = set(value) | set(base)
-                delta[name] = {
-                    k: value.get(k, 0) - base.get(k, 0) for k in sorted(keys)
-                }
+                keys = sorted(set(value) | set(base))
+                moved = ((k, value.get(k, 0) - base.get(k, 0)) for k in keys)
+                delta[name] = {k: n for k, n in moved if n}
             else:
                 delta[name] = value - base
         return delta

@@ -69,13 +69,16 @@ Attributes by span:
     stall window it ran under (a fifth of ``solver.STALL_WINDOW`` on a
     cold start, the full window when seeded or cache-warm).
     Per-iteration records (``Span.iterations``) carry ``i``,
-    ``residual``, ``step``, ``damping``, ``kind`` (``"factor"`` |
-    ``"reuse"``), and — when the reuse probe declined — ``guard``
-    (``"reuse_limit"`` | ``"step_bound"`` | ``"no_contraction"`` |
-    ``"solve_failed"``).  Only iterations that take a step write a
-    record, so a converged span's ``iterations`` attribute (the
-    solver's count, which includes the final convergence check) is one
-    more than ``len(iterations)``.
+    ``residual`` (the inf-norm of F), ``scaled`` (the same residual in
+    tolerance units, ``max(kcl / abstol, branch / vtol)``: the norm a
+    stale-LU probe must contract and that, besides ``residual``, a
+    line-search rung may lower), ``step``, ``damping``, ``kind``
+    (``"factor"`` | ``"reuse"``), and — when the reuse probe declined —
+    ``guard`` (``"reuse_limit"`` | ``"step_bound"`` |
+    ``"no_contraction"`` | ``"solve_failed"``).  Only iterations that
+    take a step write a record, so a converged span's ``iterations``
+    attribute (the solver's count, which includes the final convergence
+    check) is one more than ``len(iterations)``.
 ``assembly``
     none.
 ``factorization``

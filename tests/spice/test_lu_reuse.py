@@ -87,6 +87,36 @@ class TestReusePolicy:
         assert result.lu_reuses == 0
 
 
+class TestToleranceScaledProgress:
+    """Stale-LU probes and line-search rungs judge progress in the
+    convergence test's units (KCL rows per ``abstol``, branch rows per
+    ``vtol``), so a gain-amplified op-amp branch row near its float floor
+    cannot outweigh KCL rows that contracted."""
+
+    def test_warm_zout_finite_difference_sweep_factors_at_most_four_times(self):
+        from repro.experiments.ac_common import build_zout_cell
+        from repro.spice import ACSweep, DCSweep
+        from repro.spice.stats import STATS
+
+        session = Session(build_zout_cell)
+        session.run(ACSweep(frequencies_hz=(10.0, 1e3)))
+        STATS.reset()
+        sweep = session.run(DCSweep(source="ITEST", values=(-1e-6, 1e-6)))
+        assert len(sweep.points) == 2
+        assert STATS.factorizations <= 4
+        assert STATS.strategies == {"newton": 2}
+
+    def test_psrr_cell_warm_temperature_step_needs_no_gain_stepping(self):
+        from repro.experiments.ac_common import build_psrr_cell
+
+        system = MNASystem(build_psrr_cell(), temperature_k=247.0)
+        cold = solve_dc_system(system)
+        system.set_temperature(297.0)
+        warm = solve_dc_system(system, x0=cold.x)
+        assert warm.strategy == "newton"
+        assert warm.residual < SolverOptions().vtol
+
+
 class TestSparseSwitch:
     def test_large_ladder_routes_through_splu(self):
         from repro.spice.stats import STATS

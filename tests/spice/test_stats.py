@@ -96,6 +96,18 @@ class TestDeltaAndMerge:
         delta = stats.delta_since(before)
         assert delta["strategies"] == {"gmin-stepping": 1, "newton": 1}
 
+    def test_delta_since_drops_strategies_that_did_not_move(self):
+        # A strategy already in the baseline that did not move is left
+        # out, as the telemetry span deltas leave it out; scalar fields
+        # keep their zeros.
+        stats = SolverStats()
+        stats.record_strategy("gain-stepping")
+        before = stats.snapshot()
+        stats.record_strategy("newton")
+        delta = stats.delta_since(before)
+        assert delta["strategies"] == {"newton": 1}
+        assert delta["newton_solves"] == 0
+
     def test_merge_adds_solverstats_and_mappings_alike(self):
         target = distinct_stats()
         expected = {

@@ -20,6 +20,7 @@ from repro.spice import (
     Resistor,
     Session,
     SessionRecipe,
+    SolverOptions,
     TempSweep,
     VoltageSource,
     run_plans,
@@ -130,6 +131,9 @@ class TestSpanSchema:
             for record in newton.iterations:
                 assert record["kind"] in ("factor", "reuse")
                 assert record["residual"] >= 0.0
+                # The residual in tolerance units; no row's tolerance is
+                # looser than vtol.
+                assert record["scaled"] >= record["residual"] / SolverOptions().vtol
                 assert record["step"] >= 0.0
                 assert 0.0 < record["damping"] <= 1.0
             assert [r["i"] for r in newton.iterations] == sorted(
