@@ -54,6 +54,7 @@ from .schema import (
     load_index,
     new_index,
     save_index,
+    short_sha,
     validate_index,
 )
 
@@ -83,6 +84,7 @@ __all__ = [
     "render_trend",
     "resolve_baseline",
     "save_index",
+    "short_sha",
     "validate_index",
     "write_trend",
 ]

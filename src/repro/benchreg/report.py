@@ -114,7 +114,7 @@ def render_trend(index: Mapping[str, object], flat_n: int = SATURATION_N) -> str
                 date=entry["date"],
                 label=entry.get("label") or "—",
                 pr=entry.get("pr") if entry.get("pr") is not None else "—",
-                git=sha[:12],
+                git=schema.short_sha(sha),
                 host=fingerprint,
                 source=entry.get("source") or "—",
             )

@@ -192,21 +192,39 @@ def host_fingerprint() -> Dict[str, object]:
     return info
 
 
+#: Suffix of a SHA whose work tree has uncommitted changes to tracked
+#: files: the code measured is not the code of that commit.
+DIRTY_MARK = "-dirty"
+
+
 def git_sha(cwd: Optional[os.PathLike] = None) -> str:
     """The current commit SHA, best-effort: ``"unknown"`` outside a git
-    work tree (or when git itself is unavailable)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
+    work tree (or when git itself is unavailable).  When tracked files
+    differ from that commit the SHA carries :data:`DIRTY_MARK`;
+    untracked files are ignored."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        sha = head.stdout.strip()
+        if head.returncode != 0 or not sha:
+            return "unknown"
+        dirty = git("diff", "--quiet", "HEAD", "--").returncode == 1
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else "unknown"
+    return sha + DIRTY_MARK if dirty else sha
+
+
+def short_sha(sha: str) -> str:
+    """``sha`` cut to 12 characters for display, keeping a dirty mark."""
+    sha = str(sha)
+    if sha.endswith(DIRTY_MARK):
+        return sha[: -len(DIRTY_MARK)][:12] + DIRTY_MARK
+    return sha[:12]
 
 
 def build_info(

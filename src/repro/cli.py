@@ -310,7 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         bench_host = benchreg.host_fingerprint()
         bench_sha = benchreg.git_sha()
         print(
-            f"bench provenance: git={bench_sha[:12]} "
+            f"bench provenance: git={benchreg.short_sha(bench_sha)} "
             f"host={bench_host['fingerprint']}"
         )
 

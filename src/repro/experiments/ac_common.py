@@ -16,7 +16,7 @@ test cell, so its recipe lives here once:
   historic zero-capacitance card, which this module never touches).
 
 All builders are module-level functions of plain-data arguments, i.e.
-picklable recipes for :class:`repro.spice.session.Session` /
+recipes for :class:`repro.spice.session.Session` /
 :class:`repro.spice.session.SessionRecipe`.
 """
 

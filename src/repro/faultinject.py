@@ -6,9 +6,9 @@ contracts (fanned == serial results under every fault kind, retries
 recover transients, crashes are attributed to the right item).
 Faults fire *only* inside supervised execution with an explicit
 :class:`~repro.resilience.RunPolicy` (``supervised_map`` /
-``supervised_call`` with a policy, ``Session.run_many(policy=...)``,
-Monte-Carlo trials under a plan policy...), so a standing plan in the
-environment can never perturb unsupervised code paths.
+``supervised_call`` with a policy: the registry under ``--retries``, a
+served job), so a standing plan in the environment can never perturb
+unsupervised code paths such as a Session's plans.
 
 Spec grammar (the ``REPRO_FAULTS`` environment variable and
 :func:`parse` accept the same string)::

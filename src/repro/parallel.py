@@ -1,8 +1,6 @@
 """Process fan-out for independent work items, with supervised execution.
 
-:func:`supervised_map` is the one fan-out path: the Session batches
-(:meth:`~repro.spice.session.Session.run_many`,
-:func:`~repro.spice.session.run_plans`), the experiment registry
+:func:`supervised_map` is the one fan-out path: the experiment registry
 (:func:`~repro.experiments.registry.run_experiments`) and the
 Monte-Carlo extraction lot
 (:func:`~repro.analysis.montecarlo.run_extraction_montecarlo`) each make
@@ -309,8 +307,8 @@ def supervised_map(
                     raise outcome.error
         return supervisor.outcomes
 
-    # A policy-free map stays span-silent, so run_plans traces exactly
-    # the plans it runs, fanned or serial.
+    # A policy-free map stays span-silent, so a fanned batch traces
+    # exactly what the serial one does.
     trc = _tracer() if armed else None
     if trc is None:
         return run()

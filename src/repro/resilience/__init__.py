@@ -1,9 +1,9 @@
 """Supervised execution: failure as a first-class, attributed outcome.
 
-Before this layer, one ``ConvergenceError`` in Monte-Carlo trial 7412
-aborted the whole run, one worker exception killed an entire fan-out
-batch, and a mid-run pool death silently re-ran every item serially.  The resilience layer makes every recovery decision
-explicit, bounded, and visible:
+Before this layer, one worker exception killed an entire fan-out
+batch, and a mid-run pool death silently re-ran every item serially.
+The resilience layer makes every recovery decision explicit, bounded,
+and visible:
 
 * :class:`RunPolicy` — the declarative knob set: retry budget,
   exponential backoff (injectable sleep), and the on-failure action
@@ -26,12 +26,10 @@ Every decision lands in :data:`repro.spice.stats.STATS` (``retries``,
 installed — in ``supervised_map``/``retry`` telemetry spans, so
 ``--bench``, ``--trace`` and ``--metrics`` all show recovery activity.
 
-The upward wiring: ``Session.run_many`` / ``run_plans`` accept a
-policy and return partial results with failure records; a
-:class:`~repro.spice.plans.MonteCarlo` plan carries its own policy and
-degrades gracefully (``MonteCarloResult.failed_trials`` attributes the
-exact trial index and exception of every casualty);
-``registry.run_experiments`` reports per-experiment outcomes.
+The upward wiring sits at two boundaries: ``registry.run_experiments``
+reports per-experiment outcomes under the CLI's ``--retries``, and the
+job service runs each job under its wire ``policy``.  The Session layer
+below them is unsupervised: its plans run in-process and fail fast.
 """
 
 from .outcome import CapturedFailure, Outcome, capture_error

@@ -1,9 +1,12 @@
 """The :class:`RunPolicy` dataclass: how supervised execution recovers.
 
 A policy is plain declarative data (plus an injectable sleep for
-tests), picklable whenever ``sleep`` is left at its default — which is
-what lets a :class:`~repro.spice.plans.MonteCarlo` plan carry one
-across a process boundary.
+tests).  Its callers are the experiment registry (the CLI's
+``--retries``), the job service (a job's wire ``policy``) and direct
+:func:`~repro.resilience.supervised_call` /
+:func:`~repro.parallel.supervised_map` users.  It stays in the
+submitting process: retries and backoff run there, and a pool worker
+runs one attempt per submission.
 """
 
 from __future__ import annotations
@@ -80,15 +83,6 @@ class RunPolicy:
     def do_sleep(self, seconds: float) -> None:
         if seconds > 0:
             (self.sleep or time.sleep)(seconds)
-
-    def describe(self) -> dict:
-        """JSON-ready summary (used by plan/result ``to_dict``)."""
-        return {
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-            "backoff_factor": self.backoff_factor,
-            "on_failure": self.on_failure,
-        }
 
 
 __all__ = ["ON_FAILURE", "RunPolicy"]

@@ -4,7 +4,7 @@ One code path owns the semantics — attempt numbering, fault injection,
 retry classification, exponential backoff, STATS accounting, retry
 telemetry — and two transports reuse it:
 :func:`supervised_call` runs a thunk in-process (the serial path and
-the per-trial Monte-Carlo supervisor), while
+a served job's attempts), while
 :func:`repro.parallel.supervised_map` ships single attempts into pool
 workers via :func:`attempt_in_worker` and feeds the failures back
 through the same classification helpers.
@@ -18,7 +18,7 @@ fault-injection suite pins.
 
 Lazy imports of ``STATS`` and the telemetry tracer keep this module out
 of the ``repro.spice`` import graph (same convention as
-:mod:`repro.parallel`, which sits below the session layer).
+:mod:`repro.parallel`).
 """
 
 from __future__ import annotations

@@ -199,12 +199,6 @@ def plan_from_wire(data) -> AnalysisPlan:
                 raise PlanError(f"{name}.trials must be a list of trials") from None
         elif key == "inner":
             kwargs[key] = plan_from_wire(value)
-        elif key == "policy":
-            if value is not None:
-                raise PlanError(
-                    "MonteCarlo.policy does not travel on the wire; submit "
-                    "it as the job-level \"policy\" instead"
-                )
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
         else:
@@ -225,12 +219,6 @@ def plan_to_wire(plan: AnalysisPlan) -> dict:
         if spec.name == "options":
             if value is not None:
                 out[spec.name] = asdict(value)
-        elif spec.name == "policy":
-            if value is not None:
-                raise PlanError(
-                    "MonteCarlo.policy does not travel on the wire; submit "
-                    "it as the job-level \"policy\" instead"
-                )
         elif spec.name == "inner":
             out[spec.name] = plan_to_wire(value)
         elif spec.name == "trials":

@@ -5,8 +5,7 @@ what to solve (:class:`OP`, :class:`DCSweep`, :class:`TempSweep`,
 :class:`ACSweep`, :class:`Transient`, :class:`MonteCarlo`), submitted
 through ``session.run(plan)`` / ``session.run_many(plans)``.  Because a
 plan is plain data it can be validated *statically* — before any Newton
-iteration runs — and shipped across process boundaries for the batch
-fan-out.
+iteration runs — and sent over the wire to the job service.
 
 Validation happens in two stages:
 
@@ -151,11 +150,7 @@ class AnalysisPlan:
     def describe(self) -> dict:
         """JSON-ready summary of the plan (used by result ``to_dict``)."""
         def jsonable(value):
-            from ..resilience.policy import RunPolicy
-
             if isinstance(value, AnalysisPlan):
-                return value.describe()
-            if isinstance(value, RunPolicy):
                 return value.describe()
             if isinstance(value, (SolverOptions, TransientOptions)):
                 return type(value).__name__
@@ -303,24 +298,15 @@ class MonteCarlo(AnalysisPlan):
 
     ``trials`` is one override-set per trial — fully declarative, so the
     planner can check every trial's elements/attributes (and conflicts
-    against the inner plan's own overrides) before the first solve, and
-    the whole lot can fan out across processes.
-
-    ``policy`` (a :class:`~repro.resilience.RunPolicy`) makes the run
-    degrade gracefully: each trial executes under supervision, failed
-    trials land in ``MonteCarloResult.failed_trials`` with their exact
-    trial index and captured exception (instead of one casualty
-    aborting the whole population), and transient failures are retried
-    per the policy.  ``None`` keeps the fail-fast legacy semantics.
-    The policy must be picklable to fan out (leave its ``sleep`` hook
-    unset).
+    against the inner plan's own overrides) before the first solve.
+    The trials run in order on the session, and the first failing trial
+    fails the plan.
     """
 
     inner: AnalysisPlan = None
     trials: Tuple[Overrides, ...] = ()
     overrides: Overrides = ()
     record: Tuple[str, ...] = ()
-    policy: Optional["RunPolicy"] = None
 
     def __post_init__(self):
         if not isinstance(self.inner, AnalysisPlan):
@@ -329,14 +315,6 @@ class MonteCarlo(AnalysisPlan):
             raise PlanError("MonteCarlo plans do not nest")
         if not self.trials:
             raise PlanError("MonteCarlo trials grid is empty")
-        if self.policy is not None:
-            from ..resilience.policy import RunPolicy
-
-            if not isinstance(self.policy, RunPolicy):
-                raise PlanError(
-                    f"MonteCarlo policy must be a RunPolicy, "
-                    f"got {type(self.policy).__name__}"
-                )
         object.__setattr__(
             self,
             "trials",

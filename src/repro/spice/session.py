@@ -13,9 +13,10 @@ secant starts (:class:`~repro.spice.solver.SecantChain`).
 
 Analyses are declarative plans (:mod:`repro.spice.plans`) submitted via
 :meth:`Session.run` / :meth:`Session.run_many`; cross-topology batches
-go through :func:`run_plans`.  The planner validates every plan before
-any solve (typed :class:`~repro.errors.PlanError`), and every analysis
-returns an :class:`AnalysisResult` with the uniform
+go through :func:`run_plans`.  Every plan runs in this process.  The
+planner validates every plan before any solve (typed
+:class:`~repro.errors.PlanError`), and every analysis returns an
+:class:`AnalysisResult` with the uniform
 ``voltage`` / ``branch_current`` / ``to_dict`` / ``export`` accessors.
 
 Solved-point cache
@@ -42,28 +43,12 @@ Mutating circuit element values *outside* the plan-override mechanism is
 not tracked — call :meth:`Session.invalidate` afterwards (it clears the
 cache and the system's compiled caches), exactly like the underlying
 :meth:`MNASystem.invalidate` contract.
-
-Process fan-out
----------------
-
-:meth:`Session.run_many` and :func:`run_plans` share one fan-out path
-over ``(session, plans)`` groups.  Serially the live sessions run their
-plans in order.  Fanned, :func:`repro.parallel.supervised_map` runs each
-group on a worker session rebuilt from its :class:`SessionRecipe`.  The
-worker pickles its results with the session circuit (which routinely
-holds closures) replaced by a persistent-id token, and the parent loads
-them against its own session's circuit — so every field of every result
-kind crosses the pool with no per-kind code.  That blob only travels
-between a parent and its own pool workers; ``to_dict`` stays the JSON
-view the solved-point store and the HTTP service use.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,10 +57,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..errors import NetlistError, PlanError
-from ..parallel import resolve_workers, supervised_map
-from ..resilience import Outcome, RunPolicy
-from ..resilience.outcome import OK
-from ..resilience.supervisor import supervised_call
 from ..telemetry import tracer as _tele
 from .ac import ACSystem
 from .analysis import ACResult, OperatingPoint, SweepResult, _wrap_point
@@ -272,9 +253,9 @@ class SolvedPointCache:
             self._exact.pop(next(iter(self._exact)))
         self._exact[key] = point
 
-    # -- process fan-out support ---------------------------------------
+    # -- persistent store support --------------------------------------
     def export(self) -> List[Tuple[Tuple, Tuple]]:
-        """Picklable snapshot for merging a worker's cache back."""
+        """Plain-data snapshot of every point (what a store persists)."""
         return [
             (key, (p.temperature_k, p.time_key, p.options_key, dict(p.coords),
                    p.x, p.iterations, p.residual, p.strategy))
@@ -535,47 +516,17 @@ class TransientRunResult(AnalysisResult):
 
 
 class MonteCarloResult(AnalysisResult):
-    """Per-trial results of a :class:`~repro.spice.plans.MonteCarlo` plan.
-
-    With a :class:`~repro.resilience.RunPolicy` on the plan the
-    population may be *partial*: ``results`` holds the successful
-    trials only, ``trial_indices[i]`` names the original trial each
-    ``results[i]`` came from, and ``failed_trials`` carries one
-    :class:`~repro.resilience.Outcome` per casualty — the exact trial
-    index, captured exception, attempt count and worker pid.  Without a
-    policy the run is all-or-nothing and ``trial_indices`` is simply
-    ``0..n-1``.
-    """
+    """Per-trial results of a :class:`~repro.spice.plans.MonteCarlo`
+    plan, one per trial in trial order (the run is all-or-nothing)."""
 
     kind = "montecarlo"
 
-    def __init__(
-        self,
-        session,
-        plan,
-        results: List[AnalysisResult],
-        trial_indices: Optional[Sequence[int]] = None,
-        failed_trials: Sequence[Outcome] = (),
-    ):
+    def __init__(self, session, plan, results: List[AnalysisResult]):
         super().__init__(session, plan)
         self.results = results
-        self.trial_indices: Tuple[int, ...] = (
-            tuple(range(len(results)))
-            if trial_indices is None
-            else tuple(int(i) for i in trial_indices)
-        )
-        self.failed_trials: Tuple[Outcome, ...] = tuple(failed_trials)
 
     def __len__(self) -> int:
         return len(self.results)
-
-    @property
-    def complete(self) -> bool:
-        return not self.failed_trials
-
-    def failed_indices(self) -> Tuple[int, ...]:
-        """The original trial indices that produced no result."""
-        return tuple(outcome.index for outcome in self.failed_trials)
 
     def voltage(self, node: str) -> np.ndarray:
         return np.array([r.voltage(node) for r in self.results])
@@ -586,9 +537,6 @@ class MonteCarloResult(AnalysisResult):
     def to_dict(self) -> dict:
         out = self._base_dict()
         out["trials"] = [r.to_dict() for r in self.results]
-        if self.failed_trials or self.trial_indices != tuple(range(len(self.results))):
-            out["trial_indices"] = list(self.trial_indices)
-            out["failed_trials"] = [o.to_dict() for o in self.failed_trials]
         return out
 
 
@@ -600,9 +548,8 @@ class Session:
     """One engine lifecycle for one circuit topology.
 
     ``circuit`` is either a live :class:`Circuit` instance or a
-    *builder* — a picklable module-level callable returning the circuit
-    (required for process fan-out, because circuits routinely hold
-    closures).  The session builds the circuit once, binds one
+    *builder* — a callable returning the circuit, called with ``args``
+    and ``kwargs``.  The session builds the circuit once, binds one
     :class:`MNASystem` to it, keeps one Newton workspace, and feeds
     every solved DC point into the solved-point cache described in the
     module docstring.
@@ -619,25 +566,18 @@ class Session:
         store=None,
     ):
         if callable(circuit):
-            self._builder = circuit
-            self._args = tuple(args)
-            self._kwargs = dict(kwargs or {})
-            self.circuit = circuit(*self._args, **self._kwargs)
-            if not isinstance(self.circuit, Circuit):
+            circuit = circuit(*args, **dict(kwargs or {}))
+            if not isinstance(circuit, Circuit):
                 raise NetlistError(
-                    f"session builder returned {type(self.circuit).__name__}, "
+                    f"session builder returned {type(circuit).__name__}, "
                     "expected a Circuit"
                 )
-        else:
-            if args or kwargs:
-                raise NetlistError(
-                    "builder args given but the first argument is a Circuit "
-                    "instance, not a builder"
-                )
-            self._builder = None
-            self._args = ()
-            self._kwargs = {}
-            self.circuit = circuit
+        elif args or kwargs:
+            raise NetlistError(
+                "builder args given but the first argument is a Circuit "
+                "instance, not a builder"
+            )
+        self.circuit = circuit
         self.system = MNASystem(self.circuit, temperature_k=temperature_k)
         self.workspace = NewtonWorkspace()
         self.fingerprint = _fingerprint(self.circuit)
@@ -645,10 +585,6 @@ class Session:
         #: Values seen *before* the first override of each attribute —
         #: the coordinates un-overridden cache points sit at.
         self._baseline: Dict[Tuple[str, str], float] = {}
-        #: Per-session mirrors of the global STATS cache counters.
-        self.cache_hits = 0
-        self.cache_warm_starts = 0
-        self.cache_misses = 0
         #: Optional persistent solved-point store
         #: (:class:`repro.serve.cachestore.CacheStore`, or a path to
         #: one).  Loaded into the cache on open; :meth:`flush_store` /
@@ -709,19 +645,6 @@ class Session:
         self.system.invalidate()
         self.cache.clear()
 
-    def recipe(self) -> "SessionRecipe":
-        """The picklable recipe re-creating this session in a worker."""
-        if self._builder is None:
-            raise NetlistError(
-                "this session wraps a live Circuit instance; construct it "
-                "from a module-level builder to enable process fan-out"
-            )
-        return SessionRecipe(
-            builder=self._builder,
-            args=self._args,
-            kwargs=tuple(sorted(self._kwargs.items())),
-        )
-
     # -- the engine-level solved-point entry ---------------------------
     def solve_raw(
         self,
@@ -759,7 +682,6 @@ class Session:
             if x0 is None:
                 cached = self.cache.exact(exact_key)
                 if cached is not None:
-                    self.cache_hits += 1
                     STATS.op_cache_hits += 1
                     if span is not None:
                         span.attrs["cache"] = "hit"
@@ -777,12 +699,10 @@ class Session:
                 )
                 if warm is not None:
                     x0 = warm
-                    self.cache_warm_starts += 1
                     STATS.op_cache_warm_starts += 1
                     if span is not None:
                         span.attrs["cache"] = "warm"
                 else:
-                    self.cache_misses += 1
                     STATS.op_cache_misses += 1
                     if span is not None:
                         span.attrs["cache"] = "miss"
@@ -874,55 +794,17 @@ class Session:
             return self._run_montecarlo(plan)
         raise PlanError(f"unknown plan type {type(plan).__name__}")
 
-    def run_many(
-        self,
-        plans: Sequence[AnalysisPlan],
-        workers: Optional[int] = None,
-        policy: Optional[RunPolicy] = None,
-    ) -> List[AnalysisResult]:
-        """Run several plans against this topology.
+    def run_many(self, plans: Sequence[AnalysisPlan]) -> List[AnalysisResult]:
+        """Run several plans against this topology, in order.
 
-        Every plan is validated before the first solve.  Serial by
-        default (sharing this session's cache, so later plans warm-start
-        off earlier ones); with a worker count above 1 (or a
-        non-positive one, for every core) builder-backed sessions fan
-        plans out across processes (see the module docstring) and merge
-        the workers' solved points back into this cache.  Each worker session is seeded with this
-        session's cache snapshot, so fanned plans still warm-start off
-        everything solved before the call, though not off each other.
-        Either way every converged point is equal to solver tolerance.
-
-        With a :class:`~repro.resilience.RunPolicy` the batch runs
-        supervised and returns one :class:`~repro.resilience.Outcome`
-        per plan instead of raw results: a failed plan becomes a failure
-        record (per the policy's on-failure action) rather than killing
-        the batch, retryable errors are re-attempted with backoff, and
-        the active fault-injection plan is honoured (indexed by plan
-        position).  ``policy.on_failure == "raise"`` keeps fail-fast
-        semantics while still retrying.
+        Every plan is validated before the first solve.  The plans share
+        this session's cache, so later plans warm-start off earlier
+        ones.  Results come back in submission order.
         """
         plans = list(plans)
         for plan in plans:
             self.validate(plan)
-        return _run_groups(
-            [(self, [(index, plan)]) for index, plan in enumerate(plans)],
-            workers,
-            policy,
-        )
-
-    def _absorb(self, payload: dict) -> List[AnalysisResult]:
-        """Fold a worker session's state into this one and return its
-        results, loaded against this session's circuit.
-
-        The state is the solved points and the cache-counter mirrors;
-        the worker's STATS movement and spans came home in the pool
-        envelope (see :mod:`repro.parallel`)."""
-        self.cache.merge(payload["cache"])
-        hits, warm_starts, misses = payload["counters"]
-        self.cache_hits += hits
-        self.cache_warm_starts += warm_starts
-        self.cache_misses += misses
-        return _ResultUnpickler(io.BytesIO(payload["results"]), self.circuit).load()
+        return [self.run(plan) for plan in plans]
 
     # -- per-plan bodies -----------------------------------------------
     def _run_op(self, plan: OP, x0) -> OPResult:
@@ -1066,42 +948,18 @@ class Session:
         return TransientRunResult(self, plan, result)
 
     def _run_montecarlo(self, plan: MonteCarlo) -> MonteCarloResult:
-        if plan.policy is None:
-            results: List[AnalysisResult] = []
-            for trial in plan.trials:
-                results.append(self.run(plan.trial_plan(trial)))
-            return MonteCarloResult(self, plan, results)
-        # Supervised population: every trial runs under the plan's
-        # policy (retries, deterministic fault injection keyed by trial
-        # index), and a terminal casualty costs exactly its own trial —
-        # the survivors ship with precise attribution of the dead.
-        # ``on_failure="raise"`` restores fail-fast inside
-        # supervised_call.
-        outcomes = [
-            supervised_call(
-                lambda trial=trial: self.run(plan.trial_plan(trial)),
-                index=index,
-                policy=plan.policy,
-            )
-            for index, trial in enumerate(plan.trials)
-        ]
-        survivors = [outcome for outcome in outcomes if outcome.ok]
-        return MonteCarloResult(
-            self,
-            plan,
-            [outcome.value for outcome in survivors],
-            trial_indices=[outcome.index for outcome in survivors],
-            failed_trials=[outcome for outcome in outcomes if not outcome.ok],
-        )
+        results = [self.run(plan.trial_plan(trial)) for trial in plan.trials]
+        return MonteCarloResult(self, plan, results)
 
 
 # ----------------------------------------------------------------------
-# Cross-topology batching and process fan-out
+# Cross-topology batching
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SessionRecipe:
-    """A picklable description of a Session (builder plus plain data)."""
+    """A Session described as data (builder plus plain arguments): the
+    grouping key of :func:`run_plans`."""
 
     builder: Callable[..., Circuit]
     args: Tuple = ()
@@ -1111,151 +969,18 @@ class SessionRecipe:
         return Session(self.builder, self.args, dict(self.kwargs))
 
 
-class _ResultPickler(pickle.Pickler):
-    """Pickles worker results, leaving the session circuit as a token."""
-
-    def __init__(self, file, circuit: Circuit):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.circuit = circuit
-
-    def persistent_id(self, obj):
-        return "circuit" if obj is self.circuit else None
-
-
-class _ResultUnpickler(pickle.Unpickler):
-    """Loads worker results, binding the token to the parent's circuit.
-
-    Only blobs written by this parent's own pool workers are loaded."""
-
-    def __init__(self, file, circuit: Circuit):
-        super().__init__(file)
-        self.circuit = circuit
-
-    def persistent_load(self, pid):
-        return self.circuit
-
-
-def _run_plans_task(task) -> dict:
-    """Worker: build a session from its recipe, seed its cache from the
-    parent snapshot, run its plans serially (sharing the cache within
-    the group), and return the pickled results plus the solved points
-    for the parent to merge back.
-
-    ``task`` is ``(recipe, plans, cache_seed)``.  The build belongs to
-    the pool attempt, so its counters ship home too: a netlist recipe's
-    ``subckt_compiles`` count once for the parent-side session and once
-    for the worker's.
-    """
-    recipe, plans, seed = task
-    session = recipe.build()
-    session.cache.merge(seed)
-    results = [session.run(plan) for plan in plans]
-    blob = io.BytesIO()
-    _ResultPickler(blob, session.circuit).dump(results)
-    return {
-        "results": blob.getvalue(),
-        "cache": session.cache.export(),
-        "counters": (
-            session.cache_hits,
-            session.cache_warm_starts,
-            session.cache_misses,
-        ),
-    }
-
-
-def _pair_outcome(group_outcome: Outcome, pair_index: int, value=None) -> Outcome:
-    """Project a group-level Outcome onto one of its member pairs."""
-    return Outcome(
-        index=pair_index,
-        status=group_outcome.status,
-        value=value,
-        error=group_outcome.error,
-        attempts=group_outcome.attempts,
-        worker_pid=group_outcome.worker_pid,
-        wall_s=group_outcome.wall_s,
-        traceback=group_outcome.traceback,
-    )
-
-
-def _run_groups(
-    groups: Sequence[Tuple[Session, Sequence[Tuple[int, AnalysisPlan]]]],
-    workers: Optional[int],
-    policy: Optional[RunPolicy],
-) -> list:
-    """The one execution path of :meth:`Session.run_many` and
-    :func:`run_plans`.
-
-    Each group is a session and its ``(index, plan)`` members, which
-    run in order on that session; the group is the supervision unit,
-    indexed by its ordinal.  Serially the live sessions run their plans
-    (under :func:`supervised_call` when a policy is given); fanned, one
-    :func:`supervised_map` call runs every group in a worker and the
-    parent absorbs each ok outcome.  Returns one entry per member, at
-    its index: the result, or with a policy its :class:`Outcome`.
-    """
-    if min(resolve_workers(workers), len(groups)) > 1 and all(
-        session._builder is not None for session, _members in groups
-    ):
-        tasks = [
-            (
-                session.recipe(),
-                tuple(plan for _index, plan in members),
-                session.cache.export(),
-            )
-            for session, members in groups
-        ]
-        outcomes = supervised_map(
-            _run_plans_task, tasks, policy=policy, max_workers=workers
-        )
-        for (session, _members), outcome in zip(groups, outcomes):
-            if outcome.ok:
-                outcome.value = session._absorb(outcome.value)
-    else:
-        outcomes = []
-        for number, (session, members) in enumerate(groups):
-            def run(session=session, members=members):
-                return [session.run(plan) for _index, plan in members]
-
-            outcomes.append(
-                Outcome(index=number, status=OK, value=run())
-                if policy is None
-                else supervised_call(run, index=number, policy=policy)
-            )
-    results: list = [None] * sum(len(members) for _session, members in groups)
-    for (_session, members), outcome in zip(groups, outcomes):
-        for position, (index, _plan) in enumerate(members):
-            value = outcome.value[position] if outcome.ok else None
-            results[index] = (
-                value if policy is None else _pair_outcome(outcome, index, value)
-            )
-    return results
-
-
 def run_plans(
     pairs: Sequence[Tuple[SessionRecipe, AnalysisPlan]],
-    workers: Optional[int] = None,
-    policy: Optional[RunPolicy] = None,
 ) -> List[AnalysisResult]:
     """Run ``(recipe, plan)`` pairs, batching compatible plans.
 
-    Plans whose recipes compare equal are grouped onto ONE session (in
-    submission order), so they share its solved-point cache — that is
-    the cross-analysis amortisation; groups are independent and fan out
-    across processes through the same path as :meth:`Session.run_many`
-    (``workers=None`` is serial, a non-positive count every core).
-    Results are identical between the serial and fanned paths because
-    grouping is deterministic and each group runs sequentially inside
-    one process either way.  Pairs that
-    must not share warm starts need recipes that compare unequal.
-
-    With a :class:`~repro.resilience.RunPolicy` the batch runs
-    supervised and returns one :class:`~repro.resilience.Outcome` per
-    pair.  The supervision unit is the session *group* (the atom of
-    both execution paths), indexed by group ordinal — with one recipe
-    per pair that is simply the pair index.  A failed group yields one
-    failure record per member pair; retries re-run the whole group.
-    The same policy supervises the serial and fanned paths, so
-    outcomes, attempt counts and resilience counters match.
+    Plans whose recipes compare equal are grouped onto ONE session, so
+    they share its solved-point cache — that is the cross-analysis
+    amortisation.  Every plan is validated before the first solve;
+    groups then run in first-appearance order, each running its plans
+    in submission order, and results come back in submission order.
+    Pairs that must not share warm starts need recipes that compare
+    unequal.
     """
     pairs = list(pairs)
     groups: List[Tuple[SessionRecipe, List[int]]] = []
@@ -1266,20 +991,15 @@ def run_plans(
                 break
         else:
             groups.append((recipe, [index]))
-    # Parent-side sessions: validation before any solve, and the
-    # circuits fanned results are loaded against.
     sessions = [recipe.build() for recipe, _indices in groups]
     for session, (_recipe, indices) in zip(sessions, groups):
         for index in indices:
             session.validate(pairs[index][1])
-    return _run_groups(
-        [
-            (session, [(index, pairs[index][1]) for index in indices])
-            for session, (_recipe, indices) in zip(sessions, groups)
-        ],
-        workers,
-        policy,
-    )
+    results: List[Optional[AnalysisResult]] = [None] * len(pairs)
+    for session, (_recipe, indices) in zip(sessions, groups):
+        for index in indices:
+            results[index] = session.run(pairs[index][1])
+    return results
 
 
 __all__ = [

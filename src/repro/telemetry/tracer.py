@@ -44,31 +44,13 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
 
-def _stats_snapshot() -> Dict[str, object]:
+def _stats():
     # Imported lazily so the telemetry package never participates in the
     # repro.spice import graph (spice modules import telemetry, not the
     # other way around at module scope).
     from ..spice.stats import STATS
 
-    return STATS.as_dict()
-
-
-def _counter_delta(before: Dict, after: Dict) -> Dict[str, object]:
-    """Non-zero counter movement between two ``STATS.as_dict`` snapshots."""
-    delta: Dict[str, object] = {}
-    for key, value in after.items():
-        base = before.get(key, 0)
-        if isinstance(value, dict):
-            moved = {
-                name: count - base.get(name, 0)
-                for name, count in value.items()
-                if count != base.get(name, 0)
-            }
-            if moved:
-                delta[key] = moved
-        elif value != base:
-            delta[key] = value - base
-    return delta
+    return STATS
 
 
 class Span:
@@ -151,7 +133,7 @@ class Tracer:
     def begin(self, name: str, **attrs) -> Span:
         """Open a span (with a counter snapshot) and make it current."""
         span = Span(name, self.clock(), attrs)
-        span._counters_enter = _stats_snapshot()
+        span._counters_enter = _stats().snapshot()
         if self._stack:
             self._stack[-1].children.append(span)
         else:
@@ -166,7 +148,8 @@ class Tracer:
             del self._stack[self._stack.index(span):]
         span.t_end = self.clock()
         if span._counters_enter is not None:
-            span.counters = _counter_delta(span._counters_enter, _stats_snapshot())
+            delta = _stats().delta_since(span._counters_enter)
+            span.counters = {key: value for key, value in delta.items() if value}
             span._counters_enter = None
 
     @contextmanager

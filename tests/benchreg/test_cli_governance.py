@@ -21,10 +21,12 @@ class TestRecordAndCheck:
         index_path = tmp_path / "index.json"
         assert run_record(index_path) == 0
         out = capsys.readouterr().out
-        assert "bench provenance: git=" in out
         assert "bench-record: campaign c0001" in out
         index = schema.load_index(index_path)
         assert index["entries"][0]["rows"][0]["experiment"] == "fig1"
+        # The provenance line shows the recorded SHA, dirty mark kept.
+        sha = schema.short_sha(index["entries"][0]["git_sha"])
+        assert f"bench provenance: git={sha} " in out
         # Identical re-run gates clean against the recorded baseline.
         status = main(
             ["--bench", "fig1", "--bench-check", "--bench-index", str(index_path)]

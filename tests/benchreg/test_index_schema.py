@@ -2,6 +2,8 @@
 provenance of the committed ``benchmarks/index.json``."""
 
 import json
+import shutil
+import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -175,6 +177,35 @@ class TestProvenance:
     def test_git_sha_in_repo_and_outside(self, tmp_path):
         assert schema.git_sha() != ""  # repo: a real sha; never empty
         assert schema.git_sha(cwd=tmp_path) == "unknown"
+
+    def test_git_sha_marks_edited_tracked_files_dirty(self, tmp_path):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "init")
+        head = git("rev-parse", "HEAD")
+        assert schema.git_sha(cwd=tmp_path) == head
+        # Untracked files are not the measured code's business.
+        (tmp_path / "untracked.txt").write_text("scratch\n")
+        assert schema.git_sha(cwd=tmp_path) == head
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert schema.git_sha(cwd=tmp_path) == head + schema.DIRTY_MARK
+
+    def test_short_sha_keeps_the_dirty_mark(self):
+        sha = "0123456789abcdef0123"
+        assert schema.short_sha(sha) == "0123456789ab"
+        assert schema.short_sha(sha + "-dirty") == "0123456789ab-dirty"
+        assert schema.short_sha("unknown") == "unknown"
 
     def test_build_info_labels(self):
         labels = schema.build_info(fake_host(), "abc123")

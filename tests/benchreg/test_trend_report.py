@@ -39,7 +39,7 @@ def build_two_campaign_index(tmp_path):
         pr=5,
         clock=lambda: T0 + 86400,
         host=fake_host(),
-        sha="bbbbbbbbbbbbbbbb",
+        sha="bbbbbbbbbbbbbbbb-dirty",
     )
     return schema.load_index(path)
 
@@ -56,7 +56,7 @@ Counters marked *hard* gate `--bench-check`; *advisory* metrics classify against
 | id | date | label | pr | git | host | source |
 |---|---|---|---|---|---|---|
 | c0001 | 2026-07-28 | first | 4 | aaaaaaaaaaaa | test-host | — |
-| c0002 | 2026-07-29 | second | 5 | bbbbbbbbbbbb | test-host | — |
+| c0002 | 2026-07-29 | second | 5 | bbbbbbbbbbbb-dirty | test-host | — |
 
 ## demo
 

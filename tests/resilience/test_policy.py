@@ -1,8 +1,6 @@
 """RunPolicy: validation, backoff arithmetic, injectable sleep,
-equality/pickling (a policy rides inside MonteCarlo plans across the
-process boundary)."""
+equality/pickling."""
 
-import json
 import pickle
 
 import pytest
@@ -74,13 +72,3 @@ class TestIdentity:
         assert policy.is_retryable(ConvergenceError("x"))
         assert policy.is_retryable(WorkerCrash("x"))
         assert not policy.is_retryable(ValueError("x"))
-
-    def test_describe_is_json_ready(self):
-        described = RunPolicy(max_retries=1).describe()
-        assert described == {
-            "max_retries": 1,
-            "backoff_s": 0.0,
-            "backoff_factor": 2.0,
-            "on_failure": "record",
-        }
-        assert json.loads(json.dumps(described)) == described

@@ -202,7 +202,9 @@ class TestWireCodec:
             plan_from_wire({"analysis": "TempSweep", "temperatures_k": []})
 
     def test_montecarlo_policy_rejected_on_wire(self):
-        with pytest.raises(PlanError, match="job-level"):
+        # A policy belongs to the job, not to a plan: on a plan it is
+        # an unknown field.
+        with pytest.raises(PlanError, match="MonteCarlo has no field\\(s\\): policy"):
             plan_from_wire(
                 {"analysis": "MonteCarlo", "inner": {"analysis": "OP"},
                  "trials": [[["R1", "resistance", 1e3]]], "policy": {"max_retries": 1}}

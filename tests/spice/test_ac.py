@@ -409,21 +409,6 @@ class TestACBatch:
             psrr_db = -result.magnitude_db("vref")
             assert np.all(psrr_db > 40.0), psrr_db
 
-    def test_batch_rehydrates_named_accessors(self):
-        # Two distinct recipes fan out to two worker processes, so each
-        # result comes back as a payload rehydrated against the parent's
-        # session.
-        plan = ACSweep(frequencies_hz=self.FREQS)
-        recipes = [
-            SessionRecipe(builder=rc_lowpass, args=(1e3, capacitance))
-            for capacitance in (1e-9, 2e-9)
-        ]
-        batches = run_plans([(recipe, plan) for recipe in recipes], workers=2)
-        for batch in batches:
-            [result] = batch.ac_results
-            assert result.phasor("out").shape == (len(self.FREQS),)
-            assert result.op.voltage("in") == pytest.approx(1.0)
-
 
 class TestValidation:
     def test_rejects_empty_frequency_grid(self):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.errors import NetlistError, PlanError
-from repro.resilience import RunPolicy
 from repro.spice import (
     ACSweep,
     Capacitor,
@@ -31,7 +30,6 @@ from repro.spice import (
     Diode,
     MonteCarlo,
     OP,
-    Pulse,
     Resistor,
     Session,
     SessionRecipe,
@@ -62,11 +60,6 @@ def diode_circuit():
     c.add(Resistor("R1", "in", "d", 1e3))
     c.add(Diode("D1", "d", "0"))
     return c
-
-
-def bandgap_array_24():
-    """A 24-cell generated array (~220 unknowns, sparse)."""
-    return parse_netlist(bandgap_array(cells=24))
 
 
 def rc_circuit():
@@ -219,7 +212,6 @@ class TestSolvedPointCache:
         first = session.run(OP())
         STATS.reset()
         second = session.run(OP())
-        assert session.cache_hits == 1
         assert STATS.op_cache_hits == 1
         assert STATS.newton_solves == 0  # no Newton run at all
         np.testing.assert_array_equal(first.op.x, second.op.x)
@@ -229,7 +221,6 @@ class TestSolvedPointCache:
         session.run(OP(temperature_k=300.0))
         STATS.reset()
         warm = session.run(OP(temperature_k=310.0))
-        assert session.cache_warm_starts == 1
         assert STATS.op_cache_warm_starts == 1
         fresh = solve_dc_system(
             MNASystem(diode_circuit(), temperature_k=310.0),
@@ -239,10 +230,11 @@ class TestSolvedPointCache:
 
     def test_temperature_nudge_is_never_stale(self):
         session = Session(diode_circuit)
+        STATS.reset()
         base = session.run(OP(temperature_k=300.0))
         nudged = session.run(OP(temperature_k=300.01))
         # A different key: not an exact hit, and the answer moved.
-        assert session.cache_hits == 0
+        assert STATS.op_cache_hits == 0
         assert nudged.voltage("d") != base.voltage("d")
         fresh = solve_dc_system(
             MNASystem(diode_circuit(), temperature_k=300.01),
@@ -254,9 +246,10 @@ class TestSolvedPointCache:
 
     def test_override_change_is_never_stale(self):
         session = Session(diode_circuit)
+        STATS.reset()
         base = session.run(OP())
         halved = session.run(OP(overrides=(("R1", "resistance", 500.0),)))
-        assert session.cache_hits == 0
+        assert STATS.op_cache_hits == 0
         assert halved.voltage("d") > base.voltage("d")  # more drive current
         # And the base point is restored (override rolled back + re-keyed).
         again = session.run(OP())
@@ -336,8 +329,9 @@ class TestSolvedPointCache:
         session.circuit.element("R1").resistance = 500.0
         session.invalidate()
         assert len(session.cache) == 0
+        STATS.reset()
         after = session.run(OP())
-        assert session.cache_hits == 0
+        assert STATS.op_cache_hits == 0
         assert after.voltage("d") > before.voltage("d")
 
     def test_dc_sweep_of_a_callable_valued_source(self):
@@ -693,86 +687,50 @@ class TestRunManyAndRunPlans:
             session.run_many([OP(), OP(overrides=(("RX", "resistance", 1.0),))])
         assert STATS.newton_solves == 0  # nothing ran
 
-    def test_run_many_serial_shares_the_cache(self):
+    def test_run_many_shares_the_cache(self):
         session = Session(diode_circuit)
+        STATS.reset()
         results = session.run_many([OP(), OP(temperature_k=305.0)])
-        assert session.cache_misses == 1  # only the first was cold
-        assert session.cache_warm_starts == 1
+        assert STATS.op_cache_misses == 1  # only the first was cold
+        assert STATS.op_cache_warm_starts == 1
         assert len(results) == 2
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_run_many_fanned_matches_serial_on_an_array(self, workers):
-        # Serial plans warm-start off each other in one cache; fanned
-        # plans solve cold in their workers.  Both converge to the same
-        # points within the Newton tolerances.
-        plans = [
-            OP(temperature_k=t, record=("o0",))
-            for t in np.linspace(260.15, 340.15, 8)
-        ]
-        serial = Session(bandgap_array_24).run_many(plans, workers=1)
-        fanned = Session(bandgap_array_24).run_many(plans, workers=workers)
-        assert len(fanned) == len(plans)
-        np.testing.assert_allclose(
-            [result.voltage("o0") for result in fanned],
-            [result.voltage("o0") for result in serial],
-            rtol=0.0,
-            atol=1e-7,
-        )
-
-    def test_run_plans_serial_vs_fanned_identical(self):
-        pairs = [
-            (SessionRecipe(builder=diode_circuit), TempSweep(temperatures_k=(280.0, 320.0))),
-            (SessionRecipe(builder=rc_circuit), OP()),
-        ]
-        serial = run_plans(pairs, workers=1)
-        fanned = run_plans(pairs, workers=2)
-        for a, b in zip(serial, fanned):
-            if isinstance(a, type(serial[1])) and hasattr(a, "op"):
-                np.testing.assert_array_equal(a.op.x, b.op.x)
-        np.testing.assert_array_equal(
-            np.stack([p.x for p in serial[0].points]),
-            np.stack([p.x for p in fanned[0].points]),
-        )
+    def test_run_plans_validates_everything_first(self):
+        STATS.reset()
+        with pytest.raises(PlanError):
+            run_plans(
+                [
+                    (SessionRecipe(builder=diode_circuit), OP()),
+                    (SessionRecipe(builder=rc_circuit), OP(record=("nowhere",))),
+                ]
+            )
+        assert STATS.newton_solves == 0  # nothing ran
 
     def test_run_plans_groups_equal_recipes_onto_one_session(self):
         recipe = SessionRecipe(builder=diode_circuit)
         STATS.reset()
-        run_plans(
-            [(recipe, OP()), (recipe, OP(temperature_k=305.0))], workers=1
-        )
+        run_plans([(recipe, OP()), (recipe, OP(temperature_k=305.0))])
         # Shared session: the second plan warm-started off the first.
         assert STATS.op_cache_warm_starts == 1
 
-    def test_fanned_cache_merges_back(self):
-        session = Session(diode_circuit)
-        session.run_many([OP(), OP(temperature_k=305.0)], workers=2)
-        # Worker-solved points are visible to the parent session now.
-        STATS.reset()
-        session.run(OP())
-        assert session.cache_hits == 1
-
-    def test_fanned_workers_seeded_with_parent_cache(self):
-        session = Session(diode_circuit)
-        session.run(OP(temperature_k=300.0))  # the one cold solve
-        warm_before = session.cache_warm_starts
-        misses_before = session.cache_misses
-        results = session.run_many(
-            [OP(temperature_k=305.0), OP(temperature_k=310.0)], workers=2
-        )
-        assert len(results) == 2
-        # Both fanned plans warm-started off the shipped parent cache
-        # snapshot (worker counters fold back into the parent mirrors),
-        # instead of paying their own cold solves.
-        assert session.cache_warm_starts - warm_before == 2
-        assert session.cache_misses == misses_before
-
-    def test_live_circuit_session_has_no_recipe(self):
-        session = Session(diode_circuit())
-        with pytest.raises(NetlistError, match="builder"):
-            session.recipe()
-        # run_many still works: it falls back to the serial path.
-        results = session.run_many([OP(), OP(temperature_k=310.0)], workers=2)
-        assert len(results) == 2
+    def test_run_plans_runs_groups_in_first_appearance_order(self):
+        diode = SessionRecipe(builder=diode_circuit)
+        rc = SessionRecipe(builder=rc_circuit)
+        pairs = [
+            (diode, OP()),
+            (rc, TempSweep(temperatures_k=(290.0, 310.0))),
+            (diode, DCSweep(source="V1", values=(4.0, 5.0))),
+        ]
+        with tracing(detail="plans") as tracer:
+            results = run_plans(pairs)
+        # The diode group runs both its plans, in submission order,
+        # before the rc group; results come back in submission order.
+        assert [root.attrs["kind"] for root in tracer.roots] == [
+            "OP", "DCSweep", "TempSweep",
+        ]
+        assert [result.kind for result in results] == ["op", "temp_sweep", "dc_sweep"]
+        assert results[0].circuit is results[2].circuit
+        assert results[1].circuit is not results[0].circuit
 
     def test_montecarlo_trials(self):
         trials = tuple(
@@ -785,137 +743,6 @@ class TestRunManyAndRunPlans:
         voltages = result.voltage("d")
         # More series resistance -> less diode drive -> lower drop.
         assert voltages[0] > voltages[1] > voltages[2]
-
-    def test_montecarlo_fanned_results_match_serial(self):
-        trials = tuple(
-            (("R1", "resistance", resistance),)
-            for resistance in (500.0, 2e3)
-        )
-        plan = MonteCarlo(inner=OP(), trials=trials)
-        serial = Session(diode_circuit).run(plan)
-        fanned = Session(diode_circuit).run_many([plan, OP()], workers=2)[0]
-        np.testing.assert_array_equal(serial.voltage("d"), fanned.voltage("d"))
-        # Each trial result carries the merged per-trial plan on BOTH
-        # paths: the exported artifact must say which overrides ran.
-        assert serial.to_dict() == fanned.to_dict()
-        exported = fanned.to_dict()["trials"][0]["plan"]["overrides"]
-        assert exported == [["R1", "resistance", 500.0]]
-
-
-def diode_rc_circuit(title="diode rc"):
-    """Nonlinear, reactive and driven: every analysis kind has work."""
-    c = Circuit(title)
-    c.add(VoltageSource("V1", "in", "0", 2.0, ac_mag=1.0))
-    c.add(VoltageSource("V2", "drv", "0", Pulse(0.0, 1.0, delay=1e-7, rise=1e-7)))
-    c.add(Resistor("R1", "in", "d", 1e3))
-    c.add(Resistor("R2", "drv", "d", 2e3))
-    c.add(Diode("D1", "d", "0"))
-    c.add(Capacitor("C1", "d", "0", 1e-9))
-    return c
-
-
-def _raw_arrays(result):
-    """Every solution array a result holds, nested trials included."""
-    if hasattr(result, "op"):
-        return [result.op.x]
-    if hasattr(result, "sweep"):
-        return [point.x for point in result.points]
-    if hasattr(result, "ac_results"):
-        return [a for r in result.ac_results for a in (r.x, r.op.x)]
-    if hasattr(result, "result"):
-        return [result.result.times, result.result.states]
-    return [a for trial in result.results for a in _raw_arrays(trial)]
-
-
-def _circuits(result):
-    """Every circuit reference a result holds, nested trials included."""
-    refs = [result.circuit]
-    if hasattr(result, "op"):
-        refs.append(result.op.circuit)
-    elif hasattr(result, "sweep"):
-        refs += [point.circuit for point in result.points]
-    elif hasattr(result, "ac_results"):
-        refs += [c for r in result.ac_results for c in (r.circuit, r.op.circuit)]
-    elif hasattr(result, "result"):
-        refs.append(result.result.circuit)
-    else:
-        refs += [c for trial in result.results for c in _circuits(trial)]
-    return refs
-
-
-def _comparable(result):
-    """``to_dict`` minus the process and clock a failed trial ran on."""
-    snapshot = result.to_dict()
-    for failure in snapshot.get("failed_trials", ()):
-        del failure["worker_pid"], failure["wall_s"]
-    return snapshot
-
-
-class TestFannedEqualsSerialEveryKind:
-    """Worker results cross the pool by pickle with the circuit left
-    behind as a token; every result kind must come back as the serial
-    run would have produced it, bound to the parent's circuit."""
-
-    TRIALS = tuple((("R1", "resistance", r),) for r in (500.0, 1e3, 2e3))
-
-    @pytest.mark.parametrize(
-        "plan, faults",
-        [
-            pytest.param(OP(temperature_k=310.0), None, id="op"),
-            pytest.param(
-                DCSweep(source="V1", values=(0.5, 1.0, 2.0)), None, id="dc_sweep"
-            ),
-            pytest.param(
-                TempSweep(temperatures_k=(260.0, 300.0, 340.0)), None, id="temp_sweep"
-            ),
-            pytest.param(
-                ACSweep(frequencies_hz=(1e3, 1e5, 1e7), temperatures_k=(280.0, 320.0)),
-                None,
-                id="ac_sweep",
-            ),
-            pytest.param(Transient(t_stop=1e-6), None, id="transient"),
-            pytest.param(
-                MonteCarlo(
-                    inner=OP(), trials=TRIALS, policy=RunPolicy(on_failure="record")
-                ),
-                "error@1",
-                id="montecarlo",
-            ),
-        ],
-    )
-    def test_round_trip(self, plan, faults, monkeypatch):
-        if faults is None:
-            monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_FAULTS", faults)
-        pairs = [
-            (SessionRecipe(builder=diode_rc_circuit, args=(title,)), plan)
-            for title in ("diode rc a", "diode rc b")
-        ]
-        serial = run_plans(pairs, workers=1)
-        # run_plans builds one parent session per group, in order, before
-        # any fan-out; recording builds in this process captures them.
-        built = []
-        real_build = SessionRecipe.build
-
-        def recording_build(recipe):
-            built.append(real_build(recipe))
-            return built[-1]
-
-        monkeypatch.setattr(SessionRecipe, "build", recording_build)
-        fanned = run_plans(pairs, workers=2)
-        for ours, theirs, parent in zip(fanned, serial, built[:2]):
-            assert type(ours) is type(theirs)
-            assert _comparable(ours) == _comparable(theirs)
-            ours_raw, theirs_raw = _raw_arrays(ours), _raw_arrays(theirs)
-            assert len(ours_raw) == len(theirs_raw) > 0
-            for a, b in zip(ours_raw, theirs_raw):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape)
-                assert a.tobytes() == b.tobytes()
-            assert all(circuit is parent.circuit for circuit in _circuits(ours))
-        if faults is not None:
-            assert [r.failed_indices() for r in fanned] == [(1,), (1,)]
-            assert [r.trial_indices for r in fanned] == [(0, 2), (0, 2)]
 
 
 class TestResults:
@@ -961,6 +788,12 @@ class TestResults:
         payload = result.to_dict()
         json.dumps(payload)
         assert len(payload["trials"]) == 1
+        # Each trial result carries its merged per-trial plan: the
+        # exported artifact says which overrides ran.
+        assert payload["trials"][0]["plan"]["overrides"] == [["R1", "resistance", 2e3]]
+        assert sorted(payload["plan"]) == [
+            "analysis", "inner", "overrides", "record", "trials",
+        ]
 
 
 class TestLifetime:

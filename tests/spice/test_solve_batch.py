@@ -1,9 +1,8 @@
 """Cross-topology batches and the process fan-out helper.
 
 ``run_plans`` over distinct recipes must return exactly what one fresh
-``Session`` per recipe returns, independent of worker count, and a
-policy-free ``supervised_map`` must preserve item order and fall back
-to serial execution gracefully.
+``Session`` per recipe returns, and a policy-free ``supervised_map``
+must preserve item order and fall back to serial execution gracefully.
 """
 
 import os
@@ -69,11 +68,8 @@ class TestPolicyFreeMap:
 
 class TestRunPlansBatch:
     def _pairs(self):
-        # build_bandgap_cell is module-level and takes plain-data
-        # arguments, so the recipes survive a process boundary even
-        # though the built circuit holds closures.  Two distinct
-        # configurations make two session groups, so neither sweep
-        # warm-starts off the other.
+        # Two distinct configurations make two session groups, so
+        # neither sweep warm-starts off the other.
         return [
             (
                 SessionRecipe(builder=build_bandgap_cell, args=(config,)),
@@ -86,7 +82,7 @@ class TestRunPlansBatch:
         ]
 
     def test_matches_one_session_per_recipe(self):
-        batch = run_plans(self._pairs(), workers=1)
+        batch = run_plans(self._pairs())
         for (recipe, plan), result in zip(self._pairs(), batch):
             sequential = recipe.build().run(plan)
             np.testing.assert_allclose(
@@ -95,24 +91,6 @@ class TestRunPlansBatch:
             assert [p.strategy for p in result.points] == [
                 p.strategy for p in sequential.points
             ]
-
-    def test_worker_count_does_not_change_results(self):
-        serial = run_plans(self._pairs(), workers=1)
-        fanned = run_plans(self._pairs(), workers=2)
-        for a, b in zip(serial, fanned):
-            np.testing.assert_allclose(
-                a.voltage("vref"), b.voltage("vref"), atol=0.0
-            )
-
-    def test_rehydrated_points_expose_named_accessors(self):
-        # Fanned results cross the process boundary as payloads and are
-        # rebuilt against the parent-side sessions.
-        for result in run_plans(self._pairs(), workers=2):
-            assert len(result) == len(TEMPS)
-            point = result.points[1]
-            assert point.temperature_k == TEMPS[1]
-            assert 1.1 < point.voltage("vref") < 1.3
-            assert point.iterations > 0
 
 
 class TestMonteCarloFanOut:

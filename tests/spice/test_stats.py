@@ -1,7 +1,5 @@
 """Tests for the SolverStats lifecycle: reset / as_dict round-trip,
-snapshot-delta bookkeeping, cross-accumulator merge, and the fanned-vs-
-serial counter-equality regression that the worker telemetry merge
-exists to guarantee.
+snapshot-delta bookkeeping and cross-accumulator merge.
 
 Everything here is field-driven on purpose: a counter added to
 ``SolverStats`` must round-trip, reset, and merge without this file
@@ -10,27 +8,7 @@ changing — the dataclass fields are the single source of truth.
 
 from dataclasses import fields
 
-import pytest
-
-from repro.spice import OP, Session, SessionRecipe, TempSweep, run_plans
-from repro.spice import Circuit, Diode, Resistor, VoltageSource
-from repro.spice.stats import STATS, SolverStats
-
-
-def diode_circuit():
-    c = Circuit("diode under drive")
-    c.add(VoltageSource("V1", "in", "0", 5.0))
-    c.add(Resistor("R1", "in", "d", 1e3))
-    c.add(Diode("D1", "d", "0"))
-    return c
-
-
-def rc_circuit():
-    c = Circuit("rc divider")
-    c.add(VoltageSource("V1", "in", "0", 1.0))
-    c.add(Resistor("R1", "in", "out", 1e3))
-    c.add(Resistor("R2", "out", "0", 1e3))
-    return c
+from repro.spice.stats import SolverStats
 
 
 def distinct_stats() -> SolverStats:
@@ -135,47 +113,3 @@ class TestDeltaAndMerge:
         target.merge({"iterations": 1})
         assert target.iterations == before["iterations"] + 1
         assert target.newton_solves == before["newton_solves"]
-
-
-def _sweep_pairs():
-    return [
-        (
-            SessionRecipe(builder=diode_circuit),
-            TempSweep(temperatures_k=(280.0, 300.0, 320.0)),
-        ),
-        (SessionRecipe(builder=rc_circuit), OP()),
-    ]
-
-
-def _stats_after_run_plans(workers):
-    STATS.reset()
-    run_plans(_sweep_pairs(), workers=workers)
-    return STATS.as_dict()
-
-
-class TestFannedCountersMatchSerial:
-    """Worker STATS deltas ship home in the pool envelope and merge, so
-    the process counters after a fanned ``run_plans`` equal the serial
-    run's — the regression the telemetry transport pins down."""
-
-    def test_run_plans_workers_flag(self):
-        serial = _stats_after_run_plans(workers=1)
-        fanned = _stats_after_run_plans(workers=2)
-        assert fanned == serial
-
-    def test_run_many_fanned_work_lands_on_process_stats(self):
-        # run_many's serial path shares the session cache between plans
-        # (later ones warm-start off earlier ones) while the fanned path
-        # runs them concurrently, so exact counter equality is run_plans
-        # territory.  What MUST hold is that fanned workers' solver work
-        # is merged back into this process's STATS at all.
-        plans = [OP(temperature_k=300.0), OP(temperature_k=310.0)]
-        STATS.reset()
-        session = Session(diode_circuit)
-        session.run_many(list(plans), workers=2)
-        assert STATS.newton_solves >= 2
-        assert STATS.op_cache_misses + STATS.op_cache_warm_starts == 2
-        # The session-local mirrors agree with the process totals.
-        assert session.cache_misses == STATS.op_cache_misses
-        assert session.cache_warm_starts == STATS.op_cache_warm_starts
-

@@ -19,11 +19,9 @@ from repro.spice import (
     OP,
     Resistor,
     Session,
-    SessionRecipe,
     SolverOptions,
     TempSweep,
     VoltageSource,
-    run_plans,
 )
 from repro.spice.stats import STATS
 from repro.telemetry import tracer as tracer_mod
@@ -61,6 +59,16 @@ def rc_circuit():
     c.add(Resistor("R1", "in", "out", 1e3))
     c.add(Resistor("R2", "out", "0", 1e3))
     return c
+
+
+def run_paired_plan(index):
+    """Pool work: the diode TempSweep (0) or the RC OP (1), each on a
+    fresh session (module-level, so it pickles)."""
+    builder, plan = (
+        (diode_circuit, TempSweep(temperatures_k=(280.0, 320.0))),
+        (rc_circuit, OP()),
+    )[index]
+    Session(builder).run(plan)
 
 
 def _walk(span):
@@ -231,16 +239,9 @@ class TestUntracedPathIsFree:
 
 
 class TestWorkerMerge:
-    def test_run_plans_fanned_trace_equals_serial(self):
-        def pairs():
-            return [
-                (
-                    SessionRecipe(builder=diode_circuit),
-                    TempSweep(temperatures_k=(280.0, 320.0)),
-                ),
-                (SessionRecipe(builder=rc_circuit), OP()),
-            ]
-
+    def test_supervised_map_fanned_trace_equals_serial(self):
+        # Full-detail worker spans, iteration records and counters
+        # included, graft equal to the spans a serial map records.
         def normalize(exported):
             normalized = []
             for data in exported:
@@ -260,10 +261,15 @@ class TestWorkerMerge:
             return normalized
 
         with tracing(detail="full") as serial:
-            run_plans(pairs(), workers=1)
+            supervised_map(run_paired_plan, [0, 1], max_workers=None)
         with tracing(detail="full") as fanned:
-            run_plans(pairs(), workers=2)
+            supervised_map(run_paired_plan, [0, 1], max_workers=2)
         assert normalize(fanned.export()) == normalize(serial.export())
+        assert [span["span"] for span in serial.export()] == ["plan", "plan"]
+        # The fanned spans really crossed the pool.
+        assert all(
+            span["attrs"]["worker_pid"] != os.getpid() for span in fanned.export()
+        )
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_ok_and_failed_attempts_report_counters_and_spans_once(self, workers):

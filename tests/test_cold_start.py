@@ -74,6 +74,7 @@ def test_engine_and_server_import_no_optimizer_and_no_experiment(module):
     loaded, _ = fresh(f"import {module}")
     assert _under(loaded, "scipy.optimize") == []
     assert _under(loaded, "repro.experiments") == []
+    assert _under(loaded, "repro.parallel") == []
 
 
 def test_experiment_helper_imports_no_other_runner(runner_of):
