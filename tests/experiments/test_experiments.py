@@ -6,6 +6,8 @@ These are the repo's acceptance tests — each runs the full stack
 figure or table of the paper.
 """
 
+import os
+
 import pytest
 
 from repro.errors import ReproError
@@ -148,6 +150,68 @@ class TestRunExperimentsErrorAttribution:
 
         with pytest.raises(ReproError, match="known:"):
             run_experiments(["fig1", "no_such_experiment"])
+
+
+#: CI's fan-out smoke batch: a figure and the one run_plans experiment.
+FANNED_BATCH = ["fig1", "ablation_solver"]
+
+
+def _clockless(rows):
+    """Exported span rows without their clocks and worker marks."""
+    return [
+        {
+            **{k: v for k, v in row.items() if k not in ("t_start_s", "dur_s")},
+            "attrs": {
+                k: v for k, v in row.get("attrs", {}).items() if k != "worker_pid"
+            },
+            "children": _clockless(row.get("children", [])),
+        }
+        for row in rows
+    ]
+
+
+@pytest.fixture(scope="module")
+def serial_and_fanned_batch():
+    """The smoke batch run fanned over two workers, then serially: each
+    run's results, process counters and full-detail trace."""
+    from repro.experiments.registry import run_experiments
+    from repro.spice.stats import STATS
+    from repro.telemetry.tracer import tracing
+
+    runs = {}
+    for workers in (2, None):
+        STATS.reset()
+        with tracing(detail="full") as tracer:
+            results = run_experiments(FANNED_BATCH, max_workers=workers)
+        runs[workers] = (results, STATS.as_dict(), tracer.export())
+    return runs[None], runs[2]
+
+
+class TestRegistryFanOut:
+    """The registry is where plan work fans out: a batch fanned over
+    worker processes prints the serial tables, moves the serial
+    counters and records the serial spans (the tier-1 form of CI's
+    fan-out smoke)."""
+
+    def test_fanned_batch_prints_the_serial_tables(self, serial_and_fanned_batch):
+        (serial, _, _), (fanned, _, _) = serial_and_fanned_batch
+        assert list(fanned) == list(serial) == FANNED_BATCH
+        for name in FANNED_BATCH:
+            assert fanned[name] == serial[name]
+            assert fanned[name].passed
+
+    def test_fanned_batch_counters_equal_serial(self, serial_and_fanned_batch):
+        (_, serial, _), (_, fanned, _) = serial_and_fanned_batch
+        assert fanned == serial
+        assert serial["newton_solves"] > 0
+        assert serial["session_plans"] > 0
+
+    def test_fanned_batch_trace_equals_serial(self, serial_and_fanned_batch):
+        (_, _, serial), (_, _, fanned) = serial_and_fanned_batch
+        assert _clockless(fanned) == _clockless(serial)
+        assert [row["span"] for row in serial] == ["plan"] * len(serial) != []
+        # The fanned spans really crossed the pool.
+        assert all(row["attrs"]["worker_pid"] != os.getpid() for row in fanned)
 
 
 class TestReportRendering:

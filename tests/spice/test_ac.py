@@ -6,6 +6,8 @@ base-class fallback), the factorization-reuse policy, temperature
 chains and cross-topology batches, and the single-pole op-amp model.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ import pytest
 pytestmark = pytest.mark.usefixtures("device_eval_path")
 
 from repro.errors import NetlistError
+from repro.parallel import supervised_map
 from repro.spice import (
     ACSweep,
     ACSystem,
@@ -46,6 +49,12 @@ def rc_lowpass(r=1e3, c=1e-9):
     circuit.add(Resistor("R1", "in", "out", r))
     circuit.add(Capacitor("C1", "out", "0", c))
     return circuit
+
+
+def run_pair(pair):
+    """Pool work: one ``(recipe, plan)`` pair on its own session
+    (module-level, so it pickles)."""
+    return run_plans([pair])[0]
 
 
 class TestRCLowPass:
@@ -408,6 +417,24 @@ class TestACBatch:
             [result] = batch.ac_results
             psrr_db = -result.magnitude_db("vref")
             assert np.all(psrr_db > 40.0), psrr_db
+
+    def test_fanned_batch_answers_by_node_name(self):
+        # Two recipes fan out to two worker processes; each result comes
+        # back by pickle, its circuit with it, and still reads by name.
+        plan = ACSweep(frequencies_hz=self.FREQS)
+        pairs = [
+            (SessionRecipe(builder=rc_lowpass, args=(1e3, capacitance)), plan)
+            for capacitance in (1e-9, 2e-9)
+        ]
+        outcomes = supervised_map(run_pair, pairs, max_workers=2)
+        for outcome, expected in zip(outcomes, run_plans(pairs)):
+            assert outcome.worker_pid != os.getpid()
+            [result] = outcome.value.ac_results
+            assert result.phasor("out").shape == (len(self.FREQS),)
+            assert result.op.voltage("in") == pytest.approx(1.0)
+            np.testing.assert_array_equal(
+                result.phasor("out"), expected.ac_results[0].phasor("out")
+            )
 
 
 class TestValidation:

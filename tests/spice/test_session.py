@@ -11,16 +11,22 @@ Three contracts:
 * **Session-vs-engine equality** — a fresh session reproduces the
   engine-level solves across the whole circuit-family registry, on
   both device-evaluator paths, to 1e-12 of the solution scale.
+
+Plans run in-process; process fan-out is ``supervised_map``'s job.  The
+fanned tests map module-level tasks over a pool and pin that results
+and solved points cross it intact.
 """
 
 import gc
 import json
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import NetlistError, PlanError
+from repro.parallel import supervised_map
 from repro.spice import (
     ACSweep,
     Capacitor,
@@ -30,6 +36,7 @@ from repro.spice import (
     Diode,
     MonteCarlo,
     OP,
+    Pulse,
     Resistor,
     Session,
     SessionRecipe,
@@ -62,12 +69,53 @@ def diode_circuit():
     return c
 
 
+def bandgap_array_24():
+    """A 24-cell generated array (~220 unknowns, sparse)."""
+    return parse_netlist(bandgap_array(cells=24))
+
+
 def rc_circuit():
     c = Circuit("rc")
     c.add(VoltageSource("V1", "in", "0", 1.0, ac_mag=1.0))
     c.add(Resistor("R1", "in", "out", 1e3))
     c.add(Capacitor("C1", "out", "0", 1e-9))
     return c
+
+
+# Pool work functions live at module level, so they pickle.
+
+def run_pair(pair):
+    """One ``(recipe, plan)`` pair on its own session."""
+    return run_plans([pair])[0]
+
+
+def array_voltage(plan):
+    """One plan on a fresh 24-cell array session: its ``o0`` reading."""
+    return Session(bandgap_array_24).run(plan).voltage("o0")
+
+
+def exported_points(plans):
+    """Run ``plans`` on a fresh diode session; its solved points as
+    plain data (the form a store persists)."""
+    session = Session(diode_circuit)
+    session.run_many(plans)
+    return session.cache.export()
+
+
+def run_seeded(item):
+    """Seed a fresh diode session with exported points, then run one plan."""
+    exported, plan = item
+    session = Session(diode_circuit)
+    session.cache.merge(exported)
+    return session.run(plan)
+
+
+def fanned(func, items, workers=2):
+    """Map ``func`` over a process pool; the values, each of which
+    really crossed it."""
+    outcomes = supervised_map(func, items, max_workers=workers)
+    assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
+    return [outcome.value for outcome in outcomes]
 
 
 class TestPlanValidation:
@@ -743,6 +791,178 @@ class TestRunManyAndRunPlans:
         voltages = result.voltage("d")
         # More series resistance -> less diode drive -> lower drop.
         assert voltages[0] > voltages[1] > voltages[2]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_run_many_fanned_matches_serial_on_an_array(self, workers):
+        # Serial plans warm-start off each other in one cache; fanned
+        # plans solve cold, each on its own worker session.  Both
+        # converge to the same points within the Newton tolerances.
+        plans = [
+            OP(temperature_k=t, record=("o0",))
+            for t in np.linspace(260.15, 340.15, 8)
+        ]
+        serial = Session(bandgap_array_24).run_many(plans)
+        voltages = fanned(array_voltage, plans, workers=workers)
+        assert len(voltages) == len(plans)
+        np.testing.assert_allclose(
+            voltages,
+            [result.voltage("o0") for result in serial],
+            rtol=0.0,
+            atol=1e-7,
+        )
+
+    def test_run_plans_serial_vs_fanned_identical(self):
+        pairs = [
+            (SessionRecipe(builder=diode_circuit), TempSweep(temperatures_k=(280.0, 320.0))),
+            (SessionRecipe(builder=rc_circuit), OP()),
+        ]
+        serial = run_plans(pairs)
+        pooled = fanned(run_pair, pairs)
+        np.testing.assert_array_equal(serial[1].op.x, pooled[1].op.x)
+        np.testing.assert_array_equal(
+            np.stack([p.x for p in serial[0].points]),
+            np.stack([p.x for p in pooled[0].points]),
+        )
+
+    def test_montecarlo_fanned_results_match_serial(self):
+        trials = tuple(
+            (("R1", "resistance", resistance),)
+            for resistance in (500.0, 2e3)
+        )
+        plan = MonteCarlo(inner=OP(), trials=trials)
+        serial = Session(diode_circuit).run(plan)
+        pooled, _ = fanned(
+            run_pair,
+            [
+                (SessionRecipe(builder=diode_circuit), plan),
+                (SessionRecipe(builder=rc_circuit), OP()),
+            ],
+        )
+        np.testing.assert_array_equal(serial.voltage("d"), pooled.voltage("d"))
+        # Each trial result carries the merged per-trial plan on BOTH
+        # sides of the pool: the exported artifact says which overrides ran.
+        assert serial.to_dict() == pooled.to_dict()
+        exported = pooled.to_dict()["trials"][0]["plan"]["overrides"]
+        assert exported == [["R1", "resistance", 500.0]]
+
+    def test_fanned_cache_merges_back(self):
+        exported, _ = fanned(exported_points, [[OP(), OP(temperature_k=305.0)], [OP()]])
+        session = Session(diode_circuit)
+        session.cache.merge(exported)
+        # Worker-solved points serve exact hits where they land.
+        STATS.reset()
+        session.run(OP())
+        session.run(OP(temperature_k=305.0))
+        assert STATS.op_cache_hits == 2
+        assert STATS.newton_solves == 0
+
+    def test_fanned_workers_seeded_with_parent_cache(self):
+        session = Session(diode_circuit)
+        session.run(OP(temperature_k=300.0))  # the one cold solve
+        exported = session.cache.export()
+        STATS.reset()
+        results = fanned(
+            run_seeded,
+            [(exported, OP(temperature_k=305.0)), (exported, OP(temperature_k=310.0))],
+        )
+        assert len(results) == 2
+        # Both fanned plans warm-started off the shipped parent points
+        # (worker counters merge into this process's STATS) instead of
+        # paying their own cold solves.
+        assert STATS.op_cache_warm_starts == 2
+        assert STATS.op_cache_misses == 0
+        for result in results:
+            np.testing.assert_allclose(
+                result.voltage("d"),
+                session.run(OP(temperature_k=result.temperature_k)).voltage("d"),
+                rtol=0.0,
+                atol=1e-9,
+            )
+
+
+def diode_rc_circuit(title="diode rc"):
+    """Nonlinear, reactive and driven: every analysis kind has work."""
+    c = Circuit(title)
+    c.add(VoltageSource("V1", "in", "0", 2.0, ac_mag=1.0))
+    c.add(VoltageSource("V2", "drv", "0", Pulse(0.0, 1.0, delay=1e-7, rise=1e-7)))
+    c.add(Resistor("R1", "in", "d", 1e3))
+    c.add(Resistor("R2", "drv", "d", 2e3))
+    c.add(Diode("D1", "d", "0"))
+    c.add(Capacitor("C1", "d", "0", 1e-9))
+    return c
+
+
+def run_titled(item):
+    """Pool work: one plan on a fresh ``diode_rc_circuit`` session."""
+    title, plan = item
+    return Session(diode_rc_circuit, args=(title,)).run(plan)
+
+
+def _raw_arrays(result):
+    """Every solution array a result holds, nested trials included."""
+    if hasattr(result, "op"):
+        return [result.op.x]
+    if hasattr(result, "sweep"):
+        return [point.x for point in result.points]
+    if hasattr(result, "ac_results"):
+        return [a for r in result.ac_results for a in (r.x, r.op.x)]
+    if hasattr(result, "result"):
+        return [result.result.times, result.result.states]
+    return [a for trial in result.results for a in _raw_arrays(trial)]
+
+
+def _circuits(result):
+    """Every circuit reference a result holds, nested trials included."""
+    refs = [result.circuit]
+    if hasattr(result, "op"):
+        refs.append(result.op.circuit)
+    elif hasattr(result, "sweep"):
+        refs += [point.circuit for point in result.points]
+    elif hasattr(result, "ac_results"):
+        refs += [c for r in result.ac_results for c in (r.circuit, r.op.circuit)]
+    elif hasattr(result, "result"):
+        refs.append(result.result.circuit)
+    else:
+        refs += [c for trial in result.results for c in _circuits(trial)]
+    return refs
+
+
+class TestFannedEqualsSerialEveryKind:
+    """Results cross the pool by plain pickle, their circuit with them;
+    every result kind must come back as the serial run produced it,
+    every nested reference bound to the one circuit that came along."""
+
+    TRIALS = tuple((("R1", "resistance", r),) for r in (500.0, 1e3, 2e3))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            pytest.param(OP(temperature_k=310.0), id="op"),
+            pytest.param(DCSweep(source="V1", values=(0.5, 1.0, 2.0)), id="dc_sweep"),
+            pytest.param(TempSweep(temperatures_k=(260.0, 300.0, 340.0)), id="temp_sweep"),
+            pytest.param(
+                ACSweep(frequencies_hz=(1e3, 1e5, 1e7), temperatures_k=(280.0, 320.0)),
+                id="ac_sweep",
+            ),
+            pytest.param(Transient(t_stop=1e-6), id="transient"),
+            pytest.param(MonteCarlo(inner=OP(), trials=TRIALS), id="montecarlo"),
+        ],
+    )
+    def test_round_trip(self, plan):
+        items = [(title, plan) for title in ("diode rc a", "diode rc b")]
+        serial = [outcome.value for outcome in supervised_map(run_titled, items)]
+        for ours, theirs in zip(fanned(run_titled, items), serial):
+            assert type(ours) is type(theirs)
+            assert ours.to_dict() == theirs.to_dict()
+            ours_raw, theirs_raw = _raw_arrays(ours), _raw_arrays(theirs)
+            assert len(ours_raw) == len(theirs_raw) > 0
+            for a, b in zip(ours_raw, theirs_raw):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            assert ours.circuit is not theirs.circuit
+            assert ours.circuit.title == theirs.circuit.title
+            assert all(circuit is ours.circuit for circuit in _circuits(ours))
+            np.testing.assert_array_equal(ours.voltage("d"), theirs.voltage("d"))
 
 
 class TestResults:

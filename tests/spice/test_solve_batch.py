@@ -1,8 +1,10 @@
 """Cross-topology batches and the process fan-out helper.
 
 ``run_plans`` over distinct recipes must return exactly what one fresh
-``Session`` per recipe returns, and a policy-free ``supervised_map``
-must preserve item order and fall back to serial execution gracefully.
+``Session`` per recipe returns, independent of how many worker
+processes the pairs are mapped over, and a policy-free
+``supervised_map`` must preserve item order and fall back to serial
+execution gracefully.
 """
 
 import os
@@ -19,6 +21,17 @@ TEMPS = tuple(celsius_to_kelvin(t) for t in (-20.0, 25.0, 85.0))
 
 def mapped(func, items, max_workers):
     return [o.value for o in supervised_map(func, items, max_workers=max_workers)]
+
+
+def vref_points(pair):
+    """Pool work: one ``(recipe, TempSweep)`` pair, its points as plain
+    data.  The built bandgap cell holds closures, so its results cannot
+    cross the pool; their readings can."""
+    result = run_plans([pair])[0]
+    return [
+        (point.temperature_k, point.voltage("vref"), point.iterations, point.strategy)
+        for point in result.points
+    ]
 
 
 class _EveryVariableSet(dict):
@@ -91,6 +104,29 @@ class TestRunPlansBatch:
             assert [p.strategy for p in result.points] == [
                 p.strategy for p in sequential.points
             ]
+
+    def test_worker_count_does_not_change_results(self):
+        serial = run_plans(self._pairs())
+        outcomes = supervised_map(vref_points, self._pairs(), max_workers=2)
+        assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
+        for result, outcome in zip(serial, outcomes):
+            points = outcome.value
+            np.testing.assert_allclose(
+                [vref for _t, vref, _i, _s in points],
+                result.voltage("vref"),
+                atol=0.0,
+            )
+            assert [s for _t, _v, _i, s in points] == [
+                p.strategy for p in result.points
+            ]
+
+    def test_fanned_points_carry_their_readings(self):
+        for points in mapped(vref_points, self._pairs(), max_workers=2):
+            assert len(points) == len(TEMPS)
+            temperature_k, vref, iterations, _strategy = points[1]
+            assert temperature_k == TEMPS[1]
+            assert 1.1 < vref < 1.3
+            assert iterations > 0
 
 
 class TestMonteCarloFanOut:

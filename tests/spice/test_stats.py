@@ -1,5 +1,7 @@
 """Tests for the SolverStats lifecycle: reset / as_dict round-trip,
-snapshot-delta bookkeeping and cross-accumulator merge.
+snapshot-delta bookkeeping, cross-accumulator merge, and the fanned-vs-
+serial counter-equality regression that the worker telemetry merge
+exists to guarantee.
 
 Everything here is field-driven on purpose: a counter added to
 ``SolverStats`` must round-trip, reset, and merge without this file
@@ -8,7 +10,32 @@ changing — the dataclass fields are the single source of truth.
 
 from dataclasses import fields
 
-from repro.spice.stats import SolverStats
+from repro.parallel import supervised_map
+from repro.spice import OP, SessionRecipe, TempSweep, run_plans
+from repro.spice import Circuit, Diode, Resistor, VoltageSource
+from repro.spice.stats import STATS, SolverStats
+
+
+def diode_circuit():
+    c = Circuit("diode under drive")
+    c.add(VoltageSource("V1", "in", "0", 5.0))
+    c.add(Resistor("R1", "in", "d", 1e3))
+    c.add(Diode("D1", "d", "0"))
+    return c
+
+
+def rc_circuit():
+    c = Circuit("rc divider")
+    c.add(VoltageSource("V1", "in", "0", 1.0))
+    c.add(Resistor("R1", "in", "out", 1e3))
+    c.add(Resistor("R2", "out", "0", 1e3))
+    return c
+
+
+def run_pair(pair):
+    """Pool work: one ``(recipe, plan)`` pair on its own session
+    (module-level, so it pickles)."""
+    run_plans([pair])
 
 
 def distinct_stats() -> SolverStats:
@@ -113,3 +140,42 @@ class TestDeltaAndMerge:
         target.merge({"iterations": 1})
         assert target.iterations == before["iterations"] + 1
         assert target.newton_solves == before["newton_solves"]
+
+
+def _sweep_pairs():
+    return [
+        (
+            SessionRecipe(builder=diode_circuit),
+            TempSweep(temperatures_k=(280.0, 300.0, 320.0)),
+        ),
+        (SessionRecipe(builder=rc_circuit), OP()),
+    ]
+
+
+def _stats_after_map(workers):
+    STATS.reset()
+    supervised_map(run_pair, _sweep_pairs(), max_workers=workers)
+    return STATS.as_dict()
+
+
+class TestFannedCountersMatchSerial:
+    """Worker STATS deltas ship home in the pool envelope and merge, so
+    the process counters after a fanned map of plan work equal the
+    serial map's — the regression the telemetry transport pins down."""
+
+    def test_supervised_map_workers_count(self):
+        serial = _stats_after_map(workers=None)
+        fanned = _stats_after_map(workers=2)
+        assert fanned == serial
+        assert serial["session_plans"] == 2
+        assert serial["newton_solves"] >= 2
+
+    def test_fanned_pairs_count_like_one_run_plans_call(self):
+        # Distinct recipes make one session group per pair, so mapping
+        # the pairs one per worker does the work one in-process
+        # run_plans call does, counter for counter.
+        STATS.reset()
+        run_plans(_sweep_pairs())
+        in_process = STATS.as_dict()
+        assert _stats_after_map(workers=2) == in_process
+        assert in_process["op_cache_misses"] >= 2
