@@ -1,10 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata and legacy setup shim.
 
-The offline environment carries a setuptools too old for PEP 660 editable
-installs driven purely by pyproject.toml; this shim lets
-``pip install -e . --no-use-pep517`` (and plain ``pip install -e .`` on
-older pips) take the classic ``setup.py develop`` path.  All metadata
-lives in pyproject.toml.
+All package metadata lives here, in the ``setup()`` call below.  The
+shim lets ``pip install -e . --no-use-pep517`` (and plain
+``pip install -e .`` on older pips) take the classic
+``setup.py develop`` path where setuptools is too old for PEP 660
+editable installs.
 """
 
 from setuptools import find_packages, setup

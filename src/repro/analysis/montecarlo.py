@@ -4,16 +4,14 @@ Runs both extraction methods over a synthetic lot and summarises the
 recovered couples: the quantitative version of the paper's comparison
 between the classical and analytical approaches.
 
-Chips are independent (each carries its own seed), so the lot can fan
-out over a process pool via :func:`repro.parallel.supervised_map`;
-results are bitwise identical to the serial run regardless of worker
-count.
+Chips are independent (each carries its own seed), so a chip's couple
+does not depend on the rest of the lot.  The lot runs in-process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +19,6 @@ from ..errors import ReproError
 from ..extraction.pipeline import run_analytical_extraction
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.samples import ProcessSpread
-from ..parallel import supervised_map
 
 #: The planted ground truth (see repro.bjt.parameters).
 TRUE_EG, TRUE_XTI = 1.1324, 3.4616
@@ -62,7 +59,7 @@ class MonteCarloSummary:
 
 
 def _extract_chip(task: Tuple) -> Tuple[float, float]:
-    """Worker: extract the couple of one chip (module-level, picklable)."""
+    """Extract the couple of one chip."""
     sample, chip_seed, include_noise, corrected = task
     campaign = MeasurementCampaign(sample, include_noise=include_noise, seed=chip_seed)
     extraction = run_analytical_extraction(campaign, correct_offset=corrected)
@@ -75,16 +72,11 @@ def run_extraction_montecarlo(
     include_noise: bool = True,
     corrected: bool = True,
     spread: Optional[ProcessSpread] = None,
-    max_workers: Optional[int] = None,
 ) -> MonteCarloSummary:
     """Extract the couple on every chip of a synthetic lot.
 
     ``corrected`` chooses the full analytical method (pad-corrected
     offset + eqs. 19-20 current correction) versus the raw readout.
-    ``max_workers`` fans the lot out over that many processes (None,
-    the default, runs it serially; non-positive uses every core).
-    Chips carry their own seeds, so the summary does not depend on the
-    worker count.
     """
     if lot_size < 2:
         raise ReproError("a Monte-Carlo lot needs at least two chips")
@@ -93,10 +85,7 @@ def run_extraction_montecarlo(
         (sample, seed + index, include_noise, corrected)
         for index, sample in enumerate(samples)
     ]
-    couples = [
-        outcome.value
-        for outcome in supervised_map(_extract_chip, tasks, max_workers=max_workers)
-    ]
+    couples = [_extract_chip(task) for task in tasks]
     label = "analytical/corrected" if corrected else "analytical/raw"
     return MonteCarloSummary(
         label=label,

@@ -28,7 +28,7 @@ from ..constants import thermal_voltage
 from ..extraction.temperature import a_coefficient, current_ratio_x
 from ..measurement.samples import DeviceSample
 from ..spice.plans import TempSweep
-from ..spice.session import SessionRecipe, run_plans
+from ..spice.session import Session
 from ..units import celsius_to_kelvin
 from .registry import ExperimentResult, register
 
@@ -126,18 +126,12 @@ def run_solver() -> ExperimentResult:
         ("leaky", BandgapCellConfig()),
         ("trimmed", BandgapCellConfig(radja=2.5e3)),
     )
-    # Three sessions (one per configuration) over the same grid: the
-    # Session batch layer solves them, with results identical to
-    # sequential sweeps.
-    sweeps = run_plans(
-        [
-            (
-                SessionRecipe(builder=build_bandgap_cell, args=(config,)),
-                TempSweep(temperatures_k=temps_k),
-            )
-            for _label, config in variants
-        ]
-    )
+    # One session per configuration, each sweeping the same grid.
+    sweep = TempSweep(temperatures_k=temps_k)
+    sweeps = [
+        Session(build_bandgap_cell, args=(config,)).run(sweep)
+        for _label, config in variants
+    ]
     rows = []
     worst = 0.0
     for (label, config), netlist in zip(variants, sweeps):

@@ -15,9 +15,9 @@ test cell, so its recipe lives here once:
   ``TF`` on top of the DC card — the DC-only experiments keep the
   historic zero-capacitance card, which this module never touches).
 
-All builders are module-level functions of plain-data arguments, i.e.
-recipes for :class:`repro.spice.session.Session` /
-:class:`repro.spice.session.SessionRecipe`.
+All builders are module-level functions of plain-data arguments,
+ready for ``Session(builder, args=...)``
+(:class:`repro.spice.session.Session`).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ path off faster than the loop gain falls.
 Anchor check (the acceptance criterion of this experiment): at the
 lowest swept frequency the AC transfer must equal the *DC line
 regulation* slope ``dVREF/dVDD`` computed by central finite differences
-on two plain :func:`solve_dc` solves — the frequency-domain engine and
-the DC engine must agree on the w -> 0 limit to within 0.5 dB.
+over a two-point :class:`~repro.spice.plans.DCSweep` of the supply —
+the frequency-domain engine and the DC engine must agree on the
+w -> 0 limit to within 0.5 dB.
 """
 
 from __future__ import annotations

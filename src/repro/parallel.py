@@ -1,15 +1,14 @@
 """Process fan-out for independent work items, with supervised execution.
 
-:func:`supervised_map` is the one fan-out path: the experiment registry
-(:func:`~repro.experiments.registry.run_experiments`) and the
-Monte-Carlo extraction lot
-(:func:`~repro.analysis.montecarlo.run_extraction_montecarlo`) each make
-one call.  It returns one :class:`~repro.resilience.Outcome` per item
-(ok / failed, with the captured exception, attempt count and worker
-pid), governed by a :class:`~repro.resilience.RunPolicy` (retries with
-exponential backoff, on-failure action).  With ``policy=None`` it is a
-plain map: no retries, the first work-function exception re-raised
-unchanged, fault injection disarmed and no span of its own.
+:func:`supervised_map` is the one fan-out path; the experiment
+registry (:func:`~repro.experiments.registry.run_experiments`) makes
+its one production call.  It returns one
+:class:`~repro.resilience.Outcome` per item (ok / failed, with the
+captured exception, attempt count and worker pid), governed by a
+:class:`~repro.resilience.RunPolicy` (retries with exponential
+backoff, on-failure action).  With ``policy=None`` it is a plain map:
+no retries, the first work-function exception re-raised unchanged,
+fault injection disarmed and no span of its own.
 
 Failure taxonomy: a pool worker runs each attempt through an
 *envelope* that returns the work function's exception as data, so any
@@ -146,7 +145,6 @@ class _Supervisor:
             attempts=attempt,
             worker_pid=envelope["pid"],
             wall_s=self._wall(index),
-            traceback=envelope.get("traceback", ""),
         )
 
     def _serial_fallback(self, pairs) -> None:

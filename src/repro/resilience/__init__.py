@@ -1,9 +1,8 @@
 """Supervised execution: failure as a first-class, attributed outcome.
 
-Before this layer, one worker exception killed an entire fan-out
-batch, and a mid-run pool death silently re-ran every item serially.
-The resilience layer makes every recovery decision explicit, bounded,
-and visible:
+One worker exception does not kill a fan-out batch, and a mid-run pool
+death does not silently re-run every item serially: the resilience
+layer makes every recovery decision explicit, bounded, and visible:
 
 * :class:`RunPolicy` — the declarative knob set: retry budget,
   exponential backoff (injectable sleep), and the on-failure action
@@ -27,9 +26,11 @@ installed — in ``supervised_map``/``retry`` telemetry spans, so
 ``--bench``, ``--trace`` and ``--metrics`` all show recovery activity.
 
 The upward wiring sits at two boundaries: ``registry.run_experiments``
-reports per-experiment outcomes under the CLI's ``--retries``, and the
-job service runs each job under its wire ``policy``.  The Session layer
-below them is unsupervised: its plans run in-process and fail fast.
+(the one production caller of ``supervised_map``) reports
+per-experiment outcomes under the CLI's ``--retries``, and the job
+service runs each job through ``supervised_call`` under its wire
+``policy``.  The Session layer below them is unsupervised: each plan
+runs in-process through ``Session.run`` and fails fast.
 """
 
 from .outcome import CapturedFailure, Outcome, capture_error

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import pickle
-import traceback as _traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import ReproError
@@ -17,9 +16,9 @@ FAILED = "failed"
 class CapturedFailure(ReproError):
     """Stand-in for a worker exception that could not be pickled home.
 
-    Preserves the original type name, message, and formatted traceback
-    so attribution survives even when the exception object itself (a
-    closure-holding custom error, say) cannot cross the pool.
+    Preserves the original type name and message so attribution
+    survives even when the exception object itself (a closure-holding
+    custom error, say) cannot cross the pool.
     """
 
     def __init__(self, error_type: str, message: str):
@@ -35,12 +34,6 @@ def capture_error(error: BaseException) -> BaseException:
         return error
     except Exception:
         return CapturedFailure(type(error).__name__, str(error))
-
-
-def format_traceback(error: BaseException) -> str:
-    return "".join(
-        _traceback.format_exception(type(error), error, error.__traceback__)
-    )
 
 
 @dataclass
@@ -61,7 +54,6 @@ class Outcome:
     attempts: int = 1
     worker_pid: Optional[int] = None
     wall_s: float = 0.0
-    traceback: str = field(default="", repr=False)
 
     @property
     def ok(self) -> bool:
@@ -107,5 +99,4 @@ __all__ = [
     "CapturedFailure",
     "Outcome",
     "capture_error",
-    "format_traceback",
 ]

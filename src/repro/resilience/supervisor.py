@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 
 from .. import faultinject
 from ..errors import WorkerCrash
-from .outcome import FAILED, OK, Outcome, capture_error, format_traceback
+from .outcome import FAILED, OK, Outcome, capture_error
 from .policy import RunPolicy
 
 
@@ -130,7 +130,6 @@ def supervised_call(
                 attempts=attempt,
                 worker_pid=os.getpid(),
                 wall_s=time.perf_counter() - t0,
-                traceback=format_traceback(exc),
             )
 
 
@@ -164,9 +163,7 @@ def attempt_in_worker(payload) -> dict:
                 faultinject.check(index, attempt, spec=fault_spec, in_worker=True)
             envelope.update(ok=True, value=func(item))
         except Exception as exc:
-            envelope.update(
-                ok=False, error=capture_error(exc), traceback=format_traceback(exc)
-            )
+            envelope.update(ok=False, error=capture_error(exc))
     envelope["stats"] = stats.delta_since(before)
     if tracer is not None:
         envelope["spans"] = tracer.export()

@@ -31,8 +31,7 @@ offline, this package implements the needed subset from scratch:
   ``TempSweep``, ``ACSweep``, ``Transient``, ``MonteCarlo``) run by a
   :class:`~repro.spice.session.Session` that owns one engine lifecycle
   per topology and a cross-analysis solved-point warm-start cache.
-  It is the one entry point for every analysis; cross-topology batches
-  go through :func:`~repro.spice.session.run_plans`.
+  ``Session.run(plan)`` is the one entry point for every analysis.
 """
 
 from .netlist import Circuit, GROUND
@@ -48,7 +47,7 @@ from .elements import (
     VoltageSource,
 )
 from .elements.sources import PWL, Pulse, Sin, Waveform
-from .solver import SolverOptions, solve_dc, solve_dc_system
+from .solver import SolverOptions, solve_dc_system
 from .analysis import ACResult, OperatingPoint, SweepResult
 from .ac import ACSystem, log_frequencies
 from .transient import TransientOptions, TransientResult
@@ -69,10 +68,8 @@ from .session import (
     MonteCarloResult,
     OPResult,
     Session,
-    SessionRecipe,
     TempSweepResult,
     TransientRunResult,
-    run_plans,
 )
 from .thermal import ThermalSolution, solve_with_self_heating
 from .parser import parse_netlist
@@ -95,7 +92,6 @@ __all__ = [
     "PWL",
     "Sin",
     "SolverOptions",
-    "solve_dc",
     "solve_dc_system",
     "OperatingPoint",
     "SweepResult",
@@ -113,8 +109,6 @@ __all__ = [
     "MonteCarlo",
     "PlanError",
     "Session",
-    "SessionRecipe",
-    "run_plans",
     "AnalysisResult",
     "OPResult",
     "DCSweepResult",

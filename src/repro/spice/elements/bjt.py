@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from ...bjt.model import GummelPoonModel
 from ...bjt.parameters import BJTParameters
 from ...bjt.substrate import SubstratePNP
-from ...constants import K_BOLTZMANN_EV, thermal_voltage
+from ...constants import thermal_voltage
 from ...errors import NetlistError
 from .base import Element, Stamp, limited_exp
 from .passives import Resistor
@@ -99,36 +100,20 @@ class SpiceBJT(Element):
         return self
 
     # ------------------------------------------------------------------
-    def _is_at(self, t: float) -> float:
-        p = self.params
-        ratio = t / p.tnom
-        return p.is_ * ratio**p.xti * math.exp(
-            (p.eg / K_BOLTZMANN_EV) * (1.0 / p.tnom - 1.0 / t)
-        )
-
-    def _ise_at(self, t: float) -> float:
-        p = self.params
-        ratio = t / p.tnom
-        return p.ise * ratio ** (p.xti / p.ne - p.xtb) * math.exp(
-            (p.eg / (p.ne * K_BOLTZMANN_EV)) * (1.0 / p.tnom - 1.0 / t)
-        )
-
-    def _bf_at(self, t: float) -> float:
-        p = self.params
-        return p.bf * (t / p.tnom) ** p.xtb
-
     def _laws_at(self, t: float) -> tuple:
-        """Memoised temperature laws ``(is, ise, bf, nf*vt, nr*vt, ne*vt)``."""
+        """Memoised temperature laws ``(is, ise, bf, nf*vt, nr*vt, ne*vt)``
+        (the card's SPICE laws, :class:`~repro.bjt.model.GummelPoonModel`)."""
         cache = self._tcache
         if cache is not None and cache[0] == t:
             return cache
         p = self.params
+        laws = GummelPoonModel(p)
         vt = thermal_voltage(t)
         cache = (
             t,
-            self._is_at(t),
-            self._ise_at(t),
-            self._bf_at(t),
+            laws.is_at(t),
+            laws.ise_at(t),
+            laws.bf_at(t),
             p.nf * vt,
             p.nr * vt,
             p.ne * vt,

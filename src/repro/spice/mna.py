@@ -72,8 +72,10 @@ controlled sources, the model parameters of a *grouped* nonlinear
 device) or ``temperature_override`` on a live system is not tracked —
 call :meth:`MNASystem.invalidate` after doing so (it drops the linear
 caches and re-packs the layout's resistor values and the device
-groups), or build a fresh system (``solve_dc`` already builds one per
-call, which is why mutating values between ``solve_dc`` calls is safe).
+groups), or build a fresh system (a new
+:class:`~repro.spice.session.Session` builds one, which is why mutating
+values between one-shot ``Session(circuit).solve_raw()`` calls is
+safe).
 
 A ``gmin`` conductance from every node to ground is always present (it
 bounds the matrix condition number and is the knob the solver's gmin

@@ -3,9 +3,9 @@
 An analysis is *data*, not a call chain: a frozen dataclass describing
 what to solve (:class:`OP`, :class:`DCSweep`, :class:`TempSweep`,
 :class:`ACSweep`, :class:`Transient`, :class:`MonteCarlo`), submitted
-through ``session.run(plan)`` / ``session.run_many(plans)``.  Because a
-plan is plain data it can be validated *statically* — before any Newton
-iteration runs — and sent over the wire to the job service.
+through ``session.run(plan)``.  Because a plan is plain data it can be
+validated *statically* — before any Newton iteration runs — and sent
+over the wire to the job service.
 
 Validation happens in two stages:
 

@@ -11,10 +11,9 @@ ladder is ~60 % of a 16-point Fig. 8 sweep's factorizations (39 of
 65), because the sweep's chained points follow the solution curve from
 secant starts (:class:`~repro.spice.solver.SecantChain`).
 
-Analyses are declarative plans (:mod:`repro.spice.plans`) submitted via
-:meth:`Session.run` / :meth:`Session.run_many`; cross-topology batches
-go through :func:`run_plans`.  Every plan runs in this process.  The
-planner validates every plan before any solve (typed
+Analyses are declarative plans (:mod:`repro.spice.plans`), each run in
+this process by :meth:`Session.run`; plans run on one session share its
+solved-point cache.  The planner validates a plan before any solve (typed
 :class:`~repro.errors.PlanError`), and every analysis returns an
 :class:`AnalysisResult` with the uniform
 ``voltage`` / ``branch_current`` / ``to_dict`` / ``export`` accessors.
@@ -50,9 +49,8 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -657,11 +655,11 @@ class Session:
     ) -> RawSolution:
         """Solve one DC point on the session's system, cache-assisted.
 
-        The engine-level entry (:func:`repro.spice.solver.solve_dc`
-        routes one-shot solves through a short-lived session via this
-        method).  ``x0`` wins over the cache when given: a chained sweep
-        hands each point the previous point's solution as ``x0`` and
-        its secant extrapolation as ``predicted``, both passed on to
+        The engine-level entry: every plan body solves its DC points
+        here, and a one-shot raw solve is ``Session(circuit).solve_raw()``.
+        ``x0`` wins over the cache when given: a chained sweep hands
+        each point the previous point's solution as ``x0`` and its
+        secant extrapolation as ``predicted``, both passed on to
         :func:`~repro.spice.solver.solve_dc_system` unchanged.
         """
         options = options or SolverOptions()
@@ -763,7 +761,7 @@ class Session:
             )
         plan.validate(self.circuit)
 
-    def run(self, plan: AnalysisPlan, x0: Optional[np.ndarray] = None) -> AnalysisResult:
+    def run(self, plan: AnalysisPlan) -> AnalysisResult:
         """Validate and execute one plan; returns an :class:`AnalysisResult`."""
         self.validate(plan)
         trc = _tele.ACTIVE
@@ -774,44 +772,31 @@ class Session:
         )
         try:
             STATS.session_plans += 1
-            return self._dispatch(plan, x0)
+            return self._dispatch(plan)
         finally:
             if span is not None:
                 trc.end(span)
 
-    def _dispatch(self, plan: AnalysisPlan, x0) -> AnalysisResult:
+    def _dispatch(self, plan: AnalysisPlan) -> AnalysisResult:
         if isinstance(plan, OP):
-            return self._run_op(plan, x0)
+            return self._run_op(plan)
         if isinstance(plan, DCSweep):
-            return self._run_dc_sweep(plan, x0)
+            return self._run_dc_sweep(plan)
         if isinstance(plan, TempSweep):
-            return self._run_temp_sweep(plan, x0)
+            return self._run_temp_sweep(plan)
         if isinstance(plan, ACSweep):
-            return self._run_ac_sweep(plan, x0)
+            return self._run_ac_sweep(plan)
         if isinstance(plan, Transient):
-            return self._run_transient(plan, x0)
+            return self._run_transient(plan)
         if isinstance(plan, MonteCarlo):
             return self._run_montecarlo(plan)
         raise PlanError(f"unknown plan type {type(plan).__name__}")
 
-    def run_many(self, plans: Sequence[AnalysisPlan]) -> List[AnalysisResult]:
-        """Run several plans against this topology, in order.
-
-        Every plan is validated before the first solve.  The plans share
-        this session's cache, so later plans warm-start off earlier
-        ones.  Results come back in submission order.
-        """
-        plans = list(plans)
-        for plan in plans:
-            self.validate(plan)
-        return [self.run(plan) for plan in plans]
-
     # -- per-plan bodies -----------------------------------------------
-    def _run_op(self, plan: OP, x0) -> OPResult:
+    def _run_op(self, plan: OP) -> OPResult:
         with self._applied(plan.overrides):
             raw = self.solve_raw(
                 plan.temperature_k,
-                x0=x0,
                 time=plan.time,
                 options=plan.options,
                 _overrides=plan.overrides,
@@ -819,7 +804,7 @@ class Session:
         op = _wrap_point(self.circuit, plan.temperature_k, raw)
         return OPResult(self, plan, op)
 
-    def _run_dc_sweep(self, plan: DCSweep, x0) -> DCSweepResult:
+    def _run_dc_sweep(self, plan: DCSweep) -> DCSweepResult:
         element = self.circuit.element(plan.source)
         with self._applied(plan.overrides):
             original = element.dc
@@ -833,7 +818,7 @@ class Session:
                     self.system.invalidate_sources()
                     raw = self.solve_raw(
                         plan.temperature_k,
-                        x0=x0 if chain.x is None else chain.x,
+                        x0=chain.x,
                         options=plan.options,
                         _overrides=plan.overrides + ((plan.source, "dc", value),),
                         predicted=chain.start(value),
@@ -850,7 +835,7 @@ class Session:
         )
         return DCSweepResult(self, plan, sweep)
 
-    def _run_temp_sweep(self, plan: TempSweep, x0) -> TempSweepResult:
+    def _run_temp_sweep(self, plan: TempSweep) -> TempSweepResult:
         temps = plan.temperatures_k
         with self._applied(plan.overrides):
             # Anchor the traversal at the grid point nearest a cached
@@ -864,7 +849,7 @@ class Session:
             # two solved points behind it on that leg, and falling back
             # to the previous point.
             anchor = 0
-            if x0 is None and len(self.cache):
+            if len(self.cache):
                 coords = {(e, a): v for e, a, v in plan.overrides}
                 cached = self.cache.compatible_temperatures(
                     coords, None, self._baseline
@@ -880,7 +865,7 @@ class Session:
                 for index in indices:
                     raw = self.solve_raw(
                         temps[index],
-                        x0=x0 if chain.x is None else chain.x,
+                        x0=chain.x,
                         options=plan.options,
                         _overrides=plan.overrides,
                         predicted=chain.start(temps[index]),
@@ -901,14 +886,14 @@ class Session:
         )
         return TempSweepResult(self, plan, sweep)
 
-    def _run_ac_sweep(self, plan: ACSweep, x0) -> ACSweepResult:
+    def _run_ac_sweep(self, plan: ACSweep) -> ACSweepResult:
         with self._applied(plan.overrides):
             results: List[ACResult] = []
             chain = SecantChain()
             for temperature in plan.temperatures_k:
                 raw = self.solve_raw(
                     temperature,
-                    x0=x0 if chain.x is None else chain.x,
+                    x0=chain.x,
                     options=plan.options,
                     _overrides=plan.overrides,
                     predicted=chain.start(temperature),
@@ -923,12 +908,11 @@ class Session:
                 results.append(ac_system.solve(plan.frequencies_hz))
         return ACSweepResult(self, plan, results)
 
-    def _run_transient(self, plan: Transient, x0) -> TransientRunResult:
+    def _run_transient(self, plan: Transient) -> TransientRunResult:
         options = plan.options or TransientOptions()
         with self._applied(plan.overrides):
             initial = self.solve_raw(
                 plan.temperature_k,
-                x0=x0,
                 time=plan.t_start,
                 options=options.newton,
                 _overrides=plan.overrides,
@@ -952,56 +936,6 @@ class Session:
         return MonteCarloResult(self, plan, results)
 
 
-# ----------------------------------------------------------------------
-# Cross-topology batching
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SessionRecipe:
-    """A Session described as data (builder plus plain arguments): the
-    grouping key of :func:`run_plans`."""
-
-    builder: Callable[..., Circuit]
-    args: Tuple = ()
-    kwargs: Tuple[Tuple[str, object], ...] = ()
-
-    def build(self) -> Session:
-        return Session(self.builder, self.args, dict(self.kwargs))
-
-
-def run_plans(
-    pairs: Sequence[Tuple[SessionRecipe, AnalysisPlan]],
-) -> List[AnalysisResult]:
-    """Run ``(recipe, plan)`` pairs, batching compatible plans.
-
-    Plans whose recipes compare equal are grouped onto ONE session, so
-    they share its solved-point cache — that is the cross-analysis
-    amortisation.  Every plan is validated before the first solve;
-    groups then run in first-appearance order, each running its plans
-    in submission order, and results come back in submission order.
-    Pairs that must not share warm starts need recipes that compare
-    unequal.
-    """
-    pairs = list(pairs)
-    groups: List[Tuple[SessionRecipe, List[int]]] = []
-    for index, (recipe, _plan) in enumerate(pairs):
-        for grouped_recipe, indices in groups:
-            if grouped_recipe == recipe:
-                indices.append(index)
-                break
-        else:
-            groups.append((recipe, [index]))
-    sessions = [recipe.build() for recipe, _indices in groups]
-    for session, (_recipe, indices) in zip(sessions, groups):
-        for index in indices:
-            session.validate(pairs[index][1])
-    results: List[Optional[AnalysisResult]] = [None] * len(pairs)
-    for session, (_recipe, indices) in zip(sessions, groups):
-        for index in indices:
-            results[index] = session.run(pairs[index][1])
-    return results
-
-
 __all__ = [
     "AnalysisResult",
     "OPResult",
@@ -1011,7 +945,5 @@ __all__ = [
     "TransientRunResult",
     "MonteCarloResult",
     "Session",
-    "SessionRecipe",
     "SolvedPointCache",
-    "run_plans",
 ]

@@ -654,37 +654,6 @@ def _gain_stepping(
             trc.annotate(gain_rungs=rungs)
 
 
-def solve_dc(
-    circuit: Circuit,
-    temperature_k: float = 300.15,
-    options: Optional[SolverOptions] = None,
-    x0: Optional[np.ndarray] = None,
-    time: Optional[float] = None,
-) -> RawSolution:
-    """Solve the DC operating point; raises ConvergenceError on failure.
-
-    ``time`` pins waveform sources to their instantaneous value at that
-    simulation time (capacitors stay open — this is still a DC solve);
-    the transient engine uses it to compute the pre-ramp initial point
-    and the post-ramp reference operating point.
-
-    Routes through a short-lived
-    :class:`~repro.spice.session.Session`, so the one-shot safety
-    contract lives in one place: the session builds a fresh
-    :class:`MNASystem` at construction, which is what makes mutating
-    element values *between* ``solve_dc`` calls safe.  Workloads that
-    solve one topology many times should keep a session of their own
-    (the solved-point cache then warm-starts nearby points) or go
-    through :func:`solve_dc_system` with a caller-owned system.
-    """
-    from .session import Session
-
-    session = Session(circuit, temperature_k=temperature_k)
-    return session.solve_raw(
-        temperature_k=temperature_k, x0=x0, time=time, options=options
-    )
-
-
 def solve_dc_system(
     system: MNASystem,
     options: Optional[SolverOptions] = None,
@@ -693,7 +662,13 @@ def solve_dc_system(
     workspace: Optional[NewtonWorkspace] = None,
     predicted: Optional[np.ndarray] = None,
 ) -> RawSolution:
-    """:func:`solve_dc` against a caller-owned :class:`MNASystem`.
+    """Solve the DC operating point of a caller-owned :class:`MNASystem`;
+    raises ConvergenceError on failure.
+
+    ``time`` pins waveform sources to their instantaneous value at that
+    simulation time (capacitors stay open — this is still a DC solve);
+    the transient engine uses it to compute the pre-ramp initial point
+    and the post-ramp reference operating point.
 
     The sweep-point entry: the caller keeps one system per topology
     (re-temperaturing it with :meth:`MNASystem.set_temperature`) and one

@@ -17,7 +17,7 @@ from repro.circuits.bandgap_cell import (
 from repro.constants import thermal_voltage
 from repro.errors import NetlistError
 from repro.experiments.fig8_vref_curves import FIG8_TEMPS_C
-from repro.spice import OP, Session, SessionRecipe, TempSweep, run_plans
+from repro.spice import OP, Session, TempSweep
 from repro.units import celsius_to_kelvin
 
 IDEAL = BandgapCellConfig(substrate_unit=None)
@@ -113,24 +113,15 @@ class TestNonIdealities:
 
     def test_radja_flattens_hot_end(self):
         # The four Fig. 8 configurations swept over its grid (which ends
-        # at 145 C), one session each through the batch layer.
+        # at 145 C), one session each.
         plan = TempSweep(
             temperatures_k=tuple(celsius_to_kelvin(t) for t in FIG8_TEMPS_C)
         )
         curves = [
-            result.voltage("vref")
-            for result in run_plans(
-                [
-                    (
-                        SessionRecipe(
-                            builder=build_bandgap_cell,
-                            args=(BandgapCellConfig(radja=radja),),
-                        ),
-                        plan,
-                    )
-                    for radja in (0.0, 1.8e3, 2.5e3, 2.7e3)
-                ]
-            )
+            Session(build_bandgap_cell, args=(BandgapCellConfig(radja=radja),))
+            .run(plan)
+            .voltage("vref")
+            for radja in (0.0, 1.8e3, 2.5e3, 2.7e3)
         ]
         for vref in curves:
             assert np.all((1.15 < vref) & (vref < 1.30)), vref

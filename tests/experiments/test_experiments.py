@@ -152,7 +152,8 @@ class TestRunExperimentsErrorAttribution:
             run_experiments(["fig1", "no_such_experiment"])
 
 
-#: CI's fan-out smoke batch: a figure and the one run_plans experiment.
+#: CI's fan-out smoke batch: a figure and the netlist ablation, whose
+#: three bandgap-cell sessions give the trace its plan spans.
 FANNED_BATCH = ["fig1", "ablation_solver"]
 
 

@@ -570,7 +570,7 @@ class TestJobService:
 
             # Not a validation failure: the plan is valid, the run dies.
             monkeypatch.setattr(
-                Session, "run", lambda self, plan, x0=None: boom()
+                Session, "run", lambda self, plan: boom()
             )
             assert service.drain(10.0)
             record = service.job(job.id)
@@ -588,13 +588,13 @@ class TestJobService:
             calls = {"n": 0}
             real_run = Session.run
 
-            def flaky(self, plan, x0=None):
+            def flaky(self, plan):
                 calls["n"] += 1
                 if calls["n"] == 1:
                     from repro.errors import ConvergenceError
 
                     raise ConvergenceError("transient")
-                return real_run(self, plan, x0)
+                return real_run(self, plan)
 
             monkeypatch.setattr(Session, "run", flaky)
             job = service.submit(
@@ -706,9 +706,9 @@ class TestJobService:
         release = threading.Event()
         real_run = Session.run
 
-        def gated(self, plan, x0=None):
+        def gated(self, plan):
             assert release.wait(10.0)
-            return real_run(self, plan, x0)
+            return real_run(self, plan)
 
         monkeypatch.setattr(Session, "run", gated)
         service = self._service()

@@ -163,7 +163,7 @@ class TestEndpoints:
 
         monkeypatch.setattr(
             Session, "run",
-            lambda self, plan, x0=None: (_ for _ in ()).throw(
+            lambda self, plan: (_ for _ in ()).throw(
                 RuntimeError("server-side death")
             ),
         )

@@ -27,12 +27,9 @@ from repro.spice import (
     OpAmp,
     Resistor,
     Session,
-    SessionRecipe,
     SolverOptions,
     VoltageSource,
     log_frequencies,
-    run_plans,
-    solve_dc,
 )
 from repro.spice.elements.base import Element
 from repro.spice.mna import MNASystem
@@ -51,10 +48,11 @@ def rc_lowpass(r=1e3, c=1e-9):
     return circuit
 
 
-def run_pair(pair):
-    """Pool work: one ``(recipe, plan)`` pair on its own session
+def run_pair(item):
+    """Pool work: one ``(builder, args, plan)`` item on its own session
     (module-level, so it pickles)."""
-    return run_plans([pair])[0]
+    builder, args, plan = item
+    return Session(builder, args=args).run(plan)
 
 
 class TestRCLowPass:
@@ -175,7 +173,7 @@ class TestCMatrixContract:
         """The Capacitor's analytic stamp and the base-class FD fallback
         must produce the same C matrix."""
         circuit = rc_lowpass()
-        raw = solve_dc(circuit)
+        raw = Session(circuit).solve_raw()
         system = MNASystem(circuit)
         analytic = ACSystem(system, raw.x).C
 
@@ -200,7 +198,7 @@ class TestCMatrixContract:
         circuit.add(Resistor("R1", "a", "b", 1e3))
         k, g = 1e-9, 3e-10
         circuit.add(_SquareLawCapacitor("CN", "b", "0", k, g))
-        raw = solve_dc(circuit)
+        raw = Session(circuit).solve_raw()
         system = MNASystem(circuit)
         ac_system = ACSystem(system, raw.x)
         b_index = circuit.node_index("b")
@@ -215,7 +213,7 @@ class TestCMatrixContract:
         from repro.experiments.ac_common import build_psrr_cell
 
         circuit = build_psrr_cell()
-        raw = solve_dc(circuit)
+        raw = Session(circuit).solve_raw()
         system = MNASystem(circuit)
         ac_system = ACSystem(system, raw.x)
 
@@ -271,7 +269,7 @@ class TestCMatrixContract:
                 return None
 
         for circuit in (build_psrr_cell(), build_loop_gain_cell(0.57, 0.52)):
-            raw = solve_dc(circuit)
+            raw = Session(circuit).solve_raw()
             system = MNASystem(circuit)
             for element in circuit.elements:
                 counter = _Count(raw.x, system.temperature_k)
@@ -386,13 +384,10 @@ class TestACBatch:
 
     def test_batch_equals_serial_chains(self):
         plan = ACSweep(frequencies_hz=self.FREQS)
-        recipes = [
-            SessionRecipe(builder=rc_lowpass, args=(1e3, capacitance))
-            for capacitance in (1e-9, 2e-9)
-        ]
-        batches = run_plans([(recipe, plan) for recipe in recipes])
-        for recipe, batch in zip(recipes, batches):
-            expected = recipe.build().run(plan).ac_results
+        arguments = [(1e3, capacitance) for capacitance in (1e-9, 2e-9)]
+        batches = [Session(rc_lowpass, args=args).run(plan) for args in arguments]
+        for args, batch in zip(arguments, batches):
+            expected = Session(rc_lowpass, args=args).run(plan).ac_results
             assert len(batch.ac_results) == len(expected)
             for got, want in zip(batch.ac_results, expected):
                 np.testing.assert_allclose(got.x, want.x, rtol=1e-12)
@@ -401,33 +396,28 @@ class TestACBatch:
     def test_psrr_family_through_run_plans(self):
         # The bandgap cell's supply rejection at Table 1's chamber
         # temperatures and the default 300.15 K, one plan per
-        # temperature on one recipe: above 40 dB across the whole
+        # temperature on one session: above 40 dB across the whole
         # 10 Hz - 10 MHz band.
         from repro.experiments.ac_common import build_psrr_cell
 
         freqs = tuple(log_frequencies(10.0, 1e7, points_per_decade=4))
-        recipe = SessionRecipe(builder=build_psrr_cell)
-        batches = run_plans(
-            [
-                (recipe, ACSweep(frequencies_hz=freqs, temperatures_k=(t,)))
-                for t in (247.0, 297.0, 300.15, 348.0)
-            ]
-        )
+        session = Session(build_psrr_cell)
+        batches = [
+            session.run(ACSweep(frequencies_hz=freqs, temperatures_k=(t,)))
+            for t in (247.0, 297.0, 300.15, 348.0)
+        ]
         for batch in batches:
             [result] = batch.ac_results
             psrr_db = -result.magnitude_db("vref")
             assert np.all(psrr_db > 40.0), psrr_db
 
     def test_fanned_batch_answers_by_node_name(self):
-        # Two recipes fan out to two worker processes; each result comes
+        # Two circuits fan out to two worker processes; each result comes
         # back by pickle, its circuit with it, and still reads by name.
         plan = ACSweep(frequencies_hz=self.FREQS)
-        pairs = [
-            (SessionRecipe(builder=rc_lowpass, args=(1e3, capacitance)), plan)
-            for capacitance in (1e-9, 2e-9)
-        ]
+        pairs = [(rc_lowpass, (1e3, capacitance), plan) for capacitance in (1e-9, 2e-9)]
         outcomes = supervised_map(run_pair, pairs, max_workers=2)
-        for outcome, expected in zip(outcomes, run_plans(pairs)):
+        for outcome, expected in zip(outcomes, map(run_pair, pairs)):
             assert outcome.worker_pid != os.getpid()
             [result] = outcome.value.ac_results
             assert result.phasor("out").shape == (len(self.FREQS),)

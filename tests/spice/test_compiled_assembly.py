@@ -11,10 +11,10 @@ step with non-trivial integrator state.
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, Resistor, VoltageSource
+from repro.spice import Circuit, Resistor, Session, VoltageSource
 from repro.spice.elements.base import DynamicState, TransientContext
 from repro.spice.mna import MNASystem
-from repro.spice.solver import solve_dc, solve_dc_system
+from repro.spice.solver import solve_dc_system
 
 from families import CIRCUITS
 from reference_assembly import ReferenceSystem
@@ -135,7 +135,7 @@ def test_invalidate_tracks_linear_value_mutation():
 def test_compiled_and_reference_solve_to_same_point(name):
     """End to end: compiled and oracle assembly land on the same point,
     by the same strategy, for every registered circuit family."""
-    compiled = solve_dc(CIRCUITS[name]())
+    compiled = Session(CIRCUITS[name]()).solve_raw()
     reference = solve_dc_system(ReferenceSystem(CIRCUITS[name]()))
     assert compiled.x == pytest.approx(reference.x, abs=1e-9)
     assert compiled.strategy == reference.strategy
@@ -144,7 +144,7 @@ def test_compiled_and_reference_solve_to_same_point(name):
 def test_total_source_power_matches_elementwise_sum():
     """The residual-only power path equals a hand sum over sources."""
     circuit = CIRCUITS["rc_ladder"]()
-    solution = solve_dc(circuit)
+    solution = Session(circuit).solve_raw()
     system = MNASystem(circuit)
     total = system.total_source_power(solution.x)
     # V1 drives the ladder; I1 injects into mid.  Recompute by hand.

@@ -22,7 +22,6 @@ from repro.spice import (
     SolverOptions,
     Transient,
     VoltageSource,
-    solve_dc,
 )
 from repro.spice import solver
 from repro.spice.elements.diode import Diode
@@ -46,9 +45,9 @@ class TestReusePolicy:
     def test_same_solution_with_and_without_reuse(self, monkeypatch):
         # A reuse limit of 0 is plain Newton: no stale step is tried.
         circuit = build_bandgap_cell()
-        with_reuse = solve_dc(circuit)
+        with_reuse = Session(circuit).solve_raw()
         monkeypatch.setattr(solver, "REUSE_LIMIT", 0)
-        without = solve_dc(circuit)
+        without = Session(circuit).solve_raw()
         assert with_reuse.x == pytest.approx(without.x, abs=1e-9)
 
     def test_no_reuse_means_factorization_per_iteration(self, monkeypatch):
@@ -123,7 +122,7 @@ class TestSparseSwitch:
 
         circuit = _diode_ladder(120)  # ~240 unknowns > threshold 200
         STATS.reset()
-        solution = solve_dc(circuit)
+        solution = Session(circuit).solve_raw()
         assert STATS.sparse_factorizations > 0
         assert solution.residual < 1e-6
 
@@ -150,7 +149,7 @@ class TestSparseSwitch:
 
         circuit = _diode_ladder(120)
         STATS.reset()
-        solve_dc(circuit)
+        Session(circuit).solve_raw()
         assert STATS.sparse_factorizations > 0
         assert STATS.sparse_conversions == 0
 
@@ -212,10 +211,10 @@ class TestSparseSwitch:
         jacobian, _ = system.assemble(np.zeros(system.size))
         assert workspace.factor(jacobian)
         assert not workspace.is_sparse
-        strict = solve_dc(circuit)
+        strict = Session(circuit).solve_raw()
         monkeypatch.setattr(solver, "SPARSE_REUSE_LIMIT", 99)
         monkeypatch.setattr(solver, "SPARSE_REUSE_CONTRACTION", 0.99)
-        relaxed = solve_dc(circuit)
+        relaxed = Session(circuit).solve_raw()
         assert strict.x == pytest.approx(relaxed.x, abs=1e-12)
         assert strict.iterations == relaxed.iterations
 
@@ -223,9 +222,9 @@ class TestSparseSwitch:
         # COLAMD is scipy's default ordering; naming it explicitly (or
         # picking NATURAL) must change performance only, never answers.
         circuit = _diode_ladder(120)
-        default = solve_dc(circuit)
+        default = Session(circuit).solve_raw()
         monkeypatch.setattr(solver, "SPARSE_PERMC", "NATURAL")
-        natural = solve_dc(circuit)
+        natural = Session(circuit).solve_raw()
         assert default.x == pytest.approx(natural.x, abs=1e-8)
 
     def test_stall_bailout_disabled_reaches_budget(self, monkeypatch):
@@ -234,7 +233,7 @@ class TestSparseSwitch:
         circuit = build_bandgap_cell()
         with monkeypatch.context() as patch:
             patch.setattr(solver, "STALL_WINDOW", 0)
-            patient = solve_dc(circuit)
-        eager = solve_dc(circuit)
+            patient = Session(circuit).solve_raw()
+        eager = Session(circuit).solve_raw()
         assert patient.strategy == eager.strategy == "gain-stepping"
         assert patient.x == pytest.approx(eager.x, abs=1e-9)

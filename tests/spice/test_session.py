@@ -39,11 +39,9 @@ from repro.spice import (
     Pulse,
     Resistor,
     Session,
-    SessionRecipe,
     TempSweep,
     Transient,
     VoltageSource,
-    run_plans,
 )
 from repro.spice.hierarchy import bandgap_array
 from repro.spice.mna import MNASystem
@@ -84,9 +82,10 @@ def rc_circuit():
 
 # Pool work functions live at module level, so they pickle.
 
-def run_pair(pair):
-    """One ``(recipe, plan)`` pair on its own session."""
-    return run_plans([pair])[0]
+def run_pair(item):
+    """One ``(builder, args, plan)`` item on its own session."""
+    builder, args, plan = item
+    return Session(builder, args=args).run(plan)
 
 
 def array_voltage(plan):
@@ -98,7 +97,8 @@ def exported_points(plans):
     """Run ``plans`` on a fresh diode session; its solved points as
     plain data (the form a store persists)."""
     session = Session(diode_circuit)
-    session.run_many(plans)
+    for plan in plans:
+        session.run(plan)
     return session.cache.export()
 
 
@@ -413,12 +413,20 @@ class TestSolvedPointCache:
         cold_factorizations = STATS.factorizations
         warm = Session(build_bandgap_cell)
         seed = warm.run(OP(temperature_k=300.15))  # seed: one solved point
-        # The chain the anchor exists to beat: the same sweep handed the
-        # seed point as x0, which bypasses anchoring.  It starts 47 K
-        # away from the seed and falls back onto the gain-stepping
-        # ladder there.
+        # The chain the anchor exists to beat: the same grid chained up
+        # from the seed point, with no anchoring.  It starts 47 K away
+        # from the seed and falls back onto the gain-stepping ladder
+        # there.
         STATS.reset()
-        Session(build_bandgap_cell).run(plan, x0=seed.op.x)
+        naive = Session(build_bandgap_cell)
+        chain = SecantChain()
+        for temperature in temps:
+            raw = naive.solve_raw(
+                temperature,
+                x0=seed.op.x if chain.x is None else chain.x,
+                predicted=chain.start(temperature),
+            )
+            chain.push(temperature, raw.x)
         assert STATS.strategies.get("gain-stepping", 0) >= 1
         naive_factorizations = STATS.factorizations
         STATS.reset()
@@ -728,57 +736,13 @@ class TestDCSweepSourceRefresh:
 
 
 class TestRunManyAndRunPlans:
-    def test_run_many_validates_everything_first(self):
-        session = Session(diode_circuit)
-        STATS.reset()
-        with pytest.raises(PlanError):
-            session.run_many([OP(), OP(overrides=(("RX", "resistance", 1.0),))])
-        assert STATS.newton_solves == 0  # nothing ran
-
     def test_run_many_shares_the_cache(self):
         session = Session(diode_circuit)
         STATS.reset()
-        results = session.run_many([OP(), OP(temperature_k=305.0)])
+        results = [session.run(plan) for plan in (OP(), OP(temperature_k=305.0))]
         assert STATS.op_cache_misses == 1  # only the first was cold
         assert STATS.op_cache_warm_starts == 1
         assert len(results) == 2
-
-    def test_run_plans_validates_everything_first(self):
-        STATS.reset()
-        with pytest.raises(PlanError):
-            run_plans(
-                [
-                    (SessionRecipe(builder=diode_circuit), OP()),
-                    (SessionRecipe(builder=rc_circuit), OP(record=("nowhere",))),
-                ]
-            )
-        assert STATS.newton_solves == 0  # nothing ran
-
-    def test_run_plans_groups_equal_recipes_onto_one_session(self):
-        recipe = SessionRecipe(builder=diode_circuit)
-        STATS.reset()
-        run_plans([(recipe, OP()), (recipe, OP(temperature_k=305.0))])
-        # Shared session: the second plan warm-started off the first.
-        assert STATS.op_cache_warm_starts == 1
-
-    def test_run_plans_runs_groups_in_first_appearance_order(self):
-        diode = SessionRecipe(builder=diode_circuit)
-        rc = SessionRecipe(builder=rc_circuit)
-        pairs = [
-            (diode, OP()),
-            (rc, TempSweep(temperatures_k=(290.0, 310.0))),
-            (diode, DCSweep(source="V1", values=(4.0, 5.0))),
-        ]
-        with tracing(detail="plans") as tracer:
-            results = run_plans(pairs)
-        # The diode group runs both its plans, in submission order,
-        # before the rc group; results come back in submission order.
-        assert [root.attrs["kind"] for root in tracer.roots] == [
-            "OP", "DCSweep", "TempSweep",
-        ]
-        assert [result.kind for result in results] == ["op", "temp_sweep", "dc_sweep"]
-        assert results[0].circuit is results[2].circuit
-        assert results[1].circuit is not results[0].circuit
 
     def test_montecarlo_trials(self):
         trials = tuple(
@@ -801,7 +765,8 @@ class TestRunManyAndRunPlans:
             OP(temperature_k=t, record=("o0",))
             for t in np.linspace(260.15, 340.15, 8)
         ]
-        serial = Session(bandgap_array_24).run_many(plans)
+        session = Session(bandgap_array_24)
+        serial = [session.run(plan) for plan in plans]
         voltages = fanned(array_voltage, plans, workers=workers)
         assert len(voltages) == len(plans)
         np.testing.assert_allclose(
@@ -813,10 +778,10 @@ class TestRunManyAndRunPlans:
 
     def test_run_plans_serial_vs_fanned_identical(self):
         pairs = [
-            (SessionRecipe(builder=diode_circuit), TempSweep(temperatures_k=(280.0, 320.0))),
-            (SessionRecipe(builder=rc_circuit), OP()),
+            (diode_circuit, (), TempSweep(temperatures_k=(280.0, 320.0))),
+            (rc_circuit, (), OP()),
         ]
-        serial = run_plans(pairs)
+        serial = [run_pair(pair) for pair in pairs]
         pooled = fanned(run_pair, pairs)
         np.testing.assert_array_equal(serial[1].op.x, pooled[1].op.x)
         np.testing.assert_array_equal(
@@ -833,10 +798,7 @@ class TestRunManyAndRunPlans:
         serial = Session(diode_circuit).run(plan)
         pooled, _ = fanned(
             run_pair,
-            [
-                (SessionRecipe(builder=diode_circuit), plan),
-                (SessionRecipe(builder=rc_circuit), OP()),
-            ],
+            [(diode_circuit, (), plan), (rc_circuit, (), OP())],
         )
         np.testing.assert_array_equal(serial.voltage("d"), pooled.voltage("d"))
         # Each trial result carries the merged per-trial plan on BOTH

@@ -9,7 +9,7 @@ Plan work supervised where supervision lives — a ``supervised_map`` at
 the batch boundary — must give the same outcomes fanned and serial
 under every injected failure mode.  Those tests use ``REPRO_FAULTS``
 (the environment spec) so pool workers see the same faults regardless
-of start method; every pair gets its own recipe (a distinct circuit
+of start method; every pair gets its own session (a distinct circuit
 title), so the supervised item index IS the pair index.
 """
 
@@ -28,9 +28,7 @@ from repro.spice import (
     OP,
     Resistor,
     Session,
-    SessionRecipe,
     VoltageSource,
-    run_plans,
 )
 from repro.spice import session as session_mod
 from repro.spice.stats import STATS
@@ -46,9 +44,10 @@ def diode_circuit(title="diode under drive"):
 
 # Pool work functions live at module level, so they pickle.
 
-def run_pair(pair):
-    """One ``(recipe, plan)`` pair on its own session."""
-    return run_plans([pair])[0]
+def run_pair(item):
+    """One ``(builder, args, plan)`` item on its own session."""
+    builder, args, plan = item
+    return Session(builder, args=args).run(plan)
 
 
 def trial_voltage(overrides):
@@ -73,7 +72,8 @@ def _x_vectors(outcomes):
 class TestRunManyUnsupervised:
     def test_returns_plain_results(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "error@0")
-        results = Session(diode_circuit).run_many([OP(), OP(temperature_k=320.0)])
+        session = Session(diode_circuit)
+        results = [session.run(plan) for plan in (OP(), OP(temperature_k=320.0))]
         assert [result.kind for result in results] == ["op", "op"]
         assert not any(isinstance(result, Outcome) for result in results)
 
@@ -88,18 +88,18 @@ class TestRunManyUnsupervised:
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(session_mod, "solve_dc_system", second_call_fails)
+        session = Session(diode_circuit)
         with pytest.raises(ConvergenceError, match="second plan"):
-            Session(diode_circuit).run_many(
-                [OP(), OP(temperature_k=320.0), OP(temperature_k=340.0)]
-            )
+            for plan in (OP(), OP(temperature_k=320.0), OP(temperature_k=340.0)):
+                session.run(plan)
         assert calls == [1, 2]  # no retry, and the third plan never ran
 
 
 @pytest.mark.usefixtures("device_eval_path")
 class TestRunPlansFaultEquality:
-    """``run_plans`` pairs supervised at the batch boundary: outcomes
-    identical fanned vs serial under injected faults, on both
-    device-evaluator paths."""
+    """Plan pairs supervised at the batch boundary: outcomes identical
+    fanned vs serial under injected faults, on both device-evaluator
+    paths."""
 
     FAULT_CASES = {
         "worker-crash": "crash@2:1",
@@ -108,10 +108,7 @@ class TestRunPlansFaultEquality:
 
     def _pairs(self):
         return [
-            (
-                SessionRecipe(builder=diode_circuit, args=(f"diode {i}",)),
-                OP(temperature_k=290.0 + 10.0 * i),
-            )
+            (diode_circuit, (f"diode {i}",), OP(temperature_k=290.0 + 10.0 * i))
             for i in range(4)
         ]
 

@@ -1,10 +1,9 @@
 """Cross-topology batches and the process fan-out helper.
 
-``run_plans`` over distinct recipes must return exactly what one fresh
-``Session`` per recipe returns, independent of how many worker
-processes the pairs are mapped over, and a policy-free
-``supervised_map`` must preserve item order and fall back to serial
-execution gracefully.
+One fresh ``Session`` per configuration must return the same sweep
+independent of how many worker processes the configurations are
+mapped over, and a policy-free ``supervised_map`` must preserve item
+order and fall back to serial execution gracefully.
 """
 
 import os
@@ -13,7 +12,7 @@ import numpy as np
 
 from repro.circuits.bandgap_cell import BandgapCellConfig, build_bandgap_cell
 from repro.parallel import resolve_workers, supervised_map
-from repro.spice import SessionRecipe, TempSweep, run_plans
+from repro.spice import Session, TempSweep
 from repro.units import celsius_to_kelvin
 
 TEMPS = tuple(celsius_to_kelvin(t) for t in (-20.0, 25.0, 85.0))
@@ -23,11 +22,17 @@ def mapped(func, items, max_workers):
     return [o.value for o in supervised_map(func, items, max_workers=max_workers)]
 
 
-def vref_points(pair):
-    """Pool work: one ``(recipe, TempSweep)`` pair, its points as plain
-    data.  The built bandgap cell holds closures, so its results cannot
-    cross the pool; their readings can."""
-    result = run_plans([pair])[0]
+def run_pair(item):
+    """One ``(builder, args, plan)`` item on its own session."""
+    builder, args, plan = item
+    return Session(builder, args=args).run(plan)
+
+
+def vref_points(item):
+    """Pool work: one ``(builder, args, TempSweep)`` item, its points as
+    plain data.  The built bandgap cell holds closures, so its results
+    cannot cross the pool; their readings can."""
+    result = run_pair(item)
     return [
         (point.temperature_k, point.voltage("vref"), point.iterations, point.strategy)
         for point in result.points
@@ -81,32 +86,18 @@ class TestPolicyFreeMap:
 
 class TestRunPlansBatch:
     def _pairs(self):
-        # Two distinct configurations make two session groups, so
+        # Two distinct configurations, each on a session of its own, so
         # neither sweep warm-starts off the other.
         return [
-            (
-                SessionRecipe(builder=build_bandgap_cell, args=(config,)),
-                TempSweep(temperatures_k=temps),
-            )
+            (build_bandgap_cell, (config,), TempSweep(temperatures_k=temps))
             for config, temps in (
                 (BandgapCellConfig(), TEMPS),
                 (BandgapCellConfig(radja=2.7e3), TEMPS[::-1]),
             )
         ]
 
-    def test_matches_one_session_per_recipe(self):
-        batch = run_plans(self._pairs())
-        for (recipe, plan), result in zip(self._pairs(), batch):
-            sequential = recipe.build().run(plan)
-            np.testing.assert_allclose(
-                result.voltage("vref"), sequential.voltage("vref"), atol=1e-9
-            )
-            assert [p.strategy for p in result.points] == [
-                p.strategy for p in sequential.points
-            ]
-
     def test_worker_count_does_not_change_results(self):
-        serial = run_plans(self._pairs())
+        serial = [run_pair(item) for item in self._pairs()]
         outcomes = supervised_map(vref_points, self._pairs(), max_workers=2)
         assert all(outcome.worker_pid != os.getpid() for outcome in outcomes)
         for result, outcome in zip(serial, outcomes):
@@ -128,14 +119,3 @@ class TestRunPlansBatch:
             assert 1.1 < vref < 1.3
             assert iterations > 0
 
-
-class TestMonteCarloFanOut:
-    def test_worker_count_does_not_change_summary(self):
-        from repro.analysis.montecarlo import run_extraction_montecarlo
-
-        serial = run_extraction_montecarlo(lot_size=3, include_noise=False)
-        fanned = run_extraction_montecarlo(
-            lot_size=3, include_noise=False, max_workers=2
-        )
-        np.testing.assert_allclose(serial.eg_values, fanned.eg_values, atol=0.0)
-        np.testing.assert_allclose(serial.xti_values, fanned.xti_values, atol=0.0)

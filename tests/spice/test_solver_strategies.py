@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.spice import Circuit, Resistor, SolverOptions, VoltageSource, solve_dc
+from repro.spice import Circuit, Resistor, Session, SolverOptions, VoltageSource
 from repro.spice import solver
 from repro.spice.elements.diode import Diode
 from repro.spice.mna import MNASystem
@@ -60,11 +60,11 @@ class TestPlainNewton:
         circuit.add(VoltageSource("V1", "in", "0", 2.0))
         circuit.add(Resistor("R1", "in", "mid", 1e3))
         circuit.add(Resistor("R2", "mid", "0", 1e3))
-        solution = solve_dc(circuit)
+        solution = Session(circuit).solve_raw()
         assert solution.strategy == "newton"
 
     def test_diode_chain_with_full_budget_reports_newton(self):
-        solution = solve_dc(diode_chain(3))
+        solution = Session(diode_chain(3)).solve_raw()
         assert solution.strategy == "newton"
 
 
@@ -124,7 +124,7 @@ class TestGainStepping:
         x0 = np.zeros(MNASystem(circuit).size) if seeded else None
         STATS.reset()
         with tracing(detail="full") as tracer:
-            solution = solve_dc(circuit, x0=x0)
+            solution = Session(circuit).solve_raw(x0=x0)
         assert solution.strategy == "gain-stepping"
         plain = _plain_span(tracer)
         assert plain.attrs["stall_window"] == window
@@ -145,9 +145,9 @@ class TestGainStepping:
 
         ramp = StartupRampConfig(ramp=48e-6)
         circuit = build_startup_bandgap_cell(ramp)
-        fast = solve_dc(circuit, temperature_k=327.0, time=0.0)
+        fast = Session(circuit, temperature_k=327.0).solve_raw(327.0, time=0.0)
         monkeypatch.setattr(solver, "STALL_WINDOW", 0)
-        patient = solve_dc(circuit, temperature_k=327.0, time=0.0)
+        patient = Session(circuit, temperature_k=327.0).solve_raw(327.0, time=0.0)
         assert fast.strategy == "gain-stepping"
         assert patient.strategy == "newton"
         np.testing.assert_allclose(fast.x, patient.x, rtol=0.0, atol=1e-8)
@@ -171,12 +171,12 @@ class TestGainStepping:
         options = SolverOptions(max_iterations=12)
         with monkeypatch.context() as patch, tracing(detail="full") as tracer:
             patch.setattr(solver, "GAIN_RAMP_RATIO", 1.001)
-            slow = solve_dc(parse_netlist(log_amp), options=options)
+            slow = Session(parse_netlist(log_amp)).solve_raw(options=options)
         dc_solve, rungs = _gain_rungs(tracer)
         assert dc_solve.attrs["gain_rungs"] == len(rungs) == options.max_iterations
         assert rungs.count(False) == 2
         assert slow.strategy == "gmin-stepping"
-        reference = solve_dc(parse_netlist(log_amp))
+        reference = Session(parse_netlist(log_amp)).solve_raw()
         assert reference.strategy == "gain-stepping"
         assert slow.x == pytest.approx(reference.x, abs=1e-9)
 
@@ -194,7 +194,7 @@ class TestGainStepping:
         circuit.element("VDD").dc = 1.0
         with tracing(detail="full") as tracer:
             with pytest.raises(ConvergenceError, match="source stepping stalled"):
-                solve_dc(circuit, temperature_k=300.15)
+                Session(circuit, temperature_k=300.15).solve_raw(300.15)
         dc_solve, rungs = _gain_rungs(tracer)
         assert rungs == [True, True, False, False, True, False, False]
         assert dc_solve.attrs["gain_rungs"] == len(rungs)
@@ -206,13 +206,13 @@ class TestGainStepping:
         circuit = build_bandgap_cell()
         amps = [el for el in circuit.elements if isinstance(el, OpAmp)]
         gains = [amp.gain for amp in amps]
-        solve_dc(circuit)
+        Session(circuit).solve_raw()
         assert [amp.gain for amp in amps] == gains
 
     def test_sub1v_cell_cold_start_uses_gain_stepping(self):
         from repro.circuits.sub1v import build_sub1v_cell
 
-        solution = solve_dc(build_sub1v_cell())
+        solution = Session(build_sub1v_cell()).solve_raw()
         assert solution.strategy == "gain-stepping"
 
 
@@ -222,13 +222,13 @@ class TestGminStepping:
         # stiff chain, but each warm-started gmin stage converges fast;
         # no op-amp is present, so gain stepping cannot fire first.
         options = SolverOptions(max_iterations=10)
-        solution = solve_dc(diode_chain(3), options=options)
+        solution = Session(diode_chain(3)).solve_raw(options=options)
         assert solution.strategy == "gmin-stepping"
 
     def test_gmin_solution_is_the_true_operating_point(self):
         options = SolverOptions(max_iterations=10)
-        starved = solve_dc(diode_chain(3), options=options)
-        reference = solve_dc(diode_chain(3))
+        starved = Session(diode_chain(3)).solve_raw(options=options)
+        reference = Session(diode_chain(3)).solve_raw()
         assert reference.strategy == "newton"
         assert starved.x == pytest.approx(reference.x, abs=1e-6)
 
@@ -240,15 +240,15 @@ class TestSourceStepping:
         # each 10%-step warm start stays in the basin).
         monkeypatch.setattr(solver, "GMIN_LADDER", ())
         options = SolverOptions(max_iterations=8)
-        solution = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
+        solution = Session(diode_chain(4, load_ohm=10.0)).solve_raw(options=options)
         assert solution.strategy == "source-stepping"
 
     def test_source_stepping_solution_matches_reference(self, monkeypatch):
         options = SolverOptions(max_iterations=8)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "GMIN_LADDER", ())
-            stepped = solve_dc(diode_chain(4, load_ohm=10.0), options=options)
-        reference = solve_dc(diode_chain(4, load_ohm=10.0))
+            stepped = Session(diode_chain(4, load_ohm=10.0)).solve_raw(options=options)
+        reference = Session(diode_chain(4, load_ohm=10.0)).solve_raw()
         assert stepped.x == pytest.approx(reference.x, abs=1e-6)
 
     def test_exhausted_ladder_raises_convergence_error(self, monkeypatch):
@@ -256,4 +256,4 @@ class TestSourceStepping:
         monkeypatch.setattr(solver, "GMIN_LADDER", ())
         options = SolverOptions(max_iterations=2)
         with pytest.raises(ConvergenceError):
-            solve_dc(diode_chain(4, load_ohm=10.0), options=options)
+            Session(diode_chain(4, load_ohm=10.0)).solve_raw(options=options)

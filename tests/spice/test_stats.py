@@ -11,7 +11,7 @@ changing — the dataclass fields are the single source of truth.
 from dataclasses import fields
 
 from repro.parallel import supervised_map
-from repro.spice import OP, SessionRecipe, TempSweep, run_plans
+from repro.spice import OP, Session, TempSweep
 from repro.spice import Circuit, Diode, Resistor, VoltageSource
 from repro.spice.stats import STATS, SolverStats
 
@@ -32,10 +32,11 @@ def rc_circuit():
     return c
 
 
-def run_pair(pair):
-    """Pool work: one ``(recipe, plan)`` pair on its own session
+def run_pair(item):
+    """Pool work: one ``(builder, args, plan)`` item on its own session
     (module-level, so it pickles)."""
-    run_plans([pair])
+    builder, args, plan = item
+    Session(builder, args=args).run(plan)
 
 
 def distinct_stats() -> SolverStats:
@@ -144,11 +145,8 @@ class TestDeltaAndMerge:
 
 def _sweep_pairs():
     return [
-        (
-            SessionRecipe(builder=diode_circuit),
-            TempSweep(temperatures_k=(280.0, 300.0, 320.0)),
-        ),
-        (SessionRecipe(builder=rc_circuit), OP()),
+        (diode_circuit, (), TempSweep(temperatures_k=(280.0, 300.0, 320.0))),
+        (rc_circuit, (), OP()),
     ]
 
 
@@ -171,11 +169,12 @@ class TestFannedCountersMatchSerial:
         assert serial["newton_solves"] >= 2
 
     def test_fanned_pairs_count_like_one_run_plans_call(self):
-        # Distinct recipes make one session group per pair, so mapping
-        # the pairs one per worker does the work one in-process
-        # run_plans call does, counter for counter.
+        # Each pair runs on a session of its own, so mapping the pairs
+        # one per worker does the work of running them in a plain
+        # in-process loop, counter for counter.
         STATS.reset()
-        run_plans(_sweep_pairs())
+        for item in _sweep_pairs():
+            run_pair(item)
         in_process = STATS.as_dict()
         assert _stats_after_map(workers=2) == in_process
         assert in_process["op_cache_misses"] >= 2

@@ -26,7 +26,6 @@ from repro.spice import (
     Transient,
     TransientOptions,
     VoltageSource,
-    solve_dc,
 )
 
 
@@ -340,12 +339,6 @@ class TestStepControl:
         assert result.voltage("out")[0] == pytest.approx(0.0, abs=1e-9)
         assert result.times[0] == 0.0
 
-    def test_warm_start_x0_is_accepted(self):
-        circuit = rc_circuit()
-        raw = solve_dc(circuit, time=0.0)
-        result = Session(circuit).run(Transient(t_stop=2e-6), x0=raw.x).result
-        assert result.accepted_steps > 0
-
     def test_rejects_bad_time_window(self):
         with pytest.raises(NetlistError):
             Session(rc_circuit()).run(Transient(t_stop=0.0))
@@ -489,7 +482,7 @@ class TestStartupExperimentCircuits:
         circuit = build_startup_bandgap_cell(ramp)
         t_end = ramp.t_on + 80e-6
         result = Session(circuit).run(Transient(t_stop=t_end)).result
-        dc = solve_dc(circuit, time=t_end)
+        dc = Session(circuit).solve_raw(time=t_end)
         vref_dc = float(dc.x[circuit.node_index("vref")])
         assert abs(result.voltage("vref")[-1] - vref_dc) < 1e-3
         # Every accepted step's recorded residual certifies convergence.
@@ -506,7 +499,7 @@ class TestStartupExperimentCircuits:
         circuit = build_startup_sub1v_cell(ramp)
         t_end = ramp.t_on + 80e-6
         result = Session(circuit).run(Transient(t_stop=t_end)).result
-        dc = solve_dc(circuit, time=t_end)
+        dc = Session(circuit).solve_raw(time=t_end)
         vref_dc = float(dc.x[circuit.node_index("vref")])
         assert abs(result.voltage("vref")[-1] - vref_dc) < 1e-3
         assert result.voltage("vref")[-1] < 1.0
