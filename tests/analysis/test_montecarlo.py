@@ -46,6 +46,14 @@ class TestMonteCarlo:
         b = run_extraction_montecarlo(lot_size=3, seed=9, include_noise=False)
         assert a.eg_values.tolist() == b.eg_values.tolist()
 
+    def test_chip_couple_does_not_depend_on_the_lot(self):
+        # Each chip draws its sample in turn and carries its own seed, so
+        # a larger lot only appends chips.
+        small = run_extraction_montecarlo(lot_size=2, seed=9, include_noise=False)
+        large = run_extraction_montecarlo(lot_size=3, seed=9, include_noise=False)
+        assert large.eg_values[:2].tolist() == small.eg_values.tolist()
+        assert large.xti_values[:2].tolist() == small.xti_values.tolist()
+
     def test_rejects_tiny_lot(self):
         with pytest.raises(ReproError):
             run_extraction_montecarlo(lot_size=1)

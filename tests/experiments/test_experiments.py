@@ -82,6 +82,36 @@ class TestSpecificNumbers:
         assert temps[0] == 0.0
         assert temps[-1] == 450.0
 
+    def test_ablation_solver_sweeps_each_variant_on_its_own_session(
+        self, all_results
+    ):
+        # The netlist column is one cold TempSweep per configuration,
+        # rows in variant order.
+        from repro.circuits.bandgap_cell import (
+            BandgapCellConfig,
+            build_bandgap_cell,
+            measure_vref,
+        )
+        from repro.spice import Session, TempSweep
+        from repro.units import celsius_to_kelvin
+
+        temps_c = (-55.0, -5.0, 45.0, 95.0, 145.0)
+        plan = TempSweep(temperatures_k=tuple(celsius_to_kelvin(t) for t in temps_c))
+        variants = (
+            ("ideal", BandgapCellConfig(substrate_unit=None)),
+            ("leaky", BandgapCellConfig()),
+            ("trimmed", BandgapCellConfig(radja=2.5e3)),
+        )
+        expected = [
+            (label, temp_c, round(measure_vref(point), 5))
+            for label, config in variants
+            for temp_c, point in zip(
+                temps_c, Session(build_bandgap_cell, args=(config,)).run(plan).points
+            )
+        ]
+        rows = all_results["ablation_solver"].rows
+        assert [row[:3] for row in rows] == expected
+
 
 class TestRunExperimentsErrorAttribution:
     """A worker failure must carry the failing experiment's id."""

@@ -212,6 +212,19 @@ class TestPoolFailureTaxonomy:
         with pytest.raises(ValueError, match="item 1 failed"):
             supervised_map(raises_value_error, [1, 2], max_workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_recorded_failure_keeps_type_and_message(self, workers):
+        # Attribution of a recorded failure is its exception's type and
+        # message, on either transport.
+        outcomes = supervised_map(
+            raises_value_error, [1, 2], policy=RECORD, max_workers=workers
+        )
+        assert [o.status for o in outcomes] == ["failed", "failed"]
+        assert [(o.to_dict()["error_type"], o.to_dict()["error"]) for o in outcomes] == [
+            ("ValueError", "item 1 failed"),
+            ("ValueError", "item 2 failed"),
+        ]
+
     def test_unpicklable_payload_falls_back_per_item(self):
         # A lambda cannot cross the pool: infrastructure failure, so
         # each item finishes in-process and the degradation is counted.

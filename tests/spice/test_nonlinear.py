@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bjt import BJTParameters, GummelPoonModel
-from repro.constants import thermal_voltage
+from repro.bjt import PAPER_PNP_LARGE, PAPER_PNP_SMALL, BJTParameters, GummelPoonModel
+from repro.constants import K_BOLTZMANN_EV, thermal_voltage
 from repro.errors import ConvergenceError
 from repro.spice import (
     OP,
@@ -112,6 +112,39 @@ class TestBJTCircuits:
         vbe = op.voltage("e")
         total = model.collector_current(vbe, 300.15) + model.base_current(vbe, 300.15)
         assert total == pytest.approx(1e-5, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PAPER_PNP_SMALL,
+            PAPER_PNP_LARGE,
+            BJTParameters(
+                polarity="npn", nf=1.02, nr=1.05, ne=1.6, xtb=0.8, eg=1.17, xti=4.0
+            ),
+        ],
+        ids=["pnp-1x", "pnp-8x", "npn"],
+    )
+    def test_device_laws_are_the_spice_temperature_laws(self, params):
+        # The SPICE IS, ISE and BF laws written out: the element's
+        # memoised laws reproduce them bit for bit over 150-500 K, so
+        # residuals and Jacobians keep their bytes.
+        device = SpiceBJT("Q1", "c", "b", "e", params)
+        p = params
+        for t in np.linspace(150.0, 500.0, 351).tolist():
+            ratio = t / p.tnom
+            inverse = 1.0 / p.tnom - 1.0 / t
+            vt = thermal_voltage(t)
+            assert device._laws_at(t) == (
+                t,
+                p.is_ * ratio**p.xti * math.exp((p.eg / K_BOLTZMANN_EV) * inverse),
+                p.ise
+                * ratio ** (p.xti / p.ne - p.xtb)
+                * math.exp((p.eg / (p.ne * K_BOLTZMANN_EV)) * inverse),
+                p.bf * ratio**p.xtb,
+                p.nf * vt,
+                p.nr * vt,
+                p.ne * vt,
+            )
 
     def test_npn_polarity(self):
         params = BJTParameters(polarity="npn", rb=0.0, re=0.0, rc=0.0)

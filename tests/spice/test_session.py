@@ -18,6 +18,7 @@ and solved points cross it intact.
 """
 
 import gc
+import inspect
 import json
 import os
 import weakref
@@ -733,6 +734,49 @@ class TestDCSweepSourceRefresh:
             atol=1e-12,
         )
         assert session.circuit.element("V1").dc == 5.0
+
+
+class TestOneRunPath:
+    """``Session.run(plan)`` is the one way to run an analysis."""
+
+    def test_run_takes_exactly_a_plan(self):
+        assert list(inspect.signature(Session.run).parameters) == ["self", "plan"]
+        session = Session(diode_circuit)
+        seed = Session(diode_circuit).run(OP()).op.x
+        with pytest.raises(TypeError):
+            session.run(OP(), x0=seed)
+
+    def test_batch_entry_points_are_gone(self):
+        import repro.spice
+        from repro.spice import session, solver
+
+        for module in (repro.spice, session, solver):
+            for name in ("run_plans", "SessionRecipe", "solve_dc"):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(Session, "run_many")
+
+    def test_sweep_anchors_on_an_exact_cached_point(self):
+        # The anchor search runs whenever the cache holds a point: the
+        # sweep starts at the grid point the cached OP sits on, an exact
+        # hit, and chains outward from it.
+        session = Session(diode_circuit)
+        session.run(OP(temperature_k=300.0))
+        plan = TempSweep(temperatures_k=(280.0, 290.0, 300.0, 310.0))
+        STATS.reset()
+        with tracing(detail="plans") as tracer:
+            warm = session.run(plan)
+        assert STATS.op_cache_hits == 1
+        assert STATS.op_cache_warm_starts == 0
+        assert STATS.op_cache_misses == 0
+        (root,) = tracer.roots
+        solves = [
+            span.attrs["temperature_k"] for span in root.children if span.name == "solve"
+        ]
+        assert solves == [300.0, 290.0, 280.0, 310.0]
+        cold = Session(diode_circuit).run(plan)
+        np.testing.assert_allclose(
+            warm.voltage("d"), cold.voltage("d"), rtol=0.0, atol=1e-9
+        )
 
 
 class TestRunManyAndRunPlans:

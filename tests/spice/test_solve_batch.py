@@ -96,6 +96,13 @@ class TestRunPlansBatch:
             )
         ]
 
+    def test_results_do_not_depend_on_run_order(self):
+        # The sessions share no solved points, so running the
+        # configurations in the other order changes no reading.
+        forward = [vref_points(item) for item in self._pairs()]
+        backward = [vref_points(item) for item in reversed(self._pairs())]
+        assert forward == backward[::-1]
+
     def test_worker_count_does_not_change_results(self):
         serial = [run_pair(item) for item in self._pairs()]
         outcomes = supervised_map(vref_points, self._pairs(), max_workers=2)

@@ -27,6 +27,7 @@ from repro.spice import (
     TransientOptions,
     VoltageSource,
 )
+from repro.spice.stats import STATS
 
 
 def rc_circuit(tau_r=1e3, tau_c=1e-9, delay=1e-6, rise=1e-7):
@@ -338,6 +339,20 @@ class TestStepControl:
         # Source is 0 until 1us, so the t=0 point is the dead circuit.
         assert result.voltage("out")[0] == pytest.approx(0.0, abs=1e-9)
         assert result.times[0] == 0.0
+
+    def test_rerun_starts_from_the_cached_dc_point(self):
+        # The initial DC point is solved through the session cache: a
+        # second run of the plan on one session exact-hits it and
+        # integrates the same waveform.
+        session = Session(rc_circuit())
+        plan = Transient(t_stop=2e-6)
+        first = session.run(plan).result
+        STATS.reset()
+        second = session.run(plan).result
+        assert STATS.op_cache_hits == 1
+        assert second.accepted_steps == first.accepted_steps > 0
+        np.testing.assert_array_equal(second.times, first.times)
+        np.testing.assert_array_equal(second.voltage("out"), first.voltage("out"))
 
     def test_rejects_bad_time_window(self):
         with pytest.raises(NetlistError):
