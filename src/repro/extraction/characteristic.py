@@ -40,10 +40,6 @@ class CharacteristicStraight:
         """EG on the line for a given XTI [eV]."""
         return self.intercept + self.slope * xti
 
-    def couple_at(self, xti: float) -> tuple:
-        """The (EG, XTI) couple on the line at a chosen XTI."""
-        return self.eg_at(xti), xti
-
     def offset_from(self, other: "CharacteristicStraight", xti: float = 3.5) -> float:
         """Vertical EG distance to another straight at a given XTI [eV]."""
         return self.eg_at(xti) - other.eg_at(xti)

@@ -35,7 +35,6 @@ from ..bjt.parameters import BJTParameters, PAPER_PNP_SMALL
 from ..bjt.pair import MatchedPair
 from ..bjt.substrate import SubstratePNP
 from ..circuits.bandgap_cell import BandgapCellConfig
-from ..circuits.bias_pair import BiasedPair, BiasPairConfig
 from ..errors import MeasurementError
 from .thermal import SelfHeatingModel
 
@@ -103,23 +102,6 @@ class DeviceSample:
             return 1.0 + drift * (temperature_k - reference_k)
 
         return ratio
-
-    def biased_pair(self, vce_headroom: float = 0.05) -> BiasedPair:
-        """The Fig. 2 measurement configuration on this chip.
-
-        The QB/QA ratio drift is folded into ``current_ratio_b`` per
-        temperature by the campaign; the static configuration here uses
-        the reference-temperature value.
-        """
-        config = BiasPairConfig(
-            collector_current_a=self.bias_current_a,
-            vce_headroom=vce_headroom,
-        )
-        return BiasedPair(
-            pair=self.matched_pair(),
-            config=config,
-            delta_vbe_offset_v=self.delta_vbe_offset_v,
-        )
 
     def cell_config(self, radja: float = 0.0) -> BandgapCellConfig:
         """The bandgap test cell carrying this chip's non-idealities."""

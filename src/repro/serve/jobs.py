@@ -25,9 +25,11 @@ Three pieces, all transport-agnostic (the HTTP front end in
   ``_POLICY_WIRE_KEYS``), and the :class:`JobRecord` carries
   ``Outcome``-style failure attribution (error type, message, attempts,
   wall time).  Completed jobs flush the owning session to the store
-  immediately (write-through), so a server kill after job completion
-  never loses solved points; a job whose flush fails is reported
-  ``failed``, and the worker goes on to the next job.
+  immediately (write-through of the points the session solved since
+  its last flush), so a server kill after job completion never loses
+  solved points; a job whose flush fails is reported ``failed``, its
+  points stay pending for the next flush, and the worker goes on to
+  the next job.
 """
 
 from __future__ import annotations
@@ -153,9 +155,18 @@ def _transient_options_from_wire(value) -> TransientOptions:
     if "newton" in kwargs:
         kwargs["newton"] = _solver_options_from_wire(kwargs["newton"])
     try:
-        return TransientOptions(**kwargs)
+        options = TransientOptions(**kwargs)
     except (TypeError, ValueError, NetlistError) as exc:
         raise PlanError(f"invalid transient options: {exc}") from None
+    # Every step holds a service worker: the wire may lower the engine's
+    # runaway cap but not raise it.
+    cap = TransientOptions().max_steps
+    if options.max_steps > cap:
+        raise PlanError(
+            "invalid transient options: max_steps must be at most "
+            f"{cap} on the wire, got {options.max_steps}"
+        )
+    return options
 
 
 def plan_from_wire(data) -> AnalysisPlan:

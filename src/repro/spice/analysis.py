@@ -139,15 +139,6 @@ class ACResult:
             return np.zeros(len(self.frequencies_hz), dtype=complex)
         return self.x[:, index]
 
-    def branch_phasor(self, element_name: str) -> np.ndarray:
-        """Complex branch current of a voltage-defined element [A]."""
-        element = self.circuit.element(element_name)
-        if element.branch_count == 0:
-            raise NetlistError(
-                f"{element_name} has no branch current (not voltage-defined)"
-            )
-        return self.x[:, element.branch_index()]
-
     def magnitude_db(self, node: str) -> np.ndarray:
         """``20 log10 |H|`` at a node, floored to keep log finite."""
         magnitude = np.abs(self.phasor(node))

@@ -26,17 +26,25 @@ solver options, temperature)``.
 
 * An **exact** key match returns the stored solution with no Newton run
   at all (``op_cache_hits``).  Exact hits are only possible for
-  conditions the session itself solved — a temperature nudge, a changed
-  override or a different pinned time is a different key, so a stale
-  point can never be returned for new conditions.
-* Otherwise the **nearest** cached point with the same pinned time and
-  compatible override values (small absolute/relative deltas only —
-  never across e.g. a 0 V vs 5 V supply, where a dead-state warm start
-  could pull Newton onto a degenerate branch) seeds Newton's ``x0``
+  conditions the session itself solved (or loaded from its store) — a
+  temperature nudge, a changed override or a different pinned time is a
+  different key, so a stale point can never be returned for new
+  conditions.  The lookup runs on every solve: an exact hit wins, and a
+  chained sweep point's ``x0`` seeds only a miss, so a sweep rerun on a
+  session that holds its points costs one lookup per point.
+* On a miss, a chained sweep point starts from its ``x0`` (a
+  ``"seeded"`` solve span).  Any other solve starts from the
+  **nearest** cached point with the same pinned time and compatible
+  override values (small absolute/relative deltas only — never across
+  e.g. a 0 V vs 5 V supply, where a dead-state warm start could pull
+  Newton onto a degenerate branch) as Newton's ``x0``
   (``op_cache_warm_starts``); the solve itself always runs, with the
   full fallback ladder available, so a warm start can change iteration
   counts but never the converged answer beyond solver tolerance.
 * Everything else is a cold solve (``op_cache_misses``).
+
+The cache holds ``cache_points`` points and evicts the least recently
+used one: a solve inserts its point, and an exact hit refreshes it.
 
 Mutating circuit element values *outside* the plan-override mechanism is
 not tracked — call :meth:`Session.invalidate` afterwards (it clears the
@@ -50,7 +58,9 @@ import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -151,19 +161,30 @@ class _CachedPoint:
 
 
 class SolvedPointCache:
-    """Solved-point store with exact and nearest-neighbour lookup."""
+    """Solved-point store with exact and nearest-neighbour lookup.
+
+    Bounded at ``max_points``, least recently used first out: an insert
+    or an exact hit makes a point the most recent.  The cache also
+    remembers which keys were inserted since the store last took them
+    (:meth:`pending_keys`), so a flush writes only new points.
+    """
 
     def __init__(self, max_points: int = 512):
         if max_points < 1:
             raise ValueError(f"max_points must be >= 1, got {max_points}")
         self.max_points = max_points
         self._exact: Dict[Tuple, _CachedPoint] = {}
+        #: Keys inserted since the last :meth:`forget_pending`, oldest
+        #: first (a dict used as an ordered set; always a subset of
+        #: ``_exact``'s keys).
+        self._pending: Dict[Tuple, None] = {}
 
     def __len__(self) -> int:
         return len(self._exact)
 
     def clear(self) -> None:
         self._exact.clear()
+        self._pending.clear()
 
     @staticmethod
     def _values_compatible(a: Mapping, b: Mapping, baseline: Mapping) -> bool:
@@ -180,7 +201,10 @@ class SolvedPointCache:
         return True
 
     def exact(self, key: Tuple) -> Optional[_CachedPoint]:
-        return self._exact.get(key)
+        point = self._exact.pop(key, None)
+        if point is not None:
+            self._exact[key] = point  # a hit is the most recent use
+        return point
 
     def nearest(
         self,
@@ -245,22 +269,51 @@ class SolvedPointCache:
         ]
 
     def insert(self, key: Tuple, point: _CachedPoint) -> None:
+        """Cache a freshly solved point and mark it pending for the store."""
+        self._put(key, point)
+        self._pending[key] = None
+
+    def _put(self, key: Tuple, point: _CachedPoint) -> None:
+        # The tail is the most recent use: re-inserting a key moves it
+        # there, and a full cache evicts from the head, so the point
+        # dropped is the least recently inserted or hit.  An evicted
+        # point is no longer pending either.
         if key in self._exact:
-            del self._exact[key]  # re-insert at the tail (LRU-ish)
+            del self._exact[key]
         elif len(self._exact) >= self.max_points:
-            self._exact.pop(next(iter(self._exact)))
+            evicted = next(iter(self._exact))
+            del self._exact[evicted]
+            self._pending.pop(evicted, None)
         self._exact[key] = point
 
     # -- persistent store support --------------------------------------
-    def export(self) -> List[Tuple[Tuple, Tuple]]:
-        """Plain-data snapshot of every point (what a store persists)."""
+    def export(
+        self, keys: Optional[Iterable[Tuple]] = None
+    ) -> List[Tuple[Tuple, Tuple]]:
+        """Plain-data snapshot of every point, or of those of ``keys``
+        still cached (what a store persists)."""
+        if keys is None:
+            keys = list(self._exact)
+        points = ((key, self._exact.get(key)) for key in keys)
         return [
             (key, (p.temperature_k, p.time_key, p.options_key, dict(p.coords),
                    p.x, p.iterations, p.residual, p.strategy))
-            for key, p in self._exact.items()
+            for key, p in points
+            if p is not None
         ]
 
+    def pending_keys(self) -> List[Tuple]:
+        """Keys inserted since the store last took them, oldest first."""
+        return list(self._pending)
+
+    def forget_pending(self, keys: Iterable[Tuple]) -> None:
+        """Unmark ``keys``: the store holds their points now."""
+        for key in keys:
+            self._pending.pop(key, None)
+
     def merge(self, exported) -> None:
+        """Add exported points the cache lacks.  They came from a store,
+        so none of them is pending."""
         for key, (temperature_k, time_key, options_key, coords, x,
                   iterations, residual, strategy) in exported:
             if key in self._exact:
@@ -269,7 +322,7 @@ class SolvedPointCache:
                 x=np.asarray(x, float), iterations=iterations,
                 residual=residual, strategy=strategy,
             )
-            self.insert(
+            self._put(
                 key,
                 _CachedPoint(temperature_k, time_key, options_key, coords, raw),
             )
@@ -609,14 +662,28 @@ class Session:
 
     # -- persistent store ----------------------------------------------
     def flush_store(self) -> int:
-        """Write this session's solved points to the attached store.
+        """Write this session's new solved points to the attached store.
 
-        Appends only points the store has not persisted yet; returns
-        the number written.  No-op (returning 0) without a store.
+        Hands :meth:`CacheStore.absorb` only the points inserted since
+        the last successful flush (the cache's pending keys, less any it
+        has evicted since); points loaded from the store are never
+        pending.  The keys are forgotten only once ``absorb`` returns,
+        so a flush that raises leaves them for the next one.  ``absorb``
+        runs on every flush, an empty one included, and still skips
+        points the store already persisted (two sessions sharing a
+        store write each point once).  Returns the number written;
+        no-op (returning 0) without a store.
+
+        A point is offered to the store once: if the store's compaction
+        (past twice its ``max_points`` records) drops a point this
+        session still caches, a later flush does not append it again.
         """
         if self.store is None:
             return 0
-        return self.store.absorb(self.cache.export())
+        keys = self.cache.pending_keys()
+        written = self.store.absorb(self.cache.export(keys))
+        self.cache.forget_pending(keys)
+        return written
 
     def close(self) -> None:
         """Flush the persistent store (if any).  The session remains
@@ -657,7 +724,9 @@ class Session:
 
         The engine-level entry: every plan body solves its DC points
         here, and a one-shot raw solve is ``Session(circuit).solve_raw()``.
-        ``x0`` wins over the cache when given: a chained sweep hands
+        An exact cache hit wins over everything, ``x0`` included, so a
+        point the session already holds costs one lookup.  On a miss,
+        ``x0`` wins over the nearest cached point: a chained sweep hands
         each point the previous point's solution as ``x0`` and its
         secant extrapolation as ``predicted``, both passed on to
         :func:`~repro.spice.solver.solve_dc_system` unchanged.
@@ -676,19 +745,19 @@ class Session:
             okey = _options_key(options)
             overrides_key = tuple(sorted(_overrides))
             exact_key = (self.fingerprint, overrides_key, time_key, okey, temperature_k)
+            cached = self.cache.exact(exact_key)
+            if cached is not None:
+                STATS.op_cache_hits += 1
+                if span is not None:
+                    span.attrs["cache"] = "hit"
+                return RawSolution(
+                    x=cached.x.copy(),
+                    iterations=cached.iterations,
+                    residual=cached.residual,
+                    strategy=cached.strategy,
+                )
             coords = {(e, a): v for e, a, v in _overrides}
             if x0 is None:
-                cached = self.cache.exact(exact_key)
-                if cached is not None:
-                    STATS.op_cache_hits += 1
-                    if span is not None:
-                        span.attrs["cache"] = "hit"
-                    return RawSolution(
-                        x=cached.x.copy(),
-                        iterations=cached.iterations,
-                        residual=cached.residual,
-                        strategy=cached.strategy,
-                    )
                 gates: Optional[Dict[str, object]] = (
                     {} if span is not None else None
                 )

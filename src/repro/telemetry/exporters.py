@@ -53,7 +53,7 @@ _METRIC_HELP = {
     "serial_fallbacks": "Fan-outs that fell back to in-process serial execution.",
     "op_store_loads": "Persistent store: files loaded into a session cache.",
     "op_store_points_loaded": "Persistent store: solved points loaded.",
-    "op_store_flushes": "Persistent store: flushes that wrote new points.",
+    "op_store_flushes": "Persistent store: flushes, empty ones included.",
     "op_store_points_written": "Persistent store: solved points written.",
     "op_store_corrupt_records": "Persistent store: unreadable records/files skipped.",
     "serve_jobs_submitted": "Service: jobs accepted onto the queue.",

@@ -100,10 +100,12 @@ UNKNOWN_TRANSIENT_OPTIONS = {
     "newton_shrink": {"newton_shrink": 0.25},
 }
 
-#: Plans whose options no solve can honour, by case name, with the
-#: option each message names.  Each must be refused as a PlanError at
-#: submit, before any solve: accepted, a negative gmin solved to a
-#: wrong answer and the others failed only once they ran.
+#: Plans whose options no solve can honour, or no service worker should
+#: be held for, by case name, with the option each message names.  Each
+#: must be refused as a PlanError at submit, before any solve: accepted,
+#: a negative gmin solved to a wrong answer, a 10**9-step cap let a
+#: fixed 1 ns step run a 1 s transient on one worker, and the others
+#: failed only once they ran.
 _OP = {"analysis": "OP"}
 _TRANSIENT = {"analysis": "Transient", "t_stop": 1e-6}
 OUT_OF_RANGE_PLANS = {
@@ -114,6 +116,17 @@ OUT_OF_RANGE_PLANS = {
     "dt-init-negative": ({**_TRANSIENT, "options": {"dt_init": -1}}, "dt_init"),
     "dt-max-0": ({**_TRANSIENT, "options": {"dt_max": 0}}, "dt_max"),
     "max-steps-0": ({**_TRANSIENT, "options": {"max_steps": 0}}, "max_steps"),
+    "max-steps-past-the-engine-cap": (
+        {
+            "analysis": "Transient",
+            "t_stop": 1.0,
+            "options": {
+                "adaptive": False, "dt_init": 1e-9, "dt_max": 1e-9,
+                "max_steps": 10**9,
+            },
+        },
+        "max_steps",
+    ),
     "lte-reltol-nan": (
         {**_TRANSIENT, "options": {"lte_reltol": math.nan}}, "lte_reltol"
     ),

@@ -736,6 +736,100 @@ class TestDCSweepSourceRefresh:
         assert session.circuit.element("V1").dc == 5.0
 
 
+class TestRepeatsAreLookups:
+    """A point the session already holds costs one cache lookup, chained
+    sweep points included, and a hit keeps its point cached."""
+
+    @pytest.mark.parametrize("kind", ["temp_sweep", "dc_sweep", "ac_sweep"])
+    def test_rerun_takes_one_hit_per_point_and_no_newton(self, kind):
+        from repro.circuits.bandgap_cell import build_bandgap_cell
+        from repro.experiments.ac_common import VDD_DC, build_psrr_cell
+
+        builder, plan, points = {
+            "temp_sweep": (
+                build_bandgap_cell,
+                TempSweep(temperatures_k=tuple(np.linspace(250.0, 350.0, 5))),
+                5,
+            ),
+            "dc_sweep": (
+                build_psrr_cell,
+                DCSweep(source="VDD", values=(VDD_DC - 0.5, VDD_DC, VDD_DC + 0.5)),
+                3,
+            ),
+            "ac_sweep": (
+                build_psrr_cell,
+                ACSweep(
+                    frequencies_hz=(10.0, 1e3, 1e5), temperatures_k=(250.0, 300.0)
+                ),
+                2,
+            ),
+        }[kind]
+        session = Session(builder)
+        first = session.run(plan)
+        STATS.reset()
+        with tracing(detail="plans") as tracer:
+            again = session.run(plan)
+        assert STATS.op_cache_hits == points
+        assert STATS.op_cache_warm_starts == STATS.op_cache_misses == 0
+        assert STATS.newton_solves == 0
+        assert STATS.factorizations == 0
+        (root,) = tracer.roots
+        caches = [span.attrs["cache"] for span in root.children if span.name == "solve"]
+        assert caches == ["hit"] * points
+        assert again.to_dict() == first.to_dict()
+
+    def test_a_miss_still_starts_from_the_chained_point(self):
+        # Only the exact key skips the solve: a sweep whose points are
+        # new chains them as before, one "seeded" solve after the first.
+        session = Session(diode_circuit)
+        session.run(OP(temperature_k=300.0))
+        plan = TempSweep(temperatures_k=(300.0, 310.0, 320.0))
+        STATS.reset()
+        with tracing(detail="plans") as tracer:
+            session.run(plan)
+        (root,) = tracer.roots
+        caches = [span.attrs["cache"] for span in root.children if span.name == "solve"]
+        assert caches == ["hit", "seeded", "seeded"]
+        assert STATS.op_cache_hits == 1
+        assert STATS.newton_solves == 2
+
+    def test_a_hit_point_outlives_the_points_inserted_after_it(self):
+        k = 4
+        session = Session(diode_circuit, cache_points=k)
+        session.run(OP(temperature_k=300.0))  # hit after every insert
+        session.run(OP(temperature_k=301.0))  # never hit again
+        for step in range(k):
+            session.run(OP(temperature_k=310.0 + step))
+            STATS.reset()
+            session.run(OP(temperature_k=300.0))
+            assert (STATS.op_cache_hits, STATS.newton_solves) == (1, 0), step
+        assert len(session.cache) == k
+        STATS.reset()
+        session.run(OP(temperature_k=301.0))
+        assert STATS.op_cache_hits == 0
+
+    def test_eviction_drops_the_least_recently_used_point(self):
+        session = Session(diode_circuit, cache_points=3)
+        for temperature in (300.0, 301.0, 302.0):
+            session.run(OP(temperature_k=temperature))
+        session.run(OP(temperature_k=300.0))  # hit: now the most recent
+        session.run(OP(temperature_k=303.0))  # evicts 301 K, not 300 K
+        cached = sorted(key[4] for key, _value in session.cache.export())
+        assert cached == [300.0, 302.0, 303.0]
+
+    def test_a_store_less_session_pends_at_most_its_cache(self):
+        k = 3
+        session = Session(diode_circuit, cache_points=k)
+        for step in range(10):
+            session.run(OP(temperature_k=290.0 + step))
+            assert len(session.cache.pending_keys()) <= k
+        assert set(session.cache.pending_keys()) == {
+            key for key, _value in session.cache.export()
+        }
+        session.invalidate()
+        assert session.cache.pending_keys() == []
+
+
 class TestOneRunPath:
     """``Session.run(plan)`` is the one way to run an analysis."""
 
