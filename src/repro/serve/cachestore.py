@@ -121,6 +121,9 @@ class CacheStore:
         self._persisted: set = set()
         #: Approximate record-line count of the log (drives compaction).
         self._record_lines = 0
+        #: Lifetime count of this instance's compactions (a session
+        #: re-offers its whole cache after one).
+        self.compactions = 0
 
     # -- locking --------------------------------------------------------
     def _lock_path(self) -> Path:
@@ -306,6 +309,8 @@ class CacheStore:
             self._record_lines = len(kept)
         self._note_corruption(bad)
         self._persisted = {_key_id(key) for _k, (key, _v) in kept}
+        # Last, so a flush that sees the new count sees the new set.
+        self.compactions += 1
         return len(kept)
 
     def _note_corruption(self, bad: int) -> None:

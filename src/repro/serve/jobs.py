@@ -25,11 +25,9 @@ Three pieces, all transport-agnostic (the HTTP front end in
   ``_POLICY_WIRE_KEYS``), and the :class:`JobRecord` carries
   ``Outcome``-style failure attribution (error type, message, attempts,
   wall time).  Completed jobs flush the owning session to the store
-  immediately (write-through of the points the session solved since
-  its last flush), so a server kill after job completion never loses
-  solved points; a job whose flush fails is reported ``failed``, its
-  points stay pending for the next flush, and the worker goes on to
-  the next job.
+  immediately (write-through), so a server kill after job completion
+  never loses solved points; a job whose flush fails is reported
+  ``failed``, and the worker goes on to the next job.
 """
 
 from __future__ import annotations

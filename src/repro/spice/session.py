@@ -29,9 +29,15 @@ solver options, temperature)``.
   conditions the session itself solved (or loaded from its store) — a
   temperature nudge, a changed override or a different pinned time is a
   different key, so a stale point can never be returned for new
-  conditions.  The lookup runs on every solve: an exact hit wins, and a
-  chained sweep point's ``x0`` seeds only a miss, so a sweep rerun on a
-  session that holds its points costs one lookup per point.
+  conditions.  The lookup runs on every solve.  A chained sweep point
+  (one given the previous point's ``x0``) takes the hit only when the
+  cached point was solved from the same start, bit for bit: where a
+  circuit has two states at one key (a cold operating point and a
+  supply sweep coming down through a fold), a sweep still follows its
+  own branch, and a sweep rerun on a session that holds its points
+  costs one lookup per point.  Points solved without a chained start,
+  or loaded from a store, serve only unchained lookups (an operating
+  point, a sweep's first point).
 * On a miss, a chained sweep point starts from its ``x0`` (a
   ``"seeded"`` solve span).  Any other solve starts from the
   **nearest** cached point with the same pinned time and compatible
@@ -58,9 +64,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -146,10 +150,11 @@ class _CachedPoint:
 
     __slots__ = (
         "temperature_k", "time_key", "options_key", "coords",
-        "x", "iterations", "residual", "strategy",
+        "x", "iterations", "residual", "strategy", "start", "seq",
     )
 
-    def __init__(self, temperature_k, time_key, options_key, coords, raw):
+    def __init__(self, temperature_k, time_key, options_key, coords, raw,
+                 start: Optional[str] = None):
         self.temperature_k = temperature_k
         self.time_key = time_key
         self.options_key = options_key
@@ -158,15 +163,29 @@ class _CachedPoint:
         self.iterations = raw.iterations
         self.residual = raw.residual
         self.strategy = raw.strategy
+        #: :func:`_start_digest` of the chained start the point was
+        #: solved from; None for an unchained solve or a merged point.
+        self.start = start
+        #: The cache's insert count when the point went in.
+        self.seq = 0
+
+
+def _start_digest(x0: np.ndarray, predicted: Optional[np.ndarray]) -> str:
+    """Bitwise identity of a chained solve's start (``x0`` and the
+    secant ``predicted``): equal digests mean Newton ran from the same
+    place, so it lands on the same branch."""
+    digest = hashlib.blake2b(np.asarray(x0, float).tobytes(), digest_size=16)
+    if predicted is not None:
+        digest.update(b"|")
+        digest.update(np.asarray(predicted, float).tobytes())
+    return digest.hexdigest()
 
 
 class SolvedPointCache:
     """Solved-point store with exact and nearest-neighbour lookup.
 
     Bounded at ``max_points``, least recently used first out: an insert
-    or an exact hit makes a point the most recent.  The cache also
-    remembers which keys were inserted since the store last took them
-    (:meth:`pending_keys`), so a flush writes only new points.
+    or an exact hit makes a point the most recent.
     """
 
     def __init__(self, max_points: int = 512):
@@ -174,17 +193,15 @@ class SolvedPointCache:
             raise ValueError(f"max_points must be >= 1, got {max_points}")
         self.max_points = max_points
         self._exact: Dict[Tuple, _CachedPoint] = {}
-        #: Keys inserted since the last :meth:`forget_pending`, oldest
-        #: first (a dict used as an ordered set; always a subset of
-        #: ``_exact``'s keys).
-        self._pending: Dict[Tuple, None] = {}
+        #: Lifetime count of inserted points, merged ones included: a
+        #: store flush exports the points inserted since its last one.
+        self.inserts = 0
 
     def __len__(self) -> int:
         return len(self._exact)
 
     def clear(self) -> None:
         self._exact.clear()
-        self._pending.clear()
 
     @staticmethod
     def _values_compatible(a: Mapping, b: Mapping, baseline: Mapping) -> bool:
@@ -200,10 +217,15 @@ class SolvedPointCache:
                 return False
         return True
 
-    def exact(self, key: Tuple) -> Optional[_CachedPoint]:
-        point = self._exact.pop(key, None)
-        if point is not None:
-            self._exact[key] = point  # a hit is the most recent use
+    def exact(self, key: Tuple, start: Optional[str] = None) -> Optional[_CachedPoint]:
+        """The point cached at ``key``, or None.  A chained lookup
+        passes its :func:`_start_digest` and hits only a point solved
+        from that same start."""
+        point = self._exact.get(key)
+        if point is None or (start is not None and point.start != start):
+            return None
+        del self._exact[key]
+        self._exact[key] = point  # a hit is the most recent use
         return point
 
     def nearest(
@@ -269,51 +291,30 @@ class SolvedPointCache:
         ]
 
     def insert(self, key: Tuple, point: _CachedPoint) -> None:
-        """Cache a freshly solved point and mark it pending for the store."""
-        self._put(key, point)
-        self._pending[key] = None
-
-    def _put(self, key: Tuple, point: _CachedPoint) -> None:
         # The tail is the most recent use: re-inserting a key moves it
         # there, and a full cache evicts from the head, so the point
-        # dropped is the least recently inserted or hit.  An evicted
-        # point is no longer pending either.
+        # dropped is the least recently inserted or hit.
+        self.inserts += 1
+        point.seq = self.inserts
         if key in self._exact:
             del self._exact[key]
         elif len(self._exact) >= self.max_points:
-            evicted = next(iter(self._exact))
-            del self._exact[evicted]
-            self._pending.pop(evicted, None)
+            del self._exact[next(iter(self._exact))]
         self._exact[key] = point
 
     # -- persistent store support --------------------------------------
-    def export(
-        self, keys: Optional[Iterable[Tuple]] = None
-    ) -> List[Tuple[Tuple, Tuple]]:
-        """Plain-data snapshot of every point, or of those of ``keys``
-        still cached (what a store persists)."""
-        if keys is None:
-            keys = list(self._exact)
-        points = ((key, self._exact.get(key)) for key in keys)
+    def export(self, since: int = 0) -> List[Tuple[Tuple, Tuple]]:
+        """Plain-data snapshot of the points inserted after the
+        ``since``-th insert, by default every point (what a store
+        persists)."""
         return [
             (key, (p.temperature_k, p.time_key, p.options_key, dict(p.coords),
                    p.x, p.iterations, p.residual, p.strategy))
-            for key, p in points
-            if p is not None
+            for key, p in self._exact.items()
+            if p.seq > since
         ]
 
-    def pending_keys(self) -> List[Tuple]:
-        """Keys inserted since the store last took them, oldest first."""
-        return list(self._pending)
-
-    def forget_pending(self, keys: Iterable[Tuple]) -> None:
-        """Unmark ``keys``: the store holds their points now."""
-        for key in keys:
-            self._pending.pop(key, None)
-
     def merge(self, exported) -> None:
-        """Add exported points the cache lacks.  They came from a store,
-        so none of them is pending."""
         for key, (temperature_k, time_key, options_key, coords, x,
                   iterations, residual, strategy) in exported:
             if key in self._exact:
@@ -322,7 +323,7 @@ class SolvedPointCache:
                 x=np.asarray(x, float), iterations=iterations,
                 residual=residual, strategy=strategy,
             )
-            self._put(
+            self.insert(
                 key,
                 _CachedPoint(temperature_k, time_key, options_key, coords, raw),
             )
@@ -648,6 +649,11 @@ class Session:
         #: band, temperature band and pinned-time key still screen
         #: every warm-start candidate.
         self.store = None
+        #: ``(cache.inserts, store.compactions)`` when the last flush's
+        #: ``absorb`` returned (or the store was loaded): the next flush
+        #: offers the points inserted since, or the whole cache once the
+        #: store has compacted.
+        self._flushed_at = (0, 0)
         if store is not None:
             if not hasattr(store, "load"):
                 from ..serve.cachestore import CacheStore
@@ -659,30 +665,31 @@ class Session:
                 for key, value in store.load()
                 if key[0] == self.fingerprint
             )
+            self._flushed_at = (self.cache.inserts, store.compactions)
 
     # -- persistent store ----------------------------------------------
     def flush_store(self) -> int:
-        """Write this session's new solved points to the attached store.
+        """Write this session's solved points to the attached store.
 
-        Hands :meth:`CacheStore.absorb` only the points inserted since
-        the last successful flush (the cache's pending keys, less any it
-        has evicted since); points loaded from the store are never
-        pending.  The keys are forgotten only once ``absorb`` returns,
-        so a flush that raises leaves them for the next one.  ``absorb``
-        runs on every flush, an empty one included, and still skips
-        points the store already persisted (two sessions sharing a
-        store write each point once).  Returns the number written;
+        Offers :meth:`CacheStore.absorb`, which appends only points the
+        store has not persisted yet, the cached points inserted since
+        the last flush that returned, so a job that solved nothing new
+        hands it an empty list instead of exporting every cached point
+        to find that out; ``absorb`` still runs, so every flush counts.
+        A flush that raises leaves its points to the next one.  Once
+        the store has compacted, which can drop a point this session
+        still caches, the next flush offers the whole cache and the
+        store appends that point again.  Returns the number written;
         no-op (returning 0) without a store.
-
-        A point is offered to the store once: if the store's compaction
-        (past twice its ``max_points`` records) drops a point this
-        session still caches, a later flush does not append it again.
         """
         if self.store is None:
             return 0
-        keys = self.cache.pending_keys()
-        written = self.store.absorb(self.cache.export(keys))
-        self.cache.forget_pending(keys)
+        inserts, compactions = self.cache.inserts, self.store.compactions
+        flushed, seen = self._flushed_at
+        since = flushed if compactions == seen else 0
+        exported = self.cache.export(since) if inserts > since else []
+        written = self.store.absorb(exported)
+        self._flushed_at = (inserts, compactions)
         return written
 
     def close(self) -> None:
@@ -724,12 +731,14 @@ class Session:
 
         The engine-level entry: every plan body solves its DC points
         here, and a one-shot raw solve is ``Session(circuit).solve_raw()``.
-        An exact cache hit wins over everything, ``x0`` included, so a
-        point the session already holds costs one lookup.  On a miss,
-        ``x0`` wins over the nearest cached point: a chained sweep hands
-        each point the previous point's solution as ``x0`` and its
-        secant extrapolation as ``predicted``, both passed on to
-        :func:`~repro.spice.solver.solve_dc_system` unchanged.
+        A chained sweep hands each point the previous point's solution
+        as ``x0`` and its secant extrapolation as ``predicted``.  An
+        exact cache hit wins when the cached point was solved from that
+        same start (or, without ``x0``, from any), so a point the
+        session already holds on this branch costs one lookup.  On a
+        miss, ``x0`` wins over the nearest cached point, and both are
+        passed on to :func:`~repro.spice.solver.solve_dc_system`
+        unchanged.
         """
         options = options or SolverOptions()
         temperature_k = float(temperature_k)
@@ -745,7 +754,8 @@ class Session:
             okey = _options_key(options)
             overrides_key = tuple(sorted(_overrides))
             exact_key = (self.fingerprint, overrides_key, time_key, okey, temperature_k)
-            cached = self.cache.exact(exact_key)
+            start = None if x0 is None else _start_digest(x0, predicted)
+            cached = self.cache.exact(exact_key, start)
             if cached is not None:
                 STATS.op_cache_hits += 1
                 if span is not None:
@@ -782,7 +792,8 @@ class Session:
                 workspace=self.workspace, predicted=predicted,
             )
             self.cache.insert(
-                exact_key, _CachedPoint(temperature_k, time_key, okey, coords, raw)
+                exact_key,
+                _CachedPoint(temperature_k, time_key, okey, coords, raw, start),
             )
             return raw
         finally:

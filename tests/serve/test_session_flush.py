@@ -1,11 +1,11 @@
 """Tests for what a session's store flush hands the store.
 
-A session remembers the points it solved since its last successful
-flush, so :meth:`Session.flush_store` hands
-:meth:`CacheStore.absorb` only those: a flush with nothing new hands it
-an empty list, a failed flush keeps its points for the next one, and
-points loaded from the store are never handed back.  The store's own
-dedupe still holds across sessions sharing it.
+:meth:`Session.flush_store` offers :meth:`CacheStore.absorb` the
+points inserted since the last flush that returned, so a flush with
+nothing new hands it an empty list.  A failed flush leaves its points
+to the next one, a compaction makes the next flush offer the whole
+cache (so a point compaction dropped is appended again), and the
+store's own dedupe still holds across sessions sharing it.
 """
 
 import json
@@ -53,7 +53,7 @@ def stored_temperatures(path):
     return [json.loads(line)["k"][4] for line in lines]
 
 
-class TestFlushHandsOnlyNewPoints:
+class TestFlushOffersOnlyNewPoints:
     def test_a_flush_with_nothing_new_hands_absorb_an_empty_list(self, tmp_path):
         store = RecordingStore(tmp_path / "op.jsonl")
         session = Session(diode_circuit(), store=store)
@@ -62,10 +62,15 @@ class TestFlushHandsOnlyNewPoints:
         assert session.flush_store() == 2
         session.run(OP(temperature_k=300.0))  # an exact hit: nothing new
         assert session.flush_store() == 0
-        assert store.calls == [[300.0, 310.0], []]
-        assert STATS.op_store_flushes == 2  # absorb ran on both flushes
+        session.run(OP(temperature_k=320.0))
+        assert session.flush_store() == 1
+        assert store.calls == [[300.0, 310.0], [], [320.0]]
+        assert STATS.op_store_flushes == 3  # absorb ran on every flush
 
-    def test_a_failed_flush_leaves_its_points_pending(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("solve_after_failure", [False, True])
+    def test_a_failed_flush_leaves_its_points_for_the_next(
+        self, tmp_path, monkeypatch, solve_after_failure
+    ):
         path = tmp_path / "op.jsonl"
         store = RecordingStore(path)
         session = Session(diode_circuit(), store=store)
@@ -78,12 +83,15 @@ class TestFlushHandsOnlyNewPoints:
         with pytest.raises(OSError, match="disk full"):
             session.flush_store()
         monkeypatch.undo()
-        session.run(OP(temperature_k=310.0))
-        assert session.flush_store() == 2
-        assert store.calls == [[300.0, 310.0]]
-        assert stored_temperatures(path) == [300.0, 310.0]
+        expected = [300.0]
+        if solve_after_failure:
+            session.run(OP(temperature_k=310.0))
+            expected.append(310.0)
+        assert session.flush_store() == len(expected)
+        assert store.calls == [expected]
+        assert stored_temperatures(path) == expected
 
-    def test_loaded_points_are_never_handed_back(self, tmp_path):
+    def test_loaded_points_are_not_offered_back(self, tmp_path):
         path = tmp_path / "op.jsonl"
         with Session(diode_circuit(), store=path) as session:
             session.run(OP(temperature_k=300.0))
@@ -94,8 +102,31 @@ class TestFlushHandsOnlyNewPoints:
         reopened.run(OP(temperature_k=320.0))
         assert reopened.flush_store() == 1
         assert store.calls == [[320.0]]
+        assert stored_temperatures(path) == [300.0, 320.0]
 
-    def test_an_evicted_point_is_not_pending(self, tmp_path):
+    def test_a_point_compaction_dropped_is_offered_again(self, tmp_path):
+        # 300 K is hit after every job but never solved again, so it is
+        # the oldest record when the store compacts past 2 x 4 records.
+        # The next flush re-offers the cache, and a reload still holds
+        # the hot point.
+        path = tmp_path / "op.jsonl"
+        store = RecordingStore(path, max_points=4)
+        session = Session(diode_circuit(), store=store)
+        for temperature in (300.0,) + tuple(301.0 + i for i in range(8)):
+            session.run(OP(temperature_k=temperature))
+            session.run(OP(temperature_k=300.0))
+            session.flush_store()
+        assert store.compactions == 1
+        assert 300.0 not in stored_temperatures(path)
+        session.run(OP(temperature_k=300.0))  # a hit: nothing new
+        session.flush_store()
+        assert 300.0 in store.calls[-1]
+        reloaded = Session(diode_circuit(), store=CacheStore(path, max_points=4))
+        STATS.reset()
+        reloaded.run(OP(temperature_k=300.0))
+        assert (STATS.op_cache_hits, STATS.newton_solves) == (1, 0)
+
+    def test_an_evicted_point_is_not_offered(self, tmp_path):
         store = RecordingStore(tmp_path / "op.jsonl")
         session = Session(diode_circuit(), store=store, cache_points=2)
         for temperature in (300.0, 301.0, 302.0):

@@ -737,8 +737,9 @@ class TestDCSweepSourceRefresh:
 
 
 class TestRepeatsAreLookups:
-    """A point the session already holds costs one cache lookup, chained
-    sweep points included, and a hit keeps its point cached."""
+    """A point the session already holds on a sweep's branch costs one
+    cache lookup, chained sweep points included, and a hit keeps its
+    point cached."""
 
     @pytest.mark.parametrize("kind", ["temp_sweep", "dc_sweep", "ac_sweep"])
     def test_rerun_takes_one_hit_per_point_and_no_newton(self, kind):
@@ -817,17 +818,59 @@ class TestRepeatsAreLookups:
         cached = sorted(key[4] for key, _value in session.cache.export())
         assert cached == [300.0, 302.0, 303.0]
 
-    def test_a_store_less_session_pends_at_most_its_cache(self):
-        k = 3
-        session = Session(diode_circuit, cache_points=k)
-        for step in range(10):
-            session.run(OP(temperature_k=290.0 + step))
-            assert len(session.cache.pending_keys()) <= k
-        assert set(session.cache.pending_keys()) == {
-            key for key, _value in session.cache.export()
-        }
-        session.invalidate()
-        assert session.cache.pending_keys() == []
+    def test_a_chained_point_hits_only_a_point_from_its_own_start(self):
+        # The first run anchors at the cached 310 K point and chains out
+        # from it; the rerun anchors at 300 K, so its chained points
+        # start elsewhere and solve again.  From then on every start
+        # matches the cached one.
+        session = Session(diode_circuit)
+        session.run(OP(temperature_k=310.0))
+        plan = TempSweep(temperatures_k=(300.0, 310.0, 320.0))
+        runs = []
+        for _ in range(3):
+            with tracing(detail="plans") as tracer:
+                session.run(plan)
+            (root,) = tracer.roots
+            runs.append([span.attrs["cache"] for span in root.children])
+        assert runs == [
+            ["hit", "seeded", "seeded"],
+            ["hit", "seeded", "seeded"],
+            ["hit", "hit", "hit"],
+        ]
+
+    def test_a_sweep_keeps_its_branch_past_a_cold_point_at_its_key(self):
+        # At 230 K the PSRR cell's cold OP at VDD = 1 V lands on
+        # VREF ~0.505 V, while the 5 -> 1 V supply sweep comes down
+        # through the fold to ~0.92 V.  Both points share one cache key;
+        # the sweep's last point must not take the cold one.
+        from repro.experiments.ac_common import build_psrr_cell
+
+        values = tuple(float(v) for v in np.linspace(5.0, 1.0, 17))
+        plan = DCSweep(source="VDD", values=values, temperature_k=230.0)
+        fresh = Session(build_psrr_cell).run(plan)
+        session = Session(build_psrr_cell)
+        cold = session.run(OP(temperature_k=230.0, overrides=(("VDD", "dc", 1.0),)))
+        mixed = session.run(plan)
+        vref = session.circuit.node_index("vref")
+        assert abs(cold.op.x[vref] - fresh.points[-1].x[vref]) > 0.3
+        assert mixed.to_dict() == fresh.to_dict()
+
+    def test_a_loaded_point_serves_no_chained_lookup(self, tmp_path):
+        # A stored point does not record the start it was solved from,
+        # so after a reload only unchained lookups take it.
+        from repro.experiments.ac_common import build_psrr_cell
+
+        path = tmp_path / "op.jsonl"
+        with Session(build_psrr_cell, store=path) as session:
+            session.run(OP(temperature_k=230.0, overrides=(("VDD", "dc", 1.0),)))
+        values = tuple(float(v) for v in np.linspace(5.0, 1.0, 17))
+        plan = DCSweep(source="VDD", values=values, temperature_k=230.0)
+        reloaded = Session(build_psrr_cell, store=path)
+        assert len(reloaded.cache) == 1
+        STATS.reset()
+        result = reloaded.run(plan)
+        assert STATS.op_cache_hits == 0
+        assert result.to_dict() == Session(build_psrr_cell).run(plan).to_dict()
 
 
 class TestOneRunPath:
